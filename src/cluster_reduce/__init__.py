@@ -35,7 +35,7 @@ from .dynamics import (
     somos5_constrained_start,
     verify_closed_form,
 )
-from .fixtures import Fixture, all_fixtures, get_fixture
+from .fixtures import Fixture, all_fixtures, fordy_marsh, get_fixture
 from .geometry import (
     Flag,
     GeometryError,
@@ -178,5 +178,6 @@ __all__ = [
     # fixtures
     "Fixture",
     "all_fixtures",
+    "fordy_marsh",
     "get_fixture",
 ]

@@ -685,7 +685,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         entry = {"kind": kind, "dimension": psi.dim_in}
         try:
             period_report = detect_global_periodicity(
-                psi, config.p_max, min(config.samples, 10), config.seed
+                system, config.p_max, min(config.samples, 10), config.seed
             )
         except DynamicsError as exc:
             report.errors.append(["dynamics", str(exc)])
@@ -694,9 +694,13 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             entry["global_period"] = period_report.period
             entry["summary"] = f"globally {period_report.period}-periodic (symbolic certificate)"
         else:
-            scan = no_periodic_points_scan(
-                psi, config.scan_p_max, config.scan_samples, config.seed
-            )
+            try:
+                scan = no_periodic_points_scan(
+                    system, config.scan_p_max, config.scan_samples, config.seed
+                )
+            except DynamicsError as exc:
+                report.errors.append(["dynamics", str(exc)])
+                continue
             entry["scan"] = {
                 "period_found": scan.period_found,
                 "monotone_growth": scan.monotone_growth,
@@ -726,12 +730,16 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         from .maps import random_positive_point, rng_substream
 
         x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))
-        itin = leaf_itinerary(phi, ordered, x0, config.itinerary_steps, "exact")
-        report.itinerary = {
-            "start": [str(v) for v in x0],
-            "names": list(itin.names),
-            "label_periods": list(itin.periods),
-        }
+        try:
+            itin = leaf_itinerary(phi, ordered, x0, config.itinerary_steps, "exact")
+        except DynamicsError as exc:
+            report.errors.append(["itinerary", str(exc)])
+        else:
+            report.itinerary = {
+                "start": [str(v) for v in x0],
+                "names": list(itin.names),
+                "label_periods": list(itin.periods),
+            }
     return report
 
 

@@ -3,19 +3,47 @@ leaf itineraries, and closed-form solution checks.
 
 Exact mode iterates with big rationals and makes exact claims; float mode
 uses arbitrary-precision floats (default 64 significant decimal digits)
-and reports tolerances.  Global periodicity is certified symbolically —
-a sampled screen proposes the candidate period, and the certificate is
-the normal-form identity f^(p) = id.
+and reports tolerances.
+
+Periodicity, periodic-point scans and exact itinerary periods run on one
+lifted orbit.  A reduced system (phi, pi, psi) is iterated upstairs:
+psi^k(y) = pi(phi^k(y^V)) with V an integer right inverse of pi's
+exponent rows, so the orbit follows the cluster map phi (a few monomials
+per component) instead of psi (expanded binomial powers).  A bare map f
+is the lift (f, identity).  That orbit is followed in three arithmetics,
+and each statement says which one it rests on:
+
+* returns are screened with residues mod a prime (Roberts & Vivaldi,
+  PRL 90 (2003) 034102 on orbits over finite fields).  An exact return
+  is a return mod p whenever every coordinate and denominator along the
+  orbit is a unit mod p, so a step that does not return mod p is a sound
+  negative; when a unit test fails, a second prime and then exact
+  arithmetic take over for that orbit;
+* every return found mod p is confirmed on the exact rational orbit
+  before it is reported;
+* growth comparisons are decided on outward-rounded intervals
+  (``mpmath.iv`` at ``DEFAULT_PRECISION`` digits), which stay tight
+  because cluster maps and monomial projections are subtraction-free;
+  a comparison the intervals cannot decide falls back to the exact orbit.
+
+So every verdict equals the one exact iteration would give.  Global
+periodicity is certified symbolically: the sampled first returns propose
+the candidate period, and the certificate is the normal-form identity
+f^(p) = id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import lcm
 
 import mpmath as mp
+from mpmath.ctx_iv import MPIntervalContext
 
+from .geometry import ReducedSystem
+from .intlinalg import right_inverse
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
 
 __all__ = [
@@ -126,14 +154,274 @@ def orbit_sequence(orbit: Orbit) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The lifted orbit engine
+
+# Primes of the residue screen, tried in this order (both Mersenne primes).
+SCREEN_PRIMES = (2**61 - 1, 2**89 - 1)
+
+
+def _sparse(exponents) -> tuple:
+    """The nonzero (variable, exponent) pairs of an exponent vector."""
+    return tuple((i, k) for i, k in enumerate(exponents) if k)
+
+
+def _compile(phi: BirationalMap, convert):
+    """phi's components for repeated evaluation, or None.
+
+    A component is the index i when it is the coordinate x_i, else a pair
+    (num, den) of term lists [(coefficient, sparse exponents)], den None
+    when it is 1.  Coefficients pass through convert; None from convert
+    makes the result None.
+    """
+    comps = []
+    for c in phi.components:
+        if c.den.is_one() and list(c.num.terms.values()) == [1]:
+            (mono,) = [_sparse(e) for e in c.num.terms]
+            if len(mono) == 1 and mono[0][1] == 1:
+                comps.append(mono[0][0])
+                continue
+        num, den = (
+            [(convert(coeff), _sparse(e)) for e, coeff in poly.terms.items()]
+            for poly in (c.num, c.den)
+        )
+        if any(coeff is None for coeff, _ in num + den):
+            return None
+        comps.append((num, None if c.den.is_one() else den))
+    return comps
+
+
+def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
+    for i, k in mono:
+        coeff = coeff * (pow(x[i], k, p) if k > 0 else pow(inv[i], -k, p)) % p
+    return coeff
+
+
+def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
+    """(points, inverses): x_k and its coordinatewise inverse mod p for
+    k = 0..steps, or None.
+
+    None when a start coordinate, a coefficient, a component denominator
+    or an orbit coordinate is not a unit mod p: only while all of them
+    are units are the residues those of the exact orbit.
+    """
+
+    def residue(q):
+        q = Fraction(q)
+        den = q.denominator % p
+        return q.numerator * pow(den, -1, p) % p if den else None
+
+    comps = _compile(phi, residue)
+    x = [residue(v) for v in x0]
+    if comps is None or not all(x):
+        return None
+    points, inverses = [tuple(x)], []
+    for _ in range(steps):
+        inv = [pow(v, -1, p) for v in x]
+        inverses.append(inv)
+        image = []
+        for comp in comps:
+            if isinstance(comp, int):
+                image.append(x[comp])
+                continue
+            num, den = comp
+            v = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in num)
+            if den is not None:
+                d = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in den) % p
+                if d == 0:
+                    return None
+                v *= pow(d, -1, p)
+            v %= p
+            if v == 0:
+                return None
+            image.append(v)
+        x = image
+        points.append(tuple(x))
+    inverses.append([pow(v, -1, p) for v in x])
+    return points, inverses
+
+
+@cache
+def _interval_context() -> MPIntervalContext:
+    """A private mpmath.iv context, so callers' iv precision is untouched."""
+    ctx = MPIntervalContext()
+    ctx.dps = DEFAULT_PRECISION
+    return ctx
+
+
+def _interval_monomial(coeff, mono, x):
+    for i, k in mono:
+        coeff = coeff * (x[i] if k == 1 else x[i] ** k)
+    return coeff
+
+
+def _interval_orbit(phi: BirationalMap, x0, steps: int) -> list:
+    """Outward-rounded enclosures of x_k for k = 0..steps.
+
+    A denominator interval that contains 0 gives an unbounded enclosure,
+    which no comparison can decide.
+    """
+    ctx = _interval_context()
+
+    def enclose(q):
+        q = Fraction(q)
+        return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+    def value(terms, x):
+        total = ctx.mpf(0)
+        for coeff, mono in terms:
+            total += _interval_monomial(coeff, mono, x)
+        return total
+
+    comps = _compile(phi, enclose)
+    x = [enclose(v) for v in x0]
+    points = [x]
+    for _ in range(steps):
+        image = []
+        for comp in comps:
+            if isinstance(comp, int):
+                image.append(x[comp])
+                continue
+            num, den = comp
+            v = value(num, x)
+            image.append(v if den is None else v / value(den, x))
+        x = image
+        points.append(x)
+    return points
+
+
+class _LiftedOrbit:
+    """x_k = phi^k(x0) for k = 0..steps, each arithmetic computed on first use.
+
+    residues: (p, points, inverses) for the first screen prime that keeps
+    the orbit in units mod p, or None; intervals: enclosures; exact(k):
+    the exact rational point, from ``iterate_orbit``.
+    """
+
+    def __init__(self, phi: BirationalMap, x0, steps: int) -> None:
+        self.phi = phi
+        self.steps = steps
+        self._exact = (tuple(Fraction(v) for v in x0),)
+
+    @cached_property
+    def residues(self):
+        for p in SCREEN_PRIMES:
+            orbit = _residue_orbit(self.phi, self._exact[0], self.steps, p)
+            if orbit is not None:
+                return (p, *orbit)
+        return None
+
+    @cached_property
+    def intervals(self) -> list:
+        return _interval_orbit(self.phi, self._exact[0], self.steps)
+
+    def exact(self, k: int) -> tuple:
+        """x_k; the first call past x0 computes the whole exact orbit, so an
+        orbit that leaves the domain raises DynamicsError there."""
+        if k >= len(self._exact):
+            self._exact = iterate_orbit(self.phi, self._exact[0], self.steps, "exact").points
+        return self._exact[k]
+
+    def label(self, pi: MonomialMap | None, k: int) -> tuple:
+        """The exact label pi(x_k); pi None is the identity."""
+        x = self.exact(k)
+        return x if pi is None else pi.evaluate(x)
+
+    def label_residues(self, pi: MonomialMap | None):
+        """pi(x_k) mod p for k = 0..steps, or None without residues."""
+        if self.residues is None:
+            return None
+        p, points, inverses = self.residues
+        if pi is None:
+            return points
+        rows = [_sparse(row) for row in pi.exponents.entries]
+        return [
+            tuple(_monomial_mod(1, mono, x, inv, p) for mono in rows)
+            for x, inv in zip(points, inverses)
+        ]
+
+
+class _Lift:
+    """psi^k(y) = pi(phi^k(y^V)) for a reduced system (phi, pi, psi).
+
+    V is an integer right inverse of pi's exponent rows (U V = I), so y^V
+    lies on the fiber over y.  A bare map f, a reduced system without its
+    source, or one whose rows have no integer right inverse is the lift
+    (f, identity).
+    """
+
+    def __init__(self, f) -> None:
+        self.psi = f.map if isinstance(f, ReducedSystem) else f
+        if self.psi.dim_out != self.psi.dim_in:
+            raise DynamicsError("orbits require a self-map")
+        self.phi, self.pi, self.section = self.psi, None, None
+        if isinstance(f, ReducedSystem) and f.source is not None:
+            inverse = right_inverse(f.submersion.map.exponents)
+            if inverse is not None:
+                self.phi, self.pi = f.source, f.submersion.map
+                self.section = MonomialMap(inverse)
+
+    def orbit(self, y0, steps: int) -> _LiftedOrbit:
+        x0 = y0 if self.section is None else self.section.evaluate(y0)
+        return _LiftedOrbit(self.phi, x0, steps)
+
+
+def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
+    """The steps k = 1..m with pi(x_k) = pi(x_0), in increasing order.
+
+    A step whose label does not return mod p cannot return exactly, so it
+    is skipped; every step that returns mod p is confirmed on the exact
+    orbit.  Without residues every step is checked on the exact orbit.
+    """
+    screened = orbit.label_residues(pi)
+    start = orbit.label(pi, 0)
+    for k in range(1, m + 1):
+        if screened is not None and screened[k] != screened[0]:
+            continue
+        if orbit.label(pi, k) == start:
+            yield k
+
+
+def _increasing(values) -> bool | None:
+    """Strict increase decided on intervals; None when undecided."""
+    if not all(mp.isfinite(v.a) and mp.isfinite(v.b) for v in values):
+        return None
+    verdict = True
+    for a, b in zip(values, values[1:]):
+        greater = b > a  # True, False, or None when the intervals overlap
+        if greater is False:
+            return False
+        if greater is None:
+            verdict = None
+    return verdict
+
+
+def _grows(orbit: _LiftedOrbit, pi: MonomialMap | None, window: int) -> bool:
+    """Whether the last label coordinate strictly increases over the final
+    window steps: decided on intervals, exactly when they cannot decide."""
+    ks = range(max(0, orbit.steps - window), orbit.steps + 1)
+    points = orbit.intervals
+    last = ((len(points[0]) - 1, 1),) if pi is None else _sparse(pi.exponents.entries[-1])
+    one = _interval_context().mpf(1)
+    verdict = _increasing([_interval_monomial(one, last, points[k]) for k in ks])
+    if verdict is None:
+        exact = [orbit.label(pi, k)[-1] for k in ks]
+        verdict = all(b > a for a, b in zip(exact, exact[1:]))
+    return verdict
+
+
+# ---------------------------------------------------------------------------
 # Global periodicity
 
 
 @dataclass(frozen=True)
 class PeriodReport:
     """kind "global": f^(period) = id certified symbolically.
-    kind "none": no global period up to p_max (sampled screen, or a
-    candidate that failed certification — see note)."""
+    kind "none": no global period up to p_max.  The negative rests on a
+    sampled orbit with no exact return within p_max steps (returns are
+    screened mod p, a sound negative, and confirmed exactly), on an
+    orbit that left the domain, or on a candidate that failed the
+    symbolic certificate; see note.  certificate is "symbolic" or
+    "sampled" accordingly."""
 
     kind: str
     period: int | None
@@ -148,43 +436,42 @@ class PeriodReport:
 
 
 def detect_global_periodicity(
-    f: BirationalMap,
+    f: BirationalMap | ReducedSystem,
     p_max: int = 12,
     samples: int = 25,
     seed: int = 0,
 ) -> PeriodReport:
     """Certified minimal global period up to p_max, or a negative report.
 
-    Random orbits propose the candidate period as the least common
-    multiple of their first-return times; the candidate is certified by
-    composing f with itself stepwise and checking f^(p) = id in normal
-    form.  Minimality is automatic: any global period is a multiple of
-    every observed first-return time.
+    f is a map, or a reduced system whose orbits are lifted through its
+    source map.  Random orbits propose the candidate period as the least
+    common multiple of their exact first-return times (screened mod p,
+    confirmed exactly); the candidate is certified by composing the map
+    with itself stepwise and checking f^(p) = id in normal form.
+    Minimality is automatic: any global period is a multiple of every
+    observed first-return time.
     """
-    n = f.dim_in
-    if f.dim_out != n:
+    psi = f.map if isinstance(f, ReducedSystem) else f
+    n = psi.dim_in
+    if psi.dim_out != n:
         raise DynamicsError("global periodicity requires a self-map")
+    lift = _Lift(f)
     candidate = 1
     for i in range(samples):
         rng = rng_substream(seed, i)
-        x0 = random_positive_point(n, rng)
+        y0 = random_positive_point(n, rng)
         try:
-            orbit = iterate_orbit(f, x0, p_max, mode="exact")
+            first_return = next(_returns(lift.orbit(y0, p_max), lift.pi, p_max), None)
         except DynamicsError:
             return PeriodReport(
                 "none", None, p_max, "sampled", samples, "an orbit left the domain"
             )
-        first_return = None
-        for k in range(1, p_max + 1):
-            if orbit.points[k] == orbit.points[0]:
-                first_return = k
-                break
         if first_return is None:
             return PeriodReport("none", None, p_max, "sampled", samples)
         candidate = lcm(candidate, first_return)
         if candidate > p_max:
             return PeriodReport("none", None, p_max, "sampled", samples)
-    power = f.iterate(candidate)
+    power = psi.iterate(candidate)
     if power.is_identity():
         return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return PeriodReport(
@@ -353,12 +640,33 @@ class LeafItinerary:
     labels[s][k] is the label tuple of orbit point k under submersion s;
     periods[s] is the minimal label-sequence period observed within the
     orbit (None when the sequence never repeats with the data at hand).
+    The orbit and the labels are computed on first access: the periods
+    do not need them, and exact labels of a map with exponential degree
+    growth are too large to compute by default.
     """
 
-    orbit: Orbit
+    map: BirationalMap
+    submersions: tuple
+    start: tuple
+    steps: int
+    mode: str
+    precision: int
     names: tuple[str, ...]
-    labels: tuple
     periods: tuple
+
+    @cached_property
+    def orbit(self) -> Orbit:
+        return iterate_orbit(self.map, self.start, self.steps, self.mode, self.precision)
+
+    @cached_property
+    def labels(self) -> tuple:
+        points = self.orbit.points
+        if self.mode == "float":
+            with mp.workdps(self.precision):
+                return tuple(
+                    tuple(tuple(s.evaluate_mp(p)) for p in points) for s in self.submersions
+                )
+        return tuple(tuple(s.evaluate(p) for p in points) for s in self.submersions)
 
     def summary(self) -> str:
         lines = []
@@ -380,6 +688,18 @@ def _label_period(labels, equal) -> int | None:
     return None
 
 
+def _exact_label_period(orbit: _LiftedOrbit, pi: MonomialMap, n: int) -> int | None:
+    """Minimal period of the exact labels pi(x_0..x_n), or None.
+
+    A period d is a return of the first label, so only the confirmed
+    returns are tried, and each against the whole sequence.
+    """
+    for d in _returns(orbit, pi, n):
+        if all(orbit.label(pi, k) == orbit.label(pi, k + d) for k in range(1, n + 1 - d)):
+            return d
+    return None
+
+
 def leaf_itinerary(
     phi: BirationalMap,
     submersions,
@@ -392,29 +712,32 @@ def leaf_itinerary(
 ) -> LeafItinerary:
     """Labels pi(orbit point) per step for each submersion, with cycle lengths.
 
-    In exact mode label equality is exact; in float mode two labels are
-    equal when all coordinates agree within float_tol (default
-    10^-(precision/2)).
+    In exact mode label equality is exact: label periods are screened mod
+    p on the lifted orbit and confirmed on exact labels.  In float mode
+    two labels are equal when all coordinates agree within float_tol
+    (default 10^-(precision/2)).
     """
-    orbit = iterate_orbit(phi, x0, n, mode, precision)
+    if phi.dim_out != phi.dim_in:
+        raise DynamicsError("orbits require a self-map")
+    submersions = tuple(submersions)
     if names is None:
         names = [f"{s.kind}-{s.dim_out}d" for s in submersions]
-    all_labels = []
-    periods = []
-    if mode == "float":
+    itinerary = LeafItinerary(
+        phi, submersions, tuple(x0), n, mode, precision, tuple(names), ()
+    )
+    if mode == "exact":
+        orbit = _LiftedOrbit(phi, x0, n)
+        periods = [_exact_label_period(orbit, s.map, n) for s in submersions]
+    elif mode == "float":
         with mp.workdps(precision):
             tol = float_tol if float_tol is not None else mp.mpf(10) ** (-precision // 2)
-            for s in submersions:
-                labels = tuple(tuple(s.evaluate_mp(p)) for p in orbit.points)
-                equal = lambda a, b, _t=tol: all(abs(u - v) < _t for u, v in zip(a, b))
-                all_labels.append(labels)
-                periods.append(_label_period(labels, equal))
+            equal = lambda a, b: all(abs(u - v) < tol for u, v in zip(a, b))
+            periods = [_label_period(labels, equal) for labels in itinerary.labels]
     else:
-        for s in submersions:
-            labels = tuple(s.evaluate(p) for p in orbit.points)
-            all_labels.append(labels)
-            periods.append(_label_period(labels, lambda a, b: a == b))
-    return LeafItinerary(orbit, tuple(names), tuple(all_labels), tuple(periods))
+        raise ValueError(f"unknown mode {mode!r}")
+    # set after construction so that float labels computed above stay cached
+    object.__setattr__(itinerary, "periods", tuple(periods))
+    return itinerary
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +746,14 @@ def leaf_itinerary(
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a sampled periodic-point scan; evidence, not proof."""
+    """Outcome of a sampled periodic-point scan; evidence, not proof.
+
+    period_found is an exact return of a sampled orbit: returns are
+    screened mod p (no return mod p is a sound negative) and confirmed
+    on the exact orbit.  growth_samples counts the orbits whose last
+    coordinate strictly increases over the growth window, each comparison
+    decided on certified intervals or, where they overlap, exactly.
+    """
 
     period_found: int | None
     witness: tuple | None
@@ -439,33 +769,35 @@ class ScanReport:
 
 
 def no_periodic_points_scan(
-    f: BirationalMap,
+    f: BirationalMap | ReducedSystem,
     p_max: int = 20,
     samples: int = 25,
     seed: int = 0,
     growth_window: int = 10,
     growth_steps: int = 20,
 ) -> ScanReport:
-    """Exact scan for periodic points along random orbits, plus growth evidence.
+    """Scan for periodic points along random orbits, plus growth evidence.
 
-    Each sampled orbit is checked for an exact return to its start within
-    p_max steps (a return reports the period and witness).  The orbit is
-    continued for growth_steps further steps to look past the transient;
-    growth evidence holds when the last coordinate strictly increases
-    over the final growth_window steps of every sampled orbit.
+    f is a map, or a reduced system whose orbits are lifted through its
+    source map.  Each sampled orbit is checked for an exact return to its
+    start within p_max steps (a return reports the period and witness).
+    The orbit is continued for growth_steps further steps to look past
+    the transient; growth evidence holds when the last coordinate
+    strictly increases over the final growth_window steps of every
+    sampled orbit.
     """
-    n = f.dim_in
+    lift = _Lift(f)
+    n = lift.psi.dim_in
     growth_count = 0
     for i in range(samples):
         rng = rng_substream(seed, i)
         x0 = random_positive_point(n, rng)
-        orbit = iterate_orbit(f, x0, p_max + growth_steps, mode="exact")
-        for k in range(1, p_max + 1):
-            if orbit.points[k] == orbit.points[0]:
-                return ScanReport(k, x0, p_max, samples, seed, False, 0,
-                                  note="periodic point found by the scan")
-        tail = [pt[-1] for pt in orbit.points[-(growth_window + 1):]]
-        if all(b > a for a, b in zip(tail, tail[1:])):
+        orbit = lift.orbit(x0, p_max + growth_steps)
+        k = next(_returns(orbit, lift.pi, p_max), None)
+        if k is not None:
+            return ScanReport(k, x0, p_max, samples, seed, False, 0,
+                              note="periodic point found by the scan")
+        if _grows(orbit, lift.pi, growth_window):
             growth_count += 1
     return ScanReport(
         None, None, p_max, samples, seed, growth_count == samples, growth_count

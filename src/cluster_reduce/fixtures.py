@@ -11,6 +11,8 @@ Two families are shipped:
   which carries two invariant Poisson structures of different ranks on
   top of its presymplectic form.
 
+``fordy_marsh`` builds any period-1 quiver from its first row.
+
 The y-coordinate exponent tables are the standard choices used in the
 literature for these examples; every library computation is basis-free,
 but golden tests and demos compare against these specific coordinates.
@@ -34,6 +36,7 @@ __all__ = [
     "seven_node_casimir1_exponents",
     "seven_node_casimir2_exponents",
     "skew_toeplitz",
+    "fordy_marsh",
     "Fixture",
     "all_fixtures",
     "get_fixture",
@@ -72,6 +75,33 @@ def skew_toeplitz(n: int, offsets: tuple[int, ...]) -> IntMatrix:
             row.append(val if j > i else (-val if j < i else 0))
         rows.append(row)
     return IntMatrix.from_rows(rows)
+
+
+def fordy_marsh(first_row) -> IntMatrix:
+    """Exchange matrix of the mutation-period-1 quiver with this first row.
+
+    Fordy & Marsh, J. Algebr. Comb. 34 (2011): with b_{1,j+1} =
+    first_row[j], the rows follow from
+    b_{i+1,j+1} = b_{i,j} + b_{1,i+1} [-b_{1,j+1}]_+ - b_{1,j+1} [-b_{1,i+1}]_+
+    and skew-symmetry.  The first row of a period-1 quiver is
+    palindromic; any other row raises ValueError.  (1, -1, -1, 1) gives
+    the Somos-5 quiver.
+    """
+    row = [int(v) for v in first_row]
+    if row != row[::-1]:
+        raise ValueError(f"first row {tuple(row)} is not palindromic")
+    top = [0, *row]
+    n = len(top)
+    b = [top] + [[0] * n for _ in range(n - 1)]
+    for i in range(1, n):
+        b[i][0] = -top[i]
+        for j in range(1, n):
+            b[i][j] = (
+                b[i - 1][j - 1]
+                + top[i] * max(-top[j], 0)
+                - top[j] * max(-top[i], 0)
+            )
+    return IntMatrix.from_rows(b)
 
 
 def somos5_poisson() -> IntMatrix:

@@ -276,11 +276,16 @@ def submersion_from_rows(rows, ambient_dim: int | None = None, kind: str = "cust
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """A pair (psi, pi) with pi o phi = psi o pi, certified symbolically."""
+    """A pair (psi, pi) with pi o phi = psi o pi, certified symbolically.
+
+    source is phi, the map that was reduced; orbits of psi can be read
+    off it as pi(phi^k(x)) for any x in the fiber over the start.
+    """
 
     map: BirationalMap
     submersion: Submersion
     verified: bool
+    source: BirationalMap | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -687,7 +692,7 @@ def derive_reduced_map(phi: BirationalMap, sub: Submersion) -> ReducedSystem:
             raise NotReducibleError(
                 f"symbolic verification of pi o phi = psi o pi failed at component {i + 1}"
             )
-    return ReducedSystem(psi, sub, True)
+    return ReducedSystem(psi, sub, True, phi)
 
 
 def check_subfoliation(pi1: Submersion, pi2: Submersion) -> MonomialMap | None:
@@ -749,7 +754,7 @@ def chained_reduction(
                 f"chained reduction identity p o psi = psi' o p failed at component {i + 1}"
             )
     sub = submersion_from_rows(p.exponents.entries, p.dim_in, kind="projection")
-    return ReducedSystem(outer.map, sub, True)
+    return ReducedSystem(outer.map, sub, True, inner.map)
 
 
 def check_isotropy(

@@ -30,6 +30,7 @@ __all__ = [
     "sublattice_subset",
     "solve_in_lattice",
     "saturation_index",
+    "right_inverse",
     "darboux_basis",
 ]
 
@@ -489,6 +490,23 @@ def saturation_index(basis: LatticeBasis) -> int:
             raise ValueError("basis vectors are linearly dependent")
         idx *= d
     return idx
+
+
+def right_inverse(m: IntMatrix) -> IntMatrix | None:
+    """An integer matrix V with m @ V = I, or None when there is none.
+
+    It exists exactly when the rows of m are independent and saturated,
+    i.e. when every elementary divisor is 1.  With U m Q = S = [I 0] from
+    the Smith form, V is the first m.rows columns of Q times U.
+    """
+    r = m.rows
+    if r > m.cols:
+        return None
+    s, u, q = smith_normal_form(m)
+    if any(s.entries[t][t] != 1 for t in range(r)):
+        return None
+    first = IntMatrix.from_rows([row[:r] for row in q.entries], cols=r)
+    return first @ u
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, JSON output, pipeline."""
 
 import json
+import time
 
 import pytest
 
-from cluster_reduce import get_fixture, submersion_from_rows
+from cluster_reduce import DynamicsError, fordy_marsh, get_fixture, submersion_from_rows
+from cluster_reduce import cli
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
 
@@ -388,3 +390,55 @@ class TestRunPipelineApi:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorkflowConfig(m_max=0)
+
+    @pytest.mark.parametrize("stage, name", [
+        ("dynamics", "no_periodic_points_scan"),
+        ("itinerary", "leaf_itinerary"),
+    ])
+    def test_orbit_leaving_the_domain_is_recorded(self, monkeypatch, stage, name):
+        def leaves_domain(*args, **kwargs):
+            raise DynamicsError("denominator vanished at step 3")
+
+        monkeypatch.setattr(cli, name, leaves_domain)
+        report = run_pipeline(get_fixture("somos5-2periodic").matrix("B"))
+        assert report.errors == [[stage, "denominator vanished at step 3"]]
+        assert (report.itinerary is None) == (stage == "itinerary")
+        assert len(report.dynamics) == (stage == "itinerary")
+
+
+class TestLadderGates:
+    """The two rungs whose exact orbits outgrow direct iteration."""
+
+    def test_somos5_2periodic_finishes(self):
+        began = time.perf_counter()
+        report = run_pipeline(get_fixture("somos5-2periodic").matrix("B"))
+        assert time.perf_counter() - began < 10
+        assert report.errors == []
+        (entry,) = report.dynamics
+        assert (entry["kind"], entry["dimension"]) == ("null", 4)
+        assert "global_period" not in entry
+        assert entry["scan"]["period_found"] is None
+        assert entry["scan"]["monotone_growth"] is True
+        assert entry["scan"]["growth_samples"] == 10
+        assert report.itinerary["label_periods"] == [None]
+
+    def test_fordy_marsh_n8_scans_finish(self, monkeypatch):
+        spent = []
+        scan = cli.no_periodic_points_scan
+
+        def timed_scan(*args, **kwargs):
+            began = time.perf_counter()
+            try:
+                return scan(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - began)
+
+        monkeypatch.setattr(cli, "no_periodic_points_scan", timed_scan)
+        report = run_pipeline(fordy_marsh((1, -1, 0, 0, 0, -1, 1)))
+        assert report.errors == []
+        assert len(spent) == len(report.dynamics) == 2
+        assert sum(spent) < 5
+        for entry in report.dynamics:
+            assert entry["scan"]["period_found"] is None
+            assert entry["scan"]["monotone_growth"] is False
+            assert entry["scan"]["growth_samples"] == 0

@@ -8,10 +8,17 @@ import pytest
 from cluster_reduce import (
     BirationalMap,
     DynamicsError,
+    IntMatrix,
     MonomialMap,
+    PoissonStructure,
+    PresymplecticForm,
+    casimir_submersion,
     cluster_map,
+    derive_reduced_map,
     detect_global_periodicity,
     detect_period,
+    find_invariant_poisson,
+    fordy_marsh,
     find_periodic_points,
     first_integral_check,
     get_fixture,
@@ -20,11 +27,17 @@ from cluster_reduce import (
     leaf_itinerary,
     no_periodic_points_scan,
     orbit_sequence,
+    null_submersion,
     plastic_root,
+    random_positive_point,
+    rng_substream,
     somos5_constrained_start,
     submersion_from_rows,
     verify_closed_form,
 )
+from cluster_reduce import dynamics
+from cluster_reduce.cli import _structure_representatives
+from cluster_reduce.intlinalg import right_inverse
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])
 PSI_HAT5 = BirationalMap.from_strings(["x2", "(x2 + 1)/(x1*x2)"])
@@ -43,6 +56,24 @@ C7_Y = [
 def _phi(name: str) -> BirationalMap:
     b = get_fixture(name).matrix("B")
     return cluster_map(b, detect_period(b))
+
+
+def _ladder_matrices():
+    """The benchmark ladder: the fixtures and Fordy-Marsh quivers N = 6..9."""
+    rows = [
+        (1, -1, 0, -1, 1),
+        (1, -1, 0, 0, -1, 1),
+        (1, -1, 0, 0, 0, -1, 1),
+        (1, 0, -1, 0, 0, -1, 0, 1),
+    ]
+    names = ("somos5", "c7-pair", "somos5-2periodic")
+    return [get_fixture(n).matrix("B") for n in names] + [fordy_marsh(r) for r in rows]
+
+
+def _reduced(case: str, label: str):
+    phi = _phi(case)
+    rows = get_fixture(case).exponent(label).entries
+    return derive_reduced_map(phi, submersion_from_rows(rows, phi.dim_in, kind="casimir"))
 
 
 def _ones(n: int):
@@ -285,3 +316,90 @@ class TestSpecialValues:
         with mp.workdps(100):
             r = plastic_root(precision=100)
             assert abs(r**3 - r - 1) < mp.mpf("1e-95")
+
+
+class TestLiftedOrbitEngine:
+    def test_right_inverse_of_every_ladder_submersion(self):
+        count = 0
+        for b in _ladder_matrices():
+            form = PresymplecticForm(b)
+            subs = [null_submersion(form)] if 0 < form.rank < form.dim else []
+            basis = find_invariant_poisson(cluster_map(b, detect_period(b)), b)
+            subs += [casimir_submersion(PoissonStructure(m))
+                     for m in _structure_representatives(basis)]
+            for sub in subs:
+                u = sub.map.exponents
+                assert u @ right_inverse(u) == IntMatrix.identity(u.rows)
+                count += 1
+        assert count == 15
+
+    def test_right_inverse_needs_saturated_rows(self):
+        assert right_inverse(IntMatrix.from_rows([[2, 0, 0]])) is None
+        assert right_inverse(IntMatrix.from_rows([[1, 1], [2, 2]])) is None
+        assert right_inverse(IntMatrix.from_rows([[1], [0]])) is None
+
+    @pytest.mark.parametrize("case, label", [("somos5", "casimir"), ("c7-pair", "casimir2")])
+    def test_lifted_orbit_equals_direct_orbit(self, case, label):
+        system = _reduced(case, label)
+        lift = dynamics._Lift(system)
+        assert lift.phi is system.source and lift.section is not None
+        for i in range(2):
+            y0 = random_positive_point(system.map.dim_in, rng_substream(0, i))
+            direct = iterate_orbit(system.map, y0, 20).points
+            orbit = lift.orbit(y0, 20)
+            assert [orbit.label(lift.pi, k) for k in range(21)] == list(direct)
+
+    @pytest.mark.parametrize("label, period", [("null", 5), ("casimir1", 10)])
+    def test_residue_returns_are_confirmed_exactly(self, label, period):
+        system = _reduced("c7-pair", label)
+        lift = dynamics._Lift(system)
+        y0 = random_positive_point(system.map.dim_in, rng_substream(0, 0))
+        orbit = lift.orbit(y0, 12)
+        screened = orbit.label_residues(lift.pi)
+        assert screened is not None
+        candidates = [k for k in range(1, 13) if screened[k] == screened[0]]
+        assert candidates[0] == period
+        assert list(dynamics._returns(orbit, lift.pi, 12)) == candidates
+        assert iterate_orbit(system.map, y0, period).points[period] == y0
+
+    def test_returns_mod_p_without_exact_return_are_rejected(self, monkeypatch):
+        # 2^3 = 1 mod 7, so x -> 2x returns mod 7 every third step
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (7,))
+        orbit = dynamics._LiftedOrbit(BirationalMap.from_strings(["2*x1"]), (Fraction(1),), 6)
+        screened = orbit.label_residues(None)
+        assert [k for k in range(1, 7) if screened[k] == screened[0]] == [3, 6]
+        assert list(dynamics._returns(orbit, None, 6)) == []
+
+    def test_vanishing_denominator_mod_p_falls_back_to_exact(self, monkeypatch):
+        # an involution whose denominator x1 - 1 is 35 at x1 = 36: zero mod 5 and 7
+        f = BirationalMap.from_strings(["(x1 + 2)/(x1 - 1)"])
+        x0 = (Fraction(36),)
+        assert dynamics._LiftedOrbit(f, x0, 4).residues is not None
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (5, 7))
+        assert dynamics._residue_orbit(f, x0, 4, 5) is None
+        orbit = dynamics._LiftedOrbit(f, x0, 4)
+        assert orbit.residues is None
+        assert list(dynamics._returns(orbit, None, 4)) == [2, 4]
+        assert iterate_orbit(f, x0, 2).points[2] == x0
+
+    def test_small_primes_leave_verdicts_unchanged(self, monkeypatch):
+        expected = no_periodic_points_scan(PSI_2, samples=5)
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (2, 3))
+        assert no_periodic_points_scan(PSI_2, samples=5) == expected
+        assert detect_global_periodicity(PSI_1).period == 10
+
+    def test_undecided_growth_falls_back_to_exact(self):
+        # the last coordinate is constant: its equal, non-degenerate
+        # enclosures cannot decide b > a, so the exact orbit does
+        flat = no_periodic_points_scan(BirationalMap.from_strings(["2*x1", "x2"]), samples=3)
+        assert (flat.monotone_growth, flat.growth_samples) == (False, 0)
+        rising = no_periodic_points_scan(BirationalMap.from_strings(["x1", "2*x2"]), samples=3)
+        assert (rising.monotone_growth, rising.growth_samples) == (True, 3)
+
+    def test_interval_comparisons(self):
+        ctx = dynamics._interval_context()
+        rising = [ctx.mpf(1), ctx.mpf(2), ctx.mpf(3)]
+        assert dynamics._increasing(rising) is True
+        assert dynamics._increasing([ctx.mpf(2), ctx.mpf([1, 3])]) is None
+        assert dynamics._increasing([ctx.mpf([1, 3]), ctx.mpf(2), ctx.mpf(2)]) is False
+        assert dynamics._increasing([ctx.mpf(1), ctx.mpf(1) / ctx.mpf([-1, 1])]) is None

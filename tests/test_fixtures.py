@@ -2,7 +2,14 @@
 
 import pytest
 
-from cluster_reduce import all_fixtures, get_fixture, image_lattice, kernel_lattice
+from cluster_reduce import (
+    all_fixtures,
+    detect_period,
+    fordy_marsh,
+    get_fixture,
+    image_lattice,
+    kernel_lattice,
+)
 from cluster_reduce.fixtures import skew_toeplitz
 from cluster_reduce.intlinalg import sublattice_subset
 
@@ -108,3 +115,24 @@ class TestSevenNode:
         assert fix.exponent("null").rows == 2
         assert fix.exponent("casimir1").rows == 3
         assert fix.exponent("casimir2").rows == 5
+
+
+class TestFordyMarsh:
+    def test_reproduces_somos5(self):
+        assert fordy_marsh((1, -1, -1, 1)) == get_fixture("somos5").matrix("B")
+
+    @pytest.mark.parametrize("row", [
+        (1, -1, 0, -1, 1),
+        (1, -1, 0, 0, -1, 1),
+        (1, -1, 0, 0, 0, -1, 1),
+        (1, 0, -1, 0, 0, -1, 0, 1),
+    ])
+    def test_first_rows_give_period_one(self, row):
+        b = fordy_marsh(row)
+        assert b.rows == len(row) + 1
+        assert b.is_skew_symmetric()
+        assert detect_period(b, 1).period == 1
+
+    def test_rejects_non_palindromic_row(self):
+        with pytest.raises(ValueError, match="palindromic"):
+            fordy_marsh((1, -1, 0))
