@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 
@@ -43,13 +44,14 @@ from .geometry import (
     chained_reduction,
     check_poisson_map,
     check_presymplectic_invariance,
+    check_subfoliation,
     derive_reduced_map,
     find_invariant_poisson,
     null_submersion,
     submersion_from_rows,
 )
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
-from .maps import BirationalMap
+from .maps import BirationalMap, random_positive_point, rng_substream
 from .quiver import cluster_map, detect_period
 
 __all__ = ["main", "run_pipeline", "WorkflowConfig", "AnalysisReport"]
@@ -511,15 +513,13 @@ def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
     generic: every basis vector tends to realise the minimal corank on
     the space, hiding members whose kernel is strictly larger.  Scanning
     small integer combinations stratifies the pencil by rank, and keying
-    on the Hermite form of the kernel lattice keeps one representative
-    per foliation.
+    on the kernel lattice basis, which is already in Hermite form, keeps
+    one representative per foliation; an empty kernel means full rank.
     """
     if not basis:
         return []
     candidates = list(basis)
     if 2 <= len(basis) <= 3:
-        from itertools import product
-
         span = [m.entries for m in basis]
         rows, cols = basis[0].rows, basis[0].cols
         for coeffs in product(range(-3, 4), repeat=len(basis)):
@@ -532,13 +532,9 @@ def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
             candidates.append(IntMatrix.from_rows(entries))
     by_kernel: dict[tuple, IntMatrix] = {}
     for m in candidates:
-        corank = m.rows - m.rank()
-        if corank == 0:
-            continue
-        h, _ = hermite_normal_form(kernel_lattice(m).matrix())
-        key = tuple(tuple(row) for row in h.entries[:corank])
-        if key not in by_kernel:
-            by_kernel[key] = m
+        key = kernel_lattice(m).vectors
+        if key:
+            by_kernel.setdefault(key, m)
     return list(by_kernel.values())
 
 
@@ -549,8 +545,6 @@ def _maximal_chain(subs: list[Submersion]) -> tuple[list[Submersion], list[Subme
     inclusion, not always a chain; the flag is built over a maximum
     chain and the incomparable members are reported separately.
     """
-    from .geometry import check_subfoliation
-
     order = sorted(range(len(subs)), key=lambda i: subs[i].dim_out)
     finer: dict[int, list[int]] = {i: [] for i in order}
     for a_pos, i in enumerate(order):
@@ -610,15 +604,27 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             }
         )
 
-    submersions = []
+    found = []
     if 0 < form.rank < form.dim:
-        submersions.append(null_submersion(form))
+        found.append(null_submersion(form))
     for m in _structure_representatives(basis):
         structure = PoissonStructure(m)
         try:
-            submersions.append(casimir_submersion(structure))
+            found.append(casimir_submersion(structure))
         except GeometryError as exc:
             report.errors.append(["casimir", str(exc)])
+    # one foliation per exponent lattice, keyed by its Hermite form; the
+    # null submersion comes first and is the one kept
+    by_lattice: dict[IntMatrix, Submersion] = {}
+    for sub in found:
+        key, _ = hermite_normal_form(sub.map.exponents)
+        kept = by_lattice.setdefault(key, sub)
+        if kept is not sub:
+            report.notes.append(
+                f"the {sub.kind}({sub.dim_out}) and {kept.kind}({kept.dim_out}) "
+                "foliations have the same exponent lattice and were analysed once"
+            )
+    submersions = list(by_lattice.values())
 
     flag = None
     omitted: list[Submersion] = []
@@ -727,8 +733,6 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         report.dynamics.append(entry)
 
     if ordered:
-        from .maps import random_positive_point, rng_substream
-
         x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))
         try:
             itin = leaf_itinerary(phi, ordered, x0, config.itinerary_steps, "exact")

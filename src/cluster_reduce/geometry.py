@@ -4,9 +4,18 @@ The structures handled here are constant in logarithmic coordinates: a
 presymplectic form with coefficient matrix [b_ij/(x_i x_j)] and a Poisson
 tensor with coefficients [c_ij x_i x_j], each encoded by an integer
 skew-symmetric matrix.  Invariance of such a structure under a birational
-self-map is a rational-function identity, checked exactly at seeded random
-positive rational points; reductions along monomial submersions are
-derived and certified fully symbolically.
+self-map is a rational-function identity.  Each fact is known in one of
+three ways, and only one way is used per fact:
+
+* sampled exact points: invariance of a form or tensor under a map is
+  checked with exact rationals at seeded random positive points;
+* symbolic certificate: reduced maps and chained reductions satisfy
+  pi o phi = psi o pi as identities of rational functions;
+* integer identity: facts about the structures themselves are lattice
+  facts.  Monomial Casimirs x^u satisfy C u = 0 (since
+  {x^u, x_j} = x^u x_j (u^T C)_j), fibers are isotropic when
+  K B K^T = 0 for K the kernel of the exponent rows, and subfoliation is
+  lattice containment.  These are checked on integers, at no point.
 
 Conventions:
 
@@ -333,42 +342,22 @@ class InvarianceResult:
         return self.ok
 
 
-def _mat_close_pullback(j, w_out, w_in) -> bool:
-    """Whether J^T W_out J == W_in for exact Fraction matrices."""
-    n = len(j)
-    for a in range(n):
-        for b in range(n):
-            total = Fraction(0)
-            for i in range(n):
-                ji = j[i][a]
-                if ji == 0:
-                    continue
-                row = w_out[i]
-                for k in range(n):
-                    if row[k] != 0 and j[k][b] != 0:
-                        total += ji * row[k] * j[k][b]
-            if total != w_in[a][b]:
-                return False
-    return True
-
-
-def _mat_close_pushforward(j, p_in, p_out) -> bool:
-    """Whether J P_in J^T == P_out for exact Fraction matrices."""
-    n = len(j)
-    for a in range(n):
-        for b in range(n):
-            total = Fraction(0)
-            for i in range(n):
-                ja = j[a][i]
-                if ja == 0:
-                    continue
-                row = p_in[i]
-                for k in range(n):
-                    if row[k] != 0 and j[b][k] != 0:
-                        total += ja * row[k] * j[b][k]
-            if total != p_out[a][b]:
-                return False
-    return True
+def _congruent(a, m, b) -> bool:
+    """Whether A M A^T == B for exact matrices (M square), skipping zero entries."""
+    am = []
+    for arow in a:
+        acc = [0] * len(m)
+        for x, mrow in zip(arow, m):
+            if x:
+                for k, y in enumerate(mrow):
+                    if y:
+                        acc[k] += x * y
+        am.append(acc)
+    return all(
+        sum(x * y for x, y in zip(amrow, arow) if x and y) == b[i][j]
+        for i, amrow in enumerate(am)
+        for j, arow in enumerate(a)
+    )
 
 
 def _sample_points(dim: int, count: int, seed: int, avoid=None):
@@ -416,8 +405,8 @@ def check_presymplectic_invariance(
         image = phi.evaluate(p)
         if any(v <= 0 for v in image):
             return InvarianceResult(False, samples, p)
-        j = phi.jacobian(p)
-        if not _mat_close_pullback(j, form.coefficients_at(image), form.coefficients_at(p)):
+        j_t = [list(col) for col in zip(*phi.jacobian(p))]
+        if not _congruent(j_t, form.coefficients_at(image), form.coefficients_at(p)):
             return InvarianceResult(False, samples, p)
     return InvarianceResult(True, samples)
 
@@ -440,7 +429,7 @@ def check_poisson_map(
     for p in pts:
         image = phi.evaluate(p)
         j = phi.jacobian(p)
-        if not _mat_close_pushforward(j, structure.tensor_at(p), structure.tensor_at(image)):
+        if not _congruent(j, structure.tensor_at(p), structure.tensor_at(image)):
             return InvarianceResult(False, samples, p)
     return InvarianceResult(True, samples)
 
@@ -608,8 +597,10 @@ def null_submersion(form: PresymplecticForm) -> Submersion:
 def casimir_submersion(structure: PoissonStructure) -> Submersion:
     """Monomial submersion by a maximal independent set of monomial Casimirs.
 
-    Exponent rows are a saturated basis of ker C; each component x^u is
-    verified symbolically to have vanishing bracket with every coordinate.
+    Exponent rows are a saturated basis of ker C.  That each component x^u
+    is a Casimir is the integer identity C U^T = 0 (U the exponent rows),
+    equivalent to {x^u, x_j} = x^u x_j (u^T C)_j = 0 for every coordinate
+    x_j; it is checked on integers, not by symbolic brackets.
     """
     kernel = structure.kernel()
     if kernel.dim == 0:
@@ -617,12 +608,9 @@ def casimir_submersion(structure: PoissonStructure) -> Submersion:
             "Poisson structure has trivial kernel; there are no Casimirs to reduce along"
         )
     n = structure.dim
-    for u in kernel.vectors:
-        z = RationalFunction.monomial(u, n)
-        for jvar in range(n):
-            br = poisson_bracket(z, RationalFunction.coordinate(jvar, n), structure)
-            if not br.is_zero():
-                raise GeometryError("kernel vector failed the Casimir property")
+    u = kernel.matrix()
+    if not (structure.matrix @ u.transpose()).is_zero():
+        raise GeometryError("kernel vector failed the Casimir property")
     mono = MonomialMap.from_rows(kernel.vectors, n)
     return Submersion(mono, "casimir", (), 1)
 
@@ -720,12 +708,19 @@ def build_flag(submersions) -> Flag:
     """Order submersions into a flag of coarsening foliations.
 
     Sorted by target dimension (coarsest first, i.e. smallest lattice);
-    every consecutive pair must be related by a projection witness, else
-    NotAChainError identifies the incomparable pair.
+    every consecutive pair must have strictly increasing target dimension
+    and be related by a projection witness, else NotAChainError identifies
+    the pair.  Saturated lattices of equal rank are nested only when they
+    are equal, so "<" in a flag always means strictly coarser.
     """
     subs = sorted(submersions, key=lambda s: s.dim_out)
     projections = []
     for a, b in zip(subs, subs[1:]):
+        if a.dim_out == b.dim_out:
+            raise NotAChainError(
+                f"two submersions have targets of dimension {a.dim_out}: "
+                "a flag needs strictly increasing dimensions"
+            )
         p = check_subfoliation(a, b)
         if p is None:
             raise NotAChainError(
@@ -757,37 +752,16 @@ def chained_reduction(
     return ReducedSystem(outer.map, sub, True, inner.map)
 
 
-def check_isotropy(
-    form: PresymplecticForm,
-    sub: Submersion,
-    samples: int = 10,
-    seed: int = 0,
-) -> bool:
+def check_isotropy(form: PresymplecticForm, sub: Submersion) -> bool:
     """Whether the fibers of the submersion are isotropic for the form.
 
-    The tangent space of a fiber at p is spanned by vectors (w_j p_j)_j
-    with w in the kernel of the exponent matrix; the form evaluated on
-    every pair of such vectors must vanish.  Checked exactly at seeded
-    sample points.
+    The tangent space of a fiber at p is spanned by the vectors (k_j p_j)_j
+    with k a row of K, the kernel of the exponent matrix.  With
+    W_ij = b_ij/(p_i p_j) the point cancels from every pairing, so the
+    fibers are isotropic exactly when the integer identity K B K^T = 0
+    holds; it is checked on integers, at no point.
     """
     if form.dim != sub.dim_in:
         raise GeometryError("form and submersion dimensions differ")
-    kernel = kernel_lattice(sub.map.exponents)
-    if kernel.dim <= 1:
-        return True
-    n = form.dim
-    for p in _sample_points(n, samples, seed):
-        w = form.coefficients_at(p)
-        tangents = [[Fraction(vec[j]) * p[j] for j in range(n)] for vec in kernel.vectors]
-        for a in range(len(tangents)):
-            for b in range(a + 1, len(tangents)):
-                total = Fraction(0)
-                for i in range(n):
-                    if tangents[a][i] == 0:
-                        continue
-                    for jj in range(n):
-                        if w[i][jj] != 0 and tangents[b][jj] != 0:
-                            total += tangents[a][i] * w[i][jj] * tangents[b][jj]
-                if total != 0:
-                    return False
-    return True
+    k = kernel_lattice(sub.map.exponents).vectors
+    return _congruent(k, form.matrix.entries, [[0] * len(k)] * len(k))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
     "IntMatrix",
@@ -232,6 +232,37 @@ class DarbouxBasis:
 # ---------------------------------------------------------------------------
 
 
+def _swap(rows, cols, i: int, j: int) -> None:
+    """Swap rows i, j of every matrix in rows, then columns i, j of every one in cols."""
+    for m in rows:
+        m[i], m[j] = m[j], m[i]
+    for m in cols:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+
+def _add(rows, cols, i: int, j: int, q: int) -> None:
+    """row_i += q * row_j in every matrix in rows, then col_i += q * col_j in cols."""
+    for m in rows:
+        ri, rj = m[i], m[j]
+        for t, y in enumerate(rj):
+            if y:
+                ri[t] += q * y
+    for m in cols:
+        for row in m:
+            row[i] += q * row[j]
+
+
+def _negate(rows, i: int) -> None:
+    """Negate row i of every matrix in rows."""
+    for m in rows:
+        m[i] = [-x for x in m[i]]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
@@ -243,24 +274,8 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def add_multiple(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j
-        ai, aj = a[i], a[j]
-        for t in range(nc):
-            ai[t] += q * aj[t]
-        ui, uj = u[i], u[j]
-        for t in range(nr):
-            ui[t] += q * uj[t]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    u = _identity_rows(nr)
+    tracked = (a, u)
 
     r = 0
     for c in range(nc):
@@ -273,13 +288,13 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
             i0 = min(candidates, key=lambda i: (abs(a[i][c]), i))
             if i0 != r:
-                swap_rows(r, i0)
+                _swap(tracked, (), r, i0)
             if a[r][c] < 0:
-                negate_row(r)
+                _negate(tracked, r)
             finished = True
             for i in range(r + 1, nr):
                 if a[i][c] != 0:
-                    add_multiple(i, r, -(a[i][c] // a[r][c]))
+                    _add(tracked, (), i, r, -(a[i][c] // a[r][c]))
                     if a[i][c] != 0:
                         finished = False
             if finished:
@@ -288,7 +303,7 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             for i in range(r):
                 q = a[i][c] // a[r][c]
                 if q:
-                    add_multiple(i, r, -q)
+                    _add(tracked, (), i, r, -q)
             r += 1
 
     h = IntMatrix(nr, nc, tuple(tuple(row) for row in a))
@@ -304,36 +319,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j
-        for t in range(nc):
-            a[i][t] += q * a[j][t]
-        for t in range(nr):
-            u[i][t] += q * u[j][t]
-
-    def col_add(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
+    by_row, by_col = (a, u), (a, v)
 
     t = 0
     limit = min(nr, nc)
@@ -351,21 +339,21 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            _swap(by_row, (), t, pi)
         if pj != t:
-            swap_cols(t, pj)
+            _swap((), by_col, t, pj)
         if a[t][t] < 0:
-            negate_row(t)
+            _negate(by_row, t)
 
         dirty = False
         for i in range(t + 1, nr):
             if a[i][t] != 0:
-                row_add(i, t, -(a[i][t] // a[t][t]))
+                _add(by_row, (), i, t, -(a[i][t] // a[t][t]))
                 if a[i][t] != 0:
                     dirty = True
         for j in range(t + 1, nc):
             if a[t][j] != 0:
-                col_add(j, t, -(a[t][j] // a[t][t]))
+                _add((), by_col, j, t, -(a[t][j] // a[t][t]))
                 if a[t][j] != 0:
                     dirty = True
         if dirty:
@@ -382,7 +370,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if offender is not None:
                 break
         if offender is not None:
-            row_add(t, offender, 1)
+            _add(by_row, (), t, offender, 1)
             continue
         t += 1
 
@@ -560,23 +548,9 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
     """
     n = len(m)
     a = [list(row) for row in m]
-    q = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_multiple(i: int, j: int, c: int) -> None:
-        # basis change e_i += c * e_j, applied congruently
-        for t in range(n):
-            a[i][t] += c * a[j][t]
-        for row in a:
-            row[i] += c * row[j]
-        for row in q:
-            row[i] += c * row[j]
+    q = _identity_rows(n)
+    # a congruence acts on the rows and columns of a, and on the columns of q
+    rows, cols = (a,), (a, q)
 
     ds: list[int] = []
     t = 0
@@ -593,13 +567,13 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
             break
         pi, pj = pivot
         if pi != t:
-            swap(pi, t)
+            _swap(rows, cols, pi, t)
             if pj == t:
                 pj = pi
         if pj != t + 1:
-            swap(pj, t + 1)
+            _swap(rows, cols, pj, t + 1)
         if a[t][t + 1] < 0:
-            swap(t, t + 1)
+            _swap(rows, cols, t, t + 1)
 
         # make the pivot divide the rest of its two rows, then clear them
         while True:
@@ -608,18 +582,18 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
             for j in range(t + 2, n):
                 r = a[t][j] % p
                 if r:
-                    add_multiple(j, t + 1, -(a[t][j] // p))
-                    swap(j, t + 1)
+                    _add(rows, cols, j, t + 1, -(a[t][j] // p))
+                    _swap(rows, cols, j, t + 1)
                     if a[t][t + 1] < 0:
-                        swap(t, t + 1)
+                        _swap(rows, cols, t, t + 1)
                     progressed = True
                     break
                 r = a[t + 1][j] % p
                 if r:
-                    add_multiple(j, t, a[t + 1][j] // p)
-                    swap(j, t)
+                    _add(rows, cols, j, t, a[t + 1][j] // p)
+                    _swap(rows, cols, j, t)
                     if a[t][t + 1] < 0:
-                        swap(t, t + 1)
+                        _swap(rows, cols, t, t + 1)
                     progressed = True
                     break
             if not progressed:
@@ -627,9 +601,9 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
         p = a[t][t + 1]
         for j in range(t + 2, n):
             if a[t][j]:
-                add_multiple(j, t + 1, -(a[t][j] // p))
+                _add(rows, cols, j, t + 1, -(a[t][j] // p))
             if a[t + 1][j]:
-                add_multiple(j, t, a[t + 1][j] // p)
+                _add(rows, cols, j, t, a[t + 1][j] // p)
         ds.append(a[t][t + 1])
         t += 2
     return q, ds

@@ -2,12 +2,17 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from cluster_reduce import DynamicsError, fordy_marsh, get_fixture, submersion_from_rows
 from cluster_reduce import cli
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
+
+# byte-exact `pipeline` reports at seed 0; a change that is meant to leave
+# the analysis alone must leave them unchanged
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -364,6 +369,31 @@ class TestPipeline:
         assert "flag of foliations: null(2) < casimir(3)" in text
         assert json.loads(out.read_text())["schema"] == "v1"
 
+    @pytest.mark.parametrize("name", ["somos5", "c7-pair", "fm-n7"])
+    def test_golden_report(self, capsys, tmp_path, name):
+        matrix = (
+            fordy_marsh((1, -1, 0, 0, -1, 1)) if name == "fm-n7"
+            else get_fixture(name).matrix("B")
+        )
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(matrix.to_json_dict()))
+        code, out = _run(capsys, ["pipeline", "--matrix", str(path), "--seed", "0"])
+        assert code == 0
+        assert out == (DATA / f"pipeline-{name}-seed0.json").read_text()
+
+    def test_somos6_foliation_analysed_once(self):
+        report = run_pipeline(fordy_marsh((1, -1, 0, -1, 1)))
+        assert report.errors == []
+        assert report.flag_chain == "null(4)"
+        assert [r["kind"] for r in report.reductions] == ["null"]
+        assert [d["kind"] for d in report.dynamics] == ["null"]
+        assert report.chained == []
+        assert report.itinerary["names"] == ["null-4d"]
+        assert report.notes == [
+            "the casimir(4) and null(4) foliations have the same exponent "
+            "lattice and were analysed once"
+        ]
+
 
 class TestRunPipelineApi:
     def test_non_periodic_matrix_stops_early(self):
@@ -436,7 +466,7 @@ class TestLadderGates:
         monkeypatch.setattr(cli, "no_periodic_points_scan", timed_scan)
         report = run_pipeline(fordy_marsh((1, -1, 0, 0, 0, -1, 1)))
         assert report.errors == []
-        assert len(spent) == len(report.dynamics) == 2
+        assert len(spent) == len(report.dynamics) == 1
         assert sum(spent) < 5
         for entry in report.dynamics:
             assert entry["scan"]["period_found"] is None

@@ -26,18 +26,44 @@ from cluster_reduce import (
     derive_reduced_map,
     detect_period,
     find_invariant_poisson,
+    fordy_marsh,
     get_fixture,
+    kernel_lattice,
     null_submersion,
     parse_rational,
     poisson_bracket,
+    random_positive_point,
     rewrite_in_fiber_coordinates,
+    rng_substream,
     submersion_from_rows,
 )
+from cluster_reduce.cli import _structure_representatives
 
 
 def _phi(name: str) -> BirationalMap:
     b = get_fixture(name).matrix("B")
     return cluster_map(b, detect_period(b))
+
+
+def _discovered(b: IntMatrix) -> list[IntMatrix]:
+    return find_invariant_poisson(cluster_map(b, detect_period(b)), b)
+
+
+def _ladder_submersions():
+    """(form, submersion) for every foliation the pipeline finds on the ladder."""
+    rows = [
+        (1, -1, 0, -1, 1),
+        (1, -1, 0, 0, -1, 1),
+        (1, -1, 0, 0, 0, -1, 1),
+        (1, 0, -1, 0, 0, -1, 0, 1),
+    ]
+    names = ("somos5", "c7-pair", "somos5-2periodic")
+    for b in [get_fixture(n).matrix("B") for n in names] + [fordy_marsh(r) for r in rows]:
+        form = PresymplecticForm(b)
+        if 0 < form.rank < form.dim:
+            yield form, null_submersion(form)
+        for m in _structure_representatives(_discovered(b)):
+            yield form, casimir_submersion(PoissonStructure(m))
 
 
 def _perturbed(m: IntMatrix, di: int, dj: int) -> IntMatrix:
@@ -97,6 +123,18 @@ class TestPoissonBracket:
             )
             for j in range(5):
                 assert poisson_bracket(z, parse_rational(f"x{j+1}", 5), c).is_zero()
+        # symbolic brackets cross-check the integer identity C U^T = 0 that
+        # casimir_submersion relies on
+        c7 = get_fixture("c7-pair")
+        (fm_n7,) = _discovered(fordy_marsh((1, -1, 0, 0, -1, 1)))
+        for m in (c7.matrix("C1"), c7.matrix("C2"), fm_n7):
+            structure = PoissonStructure(m)
+            sub = casimir_submersion(structure)
+            n = structure.dim
+            coordinates = [parse_rational(f"x{j+1}", n) for j in range(n)]
+            for z in sub.components():
+                for x in coordinates:
+                    assert poisson_bracket(z, x, structure).is_zero()
 
 
 class TestInvariance:
@@ -326,6 +364,14 @@ class TestSubfoliationAndFlags:
         with pytest.raises(NotAChainError):
             build_flag([a, b])
 
+    def test_equal_dimensions_are_not_a_chain(self):
+        # one lattice in two bases: nested both ways, yet never "<" in a flag
+        a = submersion_from_rows([(1, -1, 0), (0, 1, 1)], 3, kind="null")
+        b = submersion_from_rows([(1, 0, 1), (0, 1, 1)], 3, kind="casimir")
+        assert check_subfoliation(a, b) is not None
+        with pytest.raises(NotAChainError):
+            build_flag([a, b])
+
     def test_auto_bases_also_chain(self):
         # the automatically computed null and Casimir bases span nested lattices
         fix = get_fixture("somos5")
@@ -392,3 +438,37 @@ class TestIsotropy:
         # fibers of x1 contain the symplectic pair (e3, e4)
         sub = submersion_from_rows([(1, 0, 0, 0)], 4)
         assert not check_isotropy(form, sub)
+
+    @staticmethod
+    def _isotropic_at(form, sub, point) -> bool:
+        """The pointwise definition: W(p) vanishes on every pair of fiber tangents."""
+        n = form.dim
+        w = form.coefficients_at(point)
+        tangents = [
+            [Fraction(v[j]) * point[j] for j in range(n)]
+            for v in kernel_lattice(sub.map.exponents).vectors
+        ]
+        return all(
+            sum(ta[i] * w[i][j] * tb[j] for i in range(n) for j in range(n)) == 0
+            for ta in tangents
+            for tb in tangents
+        )
+
+    def test_identity_agrees_with_pointwise_definition(self):
+        symplectic_pairs = PresymplecticForm(
+            IntMatrix.from_rows(
+                [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+            )
+        )
+        cases = list(_ladder_submersions()) + [
+            (symplectic_pairs, submersion_from_rows([(1, 0, 0, 0)], 4)),
+        ]
+        assert len(cases) == 16
+        verdicts = set()
+        for form, sub in cases:
+            verdict = check_isotropy(form, sub)
+            verdicts.add(verdict)
+            for i in range(3):
+                point = random_positive_point(form.dim, rng_substream(5, i))
+                assert self._isotropic_at(form, sub, point) == verdict
+        assert verdicts == {True, False}

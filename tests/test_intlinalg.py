@@ -167,6 +167,22 @@ class TestSmith:
                 if a and b:
                     assert b % a == 0
 
+    def test_diagonal_matches_sympy(self):
+        # differential test of the shared row-operation core on the same
+        # random matrices as test_random_properties
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(9)
+        for _ in range(40):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            m = _random_matrix(rng, rows, cols)
+            d, _, _ = smith_normal_form(m)
+            ref = sympy_snf(sympy.Matrix(m.entries), domain=sympy.ZZ)
+            diag = min(rows, cols)
+            assert [d[i, i] for i in range(diag)] == [abs(int(ref[i, i])) for i in range(diag)]
+
 
 class TestLattices:
     def test_kernel_of_row(self):
