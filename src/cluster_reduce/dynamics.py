@@ -30,6 +30,10 @@ So every verdict equals the one exact iteration would give.  Global
 periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
+
+Periodic points are located by damped Newton on the compiled map, in
+``mpmath`` floats: f^(p)(x) is p steps of f, its Jacobian the chain-rule
+product of J_f along those steps, so the composite f^(p) is never formed.
 """
 
 from __future__ import annotations
@@ -507,7 +511,12 @@ def first_integral_check(f: BirationalMap, pi: MonomialMap, p: int) -> bool:
 
 @dataclass(frozen=True)
 class PeriodicPoint:
-    """Numerically located solution of f^(p)(x) = x with minimal period p."""
+    """Numerically located solution of f^(p)(x) = x with minimal period p.
+
+    When the solutions of f^(p)(x) = x form a curve rather than isolated
+    points, J(f^(p)) - I is singular along it and a point is one sample
+    of that curve, not an isolated periodic point.
+    """
 
     point: tuple
     residual: object
@@ -515,39 +524,136 @@ class PeriodicPoint:
     precision: int
 
 
-def _divisors(p: int) -> list[int]:
-    return [d for d in range(1, p) if p % d == 0]
+def _terms_mp(terms, x, grad=None):
+    """sum c x^e over the terms at x; with grad, also add its gradient
+    into grad, using d(c x^e)/dx_j = e_j c x^(e - e_j)."""
+    total = mp.mp.zero
+    for coeff, mono in terms:
+        powers = [x[i] if k == 1 else x[i] ** k for i, k in mono]
+        term = coeff
+        for v in powers:
+            term *= v
+        total += term
+        if grad is None:
+            continue
+        for j, (i, k) in enumerate(mono):
+            part = coeff if k == 1 else coeff * k * x[i] ** (k - 1)
+            for m, v in enumerate(powers):
+                if m != j:
+                    part *= v
+            grad[i] += part
+    return total
 
 
-def _newton_solve(g: BirationalMap, start, tol, max_iter: int = 120):
-    """Damped Newton for g(x) = x; returns (point, residual) or None."""
-    n = g.dim_in
+def _step_mp(comps, x, jacobian: bool):
+    """(f(x), J_f(x) as rows or None) for f compiled with mpf coefficients."""
+    n = len(x)
+    image, rows = [], [] if jacobian else None
+    for comp in comps:
+        if isinstance(comp, int):
+            image.append(x[comp])
+            if jacobian:
+                rows.append([mp.mp.one if j == comp else mp.mp.zero for j in range(n)])
+            continue
+        num, den = comp
+        gnum, gden = ([mp.mp.zero] * n, [mp.mp.zero] * n) if jacobian else (None, None)
+        v = _terms_mp(num, x, gnum)
+        if den is not None:
+            d = _terms_mp(den, x, gden)
+            if d == 0:
+                raise ZeroDivisionError("denominator vanishes at the point")
+            v /= d
+            if jacobian:
+                gnum = [(a - v * b) / d for a, b in zip(gnum, gden)]
+        image.append(v)
+        if jacobian:
+            rows.append(gnum)
+    return image, rows
+
+
+def _power_mp(comps, x, p: int, jacobian: bool = False):
+    """(g(x), J_g(x) or None) for g = f^p, by stepping f p times; J_g is the
+    chain-rule product J_f(x_(p-1)) ... J_f(x_0) along the same steps."""
+    jac = None
+    for _ in range(p):
+        x, step = _step_mp(comps, x, jacobian)
+        if jacobian:
+            jac = step if jac is None else [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*jac)]
+                for row in step
+            ]
+    return x, jac
+
+
+def _lu_solve(a, b) -> list:
+    """x with a x = b for a square list of rows a, as ``mpmath.lu_solve``.
+
+    The same Gaussian elimination with 10 extra bits: the pivot of column
+    j is the row k >= j with the largest |a_kj| / sum_(l >= j) |a_kl|, and
+    a row sum or pivot at most mnorm(a, 1) eps raises ZeroDivisionError
+    ("numerically singular").  A column that is zero from row j down is
+    singular too, where ``mpmath.lu_solve`` raises TypeError.
+    """
+    n = len(a)
+    with mp.extraprec(10):
+        a = [list(row) for row in a]
+        x = list(b)
+        tol = mp.eps * max(mp.fsum((row[j] for row in a), absolute=True) for j in range(n))
+
+        def check(value):
+            if abs(value) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+
+        for j in range(n - 1):
+            biggest, pivot = 0, None
+            for k in range(j, n):
+                s = mp.fsum(a[k][j:], absolute=True)
+                check(s)
+                current = 1 / s * abs(a[k][j])
+                if current > biggest:
+                    biggest, pivot = current, k
+            if pivot is None:
+                raise ZeroDivisionError("matrix is numerically singular")
+            a[j], a[pivot] = a[pivot], a[j]
+            x[j], x[pivot] = x[pivot], x[j]
+            check(a[j][j])
+            for i in range(j + 1, n):
+                a[i][j] /= a[j][j]
+                for k in range(j + 1, n):
+                    a[i][k] -= a[i][j] * a[j][k]
+        check(a[n - 1][n - 1])
+        for i in range(1, n):
+            for j in range(i):
+                x[i] -= a[i][j] * x[j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                x[i] -= a[i][j] * x[j]
+            x[i] /= a[i][i]
+    return x
+
+
+def _newton_solve(comps, p: int, start, tol, max_iter: int = 120):
+    """Damped Newton for f^p(x) = x, f compiled with mpf coefficients;
+    returns (point, residual) or None."""
+    n = len(start)
     x = [mp.mpf(v) for v in start]
 
     def residual_at(vec):
-        img = g.evaluate_mp(vec)
+        img, jac = _power_mp(comps, vec, p, jacobian=True)
         diff = [img[i] - vec[i] for i in range(n)]
-        return diff, max(abs(d) for d in diff)
+        return diff, max(abs(d) for d in diff), jac
 
     try:
-        fvec, res = residual_at(x)
+        fvec, res, jac = residual_at(x)
     except (ZeroDivisionError, ValueError):
         return None
     for _ in range(max_iter):
         if res < tol:
             return tuple(x), res
+        jm = [[jac[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
         try:
-            jac = g.jacobian_mp(x)
-        except (ZeroDivisionError, ValueError):
-            return None
-        jm = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                jm[i, j] = jac[i][j] - (1 if i == j else 0)
-        rhs = mp.matrix([-fvec[i] for i in range(n)])
-        try:
-            step = mp.lu_solve(jm, rhs)
-        except (ZeroDivisionError, ValueError):
+            step = _lu_solve(jm, [-v for v in fvec])
+        except ZeroDivisionError:
             return None
         damping = mp.mpf(1)
         improved = False
@@ -555,11 +661,11 @@ def _newton_solve(g: BirationalMap, start, tol, max_iter: int = 120):
             trial = [x[i] + damping * step[i] for i in range(n)]
             if all(v > 0 for v in trial):
                 try:
-                    tvec, tres = residual_at(trial)
+                    tvec, tres, tjac = residual_at(trial)
                 except (ZeroDivisionError, ValueError):
                     tvec = None
                 if tvec is not None and (tres < res or res == 0):
-                    x, fvec, res = trial, tvec, tres
+                    x, fvec, res, jac = trial, tvec, tres, tjac
                     improved = True
                     break
             damping /= 2
@@ -580,40 +686,49 @@ def find_periodic_points(
 
     Damped Newton iteration from a grid of starts over the box; roots
     whose period properly divides p are filtered out; duplicates merged.
+    f^(p) is never formed: f is compiled once, f^(p)(x) is p steps of f
+    and its Jacobian the chain-rule product along those steps.
     Desk-scale only: dimension at most 3.
+
+    Where the solutions form a curve (J(f^(p)) - I singular along it, as
+    for the period-2 points of the Casimir-reduced somos5 and c7-pair
+    maps), each start lands somewhere on the curve: the list samples the
+    curve and its length is not a count of periodic points.
     """
     n = f.dim_in
     if n > 3:
         raise DynamicsError("periodic-point search is supported for dimension <= 3")
     if f.dim_out != n:
         raise DynamicsError("periodic points require a self-map")
+    if p < 1:
+        raise DynamicsError("the period must be at least 1")
     with mp.workdps(precision):
         if tol is None:
             tol = mp.mpf(10) ** (-(precision - 24))
-        g = f.iterate(p)
+        comps = _compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
         lo = mp.mpf(box[0].numerator) / box[0].denominator if isinstance(box[0], Fraction) else mp.mpf(box[0])
         hi = mp.mpf(box[1].numerator) / box[1].denominator if isinstance(box[1], Fraction) else mp.mpf(box[1])
         ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
         starts = [[t] for t in ticks]
         for _ in range(n - 1):
             starts = [s + [t] for s in starts for t in ticks]
-        divisor_maps = [f.iterate(d) for d in _divisors(p)]
         found: list[PeriodicPoint] = []
         merge_tol = mp.mpf(10) ** (-precision // 2)
         for s in starts:
-            result = _newton_solve(g, s, tol)
+            result = _newton_solve(comps, p, s, tol)
             if result is None:
                 continue
             point, res = result
             if any(v <= 0 for v in point):
                 continue
-            minimal = True
-            for dmap in divisor_maps:
+            # f^d(point) for each proper divisor d of p, stepping f
+            minimal, image = True, point
+            for d in range(1, p):
                 try:
-                    image = dmap.evaluate_mp(point)
+                    image, _ = _step_mp(comps, image, False)
                 except (ZeroDivisionError, ValueError):
-                    continue
-                if max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
+                    break
+                if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
                     minimal = False
                     break
             if not minimal:

@@ -360,30 +360,27 @@ def _congruent(a, m, b) -> bool:
     )
 
 
-def _sample_points(dim: int, count: int, seed: int, avoid=None):
-    """Deterministic stream of random positive rational points.
+def _sample_points(phi: BirationalMap, count: int, seed: int):
+    """Deterministic stream of count pairs (p, phi(p)), p random positive
+    rational, generated as they are consumed.
 
-    Substream index increments past points where `avoid` (a callable
-    raising ZeroDivisionError) fails, so results are reproducible even
-    when a map is undefined somewhere.
+    Substream index increments past points where phi is undefined
+    (raises ZeroDivisionError), so results are reproducible even when the
+    map is undefined somewhere.
     """
-    points = []
+    found = 0
     index = 0
-    attempts = 0
-    while len(points) < count:
-        if attempts > 100 * count + 100:
+    while found < count:
+        if index > 100 * count + 100:
             raise GeometryError("could not sample enough well-defined points")
-        rng = rng_substream(seed, index)
+        p = random_positive_point(phi.dim_in, rng_substream(seed, index))
         index += 1
-        attempts += 1
-        p = random_positive_point(dim, rng)
-        if avoid is not None:
-            try:
-                avoid(p)
-            except ZeroDivisionError:
-                continue
-        points.append(p)
-    return points
+        try:
+            image = phi.evaluate(p)
+        except ZeroDivisionError:
+            continue
+        found += 1
+        yield p, image
 
 
 def check_presymplectic_invariance(
@@ -400,9 +397,7 @@ def check_presymplectic_invariance(
     n = form.dim
     if phi.dim_in != n or phi.dim_out != n:
         raise GeometryError("map and form dimensions differ")
-    pts = _sample_points(n, samples, seed, avoid=phi.evaluate)
-    for p in pts:
-        image = phi.evaluate(p)
+    for p, image in _sample_points(phi, samples, seed):
         if any(v <= 0 for v in image):
             return InvarianceResult(False, samples, p)
         j_t = [list(col) for col in zip(*phi.jacobian(p))]
@@ -425,9 +420,7 @@ def check_poisson_map(
     n = structure.dim
     if phi.dim_in != n or phi.dim_out != n:
         raise GeometryError("map and structure dimensions differ")
-    pts = _sample_points(n, samples, seed, avoid=phi.evaluate)
-    for p in pts:
-        image = phi.evaluate(p)
+    for p, image in _sample_points(phi, samples, seed):
         j = phi.jacobian(p)
         if not _congruent(j, structure.tensor_at(p), structure.tensor_at(image)):
             return InvarianceResult(False, samples, p)
@@ -465,8 +458,11 @@ def unvectorize_skew(vec, n: int) -> IntMatrix:
     return IntMatrix.from_rows(entries)
 
 
-def _poisson_equations_at(phi: BirationalMap, p: PositivePoint) -> list[tuple[int, ...]]:
-    """Integer linear equations on c_kl expressing J Pi(p) J^T = Pi(phi(p)).
+def _poisson_equations_at(
+    phi: BirationalMap, p: PositivePoint, image: PositivePoint
+) -> list[tuple[int, ...]]:
+    """Integer linear equations on c_kl expressing J Pi(p) J^T = Pi(image),
+    image = phi(p).
 
     Unknowns are ordered by _pair_index.  Each equation row is cleared of
     denominators.
@@ -474,7 +470,6 @@ def _poisson_equations_at(phi: BirationalMap, p: PositivePoint) -> list[tuple[in
     n = phi.dim_in
     pairs = _pair_index(n)
     j = phi.jacobian(p)
-    image = phi.evaluate(p)
     rows = []
     for a, b in pairs:
         coeffs = []
@@ -547,13 +542,12 @@ def find_invariant_poisson(
             return kernel_lattice(IntMatrix.zeros(1, n_unknowns))
         return kernel_lattice(IntMatrix.from_rows(equations))
 
-    pts = _sample_points(n, max_points, seed, avoid=phi.evaluate)
     dims = []
     basis = current_basis()
-    for p in pts:
+    for p, image in _sample_points(phi, max_points, seed):
         if basis.dim == 0:
             break
-        equations.extend(_poisson_equations_at(phi, p))
+        equations.extend(_poisson_equations_at(phi, p, image))
         basis = current_basis()
         dims.append(basis.dim)
         if len(dims) >= stable_runs and len(set(dims[-stable_runs:])) == 1:
@@ -570,7 +564,7 @@ def find_invariant_poisson(
                 break
         if retry is None:
             return candidates
-        equations.extend(_poisson_equations_at(phi, retry))
+        equations.extend(_poisson_equations_at(phi, retry, phi.evaluate(retry)))
         basis = current_basis()
     raise GeometryError("invariant-structure search failed to stabilize")
 

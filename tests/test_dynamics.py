@@ -1,6 +1,8 @@
 """Orbits, global periodicity, periodic points, itineraries, closed forms."""
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
@@ -78,6 +80,41 @@ def _reduced(case: str, label: str):
 
 def _ones(n: int):
     return tuple(Fraction(1) for _ in range(n))
+
+
+@cache
+def _low_dimensional_maps() -> dict:
+    """LYNESS, PSI_1, PSI_HAT5 and the reduced maps of dimension <= 3 of
+    somos5 and c7-pair, by their null and Casimir submersions."""
+    maps = {"lyness": LYNESS, "psi_1": PSI_1, "psi_hat5": PSI_HAT5}
+    for case, casimir in (("somos5", "C"), ("c7-pair", "C1")):
+        fixture = get_fixture(case)
+        phi = _phi(case)
+        for sub in (null_submersion(PresymplecticForm(fixture.matrix("B"))),
+                    casimir_submersion(PoissonStructure(fixture.matrix(casimir)))):
+            maps[f"{case}:{sub.kind}{sub.dim_out}"] = derive_reduced_map(phi, sub).map
+    return maps
+
+
+def _symbolic_powers(f: BirationalMap, count: int) -> list:
+    """[f, f^2, ..., f^count] in normal form, each composed as f^(p-1) o f.
+
+    These are the composites f.iterate(p) forms as f o f^(p-1);
+    substituting f into the composite is the cheap order here (0.2 s
+    instead of 10 s for p = 3 on the somos5 Casimir map).
+    """
+    powers = [f]
+    while len(powers) < count:
+        powers.append(powers[-1].compose(f))
+    return powers
+
+
+def _mp_point(point) -> list:
+    return [mp.mpf(v.numerator) / v.denominator for v in point]
+
+
+def _relative_error(got, want):
+    return max(abs(a - b) for a, b in zip(got, want)) / max(abs(b) for b in want)
 
 
 class TestOrbits:
@@ -190,6 +227,108 @@ class TestPeriodicPoints:
         points = find_periodic_points(LYNESS, 1, precision=128)
         with mp.workdps(128):
             assert points[0].residual < mp.mpf("1e-100")
+
+    def test_no_symbolic_composite_or_mpmath_matrices(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called inside find_periodic_points")
+
+        expected = find_periodic_points(LYNESS, 1)
+        for owner, name in ((BirationalMap, "iterate"), (BirationalMap, "evaluate_mp"),
+                            (BirationalMap, "jacobian_mp"), (mp, "lu_solve"), (mp, "matrix")):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert find_periodic_points(LYNESS, 1) == expected
+        assert find_periodic_points(LYNESS, 2) == []
+        assert len(find_periodic_points(PSI_HAT5, 1)) == 1
+
+    @pytest.mark.parametrize("name", ["somos5:casimir3", "c7-pair:casimir3"])
+    def test_period_two_points_sample_a_curve(self, name):
+        # J(f^2) - I has exactly one vanishing singular value at every
+        # point found: the period-2 points form a curve, and the list
+        # holds samples of it
+        f = _low_dimensional_maps()[name]
+        points = find_periodic_points(f, 2, grid=4)
+        assert len(points) > 3
+        g = _symbolic_powers(f, 2)[1]
+        with mp.workdps(64):
+            for pp in points:
+                jac = g.jacobian_mp(pp.point)
+                a = mp.matrix([[jac[i][j] - (i == j) for j in range(3)] for i in range(3)])
+                low, mid, _ = sorted(mp.svd_r(a, compute_uv=False))
+                assert low < mp.mpf(10) ** -35
+                assert mid > mp.mpf(10) ** -1
+
+
+class TestPeriodicPointKernel:
+    """The stepped f^p and its chain-rule Jacobian, and the list LU solver."""
+
+    @pytest.mark.parametrize("name", [
+        "lyness", "psi_1", "psi_hat5",
+        "somos5:null2", "somos5:casimir3", "c7-pair:null2", "c7-pair:casimir3",
+    ])
+    def test_stepped_power_matches_symbolic_composite(self, name):
+        f = _low_dimensional_maps()[name]
+        for p, g in enumerate(_symbolic_powers(f, 3), start=1):
+            for precision in (64, 128):
+                with mp.workdps(precision):
+                    comps = dynamics._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+                    tol = mp.mpf(10) ** (10 - precision)
+                    for i in range(3):
+                        x = _mp_point(random_positive_point(f.dim_in, rng_substream(p, i)))
+                        value, jac = dynamics._power_mp(comps, x, p, jacobian=True)
+                        assert dynamics._power_mp(comps, x, p) == (value, None)
+                        assert _relative_error(value, g.evaluate_mp(x)) < tol
+                        assert _relative_error(sum(jac, []), sum(g.jacobian_mp(x), [])) < tol
+
+    @staticmethod
+    def _both(a, b):
+        """(_lu_solve, mpmath.lu_solve) on the same system; None for a raise."""
+        try:
+            got = dynamics._lu_solve(a, b)
+        except ZeroDivisionError:
+            got = None
+        try:
+            want = list(mp.lu_solve(mp.matrix(a), mp.matrix(b)))
+        except ZeroDivisionError:
+            want = None
+        return got, want
+
+    def test_solver_matches_mpmath_lu_solve(self):
+        rng = random.Random(4)
+
+        def entry():
+            return mp.mpf(rng.randint(-10**30, 10**30)) / rng.randint(1, 10**30)
+
+        with mp.workdps(64):
+            for n in (2, 3) * 25:
+                a = [[entry() for _ in range(n)] for _ in range(n)]
+                got, want = self._both(a, [entry() for _ in range(n)])
+                assert got is not None and got == want
+
+    def test_singular_systems_raise_as_in_mpmath(self):
+        with mp.workdps(64):
+            for rows in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 2, 3], [2, 4, 6], [1, 1, 1]]):
+                a = [[mp.mpf(v) for v in row] for row in rows]
+                assert self._both(a, [mp.mpf(1)] * 3) == (None, None)
+            # After one elimination step the pivot of [[1, 1], [1, 1 + d]]
+            # is d; the tolerance mnorm(a, 1) eps, at 10 extra bits, is
+            # just above 2^-(prec + 8), so d = 15/16 of that is singular
+            # and 17/16 of it is not.
+            unit = mp.mpf(2) ** -(mp.mp.prec + 8)
+            for sixteenths, singular in ((15, True), (17, False)):
+                with mp.workprec(mp.mp.prec + 30):
+                    corner = 1 + unit * sixteenths / 16
+                a = [[mp.mpf(1), mp.mpf(1)], [mp.mpf(1), corner]]
+                got, want = self._both(a, [mp.mpf(1), mp.mpf(2)])
+                assert got == want
+                assert (got is None) == singular
+
+    def test_zero_pivot_column_is_singular(self):
+        # mpmath.lu_solve raises TypeError here; the list solver reports
+        # the singular matrix, which aborts the Newton start
+        with mp.workdps(64):
+            with pytest.raises(ZeroDivisionError):
+                dynamics._lu_solve([[mp.mpf(0), mp.mpf(1)], [mp.mpf(0), mp.mpf(2)]],
+                                   [mp.mpf(1), mp.mpf(1)])
 
 
 class TestItineraries:

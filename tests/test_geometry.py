@@ -169,6 +169,26 @@ class TestInvariance:
         bad = _perturbed(get_fixture("somos5").matrix("C"), 1, 3)
         assert not check_poisson_map(_phi("somos5"), PoissonStructure(bad)).ok
 
+    def test_map_evaluated_once_per_sample(self, monkeypatch):
+        calls = []
+        evaluate = BirationalMap.evaluate
+
+        def counted(self, point):
+            calls.append(point)
+            return evaluate(self, point)
+
+        monkeypatch.setattr(BirationalMap, "evaluate", counted)
+        fix = get_fixture("somos5")
+        phi = _phi("somos5")
+        assert check_presymplectic_invariance(phi, PresymplecticForm(fix.matrix("B"))).ok
+        assert len(calls) == 20
+        calls.clear()
+        assert check_poisson_map(phi, PoissonStructure(fix.matrix("C"))).ok
+        assert len(calls) == 20
+        calls.clear()
+        find_invariant_poisson(phi, fix.matrix("B"))
+        assert len(calls) == len(set(calls))
+
 
 class TestDiscovery:
     def test_somos5_space_is_one_dimensional(self):

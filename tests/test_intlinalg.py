@@ -127,6 +127,27 @@ class TestHermite:
                 for above in range(i):
                     assert 0 <= h[above, pivot_col] < pivot
 
+    def test_matches_sympy(self):
+        # differential test on the same random matrices as
+        # test_random_properties.  sympy's form is column-style (Cohen):
+        # the columns of H(m^T) span the row space of m, each pivot is the
+        # last nonzero entry of its column, and the entries right of it are
+        # reduced.  Reversing the coordinates and the order of the basis
+        # vectors turns it into the row form here; sympy drops zero columns.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+        rng = random.Random(7)
+        for _ in range(40):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            m = _random_matrix(rng, rows, cols)
+            h, _ = hermite_normal_form(IntMatrix.from_rows([row[::-1] for row in m.entries]))
+            mine = [row[::-1] for row in h.entries if any(row)][::-1]
+            ref = sympy_hnf(sympy.Matrix(m.entries).T)
+            columns = [tuple(int(x) for x in ref.col(j)) for j in range(ref.cols)]
+            assert mine == [c for c in columns if any(c)]
+
     def test_row_space_canonical(self):
         rng = random.Random(8)
         for _ in range(20):
