@@ -506,6 +506,11 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
+# Degenerate combinations of the invariant structures are searched in a
+# (-3..3)^k box only up to this many basis elements; 7^k grows too fast.
+_STRUCTURE_SEARCH_MAX = 3
+
+
 def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
     """One degenerate representative per distinct Casimir foliation.
 
@@ -519,7 +524,7 @@ def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
     if not basis:
         return []
     candidates = list(basis)
-    if 2 <= len(basis) <= 3:
+    if 2 <= len(basis) <= _STRUCTURE_SEARCH_MAX:
         span = [m.entries for m in basis]
         rows, cols = basis[0].rows, basis[0].cols
         for coeffs in product(range(-3, 4), repeat=len(basis)):
@@ -607,6 +612,12 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     found = []
     if 0 < form.rank < form.dim:
         found.append(null_submersion(form))
+    if len(basis) > _STRUCTURE_SEARCH_MAX:
+        report.notes.append(
+            f"the invariant Poisson structures span dimension {len(basis)}; degenerate "
+            f"combinations are searched only up to dimension {_STRUCTURE_SEARCH_MAX}, "
+            "so only the basis structures were analysed"
+        )
     for m in _structure_representatives(basis):
         structure = PoissonStructure(m)
         try:

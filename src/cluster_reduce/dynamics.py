@@ -31,13 +31,19 @@ periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
 
-Periodic points are located by damped Newton on the compiled map, in
-``mpmath`` floats: f^(p)(x) is p steps of f, its Jacobian the chain-rule
-product of J_f along those steps, so the composite f^(p) is never formed.
+Periodic points are located by damped Newton on the compiled map:
+f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
+along those steps, so the composite f^(p) is never formed.  One kernel
+serves hardware floats and ``mpmath`` floats.  Each start runs in floats
+until the residual max|f^(p)(x) - x| is below 1e-10 and finishes at the
+working precision; any float failure re-runs the start at the working
+precision, and every returned point passes the full-precision residual
+test.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -524,10 +530,33 @@ class PeriodicPoint:
     precision: int
 
 
-def _terms_mp(terms, x, grad=None):
+@dataclass(frozen=True)
+class _Numbers:
+    """What the Newton kernel needs of its number type: zero and one, the
+    unit roundoff eps() (read inside the solver's extra precision) and the
+    sum of absolute values."""
+
+    zero: object
+    one: object
+    eps: Callable
+    abs_sum: Callable
+
+
+_MPF = _Numbers(mp.mp.zero, mp.mp.one, lambda: mp.eps, lambda xs: mp.fsum(xs, absolute=True))
+_FLOAT = _Numbers(0.0, 1.0, lambda: 2.0**-52, lambda xs: sum(map(abs, xs)))
+
+# Newton runs in floats until max|f^p(x) - x| is below this, about the
+# square root of the float unit roundoff; from there each full-precision
+# step roughly doubles the correct digits.
+_HANDOFF = 1e-10
+# Newton steps per start, shared by its float and full-precision phases.
+_MAX_ITER = 120
+
+
+def _terms_mp(terms, x, zero, grad=None):
     """sum c x^e over the terms at x; with grad, also add its gradient
     into grad, using d(c x^e)/dx_j = e_j c x^(e - e_j)."""
-    total = mp.mp.zero
+    total = zero
     for coeff, mono in terms:
         powers = [x[i] if k == 1 else x[i] ** k for i, k in mono]
         term = coeff
@@ -545,21 +574,22 @@ def _terms_mp(terms, x, grad=None):
     return total
 
 
-def _step_mp(comps, x, jacobian: bool):
-    """(f(x), J_f(x) as rows or None) for f compiled with mpf coefficients."""
+def _step_mp(comps, x, jacobian: bool, num: _Numbers = _MPF):
+    """(f(x), J_f(x) as rows or None) for f compiled with coefficients of
+    num's type (``mpf`` by default, or ``float``)."""
     n = len(x)
     image, rows = [], [] if jacobian else None
     for comp in comps:
         if isinstance(comp, int):
             image.append(x[comp])
             if jacobian:
-                rows.append([mp.mp.one if j == comp else mp.mp.zero for j in range(n)])
+                rows.append([num.one if j == comp else num.zero for j in range(n)])
             continue
-        num, den = comp
-        gnum, gden = ([mp.mp.zero] * n, [mp.mp.zero] * n) if jacobian else (None, None)
-        v = _terms_mp(num, x, gnum)
+        num_terms, den = comp
+        gnum, gden = ([num.zero] * n, [num.zero] * n) if jacobian else (None, None)
+        v = _terms_mp(num_terms, x, num.zero, gnum)
         if den is not None:
-            d = _terms_mp(den, x, gden)
+            d = _terms_mp(den, x, num.zero, gden)
             if d == 0:
                 raise ZeroDivisionError("denominator vanishes at the point")
             v /= d
@@ -571,12 +601,12 @@ def _step_mp(comps, x, jacobian: bool):
     return image, rows
 
 
-def _power_mp(comps, x, p: int, jacobian: bool = False):
+def _power_mp(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
     """(g(x), J_g(x) or None) for g = f^p, by stepping f p times; J_g is the
     chain-rule product J_f(x_(p-1)) ... J_f(x_0) along the same steps."""
     jac = None
     for _ in range(p):
-        x, step = _step_mp(comps, x, jacobian)
+        x, step = _step_mp(comps, x, jacobian, num)
         if jacobian:
             jac = step if jac is None else [
                 [sum(a * b for a, b in zip(row, col)) for col in zip(*jac)]
@@ -585,20 +615,21 @@ def _power_mp(comps, x, p: int, jacobian: bool = False):
     return x, jac
 
 
-def _lu_solve(a, b) -> list:
+def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
     """x with a x = b for a square list of rows a, as ``mpmath.lu_solve``.
 
     The same Gaussian elimination with 10 extra bits: the pivot of column
     j is the row k >= j with the largest |a_kj| / sum_(l >= j) |a_kl|, and
     a row sum or pivot at most mnorm(a, 1) eps raises ZeroDivisionError
     ("numerically singular").  A column that is zero from row j down is
-    singular too, where ``mpmath.lu_solve`` raises TypeError.
+    singular too, where ``mpmath.lu_solve`` raises TypeError.  With float
+    entries (num ``_FLOAT``) eps is 2^-52 and the extra bits do nothing.
     """
     n = len(a)
     with mp.extraprec(10):
         a = [list(row) for row in a]
         x = list(b)
-        tol = mp.eps * max(mp.fsum((row[j] for row in a), absolute=True) for j in range(n))
+        tol = num.eps() * max(num.abs_sum(row[j] for row in a) for j in range(n))
 
         def check(value):
             if abs(value) <= tol:
@@ -607,7 +638,7 @@ def _lu_solve(a, b) -> list:
         for j in range(n - 1):
             biggest, pivot = 0, None
             for k in range(j, n):
-                s = mp.fsum(a[k][j:], absolute=True)
+                s = num.abs_sum(a[k][j:])
                 check(s)
                 current = 1 / s * abs(a[k][j])
                 if current > biggest:
@@ -632,14 +663,27 @@ def _lu_solve(a, b) -> list:
     return x
 
 
-def _newton_solve(comps, p: int, start, tol, max_iter: int = 120):
-    """Damped Newton for f^p(x) = x, f compiled with mpf coefficients;
-    returns (point, residual) or None."""
+def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF):
+    """Damped Newton for f^p(x) = x from start, in num's number type (f
+    compiled, and start given, in that type).
+
+    Every run of a periodic-point start goes through here: in floats
+    down to the hand-off residual, in ``mpf`` from there down to tol,
+    and in ``mpf`` from the start when either of those fails.  Each step
+    solves (J(f^p) - I) dx = x - f^p(x) and halves dx until x + dx
+    stays positive and lowers max|f^p(x) - x|.  Returns (point,
+    residual, steps taken) once the residual is below tol, or None: for a
+    start outside the domain, a singular system, no descent after 40
+    halvings, or max_iter steps spent.  A non-finite residual never
+    descends (an inf or nan step gives no positive trial with a smaller
+    residual), so it ends in None too.  A float overflow in a power
+    raises OverflowError.
+    """
     n = len(start)
-    x = [mp.mpf(v) for v in start]
+    x = list(start)
 
     def residual_at(vec):
-        img, jac = _power_mp(comps, vec, p, jacobian=True)
+        img, jac = _power_mp(comps, vec, p, jacobian=True, num=num)
         diff = [img[i] - vec[i] for i in range(n)]
         return diff, max(abs(d) for d in diff), jac
 
@@ -647,15 +691,15 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int = 120):
         fvec, res, jac = residual_at(x)
     except (ZeroDivisionError, ValueError):
         return None
-    for _ in range(max_iter):
+    for steps in range(max_iter):
         if res < tol:
-            return tuple(x), res
+            return tuple(x), res, steps
         jm = [[jac[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
         try:
-            step = _lu_solve(jm, [-v for v in fvec])
+            step = _lu_solve(jm, [-v for v in fvec], num)
         except ZeroDivisionError:
             return None
-        damping = mp.mpf(1)
+        damping = num.one
         improved = False
         for _ in range(40):
             trial = [x[i] + damping * step[i] for i in range(n)]
@@ -671,7 +715,32 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int = 120):
             damping /= 2
         if not improved:
             return None
-    return (tuple(x), res) if res < tol else None
+    return (tuple(x), res, max_iter) if res < tol else None
+
+
+def _periodic_point_newton(comps, fcomps, p: int, start, tol):
+    """(point, residual, steps) for the Newton run from start, or None.
+
+    Newton runs in floats (fcomps) until the residual is below
+    ``_HANDOFF``, then continues at the working precision (comps) from
+    the float iterate with the iterations left, until the residual is
+    below tol.  When either phase fails, or a float overflows, the whole
+    run is repeated at the working precision from start, so no start is
+    lost to float arithmetic.
+    """
+    if fcomps is not None:
+        try:
+            rough = _newton_solve(
+                fcomps, p, [float(v) for v in start], _HANDOFF, _MAX_ITER, _FLOAT
+            )
+        except OverflowError:
+            rough = None
+        if rough is not None:
+            point, _, used = rough
+            result = _newton_solve(comps, p, [mp.mpf(v) for v in point], tol, _MAX_ITER - used)
+            if result is not None:
+                return result
+    return _newton_solve(comps, p, start, tol, _MAX_ITER)
 
 
 def find_periodic_points(
@@ -690,10 +759,18 @@ def find_periodic_points(
     and its Jacobian the chain-rule product along those steps.
     Desk-scale only: dimension at most 3.
 
+    Each start runs Newton in hardware floats until max|f^(p)(x) - x|
+    is below 1e-10, then finishes at the working precision from there.
+    Any float failure (a singular system, an overflow or a non-finite
+    residual, no descent, the iteration budget spent) re-runs the start
+    at the working precision from the start.  Every returned point
+    passes the full-precision residual test max|f^(p)(x) - x| < tol.
+
     Where the solutions form a curve (J(f^(p)) - I singular along it, as
     for the period-2 points of the Casimir-reduced somos5 and c7-pair
-    maps), each start lands somewhere on the curve: the list samples the
-    curve and its length is not a count of periodic points.
+    maps), each start lands somewhere on the curve, at a place that
+    depends on its Newton path: the list samples the curve and its
+    length is not a count of periodic points.
     """
     n = f.dim_in
     if n > 3:
@@ -702,10 +779,16 @@ def find_periodic_points(
         raise DynamicsError("periodic points require a self-map")
     if p < 1:
         raise DynamicsError("the period must be at least 1")
+    if grid < 1:
+        raise DynamicsError("the grid must have at least one start per coordinate")
     with mp.workdps(precision):
         if tol is None:
             tol = mp.mpf(10) ** (-(precision - 24))
         comps = _compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+        try:
+            fcomps = _compile(f, float)
+        except OverflowError:
+            fcomps = None
         lo = mp.mpf(box[0].numerator) / box[0].denominator if isinstance(box[0], Fraction) else mp.mpf(box[0])
         hi = mp.mpf(box[1].numerator) / box[1].denominator if isinstance(box[1], Fraction) else mp.mpf(box[1])
         ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
@@ -715,10 +798,10 @@ def find_periodic_points(
         found: list[PeriodicPoint] = []
         merge_tol = mp.mpf(10) ** (-precision // 2)
         for s in starts:
-            result = _newton_solve(comps, p, s, tol)
+            result = _periodic_point_newton(comps, fcomps, p, s, tol)
             if result is None:
                 continue
-            point, res = result
+            point, res, _ = result
             if any(v <= 0 for v in point):
                 continue
             # f^d(point) for each proper divisor d of p, stepping f

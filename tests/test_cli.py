@@ -421,6 +421,19 @@ class TestRunPipelineApi:
         with pytest.raises(ValueError):
             WorkflowConfig(m_max=0)
 
+    def test_unsearched_structure_space_is_noted(self, monkeypatch):
+        from cluster_reduce import IntMatrix
+
+        c = get_fixture("somos5").matrix("C").entries
+        basis = [IntMatrix.from_rows([[k * v for v in row] for row in c]) for k in (1, 2, 3, 4)]
+        monkeypatch.setattr(cli, "find_invariant_poisson", lambda *args, **kwargs: basis)
+        report = run_pipeline(get_fixture("somos5").matrix("B"))
+        assert [note for note in report.notes if "dimension 4" in note] == [
+            "the invariant Poisson structures span dimension 4; degenerate combinations "
+            "are searched only up to dimension 3, so only the basis structures were analysed"
+        ]
+        assert len(report.discovered) == 4
+
     @pytest.mark.parametrize("stage, name", [
         ("dynamics", "no_periodic_points_scan"),
         ("itinerary", "leaf_itinerary"),

@@ -223,6 +223,11 @@ class TestPeriodicPoints:
         with pytest.raises(DynamicsError):
             find_periodic_points(PSI_2, 1)
 
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_grid_must_be_positive(self, grid):
+        with pytest.raises(DynamicsError, match="grid"):
+            find_periodic_points(_low_dimensional_maps()["somos5:null2"], 1, grid=grid)
+
     def test_precision_scales_residual(self):
         points = find_periodic_points(LYNESS, 1, precision=128)
         with mp.workdps(128):
@@ -329,6 +334,145 @@ class TestPeriodicPointKernel:
             with pytest.raises(ZeroDivisionError):
                 dynamics._lu_solve([[mp.mpf(0), mp.mpf(1)], [mp.mpf(0), mp.mpf(2)]],
                                    [mp.mpf(1), mp.mpf(1)])
+
+
+def _all_mpf_search(monkeypatch, f, p: int, **kwargs) -> list:
+    """find_periodic_points with every start run only at the working
+    precision, from the start: the search before it had a float phase."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_periodic_point_newton",
+                  lambda comps, fcomps, p, start, tol:
+                  dynamics._newton_solve(comps, p, start, tol, dynamics._MAX_ITER))
+        return find_periodic_points(f, p, **kwargs)
+
+
+def _failing_newton(monkeypatch, fails):
+    """Make the Newton runs for which fails(num, max_iter) holds fail."""
+    solve = dynamics._newton_solve
+
+    def patched(comps, p, start, tol, max_iter, num=dynamics._MPF):
+        if fails(num, max_iter):
+            return None
+        return solve(comps, p, start, tol, max_iter, num)
+
+    monkeypatch.setattr(dynamics, "_newton_solve", patched)
+
+
+def _float_step(monkeypatch, image):
+    """Make every float step of f return image(f(x)) in place of f(x)."""
+    step = dynamics._step_mp
+
+    def patched(comps, x, jacobian, num=dynamics._MPF):
+        value, rows = step(comps, x, jacobian, num)
+        return (image(value), rows) if num is dynamics._FLOAT else (value, rows)
+
+    monkeypatch.setattr(dynamics, "_step_mp", patched)
+
+
+def _overflow(value):
+    raise OverflowError("float overflow")
+
+
+REDUCED_MAPS = ["somos5:null2", "somos5:casimir3", "c7-pair:null2", "c7-pair:casimir3"]
+
+
+class TestMixedPrecisionNewton:
+    """Newton in floats up to the hand-off, then at the working precision;
+    the full-precision search from the start whenever the floats fail."""
+
+    @pytest.mark.parametrize("name", [
+        "lyness", "psi_1", "psi_hat5", *REDUCED_MAPS,
+    ])
+    def test_float_and_mpf_kernels_agree(self, name):
+        f = _low_dimensional_maps()[name]
+        fcomps = dynamics._compile(f, float)
+        with mp.workdps(64):
+            comps = dynamics._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+            for p in (1, 2, 3):
+                for i in range(3):
+                    x = _mp_point(random_positive_point(f.dim_in, rng_substream(p, i)))
+                    value, jac = dynamics._power_mp(comps, x, p, jacobian=True)
+                    fvalue, fjac = dynamics._power_mp(
+                        fcomps, [float(v) for v in x], p, True, dynamics._FLOAT
+                    )
+                    assert all(type(v) is float for v in fvalue + sum(fjac, []))
+                    assert _relative_error(fvalue, value) < 1e-12
+                    assert _relative_error(sum(fjac, []), sum(jac, [])) < 1e-12
+
+    def test_float_solver(self):
+        rng = random.Random(5)
+        with mp.workdps(64):
+            for n in (2, 3) * 10:
+                a = [[mp.mpf(rng.uniform(-10, 10)) for _ in range(n)] for _ in range(n)]
+                b = [mp.mpf(rng.uniform(-10, 10)) for _ in range(n)]
+                got = dynamics._lu_solve([[float(v) for v in row] for row in a],
+                                         [float(v) for v in b], dynamics._FLOAT)
+                assert all(type(v) is float for v in got)
+                assert _relative_error(got, dynamics._lu_solve(a, b)) < 1e-12
+        # the tolerance is mnorm(a, 1) 2^-52, about 2^-51 here, so the
+        # second pivot 2^-52 is singular and 2^-48 is not
+        with pytest.raises(ZeroDivisionError):
+            dynamics._lu_solve([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]], [1.0, 2.0], dynamics._FLOAT)
+        got = dynamics._lu_solve([[1.0, 1.0], [1.0, 1.0 + 2.0**-48]], [1.0, 2.0], dynamics._FLOAT)
+        assert got == [1.0 - 2.0**48, 2.0**48]
+
+    @pytest.mark.parametrize("failure", [
+        "no float root", "overflow", "non-finite residual", "no full-precision finish",
+    ])
+    @pytest.mark.parametrize("name, p", [("lyness", 1), ("somos5:null2", 1), ("psi_1", 2)])
+    def test_failed_float_phase_gives_the_all_mpf_search(self, monkeypatch, failure, name, p):
+        f = _low_dimensional_maps()[name]
+        expected = _all_mpf_search(monkeypatch, f, p, grid=4)
+        assert expected
+        if failure == "no float root":
+            _failing_newton(monkeypatch, lambda num, max_iter: num is dynamics._FLOAT)
+        elif failure == "no full-precision finish":
+            # the finish is the full-precision run with the budget the
+            # float steps left over
+            _failing_newton(monkeypatch, lambda num, max_iter:
+                            num is dynamics._MPF and max_iter < dynamics._MAX_ITER)
+        elif failure == "overflow":
+            _float_step(monkeypatch, _overflow)
+        else:
+            _float_step(monkeypatch, lambda value: [float("inf")] * len(value))
+        assert find_periodic_points(f, p, grid=4) == expected
+
+    def test_float_coefficient_overflow_runs_at_full_precision(self, monkeypatch):
+        huge = 10**400
+        f = BirationalMap.from_strings([f"(x1^2 + {huge})/(x1 + {huge})"])
+        with pytest.raises(OverflowError):
+            dynamics._compile(f, float)
+        points = find_periodic_points(f, 1, grid=4)
+        assert [pp.point for pp in points] == [(1,)]
+        assert points == _all_mpf_search(monkeypatch, f, 1, grid=4)
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("name", REDUCED_MAPS)
+    def test_fixed_points_match_the_all_mpf_search(self, monkeypatch, name, precision):
+        f = _low_dimensional_maps()[name]
+        got = find_periodic_points(f, 1, precision=precision, grid=4)
+        want = _all_mpf_search(monkeypatch, f, 1, precision=precision, grid=4)
+
+        def printed(points):
+            return [[mp.nstr(v, 30) for v in pp.point] for pp in points]
+
+        assert len(got) == 1
+        assert printed(got) == printed(want)
+        with mp.workdps(precision):
+            assert got[0].residual < mp.mpf(10) ** (24 - precision)
+
+    def test_few_full_precision_jacobians_per_start(self, monkeypatch):
+        f = _low_dimensional_maps()["somos5:casimir3"]
+        power = dynamics._power_mp
+        full = []
+
+        def counting(comps, x, p, jacobian=False, num=dynamics._MPF):
+            full.append(jacobian and num is dynamics._MPF)
+            return power(comps, x, p, jacobian, num)
+
+        monkeypatch.setattr(dynamics, "_power_mp", counting)
+        assert len(find_periodic_points(f, 1, grid=4)) == 1
+        assert sum(full) <= 4 * 4**3
 
 
 class TestItineraries:
