@@ -141,20 +141,23 @@ def _point_json(point, mode: str, precision: int):
     return [_fraction_str(v) for v in point]
 
 
+def _positive(value, name: str) -> int:
+    """value as a positive integer; InputError (exit 3) otherwise."""
+    try:
+        parsed = int(value)
+    except ValueError:
+        parsed = 0
+    if parsed <= 0:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return parsed
+
+
 def _resolve_precision(value: int | None) -> int:
     if value is not None:
-        return value
+        return _positive(value, "--precision")
     env = os.environ.get("CLUSTER_REDUCE_PRECISION")
     if env:
-        try:
-            parsed = int(env)
-            if parsed <= 0:
-                raise ValueError
-            return parsed
-        except ValueError:
-            raise InputError(
-                f"CLUSTER_REDUCE_PRECISION must be a positive integer, got {env!r}"
-            ) from None
+        return _positive(env, "CLUSTER_REDUCE_PRECISION")
     return DEFAULT_PRECISION
 
 
@@ -177,7 +180,8 @@ def _cmd_period(args) -> int:
         _emit(doc, args.out)
         return 0
     f = _load_map(args.map)
-    report = detect_global_periodicity(f, args.max_p, args.samples, args.seed)
+    samples = _positive(args.samples, "--samples")
+    report = detect_global_periodicity(f, args.max_p, samples, args.seed)
     doc = {
         "schema": "v1",
         "input": "map",
@@ -287,12 +291,13 @@ def _cmd_verify(args) -> int:
             f"structure is {matrix.rows} x {matrix.cols} but the map has "
             f"{phi.dim_in} coordinates"
         )
+    samples = _positive(args.samples, "--samples")
     if args.kind == "presymplectic":
         result = check_presymplectic_invariance(
-            phi, PresymplecticForm(matrix), args.samples, args.seed
+            phi, PresymplecticForm(matrix), samples, args.seed
         )
     else:
-        result = check_poisson_map(phi, PoissonStructure(matrix), args.samples, args.seed)
+        result = check_poisson_map(phi, PoissonStructure(matrix), samples, args.seed)
     doc = {
         "schema": "v1",
         "kind": args.kind,

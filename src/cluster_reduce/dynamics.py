@@ -31,19 +31,22 @@ periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
 
+Exact and float orbits, interval enclosures and Newton steps all evaluate
+the map by the kernel of ``maps`` (``_step`` on the map's cached compiled
+terms, which runs ``laurent._terms``); only the residue screen has its own
+loop, as units mod p with explicit inverses are not a number type.
+
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
-along those steps, so the composite f^(p) is never formed.  One kernel
-serves hardware floats and ``mpmath`` floats.  Each start runs in floats
-until the residual max|f^(p)(x) - x| is below 1e-10 and finishes at the
-working precision; any float failure re-runs the start at the working
-precision, and every returned point passes the full-precision residual
-test.
+along those steps, so the composite f^(p) is never formed.  Each start
+runs in hardware floats until the residual max|f^(p)(x) - x| is below
+1e-10 and finishes at the working precision; any float failure re-runs
+the start at the working precision, and every returned point passes the
+full-precision residual test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -54,7 +57,9 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
 from .intlinalg import right_inverse
+from .laurent import _sparse, _terms, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
+from .maps import _MPF, _compile, _Numbers, _step
 
 __all__ = [
     "DynamicsError",
@@ -130,12 +135,7 @@ def iterate_orbit(
         return Orbit(f, points[0], tuple(points), "exact")
     if mode == "float":
         with mp.workdps(precision):
-            current = tuple(
-                mp.mpf(v.numerator) / v.denominator
-                if isinstance(v, Fraction)
-                else mp.mpf(v)
-                for v in x0
-            )
+            current = tuple(_to_mpf(v) for v in x0)
             points = [current]
             for step in range(n):
                 try:
@@ -168,36 +168,6 @@ def orbit_sequence(orbit: Orbit) -> list:
 
 # Primes of the residue screen, tried in this order (both Mersenne primes).
 SCREEN_PRIMES = (2**61 - 1, 2**89 - 1)
-
-
-def _sparse(exponents) -> tuple:
-    """The nonzero (variable, exponent) pairs of an exponent vector."""
-    return tuple((i, k) for i, k in enumerate(exponents) if k)
-
-
-def _compile(phi: BirationalMap, convert):
-    """phi's components for repeated evaluation, or None.
-
-    A component is the index i when it is the coordinate x_i, else a pair
-    (num, den) of term lists [(coefficient, sparse exponents)], den None
-    when it is 1.  Coefficients pass through convert; None from convert
-    makes the result None.
-    """
-    comps = []
-    for c in phi.components:
-        if c.den.is_one() and list(c.num.terms.values()) == [1]:
-            (mono,) = [_sparse(e) for e in c.num.terms]
-            if len(mono) == 1 and mono[0][1] == 1:
-                comps.append(mono[0][0])
-                continue
-        num, den = (
-            [(convert(coeff), _sparse(e)) for e, coeff in poly.terms.items()]
-            for poly in (c.num, c.den)
-        )
-        if any(coeff is None for coeff, _ in num + den):
-            return None
-        comps.append((num, None if c.den.is_one() else den))
-    return comps
 
 
 def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
@@ -258,45 +228,16 @@ def _interval_context() -> MPIntervalContext:
     return ctx
 
 
-def _interval_monomial(coeff, mono, x):
-    for i, k in mono:
-        coeff = coeff * (x[i] if k == 1 else x[i] ** k)
-    return coeff
-
-
-def _interval_orbit(phi: BirationalMap, x0, steps: int) -> list:
-    """Outward-rounded enclosures of x_k for k = 0..steps.
-
-    A denominator interval that contains 0 gives an unbounded enclosure,
-    which no comparison can decide.
-    """
+@cache
+def _intervals() -> _Numbers:
+    """Outward-rounded intervals of that context, for the map kernel."""
     ctx = _interval_context()
 
     def enclose(q):
         q = Fraction(q)
         return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
 
-    def value(terms, x):
-        total = ctx.mpf(0)
-        for coeff, mono in terms:
-            total += _interval_monomial(coeff, mono, x)
-        return total
-
-    comps = _compile(phi, enclose)
-    x = [enclose(v) for v in x0]
-    points = [x]
-    for _ in range(steps):
-        image = []
-        for comp in comps:
-            if isinstance(comp, int):
-                image.append(x[comp])
-                continue
-            num, den = comp
-            v = value(num, x)
-            image.append(v if den is None else v / value(den, x))
-        x = image
-        points.append(x)
-    return points
+    return _Numbers(ctx.mpf(0), ctx.mpf(1), enclose, lambda: "iv")
 
 
 class _LiftedOrbit:
@@ -322,7 +263,14 @@ class _LiftedOrbit:
 
     @cached_property
     def intervals(self) -> list:
-        return _interval_orbit(self.phi, self._exact[0], self.steps)
+        """Enclosures of x_0..x_steps; a denominator interval that contains 0
+        gives an unbounded enclosure, which no comparison can decide."""
+        num = _intervals()
+        comps = self.phi._compiled(num)
+        points = [[num.convert(v) for v in self._exact[0]]]
+        for _ in range(self.steps):
+            points.append(_step(comps, points[-1], False, num)[0])
+        return points
 
     def exact(self, k: int) -> tuple:
         """x_k; the first call past x0 computes the whole exact orbit, so an
@@ -411,8 +359,8 @@ def _grows(orbit: _LiftedOrbit, pi: MonomialMap | None, window: int) -> bool:
     ks = range(max(0, orbit.steps - window), orbit.steps + 1)
     points = orbit.intervals
     last = ((len(points[0]) - 1, 1),) if pi is None else _sparse(pi.exponents.entries[-1])
-    one = _interval_context().mpf(1)
-    verdict = _increasing([_interval_monomial(one, last, points[k]) for k in ks])
+    num = _intervals()
+    verdict = _increasing([_terms(((num.one, last),), points[k], num.zero) for k in ks])
     if verdict is None:
         exact = [orbit.label(pi, k)[-1] for k in ks]
         verdict = all(b > a for a, b in zip(exact, exact[1:]))
@@ -530,20 +478,8 @@ class PeriodicPoint:
     precision: int
 
 
-@dataclass(frozen=True)
-class _Numbers:
-    """What the Newton kernel needs of its number type: zero and one, the
-    unit roundoff eps() (read inside the solver's extra precision) and the
-    sum of absolute values."""
-
-    zero: object
-    one: object
-    eps: Callable
-    abs_sum: Callable
-
-
-_MPF = _Numbers(mp.mp.zero, mp.mp.one, lambda: mp.eps, lambda xs: mp.fsum(xs, absolute=True))
-_FLOAT = _Numbers(0.0, 1.0, lambda: 2.0**-52, lambda xs: sum(map(abs, xs)))
+_FLOAT = _Numbers(0.0, 1.0, float, lambda: "float",
+                  lambda: 2.0**-52, lambda xs: sum(map(abs, xs)))
 
 # Newton runs in floats until max|f^p(x) - x| is below this, about the
 # square root of the float unit roundoff; from there each full-precision
@@ -553,60 +489,12 @@ _HANDOFF = 1e-10
 _MAX_ITER = 120
 
 
-def _terms_mp(terms, x, zero, grad=None):
-    """sum c x^e over the terms at x; with grad, also add its gradient
-    into grad, using d(c x^e)/dx_j = e_j c x^(e - e_j)."""
-    total = zero
-    for coeff, mono in terms:
-        powers = [x[i] if k == 1 else x[i] ** k for i, k in mono]
-        term = coeff
-        for v in powers:
-            term *= v
-        total += term
-        if grad is None:
-            continue
-        for j, (i, k) in enumerate(mono):
-            part = coeff if k == 1 else coeff * k * x[i] ** (k - 1)
-            for m, v in enumerate(powers):
-                if m != j:
-                    part *= v
-            grad[i] += part
-    return total
-
-
-def _step_mp(comps, x, jacobian: bool, num: _Numbers = _MPF):
-    """(f(x), J_f(x) as rows or None) for f compiled with coefficients of
-    num's type (``mpf`` by default, or ``float``)."""
-    n = len(x)
-    image, rows = [], [] if jacobian else None
-    for comp in comps:
-        if isinstance(comp, int):
-            image.append(x[comp])
-            if jacobian:
-                rows.append([num.one if j == comp else num.zero for j in range(n)])
-            continue
-        num_terms, den = comp
-        gnum, gden = ([num.zero] * n, [num.zero] * n) if jacobian else (None, None)
-        v = _terms_mp(num_terms, x, num.zero, gnum)
-        if den is not None:
-            d = _terms_mp(den, x, num.zero, gden)
-            if d == 0:
-                raise ZeroDivisionError("denominator vanishes at the point")
-            v /= d
-            if jacobian:
-                gnum = [(a - v * b) / d for a, b in zip(gnum, gden)]
-        image.append(v)
-        if jacobian:
-            rows.append(gnum)
-    return image, rows
-
-
-def _power_mp(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
+def _power(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
     """(g(x), J_g(x) or None) for g = f^p, by stepping f p times; J_g is the
     chain-rule product J_f(x_(p-1)) ... J_f(x_0) along the same steps."""
     jac = None
     for _ in range(p):
-        x, step = _step_mp(comps, x, jacobian, num)
+        x, step = _step(comps, x, jacobian, num)
         if jacobian:
             jac = step if jac is None else [
                 [sum(a * b for a, b in zip(row, col)) for col in zip(*jac)]
@@ -683,7 +571,7 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     x = list(start)
 
     def residual_at(vec):
-        img, jac = _power_mp(comps, vec, p, jacobian=True, num=num)
+        img, jac = _power(comps, vec, p, jacobian=True, num=num)
         diff = [img[i] - vec[i] for i in range(n)]
         return diff, max(abs(d) for d in diff), jac
 
@@ -784,13 +672,12 @@ def find_periodic_points(
     with mp.workdps(precision):
         if tol is None:
             tol = mp.mpf(10) ** (-(precision - 24))
-        comps = _compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+        comps = f._compiled(_MPF)
         try:
-            fcomps = _compile(f, float)
+            fcomps = f._compiled(_FLOAT)
         except OverflowError:
             fcomps = None
-        lo = mp.mpf(box[0].numerator) / box[0].denominator if isinstance(box[0], Fraction) else mp.mpf(box[0])
-        hi = mp.mpf(box[1].numerator) / box[1].denominator if isinstance(box[1], Fraction) else mp.mpf(box[1])
+        lo, hi = _to_mpf(box[0]), _to_mpf(box[1])
         ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
         starts = [[t] for t in ticks]
         for _ in range(n - 1):
@@ -808,7 +695,7 @@ def find_periodic_points(
             minimal, image = True, point
             for d in range(1, p):
                 try:
-                    image, _ = _step_mp(comps, image, False)
+                    image, _ = _step(comps, image, False, _MPF)
                 except (ZeroDivisionError, ValueError):
                     break
                 if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):

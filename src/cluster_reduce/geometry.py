@@ -368,6 +368,8 @@ def _sample_points(phi: BirationalMap, count: int, seed: int):
     (raises ZeroDivisionError), so results are reproducible even when the
     map is undefined somewhere.
     """
+    if count < 1:
+        raise GeometryError("sampling needs at least one point")
     found = 0
     index = 0
     while found < count:
@@ -392,7 +394,8 @@ def check_presymplectic_invariance(
     """Exact check of phi-invariance of the form at seeded random points.
 
     At each point p the identity J(p)^T W(phi(p)) J(p) = W(p) is tested
-    with exact rational arithmetic, W(x) = [b_ij/(x_i x_j)].
+    with exact rational arithmetic, W(x) = [b_ij/(x_i x_j)].  samples < 1
+    raises GeometryError.
     """
     n = form.dim
     if phi.dim_in != n or phi.dim_out != n:
@@ -415,7 +418,8 @@ def check_poisson_map(
     """Exact check that phi preserves the Poisson tensor at seeded points.
 
     At each point p the identity J(p) Pi(p) J(p)^T = Pi(phi(p)) is
-    tested exactly, Pi(x) = [c_ij x_i x_j].
+    tested exactly, Pi(x) = [c_ij x_i x_j].  samples < 1 raises
+    GeometryError.
     """
     n = structure.dim
     if phi.dim_in != n or phi.dim_out != n:

@@ -11,12 +11,19 @@ what lets the geometry layer certify identities symbolically.
 The multivariate gcd is the classic primitive polynomial remainder
 sequence: recurse on the contents one variable at a time and run a
 pseudo-division Euclid in the main variable.
+
+The package's one point-evaluation kernel lives here: `_terms` gives the
+value and optional gradient of a sparse term list in any number type.
+`LaurentPoly.evaluate(_mp)` call it, and `maps` compiles maps into such
+term lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import mpmath as mp
 
 __all__ = [
     "LaurentPoly",
@@ -33,6 +40,38 @@ def _add_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _sub_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _to_mpf(v):
+    """v at the working precision; a Fraction as mpf(numerator) / denominator."""
+    return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)
+
+
+def _sparse(exponents) -> tuple:
+    """The nonzero (variable, exponent) pairs of an exponent vector."""
+    return tuple((i, k) for i, k in enumerate(exponents) if k)
+
+
+def _terms(terms, x, zero, grad=None):
+    """sum c x^e over the sparse terms [(c, ((i, k), ...))] at x, from
+    zero, in any number type; with grad, also add its gradient into grad,
+    using d(c x^e)/dx_j = e_j c x^(e - e_j)."""
+    total = zero
+    for coeff, mono in terms:
+        powers = [x[i] if k == 1 else x[i] ** k for i, k in mono]
+        term = coeff
+        for v in powers:
+            term *= v
+        total += term
+        if grad is None:
+            continue
+        for j, (i, k) in enumerate(mono):
+            part = coeff if k == 1 else coeff * k * x[i] ** (k - 1)
+            for m, v in enumerate(powers):
+                if m != j:
+                    part *= v
+            grad[i] += part
+    return total
 
 
 class LaurentPoly:
@@ -195,35 +234,18 @@ class LaurentPoly:
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        vals = [Fraction(x) for x in point]
-        if len(vals) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(vals, e):
-                if k == 0:
-                    continue
-                if x == 0 and k < 0:
-                    raise ZeroDivisionError("negative power of zero coordinate")
-                term *= x ** k
-            total += term
-        return total
+        return self._evaluate(point, Fraction, Fraction(0))
 
     def evaluate_mp(self, point):
         """Evaluate at a point of mpmath numbers (uses the caller's precision)."""
-        import mpmath
+        return self._evaluate(point, _to_mpf, mp.mp.zero)
 
-        if len(point) != self.nvars:
+    def _evaluate(self, point, convert, zero):
+        """The value at point, with coordinates and coefficients through convert."""
+        x = [convert(v) for v in point]
+        if len(x) != self.nvars:
             raise ValueError("point dimension mismatch")
-        total = mpmath.mpf(0)
-        for e, c in self.terms.items():
-            term = mpmath.mpf(c.numerator) / c.denominator
-            for x, k in zip(point, e):
-                if k:
-                    term *= mpmath.power(x, k)
-            total += term
-        return total
+        return _terms([(convert(c), _sparse(e)) for e, c in self.terms.items()], x, zero)
 
     # -- support queries ----------------------------------------------
 

@@ -1,24 +1,30 @@
 """Birational and monomial maps built on exact rational function arithmetic.
 
 A `BirationalMap` is a tuple of rational functions of the source
-coordinates; composition, iteration, and exact Jacobians are all
-symbolic.  A `MonomialMap` is the special case x -> x^U for an integer
-exponent matrix U, which is how submersions onto leaf spaces are
-represented: row i of U is the exponent vector of the monomial y_i.
+coordinates; composition and iteration are symbolic.  A `MonomialMap` is
+the special case x -> x^U for an integer exponent matrix U, which is how
+submersions onto leaf spaces are represented: row i of U is the exponent
+vector of the monomial y_i.
+
+Points are evaluated by one kernel in every number type (`_Numbers`): a
+map is compiled once per coefficient type into sparse term lists, cached
+on the map, and `_step` runs `laurent._terms` on them.  Jacobians are
+exact values of the quotient rule on the compiled terms, with gradients
+carried forward term by term; no symbolic derivative is formed.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 from .intlinalg import IntMatrix, LatticeBasis
-from .laurent import (
-    LaurentPoly,
-    RationalFunction,
-    format_rational,
-    parse_rational,
-)
+from .laurent import RationalFunction, format_rational, parse_rational
+from .laurent import _sparse, _terms, _to_mpf
 
 __all__ = [
     "PositivePoint",
@@ -53,10 +59,92 @@ def random_positive_point(nvars: int, rng: random.Random) -> PositivePoint:
     )
 
 
+@dataclass(frozen=True)
+class _Numbers:
+    """A number type of the kernel: zero, one, convert (a coefficient or
+    coordinate into the type) and key(), the cache entry of coefficients so
+    converted; the mpf key holds the working precision, so 1/3 rounded at
+    64 digits is never reused at 128.  The Newton solver of `dynamics` also
+    reads the unit roundoff eps() and the absolute sum abs_sum."""
+
+    zero: object
+    one: object
+    convert: Callable
+    key: Callable
+    eps: Callable | None = None
+    abs_sum: Callable | None = None
+
+
+_EXACT = _Numbers(Fraction(0), Fraction(1), Fraction, lambda: "exact")
+_MPF = _Numbers(mp.mp.zero, mp.mp.one, _to_mpf, lambda: ("mpf", mp.mp.prec),
+                lambda: mp.eps, lambda xs: mp.fsum(xs, absolute=True))
+
+
+def _compile(f: BirationalMap, convert):
+    """f's components for repeated evaluation, or None.
+
+    A component is the index i when it is the coordinate x_i, else a pair
+    (num, den) of term lists [(coefficient, sparse exponents)], den None
+    when it is 1.  Coefficients pass through convert; None from convert
+    makes the result None.
+    """
+    comps = []
+    for c in f.components:
+        if c.den.is_one() and list(c.num.terms.values()) == [1]:
+            (mono,) = [_sparse(e) for e in c.num.terms]
+            if len(mono) == 1 and mono[0][1] == 1:
+                comps.append(mono[0][0])
+                continue
+        num, den = (
+            [(convert(coeff), _sparse(e)) for e, coeff in poly.terms.items()]
+            for poly in (c.num, c.den)
+        )
+        if any(coeff is None for coeff, _ in num + den):
+            return None
+        comps.append((num, None if c.den.is_one() else den))
+    return comps
+
+
+def _step(comps, x, jacobian: bool, num: _Numbers):
+    """(f(x), J_f(x) as rows or None) for f compiled with coefficients of
+    num's type; J_f by the quotient rule (a - f b) / d on the gradients a
+    and b of numerator and denominator d."""
+    n = len(x)
+    image, rows = [], [] if jacobian else None
+    for comp in comps:
+        if isinstance(comp, int):
+            image.append(x[comp])
+            if jacobian:
+                rows.append([num.one if j == comp else num.zero for j in range(n)])
+            continue
+        num_terms, den = comp
+        gnum, gden = ([num.zero] * n, [num.zero] * n) if jacobian else (None, None)
+        v = _terms(num_terms, x, num.zero, gnum)
+        if den is not None:
+            d = _terms(den, x, num.zero, gden)
+            if d == 0:
+                raise ZeroDivisionError("denominator vanishes at the point")
+            v /= d
+            if jacobian:
+                gnum = [(a - v * b) / d for a, b in zip(gnum, gden)]
+        image.append(v)
+        if jacobian:
+            rows.append(gnum)
+    return image, rows
+
+
+def _apply(f, point, num: _Numbers, jacobian: bool):
+    """_step of map f at point, its coordinates converted to num's type."""
+    x = [num.convert(v) for v in point]
+    if len(x) != f.dim_in:
+        raise ValueError("point dimension mismatch")
+    return _step(f._compiled(num), x, jacobian, num)
+
+
 class BirationalMap:
     """A tuple of rational functions of common source coordinates."""
 
-    __slots__ = ("dim_in", "components", "_partials")
+    __slots__ = ("dim_in", "components", "_cache")
 
     def __init__(self, dim_in: int, components) -> None:
         comps = tuple(components)
@@ -67,7 +155,7 @@ class BirationalMap:
                 raise ValueError("component variable count does not match dim_in")
         self.dim_in = dim_in
         self.components = comps
-        self._partials = None
+        self._cache = {}
 
     @property
     def dim_out(self) -> int:
@@ -99,14 +187,18 @@ class BirationalMap:
 
     # -- application --------------------------------------------------
 
+    def _compiled(self, num: _Numbers):
+        """The components compiled for num's type, cached under num.key()."""
+        key = num.key()
+        if key not in self._cache:
+            self._cache[key] = _compile(self, num.convert)
+        return self._cache[key]
+
     def evaluate(self, point) -> tuple[Fraction, ...]:
-        pt = tuple(Fraction(x) for x in point)
-        if len(pt) != self.dim_in:
-            raise ValueError("point dimension mismatch")
-        return tuple(c.evaluate(pt) for c in self.components)
+        return tuple(_apply(self, point, _EXACT, False)[0])
 
     def evaluate_mp(self, point):
-        return tuple(c.evaluate_mp(point) for c in self.components)
+        return tuple(_apply(self, point, _MPF, False)[0])
 
     def compose(self, inner: "BirationalMap") -> "BirationalMap":
         """self after inner: (self . inner)(x) = self(inner(x))."""
@@ -128,21 +220,12 @@ class BirationalMap:
 
     # -- derivatives --------------------------------------------------
 
-    def partials(self):
-        """Symbolic Jacobian entries, cached: partials()[i][j] = d f_i / d x_j."""
-        if self._partials is None:
-            self._partials = tuple(
-                tuple(c.derivative(j) for j in range(self.dim_in))
-                for c in self.components
-            )
-        return self._partials
-
     def jacobian(self, point) -> list[list[Fraction]]:
-        pt = tuple(Fraction(x) for x in point)
-        return [[p.evaluate(pt) for p in row] for row in self.partials()]
+        """Exact J[i][j] = d f_i / d x_j at point."""
+        return _apply(self, point, _EXACT, True)[1]
 
     def jacobian_mp(self, point):
-        return [[p.evaluate_mp(point) for p in row] for row in self.partials()]
+        return _apply(self, point, _MPF, True)[1]
 
     # -- serialization ------------------------------------------------
 
@@ -199,32 +282,15 @@ class MonomialMap:
     def as_birational(self) -> BirationalMap:
         return BirationalMap(self.dim_in, self.components())
 
+    def _compiled(self, num: _Numbers):
+        """The rows as components of `_compile`: one term, coefficient 1."""
+        return [([(num.one, _sparse(row))], None) for row in self.exponents.entries]
+
     def evaluate(self, point) -> tuple[Fraction, ...]:
-        pt = tuple(Fraction(x) for x in point)
-        if len(pt) != self.dim_in:
-            raise ValueError("point dimension mismatch")
-        out = []
-        for row in self.exponents.entries:
-            val = Fraction(1)
-            for x, k in zip(pt, row):
-                if k:
-                    if x == 0 and k < 0:
-                        raise ZeroDivisionError("negative power of zero coordinate")
-                    val *= x ** k
-            out.append(val)
-        return tuple(out)
+        return tuple(_apply(self, point, _EXACT, False)[0])
 
     def evaluate_mp(self, point):
-        import mpmath
-
-        out = []
-        for row in self.exponents.entries:
-            val = mpmath.mpf(1)
-            for x, k in zip(point, row):
-                if k:
-                    val *= mpmath.power(x, k)
-            out.append(val)
-        return tuple(out)
+        return tuple(_apply(self, point, _MPF, False)[0])
 
     def after(self, inner: BirationalMap) -> BirationalMap:
         """self . inner as a birational map: components prod_j inner_j^(u_ij)."""

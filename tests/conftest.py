@@ -1,10 +1,56 @@
 """Shared pytest configuration.
 
 Prints one PASS/FAIL line per numbered acceptance criterion after the
-run, so the checklist outcome is visible at a glance.
+run, so the checklist outcome is visible at a glance, and builds the
+ladder maps that several test modules share.
 """
 
 import re
+
+import pytest
+
+from cluster_reduce import (
+    PoissonStructure,
+    PresymplecticForm,
+    casimir_submersion,
+    cluster_map,
+    derive_reduced_map,
+    detect_period,
+    find_invariant_poisson,
+    fordy_marsh,
+    get_fixture,
+    null_submersion,
+)
+from cluster_reduce.cli import _structure_representatives
+
+# First rows of the Fordy-Marsh period-1 quivers N = 6..9 of the ladder.
+_FORDY_MARSH_ROWS = (
+    (1, -1, 0, -1, 1),
+    (1, -1, 0, 0, -1, 1),
+    (1, -1, 0, 0, 0, -1, 1),
+    (1, 0, -1, 0, 0, -1, 0, 1),
+)
+
+
+@pytest.fixture(scope="session")
+def ladder_maps() -> dict:
+    """The cluster maps of the seven ladder quivers and the reduced maps of
+    their null and Casimir submersions (22 maps), keyed "fm-n8" or
+    "fm-n8:casimir1" (submersion kind and index)."""
+    matrices = {name: get_fixture(name).matrix("B")
+                for name in ("somos5", "c7-pair", "somos5-2periodic")}
+    matrices |= {f"fm-n{len(row) + 1}": fordy_marsh(row) for row in _FORDY_MARSH_ROWS}
+    maps = {}
+    for name, b in matrices.items():
+        phi = maps[name] = cluster_map(b, detect_period(b))
+        form = PresymplecticForm(b)
+        subs = [null_submersion(form)] if 0 < form.rank < form.dim else []
+        basis = find_invariant_poisson(phi, b)
+        subs += [casimir_submersion(PoissonStructure(m))
+                 for m in _structure_representatives(basis)]
+        for i, sub in enumerate(subs):
+            maps[f"{name}:{sub.kind}{i}"] = derive_reduced_map(phi, sub).map
+    return maps
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_([a-z0-9_]+)")
 

@@ -65,6 +65,11 @@ class TestPeriod:
         assert code == 0
         assert doc["kind"] == "none"
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_nonpositive_samples_exit_3(self, capsys, files, samples):
+        code, out = _run(capsys, ["period", "--map", files["phi5"], "--samples", samples])
+        assert (code, out) == (3, "")
+
     def test_requires_exactly_one_input(self, capsys, files):
         code, _ = _run(capsys, ["period"])
         assert code == 3
@@ -241,6 +246,21 @@ class TestVerify:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("kind, samples", [("presymplectic", "0"), ("poisson", "-2")])
+    def test_nonpositive_samples_exit_3(self, capsys, files, tmp_path, kind, samples):
+        # a 5 x 5 form that is not invariant: three samples find it out,
+        # and no samples must not certify it
+        entries = [[0] * 5 for _ in range(5)]
+        entries[0][2], entries[2][0] = 1, -1
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"schema": "v1", "rows": 5, "cols": 5,
+                                 "entries": [[str(e) for e in row] for row in entries]}))
+        argv = ["verify", "--map", files["phi5"], "--structure", str(p), "--kind", kind]
+        code, doc = _run_json(capsys, argv + ["--samples", "3"])
+        assert (code, doc["invariant"]) == (2, False)
+        code, out = _run(capsys, argv + ["--samples", samples])
+        assert (code, out) == (3, "")
+
 
 class TestOrbit:
     def test_exact_orbit(self, capsys, files):
@@ -280,6 +300,18 @@ class TestOrbit:
         )
         assert code == 0
         assert doc["precision"] == 30
+
+    @pytest.mark.parametrize("precision", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["orbit", "itinerary"])
+    def test_nonpositive_precision_flag_exits_3(self, capsys, files, command, precision):
+        argv = [command, "--map", files["phi5"], "--start", "1,1,1,1,1", "--steps", "2",
+                "--mode", "float", "--precision", precision]
+        if command == "itinerary":
+            argv += ["--submersions", files["null5"]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "--precision must be a positive integer" in captured.err
 
     def test_wrong_arity_start(self, capsys, files):
         code, _ = _run(

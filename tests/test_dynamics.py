@@ -6,6 +6,7 @@ from functools import cache
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_rational
 
 from cluster_reduce import (
     BirationalMap,
@@ -37,7 +38,7 @@ from cluster_reduce import (
     submersion_from_rows,
     verify_closed_form,
 )
-from cluster_reduce import dynamics
+from cluster_reduce import dynamics, maps
 from cluster_reduce.cli import _structure_representatives
 from cluster_reduce.intlinalg import right_inverse
 
@@ -275,12 +276,12 @@ class TestPeriodicPointKernel:
         for p, g in enumerate(_symbolic_powers(f, 3), start=1):
             for precision in (64, 128):
                 with mp.workdps(precision):
-                    comps = dynamics._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+                    comps = maps._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
                     tol = mp.mpf(10) ** (10 - precision)
                     for i in range(3):
                         x = _mp_point(random_positive_point(f.dim_in, rng_substream(p, i)))
-                        value, jac = dynamics._power_mp(comps, x, p, jacobian=True)
-                        assert dynamics._power_mp(comps, x, p) == (value, None)
+                        value, jac = dynamics._power(comps, x, p, jacobian=True)
+                        assert dynamics._power(comps, x, p) == (value, None)
                         assert _relative_error(value, g.evaluate_mp(x)) < tol
                         assert _relative_error(sum(jac, []), sum(g.jacobian_mp(x), [])) < tol
 
@@ -360,13 +361,13 @@ def _failing_newton(monkeypatch, fails):
 
 def _float_step(monkeypatch, image):
     """Make every float step of f return image(f(x)) in place of f(x)."""
-    step = dynamics._step_mp
+    step = dynamics._step
 
     def patched(comps, x, jacobian, num=dynamics._MPF):
         value, rows = step(comps, x, jacobian, num)
         return (image(value), rows) if num is dynamics._FLOAT else (value, rows)
 
-    monkeypatch.setattr(dynamics, "_step_mp", patched)
+    monkeypatch.setattr(dynamics, "_step", patched)
 
 
 def _overflow(value):
@@ -385,14 +386,14 @@ class TestMixedPrecisionNewton:
     ])
     def test_float_and_mpf_kernels_agree(self, name):
         f = _low_dimensional_maps()[name]
-        fcomps = dynamics._compile(f, float)
+        fcomps = maps._compile(f, float)
         with mp.workdps(64):
-            comps = dynamics._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
+            comps = maps._compile(f, lambda c: mp.mpf(c.numerator) / c.denominator)
             for p in (1, 2, 3):
                 for i in range(3):
                     x = _mp_point(random_positive_point(f.dim_in, rng_substream(p, i)))
-                    value, jac = dynamics._power_mp(comps, x, p, jacobian=True)
-                    fvalue, fjac = dynamics._power_mp(
+                    value, jac = dynamics._power(comps, x, p, jacobian=True)
+                    fvalue, fjac = dynamics._power(
                         fcomps, [float(v) for v in x], p, True, dynamics._FLOAT
                     )
                     assert all(type(v) is float for v in fvalue + sum(fjac, []))
@@ -441,7 +442,7 @@ class TestMixedPrecisionNewton:
         huge = 10**400
         f = BirationalMap.from_strings([f"(x1^2 + {huge})/(x1 + {huge})"])
         with pytest.raises(OverflowError):
-            dynamics._compile(f, float)
+            maps._compile(f, float)
         points = find_periodic_points(f, 1, grid=4)
         assert [pp.point for pp in points] == [(1,)]
         assert points == _all_mpf_search(monkeypatch, f, 1, grid=4)
@@ -463,14 +464,14 @@ class TestMixedPrecisionNewton:
 
     def test_few_full_precision_jacobians_per_start(self, monkeypatch):
         f = _low_dimensional_maps()["somos5:casimir3"]
-        power = dynamics._power_mp
+        power = dynamics._power
         full = []
 
         def counting(comps, x, p, jacobian=False, num=dynamics._MPF):
             full.append(jacobian and num is dynamics._MPF)
             return power(comps, x, p, jacobian, num)
 
-        monkeypatch.setattr(dynamics, "_power_mp", counting)
+        monkeypatch.setattr(dynamics, "_power", counting)
         assert len(find_periodic_points(f, 1, grid=4)) == 1
         assert sum(full) <= 4 * 4**3
 
@@ -678,6 +679,19 @@ class TestLiftedOrbitEngine:
         assert (flat.monotone_growth, flat.growth_samples) == (False, 0)
         rising = no_periodic_points_scan(BirationalMap.from_strings(["x1", "2*x2"]), samples=3)
         assert (rising.monotone_growth, rising.growth_samples) == (True, 3)
+
+    def test_exact_orbits_lie_in_their_enclosures(self, ladder_maps):
+        # 30 steps on the cluster maps; exact orbits of the reduced maps
+        # cost seconds past 15 steps, and the somos5-2periodic maps grow
+        # exponentially
+        for name, f in ladder_maps.items():
+            steps = 6 if name.startswith("somos5-2periodic") else 15 if ":" in name else 30
+            x0 = random_positive_point(f.dim_in, rng_substream(name, 0))
+            orbit = dynamics._LiftedOrbit(f, x0, steps)
+            for k in range(steps + 1):
+                for q, box in zip(orbit.exact(k), orbit.intervals[k], strict=True):
+                    lo, hi = (Fraction(*to_rational(end)) for end in box._mpi_)
+                    assert lo <= q <= hi, (name, k)
 
     def test_interval_comparisons(self):
         ctx = dynamics._interval_context()

@@ -169,6 +169,18 @@ class TestInvariance:
         bad = _perturbed(get_fixture("somos5").matrix("C"), 1, 3)
         assert not check_poisson_map(_phi("somos5"), PoissonStructure(bad)).ok
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_samples_certify_nothing(self, samples):
+        # with no sample point the loop never runs: refuse rather than
+        # report a non-invariant structure as invariant
+        phi = _phi("somos5")
+        form = PresymplecticForm(_perturbed(get_fixture("somos5").matrix("B"), 0, 2))
+        with pytest.raises(GeometryError, match="at least one"):
+            check_presymplectic_invariance(phi, form, samples)
+        structure = PoissonStructure(_perturbed(get_fixture("somos5").matrix("C"), 1, 3))
+        with pytest.raises(GeometryError, match="at least one"):
+            check_poisson_map(phi, structure, samples)
+
     def test_map_evaluated_once_per_sample(self, monkeypatch):
         calls = []
         evaluate = BirationalMap.evaluate

@@ -111,6 +111,64 @@ class TestBirationalMap:
         with pytest.raises(ValueError):
             f.evaluate((Fraction(1),))
 
+    @pytest.mark.parametrize("point", [[2], [2, 3, 5]])
+    def test_every_evaluator_rejects_wrong_length_points(self, point):
+        maps = (BirationalMap.from_strings(LYNESS), MonomialMap.from_rows([[1, -1], [0, 2]], 2))
+        checked = 0
+        for f in maps:
+            for name in ("evaluate", "evaluate_mp", "jacobian", "jacobian_mp"):
+                if hasattr(f, name):
+                    with mp.workdps(30), pytest.raises(ValueError, match="dimension"):
+                        getattr(f, name)(point)
+                    checked += 1
+        assert checked == 6
+        with pytest.raises(ValueError, match="dimension"):
+            MonomialMap.from_rows([[1, -1, 2]], 3).evaluate_mp([2, 3])
+
+
+class TestOneKernel:
+    """Values and Jacobians of every map come from its compiled term lists."""
+
+    def test_values_and_jacobians_match_the_symbolic_reference(self, ladder_maps):
+        assert len(ladder_maps) == 22
+        for name, f in ladder_maps.items():
+            partials = [[c.derivative(j) for j in range(f.dim_in)] for c in f.components]
+            for i in range(3):
+                p = random_positive_point(f.dim_in, rng_substream(name, i))
+                assert f.evaluate(p) == tuple(c.evaluate(p) for c in f.components), name
+                exact = f.jacobian(p)
+                assert exact == [[d.evaluate(p) for d in row] for row in partials], name
+                with mp.workdps(64):
+                    approx = f.jacobian_mp(p)
+                    for a, e in zip(sum(approx, []), sum(exact, [])):
+                        e = mp.mpf(e.numerator) / e.denominator
+                        assert abs(a - e) <= mp.mpf(10) ** -60 * max(1, abs(e)), name
+
+    def test_mpf_coefficients_are_cached_per_precision(self):
+        # 1/3 rounded at 30 digits must not be reused at 100
+        text = ["x1/3 + x2", "x1*x2/3"]
+        f = BirationalMap.from_strings(text)
+        with mp.workdps(30):
+            f.evaluate_mp([2, 5])
+            f.jacobian_mp([2, 5])
+        with mp.workdps(100):
+            fresh = BirationalMap.from_strings(text)
+            pairs = [(f.evaluate_mp([2, 5]), fresh.evaluate_mp([2, 5])),
+                     (sum(f.jacobian_mp([2, 5]), []), sum(fresh.jacobian_mp([2, 5]), []))]
+            for got, want in pairs:
+                assert all(abs(a - b) < mp.mpf(10) ** -95 for a, b in zip(got, want))
+            assert abs(f.evaluate_mp([2, 5])[0] - (mp.mpf(2) / 3 + 5)) < mp.mpf(10) ** -95
+
+    def test_monomial_map_matches_its_birational_form(self):
+        m = MonomialMap.from_rows([[1, -1, 2], [0, 0, 0], [-3, 0, 1]], 3)
+        f = m.as_birational()
+        for i in range(5):
+            p = random_positive_point(3, rng_substream("monomial", i))
+            assert m.evaluate(p) == f.evaluate(p)
+            with mp.workdps(64):
+                for a, b in zip(m.evaluate_mp(p), f.evaluate_mp(p)):
+                    assert abs(a - b) <= mp.mpf(10) ** -60 * abs(b)
+
 
 class TestMonomialMap:
     def test_components(self):
