@@ -14,6 +14,14 @@ from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 # the analysis alone must leave them unchanged
 DATA = Path(__file__).parent / "data"
 
+# first rows of the Fordy-Marsh period-1 quivers on the ladder
+_FORDY_MARSH_ROWS = {
+    "fm-n6": (1, -1, 0, -1, 1),
+    "fm-n7": (1, -1, 0, 0, -1, 1),
+    "fm-n8": (1, -1, 0, 0, 0, -1, 1),
+    "fm-n9": (1, 0, -1, 0, 0, -1, 0, 1),
+}
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -401,10 +409,12 @@ class TestPipeline:
         assert "flag of foliations: null(2) < casimir(3)" in text
         assert json.loads(out.read_text())["schema"] == "v1"
 
-    @pytest.mark.parametrize("name", ["somos5", "c7-pair", "fm-n7"])
+    @pytest.mark.parametrize("name", [
+        "somos5", "c7-pair", "somos5-2periodic", "fm-n6", "fm-n7", "fm-n8", "fm-n9",
+    ])
     def test_golden_report(self, capsys, tmp_path, name):
         matrix = (
-            fordy_marsh((1, -1, 0, 0, -1, 1)) if name == "fm-n7"
+            fordy_marsh(_FORDY_MARSH_ROWS[name]) if name in _FORDY_MARSH_ROWS
             else get_fixture(name).matrix("B")
         )
         path = tmp_path / "b.json"
