@@ -15,9 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import mpmath as mp
 
@@ -25,10 +23,8 @@ from .dynamics import (
     DEFAULT_PRECISION,
     DynamicsError,
     detect_global_periodicity,
-    find_periodic_points,
     iterate_orbit,
     leaf_itinerary,
-    no_periodic_points_scan,
 )
 from .fixtures import all_fixtures, get_fixture
 from .geometry import (
@@ -37,28 +33,22 @@ from .geometry import (
     NotReducibleError,
     PoissonStructure,
     PresymplecticForm,
-    ReducedSystem,
     Submersion,
     build_flag,
     casimir_submersion,
-    chained_reduction,
     check_poisson_map,
     check_presymplectic_invariance,
-    check_subfoliation,
     derive_reduced_map,
     find_invariant_poisson,
     null_submersion,
     submersion_from_rows,
 )
-from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
-from .maps import BirationalMap, random_positive_point, rng_substream
+from .intlinalg import IntMatrix
+from .maps import BirationalMap
+from .pipeline import AnalysisReport, InputError, WorkflowConfig, run_pipeline
 from .quiver import cluster_map, detect_period
 
 __all__ = ["main", "run_pipeline", "WorkflowConfig", "AnalysisReport"]
-
-
-class InputError(ValueError):
-    """Unreadable or malformed command input."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,374 +383,6 @@ def _cmd_fixtures(args) -> int:
     }
     _emit(doc, None)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Pipeline
-
-
-@dataclass(frozen=True)
-class WorkflowConfig:
-    """Bounds and seeds for the full analysis pipeline."""
-
-    seed: int = 0
-    m_max: int = 8
-    p_max: int = 12
-    samples: int = 20
-    scan_samples: int = 10
-    scan_p_max: int = 20
-    itinerary_steps: int = 20
-    precision: int = DEFAULT_PRECISION
-    require_compatible: bool = True
-
-    def __post_init__(self) -> None:
-        for name in (
-            "m_max",
-            "p_max",
-            "samples",
-            "scan_samples",
-            "scan_p_max",
-            "itinerary_steps",
-            "precision",
-        ):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-
-
-@dataclass
-class AnalysisReport:
-    """Collected results of the pipeline; JSON-serializable and renderable."""
-
-    matrix: IntMatrix
-    config: WorkflowConfig
-    period: int | None = None
-    map_components: list = field(default_factory=list)
-    presymplectic_invariant: bool | None = None
-    rank: int | None = None
-    discovered: list = field(default_factory=list)
-    flag_chain: str | None = None
-    reductions: list = field(default_factory=list)
-    chained: list = field(default_factory=list)
-    dynamics: list = field(default_factory=list)
-    itinerary: dict | None = None
-    notes: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "v1",
-            "matrix": self.matrix.to_json_dict(),
-            "config": {
-                "seed": self.config.seed,
-                "m_max": self.config.m_max,
-                "p_max": self.config.p_max,
-                "samples": self.config.samples,
-                "scan_samples": self.config.scan_samples,
-                "scan_p_max": self.config.scan_p_max,
-                "itinerary_steps": self.config.itinerary_steps,
-                "precision": self.config.precision,
-                "require_compatible": self.config.require_compatible,
-            },
-            "period": self.period,
-            "map": self.map_components,
-            "presymplectic_invariant": self.presymplectic_invariant,
-            "rank": self.rank,
-            "discovered_structures": self.discovered,
-            "flag": self.flag_chain,
-            "reductions": self.reductions,
-            "chained_reductions": self.chained,
-            "dynamics": self.dynamics,
-            "itinerary": self.itinerary,
-            "notes": self.notes,
-            "errors": self.errors,
-        }
-
-    def render_text(self) -> str:
-        lines = []
-        n = self.matrix.rows
-        lines.append(f"exchange matrix: {n} x {n}")
-        if self.period is None:
-            lines.append(f"no mutation period up to m_max={self.config.m_max}")
-            return "\n".join(lines)
-        lines.append(f"mutation period: {self.period}")
-        lines.append("cluster map: " + ", ".join(self.map_components))
-        lines.append(
-            f"presymplectic form invariant: {self.presymplectic_invariant} "
-            f"(rank {self.rank}, {self.config.samples} sampled points, seed {self.config.seed})"
-        )
-        lines.append(
-            f"invariant Poisson structures discovered: {len(self.discovered)}"
-            + (" (compatibility imposed)" if self.config.require_compatible else "")
-        )
-        if self.flag_chain:
-            lines.append(f"flag of foliations: {self.flag_chain}")
-        for red in self.reductions:
-            lines.append(
-                f"reduction [{red['kind']}] to dimension {len(red['psi'])}: "
-                + ", ".join(red["psi"])
-                + ("  [verified]" if red["verified"] else "  [NOT verified]")
-            )
-        for dyn in self.dynamics:
-            lines.append(f"dynamics [{dyn['kind']}]: {dyn['summary']}")
-        if self.itinerary:
-            lines.append("itinerary label periods: " + str(self.itinerary["label_periods"]))
-        for message in self.notes:
-            lines.append(f"note: {message}")
-        for stage, message in self.errors:
-            lines.append(f"stage {stage} failed: {message}")
-        return "\n".join(lines)
-
-
-# Degenerate combinations of the invariant structures are searched in a
-# (-3..3)^k box only up to this many basis elements; 7^k grows too fast.
-_STRUCTURE_SEARCH_MAX = 3
-
-
-def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
-    """One degenerate representative per distinct Casimir foliation.
-
-    A basis of a multi-dimensional space of invariant structures is
-    generic: every basis vector tends to realise the minimal corank on
-    the space, hiding members whose kernel is strictly larger.  Scanning
-    small integer combinations stratifies the pencil by rank, and keying
-    on the kernel lattice basis, which is already in Hermite form, keeps
-    one representative per foliation; an empty kernel means full rank.
-    """
-    if not basis:
-        return []
-    candidates = list(basis)
-    if 2 <= len(basis) <= _STRUCTURE_SEARCH_MAX:
-        span = [m.entries for m in basis]
-        rows, cols = basis[0].rows, basis[0].cols
-        for coeffs in product(range(-3, 4), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            entries = [
-                [sum(c * span[t][i][j] for t, c in enumerate(coeffs)) for j in range(cols)]
-                for i in range(rows)
-            ]
-            candidates.append(IntMatrix.from_rows(entries))
-    by_kernel: dict[tuple, IntMatrix] = {}
-    for m in candidates:
-        key = kernel_lattice(m).vectors
-        if key:
-            by_kernel.setdefault(key, m)
-    return list(by_kernel.values())
-
-
-def _maximal_chain(subs: list[Submersion]) -> tuple[list[Submersion], list[Submersion]]:
-    """Longest chain in the subfoliation order, plus the members left out.
-
-    The foliations found for one map form a poset under lattice
-    inclusion, not always a chain; the flag is built over a maximum
-    chain and the incomparable members are reported separately.
-    """
-    order = sorted(range(len(subs)), key=lambda i: subs[i].dim_out)
-    finer: dict[int, list[int]] = {i: [] for i in order}
-    for a_pos, i in enumerate(order):
-        for j in order[a_pos + 1 :]:
-            if check_subfoliation(subs[i], subs[j]) is not None:
-                finer[i].append(j)
-    best: dict[int, list[int]] = {}
-
-    def longest_from(i: int) -> list[int]:
-        if i not in best:
-            tails = [longest_from(j) for j in finer[i]]
-            tail = max(tails, key=len, default=[])
-            best[i] = [i] + tail
-        return best[i]
-
-    chain_idx = max((longest_from(i) for i in order), key=len, default=[])
-    chain = [subs[i] for i in chain_idx]
-    omitted = [subs[i] for i in order if i not in chain_idx]
-    return chain, omitted
-
-
-def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -> AnalysisReport:
-    """Full analysis: period, map, invariance, discovery, flag, reductions,
-    chained reductions, and per-level dynamics.
-
-    Stage failures are recorded in the report and later stages that
-    remain meaningful still run.
-    """
-    report = AnalysisReport(matrix, config)
-    cert = detect_period(matrix, config.m_max)
-    if cert is None:
-        return report
-    report.period = cert.period
-    phi = cluster_map(matrix, cert)
-    report.map_components = phi.to_strings()
-
-    form = PresymplecticForm(matrix)
-    report.rank = form.rank
-    inv = check_presymplectic_invariance(phi, form, config.samples, config.seed)
-    report.presymplectic_invariant = inv.ok
-
-    try:
-        basis = find_invariant_poisson(
-            phi,
-            matrix if config.require_compatible else None,
-            seed=config.seed,
-        )
-    except GeometryError as exc:
-        report.errors.append(["find-poisson", str(exc)])
-        basis = []
-    for m in basis:
-        report.discovered.append(
-            {
-                "matrix": m.to_json_dict(),
-                "rank": m.rank(),
-                "kernel_dim": m.rows - m.rank(),
-            }
-        )
-
-    found = []
-    if 0 < form.rank < form.dim:
-        found.append(null_submersion(form))
-    if len(basis) > _STRUCTURE_SEARCH_MAX:
-        report.notes.append(
-            f"the invariant Poisson structures span dimension {len(basis)}; degenerate "
-            f"combinations are searched only up to dimension {_STRUCTURE_SEARCH_MAX}, "
-            "so only the basis structures were analysed"
-        )
-    for m in _structure_representatives(basis):
-        structure = PoissonStructure(m)
-        try:
-            found.append(casimir_submersion(structure))
-        except GeometryError as exc:
-            report.errors.append(["casimir", str(exc)])
-    # one foliation per exponent lattice, keyed by its Hermite form; the
-    # null submersion comes first and is the one kept
-    by_lattice: dict[IntMatrix, Submersion] = {}
-    for sub in found:
-        key, _ = hermite_normal_form(sub.map.exponents)
-        kept = by_lattice.setdefault(key, sub)
-        if kept is not sub:
-            report.notes.append(
-                f"the {sub.kind}({sub.dim_out}) and {kept.kind}({kept.dim_out}) "
-                "foliations have the same exponent lattice and were analysed once"
-            )
-    submersions = list(by_lattice.values())
-
-    flag = None
-    omitted: list[Submersion] = []
-    if not submersions:
-        report.notes.append(
-            "no nontrivial invariant foliation found: the map admits no reduction"
-        )
-    if submersions:
-        chain, omitted = _maximal_chain(submersions)
-        try:
-            flag = build_flag(chain)
-            report.flag_chain = flag.describe()
-        except NotAChainError as exc:
-            report.errors.append(["flag", str(exc)])
-            flag = None
-        for sub in omitted:
-            report.notes.append(
-                f"a {sub.kind}({sub.dim_out}) foliation is incomparable with "
-                "the flag and was analysed separately"
-            )
-
-    in_chain = list(flag.submersions) if flag else submersions
-    ordered = in_chain + omitted
-    systems: list[ReducedSystem | None] = []
-    for sub in ordered:
-        try:
-            system = derive_reduced_map(phi, sub)
-        except NotReducibleError as exc:
-            report.errors.append(["reduce", str(exc)])
-            systems.append(None)
-            continue
-        systems.append(system)
-        report.reductions.append(
-            {
-                "kind": sub.kind,
-                "exponents": sub.map.to_json_dict()["exponents"],
-                "psi": system.map.to_strings(),
-                "verified": system.verified,
-            }
-        )
-
-    if flag:
-        for i, proj in enumerate(flag.projections):
-            outer, inner = systems[i], systems[i + 1]
-            if outer is None or inner is None:
-                continue
-            try:
-                chained_reduction(outer, inner, proj)
-                report.chained.append(
-                    {
-                        "outer": f"{outer.submersion.kind}({outer.submersion.dim_out})",
-                        "inner": f"{inner.submersion.kind}({inner.submersion.dim_out})",
-                        "verified": True,
-                    }
-                )
-            except GeometryError as exc:
-                report.errors.append(["chain", str(exc)])
-
-    for system in systems:
-        if system is None:
-            continue
-        psi = system.map
-        kind = system.submersion.kind
-        entry = {"kind": kind, "dimension": psi.dim_in}
-        try:
-            period_report = detect_global_periodicity(
-                system, config.p_max, min(config.samples, 10), config.seed
-            )
-        except DynamicsError as exc:
-            report.errors.append(["dynamics", str(exc)])
-            continue
-        if period_report.is_periodic:
-            entry["global_period"] = period_report.period
-            entry["summary"] = f"globally {period_report.period}-periodic (symbolic certificate)"
-        else:
-            try:
-                scan = no_periodic_points_scan(
-                    system, config.scan_p_max, config.scan_samples, config.seed
-                )
-            except DynamicsError as exc:
-                report.errors.append(["dynamics", str(exc)])
-                continue
-            entry["scan"] = {
-                "period_found": scan.period_found,
-                "monotone_growth": scan.monotone_growth,
-                "growth_samples": scan.growth_samples,
-                "samples": scan.samples,
-                "p_max": scan.p_max,
-            }
-            if scan.period_found:
-                entry["summary"] = f"sampled orbit closed at period {scan.period_found}"
-            else:
-                growth = "with" if scan.monotone_growth else "without uniform"
-                entry["summary"] = (
-                    f"no global period up to {config.p_max}; no sampled periodic "
-                    f"point up to {config.scan_p_max}, {growth} monotone growth evidence"
-                )
-        if psi.dim_in and psi.dim_in <= 3:
-            try:
-                fixed = find_periodic_points(psi, 1, precision=config.precision, grid=4)
-                entry["fixed_points"] = [
-                    [mp.nstr(v, 30) for v in fp.point] for fp in fixed
-                ]
-            except DynamicsError as exc:
-                report.errors.append(["fixed-points", str(exc)])
-        report.dynamics.append(entry)
-
-    if ordered:
-        x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))
-        try:
-            itin = leaf_itinerary(phi, ordered, x0, config.itinerary_steps, "exact")
-        except DynamicsError as exc:
-            report.errors.append(["itinerary", str(exc)])
-        else:
-            report.itinerary = {
-                "start": [str(v) for v in x0],
-                "names": list(itin.names),
-                "label_periods": list(itin.periods),
-            }
-    return report
 
 
 def _cmd_pipeline(args) -> int:

@@ -21,7 +21,7 @@ from cluster_reduce import (
     get_fixture,
     null_submersion,
 )
-from cluster_reduce.cli import _structure_representatives
+from cluster_reduce.pipeline import _structure_representatives
 
 # First rows of the Fordy-Marsh period-1 quivers N = 6..9 of the ladder.
 _FORDY_MARSH_ROWS = (

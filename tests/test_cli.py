@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cluster_reduce import DynamicsError, fordy_marsh, get_fixture, submersion_from_rows
-from cluster_reduce import cli
+from cluster_reduce import pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
@@ -468,7 +468,7 @@ class TestRunPipelineApi:
 
         c = get_fixture("somos5").matrix("C").entries
         basis = [IntMatrix.from_rows([[k * v for v in row] for row in c]) for k in (1, 2, 3, 4)]
-        monkeypatch.setattr(cli, "find_invariant_poisson", lambda *args, **kwargs: basis)
+        monkeypatch.setattr(pipeline, "find_invariant_poisson", lambda *args, **kwargs: basis)
         report = run_pipeline(get_fixture("somos5").matrix("B"))
         assert [note for note in report.notes if "dimension 4" in note] == [
             "the invariant Poisson structures span dimension 4; degenerate combinations "
@@ -484,7 +484,7 @@ class TestRunPipelineApi:
         def leaves_domain(*args, **kwargs):
             raise DynamicsError("denominator vanished at step 3")
 
-        monkeypatch.setattr(cli, name, leaves_domain)
+        monkeypatch.setattr(pipeline, name, leaves_domain)
         report = run_pipeline(get_fixture("somos5-2periodic").matrix("B"))
         assert report.errors == [[stage, "denominator vanished at step 3"]]
         assert (report.itinerary is None) == (stage == "itinerary")
@@ -509,7 +509,7 @@ class TestLadderGates:
 
     def test_fordy_marsh_n8_scans_finish(self, monkeypatch):
         spent = []
-        scan = cli.no_periodic_points_scan
+        scan = pipeline.no_periodic_points_scan
 
         def timed_scan(*args, **kwargs):
             began = time.perf_counter()
@@ -518,7 +518,7 @@ class TestLadderGates:
             finally:
                 spent.append(time.perf_counter() - began)
 
-        monkeypatch.setattr(cli, "no_periodic_points_scan", timed_scan)
+        monkeypatch.setattr(pipeline, "no_periodic_points_scan", timed_scan)
         report = run_pipeline(fordy_marsh((1, -1, 0, 0, 0, -1, 1)))
         assert report.errors == []
         assert len(spent) == len(report.dynamics) == 1

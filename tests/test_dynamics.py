@@ -39,7 +39,7 @@ from cluster_reduce import (
     verify_closed_form,
 )
 from cluster_reduce import dynamics, maps
-from cluster_reduce.cli import _structure_representatives
+from cluster_reduce.pipeline import _structure_representatives
 from cluster_reduce.intlinalg import right_inverse
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])

@@ -37,7 +37,7 @@ from cluster_reduce import (
     rng_substream,
     submersion_from_rows,
 )
-from cluster_reduce.cli import _structure_representatives
+from cluster_reduce.pipeline import _structure_representatives
 
 
 def _phi(name: str) -> BirationalMap:
