@@ -407,12 +407,14 @@ def detect_global_periodicity(
     confirmed exactly); the candidate is certified by composing the map
     with itself stepwise and checking f^(p) = id in normal form.
     Minimality is automatic: any global period is a multiple of every
-    observed first-return time.
+    observed first-return time.  samples < 1 raises DynamicsError.
     """
     psi = f.map if isinstance(f, ReducedSystem) else f
     n = psi.dim_in
     if psi.dim_out != n:
         raise DynamicsError("global periodicity requires a self-map")
+    if samples < 1:
+        raise DynamicsError("periodicity detection needs at least one sampled orbit")
     lift = _Lift(f)
     candidate = 1
     for i in range(samples):
@@ -869,8 +871,10 @@ def no_periodic_points_scan(
     The orbit is continued for growth_steps further steps to look past
     the transient; growth evidence holds when the last coordinate
     strictly increases over the final growth_window steps of every
-    sampled orbit.
+    sampled orbit.  samples < 1 raises DynamicsError.
     """
+    if samples < 1:
+        raise DynamicsError("the scan needs at least one sampled orbit")
     lift = _Lift(f)
     n = lift.psi.dim_in
     growth_count = 0

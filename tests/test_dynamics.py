@@ -39,8 +39,8 @@ from cluster_reduce import (
     verify_closed_form,
 )
 from cluster_reduce import dynamics, maps
-from cluster_reduce.pipeline import _structure_representatives
 from cluster_reduce.intlinalg import right_inverse
+from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])
 PSI_HAT5 = BirationalMap.from_strings(["x2", "(x2 + 1)/(x1*x2)"])
@@ -172,6 +172,12 @@ class TestGlobalPeriodicity:
     def test_bound_respected(self):
         report = detect_global_periodicity(PSI_1, p_max=8)
         assert report.kind == "none"
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        # with no orbit sampled, LYNESS (5-periodic) used to come back "none"
+        with pytest.raises(DynamicsError, match="at least one sampled orbit"):
+            detect_global_periodicity(LYNESS, samples=samples)
 
 
 class TestFirstIntegrals:
@@ -529,6 +535,12 @@ class TestScans:
         b = no_periodic_points_scan(PSI_2, samples=5, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        # with no orbit sampled, LYNESS used to come back with growth evidence
+        with pytest.raises(DynamicsError, match="at least one sampled orbit"):
+            no_periodic_points_scan(LYNESS, samples=samples)
+
 
 class TestClosedForms:
     def test_constrained_start_satisfies_recurrence(self):
@@ -609,8 +621,7 @@ class TestLiftedOrbitEngine:
             form = PresymplecticForm(b)
             subs = [null_submersion(form)] if 0 < form.rank < form.dim else []
             basis = find_invariant_poisson(cluster_map(b, detect_period(b)), b)
-            subs += [casimir_submersion(PoissonStructure(m))
-                     for m in _structure_representatives(basis)]
+            subs += _foliations(basis, None, AnalysisReport(b, WorkflowConfig()))
             for sub in subs:
                 u = sub.map.exponents
                 assert u @ right_inverse(u) == IntMatrix.identity(u.rows)
