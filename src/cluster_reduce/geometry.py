@@ -7,15 +7,20 @@ skew-symmetric matrix.  Invariance of such a structure under a birational
 self-map is a rational-function identity.  Each fact is known in one of
 three ways, and only one way is used per fact:
 
-* sampled exact points: invariance of a form or tensor under a map is
-  checked with exact rationals at seeded random positive points;
+* sampled exact points: invariance of a form or tensor under an
+  arbitrary map is checked with exact rationals at seeded random
+  positive points;
 * symbolic certificate: reduced maps and chained reductions satisfy
   pi o phi = psi o pi as identities of rational functions;
 * integer identity: facts about the structures themselves are lattice
   facts.  Monomial Casimirs x^u satisfy C u = 0 (since
   {x^u, x_j} = x^u x_j (u^T C)_j), fibers are isotropic when
   K B K^T = 0 for K the kernel of the exponent rows, and subfoliation is
-  lattice containment.  These are checked on integers, at no point.
+  lattice containment.  For the cluster map of B itself, invariance of
+  omega_B is the mutation period mu_m ... mu_1(B) = shifted B, and the
+  invariant tensors compatible with B (C B = 0) are the kernel of the
+  integer system of _period_poisson_basis.  These are checked on
+  integers, at no point.
 
 Conventions:
 
@@ -51,6 +56,7 @@ from .maps import (
     random_positive_point,
     rng_substream,
 )
+from .quiver import mutate_matrix
 
 __all__ = [
     "GeometryError",
@@ -511,31 +517,79 @@ def _compatibility_equations(b: IntMatrix) -> list[tuple[int, ...]]:
     return rows
 
 
+def _period_poisson_basis(
+    b: IntMatrix, period: int, compatible: bool = True
+) -> list[IntMatrix]:
+    """Saturated integer basis of the log-canonical tensors C that the
+    cluster map of b (mutation period `period`) preserves, from integers.
+
+    C is carried through mu_1, ..., mu_period as a matrix of integer
+    linear forms in the unknowns c_kl (k < l, ordered by _pair_index).
+    Mutation at k keeps C log-canonical exactly when
+    sum_l b_kl c_lj = 0 for every j != k, and row k then becomes
+    c'_kj = sum_l [b_kl]_+ c_lj - c_kj (Gekhtman-Shapiro-Vainshtein,
+    2003); the relabelled result must equal C.  With `compatible`,
+    C B = 0 is imposed as well (it implies the step equations, which are
+    kept anyway) and the kernel is the whole compatible invariant space.
+    Without it the kernel is exact only for period 1: for longer periods
+    C may leave log-canonical form between mutations and still return.
+    """
+    n = b.rows
+    pairs = _pair_index(n)
+    c = [[[0] * len(pairs) for _ in range(n)] for _ in range(n)]
+    for t, (i, j) in enumerate(pairs):
+        c[i][j][t], c[j][i][t] = 1, -1
+
+    def combine(weights, j):
+        total = [0] * len(pairs)
+        for l, w in enumerate(weights):
+            if w:
+                for t, v in enumerate(c[l][j]):
+                    total[t] += w * v
+        return total
+
+    equations = _compatibility_equations(b) if compatible else []
+    current = b
+    for k in range(period):
+        row = current.entries[k]
+        plus = [max(w, 0) for w in row]
+        for j in range(n):
+            if j != k:
+                equations.append(combine(row, j))
+                c[k][j] = [p - q for p, q in zip(combine(plus, j), c[k][j])]
+                c[j][k] = [-v for v in c[k][j]]
+        current = mutate_matrix(current, k + 1)
+    for t, (i, j) in enumerate(pairs):
+        closing = c[(i + period) % n][(j + period) % n][:]
+        closing[t] -= 1
+        equations.append(closing)
+    kernel = kernel_lattice(IntMatrix.from_rows(equations, cols=len(pairs)))
+    return [unvectorize_skew(v, n) for v in kernel.vectors]
+
+
 def find_invariant_poisson(
     phi: BirationalMap,
     compatible_with: IntMatrix | None = None,
     seed: int = 0,
-    stable_runs: int = 3,
-    max_points: int | None = None,
 ) -> list[IntMatrix]:
     """Saturated integer basis of the space of invariant log-canonical tensors.
 
     The invariance identity J Pi(p) J^T = Pi(phi(p)) is linear in the
     coefficients c_kl, so each sampled point contributes exact linear
     equations; points are added until the solution space dimension is
-    unchanged for `stable_runs` consecutive points.  With
-    `compatible_with` = B, the equations C B = 0 are imposed as well.
-    Every basis element is re-verified by an independent sampled check;
-    a failing candidate's witness point is fed back into the system.
+    unchanged for three consecutive points.  With `compatible_with` = B,
+    the equations C B = 0 are imposed as well.  Every basis element is
+    re-verified by an independent sampled check; a failing candidate's
+    witness point is fed back into the system.
     """
+    stable_runs = 3
     n = phi.dim_in
     if phi.dim_out != n:
         raise GeometryError("invariant structures require a self-map")
     if compatible_with is not None and compatible_with.rows != n:
         raise GeometryError("compatibility matrix dimension differs from the map")
     n_unknowns = n * (n - 1) // 2
-    if max_points is None:
-        max_points = n_unknowns + stable_runs + 3
+    max_points = n_unknowns + stable_runs + 3
 
     equations: list[tuple[int, ...]] = []
     if compatible_with is not None:

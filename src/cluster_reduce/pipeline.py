@@ -31,10 +31,10 @@ from .geometry import (
     PresymplecticForm,
     ReducedSystem,
     Submersion,
+    _period_poisson_basis,
     build_flag,
     casimir_submersion,
     chained_reduction,
-    check_presymplectic_invariance,
     check_subfoliation,
     derive_reduced_map,
     find_invariant_poisson,
@@ -48,7 +48,16 @@ __all__ = ["run_pipeline", "WorkflowConfig", "AnalysisReport", "InputError"]
 
 
 class InputError(ValueError):
-    """Unreadable or malformed command input."""
+    """Unreadable or malformed input: a command argument, a file or a
+    pipeline setting."""
+
+
+# Fixed bounds of the orbit stages, reported under "config" with the
+# settable ones: the non-periodicity scan samples SCAN_SAMPLES orbits up
+# to period SCAN_P_MAX, and the leaf itinerary runs ITINERARY_STEPS steps.
+SCAN_SAMPLES = 10
+SCAN_P_MAX = 20
+ITINERARY_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -59,22 +68,11 @@ class WorkflowConfig:
     m_max: int = 8
     p_max: int = 12
     samples: int = 20
-    scan_samples: int = 10
-    scan_p_max: int = 20
-    itinerary_steps: int = 20
     precision: int = DEFAULT_PRECISION
     require_compatible: bool = True
 
     def __post_init__(self) -> None:
-        for name in (
-            "m_max",
-            "p_max",
-            "samples",
-            "scan_samples",
-            "scan_p_max",
-            "itinerary_steps",
-            "precision",
-        ):
+        for name in ("m_max", "p_max", "samples", "precision"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
 
@@ -107,9 +105,9 @@ class AnalysisReport:
                 "m_max": self.config.m_max,
                 "p_max": self.config.p_max,
                 "samples": self.config.samples,
-                "scan_samples": self.config.scan_samples,
-                "scan_p_max": self.config.scan_p_max,
-                "itinerary_steps": self.config.itinerary_steps,
+                "scan_samples": SCAN_SAMPLES,
+                "scan_p_max": SCAN_P_MAX,
+                "itinerary_steps": ITINERARY_STEPS,
                 "precision": self.config.precision,
                 "require_compatible": self.config.require_compatible,
             },
@@ -138,11 +136,12 @@ class AnalysisReport:
         lines.append("cluster map: " + ", ".join(self.map_components))
         lines.append(
             f"presymplectic form invariant: {self.presymplectic_invariant} "
-            f"(rank {self.rank}, {self.config.samples} sampled points, seed {self.config.seed})"
+            f"(rank {self.rank}, exact (mutation period))"
         )
         lines.append(
-            f"invariant Poisson structures discovered: {len(self.discovered)}"
-            + (" (compatibility imposed)" if self.config.require_compatible else "")
+            f"invariant Poisson structures discovered: {len(self.discovered)} "
+            + ("(compatibility imposed, exact (mutation period))"
+               if self.config.require_compatible else f"(sampled, seed {self.config.seed})")
         )
         if self.flag_chain:
             lines.append(f"flag of foliations: {self.flag_chain}")
@@ -168,18 +167,24 @@ class AnalysisReport:
 _STRUCTURE_SEARCH_MAX = 3
 
 
-def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
-    """One degenerate representative per distinct Casimir foliation.
+def _foliations(
+    basis: list[IntMatrix], null: Submersion | None, report: AnalysisReport
+) -> list[Submersion]:
+    """One submersion per distinct exponent lattice: the null submersion,
+    when given, first, then one Casimir submersion per degenerate member of
+    the span of the invariant structures.
 
     A basis of a multi-dimensional space of invariant structures is
     generic: every basis vector tends to realise the minimal corank on
     the space, hiding members whose kernel is strictly larger.  Scanning
-    small integer combinations stratifies the pencil by rank, and keying
-    on the kernel lattice basis, which is already in Hermite form, keeps
-    one representative per foliation; an empty kernel means full rank.
+    small integer combinations stratifies the pencil by rank.  Each member
+    is keyed by the Hermite rows of its kernel lattice, which are the
+    exponent rows of its Casimir submersion, so casimir_submersion runs
+    once per distinct lattice; an empty kernel means full rank.  A Casimir
+    lattice equal to the null one is noted and analysed once.
     """
-    if not basis:
-        return []
+    subs = [null] if null else []
+    null_key = hermite_normal_form(null.map.exponents)[0].entries if null else None
     candidates = list(basis)
     if 2 <= len(basis) <= _STRUCTURE_SEARCH_MAX:
         span = [m.entries for m in basis]
@@ -192,12 +197,29 @@ def _structure_representatives(basis: list[IntMatrix]) -> list[IntMatrix]:
                 for i in range(rows)
             ]
             candidates.append(IntMatrix.from_rows(entries))
-    by_kernel: dict[tuple, IntMatrix] = {}
+    elif len(basis) > _STRUCTURE_SEARCH_MAX:
+        report.notes.append(
+            f"the invariant Poisson structures span dimension {len(basis)}; degenerate "
+            f"combinations are searched only up to dimension {_STRUCTURE_SEARCH_MAX}, "
+            "so only the basis structures were analysed"
+        )
+    seen = set()
     for m in candidates:
         key = kernel_lattice(m).vectors
-        if key:
-            by_kernel.setdefault(key, m)
-    return list(by_kernel.values())
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        if key == null_key:
+            report.notes.append(
+                f"the casimir({len(key)}) and null({null.dim_out}) foliations have "
+                "the same exponent lattice and were analysed once"
+            )
+            continue
+        try:
+            subs.append(casimir_submersion(PoissonStructure(m)))
+        except GeometryError as exc:
+            report.errors.append(["casimir", str(exc)])
+    return subs
 
 
 def _maximal_chain(subs: list[Submersion]) -> tuple[list[Submersion], list[Submersion]]:
@@ -245,18 +267,20 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
 
     form = PresymplecticForm(matrix)
     report.rank = form.rank
-    inv = check_presymplectic_invariance(phi, form, config.samples, config.seed)
-    report.presymplectic_invariant = inv.ok
+    # cluster_map accepted the certificate mu_m ... mu_1(B) = shifted B,
+    # and that integer identity is phi* omega_B = omega_B (Fordy-Hone 2014)
+    report.presymplectic_invariant = True
 
-    try:
-        basis = find_invariant_poisson(
-            phi,
-            matrix if config.require_compatible else None,
-            seed=config.seed,
-        )
-    except GeometryError as exc:
-        report.errors.append(["find-poisson", str(exc)])
-        basis = []
+    if config.require_compatible:
+        basis = _period_poisson_basis(matrix, cert.period)
+    else:
+        # without C B = 0 the tracked kernel can miss structures that leave
+        # log-canonical form between mutations, so the space is sampled
+        try:
+            basis = find_invariant_poisson(phi, None, seed=config.seed)
+        except GeometryError as exc:
+            report.errors.append(["find-poisson", str(exc)])
+            basis = []
     for m in basis:
         report.discovered.append(
             {
@@ -266,33 +290,8 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             }
         )
 
-    found = []
-    if 0 < form.rank < form.dim:
-        found.append(null_submersion(form))
-    if len(basis) > _STRUCTURE_SEARCH_MAX:
-        report.notes.append(
-            f"the invariant Poisson structures span dimension {len(basis)}; degenerate "
-            f"combinations are searched only up to dimension {_STRUCTURE_SEARCH_MAX}, "
-            "so only the basis structures were analysed"
-        )
-    for m in _structure_representatives(basis):
-        structure = PoissonStructure(m)
-        try:
-            found.append(casimir_submersion(structure))
-        except GeometryError as exc:
-            report.errors.append(["casimir", str(exc)])
-    # one foliation per exponent lattice, keyed by its Hermite form; the
-    # null submersion comes first and is the one kept
-    by_lattice: dict[IntMatrix, Submersion] = {}
-    for sub in found:
-        key, _ = hermite_normal_form(sub.map.exponents)
-        kept = by_lattice.setdefault(key, sub)
-        if kept is not sub:
-            report.notes.append(
-                f"the {sub.kind}({sub.dim_out}) and {kept.kind}({kept.dim_out}) "
-                "foliations have the same exponent lattice and were analysed once"
-            )
-    submersions = list(by_lattice.values())
+    null = null_submersion(form) if 0 < form.rank < form.dim else None
+    submersions = _foliations(basis, null, report)
 
     flag = None
     omitted: list[Submersion] = []
@@ -370,7 +369,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         else:
             try:
                 scan = no_periodic_points_scan(
-                    system, config.scan_p_max, config.scan_samples, config.seed
+                    system, SCAN_P_MAX, SCAN_SAMPLES, config.seed
                 )
             except DynamicsError as exc:
                 report.errors.append(["dynamics", str(exc)])
@@ -388,7 +387,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                 growth = "with" if scan.monotone_growth else "without uniform"
                 entry["summary"] = (
                     f"no global period up to {config.p_max}; no sampled periodic "
-                    f"point up to {config.scan_p_max}, {growth} monotone growth evidence"
+                    f"point up to {SCAN_P_MAX}, {growth} monotone growth evidence"
                 )
         if psi.dim_in and psi.dim_in <= 3:
             try:
@@ -403,7 +402,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     if ordered:
         x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))
         try:
-            itin = leaf_itinerary(phi, ordered, x0, config.itinerary_steps, "exact")
+            itin = leaf_itinerary(phi, ordered, x0, ITINERARY_STEPS, "exact")
         except DynamicsError as exc:
             report.errors.append(["itinerary", str(exc)])
         else:

@@ -10,9 +10,7 @@ import re
 import pytest
 
 from cluster_reduce import (
-    PoissonStructure,
     PresymplecticForm,
-    casimir_submersion,
     cluster_map,
     derive_reduced_map,
     detect_period,
@@ -21,7 +19,7 @@ from cluster_reduce import (
     get_fixture,
     null_submersion,
 )
-from cluster_reduce.pipeline import _structure_representatives
+from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations
 
 # First rows of the Fordy-Marsh period-1 quivers N = 6..9 of the ladder.
 _FORDY_MARSH_ROWS = (
@@ -46,8 +44,7 @@ def ladder_maps() -> dict:
         form = PresymplecticForm(b)
         subs = [null_submersion(form)] if 0 < form.rank < form.dim else []
         basis = find_invariant_poisson(phi, b)
-        subs += [casimir_submersion(PoissonStructure(m))
-                 for m in _structure_representatives(basis)]
+        subs += _foliations(basis, None, AnalysisReport(b, WorkflowConfig()))
         for i, sub in enumerate(subs):
             maps[f"{name}:{sub.kind}{i}"] = derive_reduced_map(phi, sub).map
     return maps

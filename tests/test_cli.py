@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cluster_reduce import DynamicsError, fordy_marsh, get_fixture, submersion_from_rows
-from cluster_reduce import pipeline
+from cluster_reduce import geometry, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
@@ -463,12 +463,28 @@ class TestRunPipelineApi:
         with pytest.raises(ValueError):
             WorkflowConfig(m_max=0)
 
+    def test_default_run_samples_no_invariance(self, monkeypatch):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the certificate already fixes this fact")
+
+        for module in (geometry, pipeline):
+            for name in ("check_presymplectic_invariance", "find_invariant_poisson"):
+                monkeypatch.setattr(module, name, sampled, raising=False)
+        report = run_pipeline(get_fixture("c7-pair").matrix("B"))
+        golden = json.loads((DATA / "pipeline-c7-pair-seed0.json").read_text())
+        assert report.presymplectic_invariant is True
+        assert report.discovered == golden["discovered_structures"]
+        text = report.render_text()
+        assert "(rank 2, exact (mutation period))" in text
+        assert "discovered: 2 (compatibility imposed, exact (mutation period))" in text
+        assert "sampled points" not in text
+
     def test_unsearched_structure_space_is_noted(self, monkeypatch):
         from cluster_reduce import IntMatrix
 
         c = get_fixture("somos5").matrix("C").entries
         basis = [IntMatrix.from_rows([[k * v for v in row] for row in c]) for k in (1, 2, 3, 4)]
-        monkeypatch.setattr(pipeline, "find_invariant_poisson", lambda *args, **kwargs: basis)
+        monkeypatch.setattr(pipeline, "_period_poisson_basis", lambda *args, **kwargs: basis)
         report = run_pipeline(get_fixture("somos5").matrix("B"))
         assert [note for note in report.notes if "dimension 4" in note] == [
             "the invariant Poisson structures span dimension 4; degenerate combinations "

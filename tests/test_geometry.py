@@ -37,7 +37,9 @@ from cluster_reduce import (
     rng_substream,
     submersion_from_rows,
 )
-from cluster_reduce.pipeline import _structure_representatives
+from cluster_reduce.fixtures import somos5_matrix
+from cluster_reduce.geometry import _period_poisson_basis
+from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, run_pipeline
 
 
 def _phi(name: str) -> BirationalMap:
@@ -62,8 +64,8 @@ def _ladder_submersions():
         form = PresymplecticForm(b)
         if 0 < form.rank < form.dim:
             yield form, null_submersion(form)
-        for m in _structure_representatives(_discovered(b)):
-            yield form, casimir_submersion(PoissonStructure(m))
+        for sub in _foliations(_discovered(b), None, AnalysisReport(b, WorkflowConfig())):
+            yield form, sub
 
 
 def _perturbed(m: IntMatrix, di: int, dj: int) -> IntMatrix:
@@ -231,6 +233,53 @@ class TestDiscovery:
         phi = _phi("somos5")
         for m in find_invariant_poisson(phi, get_fixture("somos5").matrix("B")):
             assert check_poisson_map(phi, PoissonStructure(m), samples=10, seed=99).ok
+
+
+# exchange matrices of the period-tracked Poisson kernel's differential test:
+# the ladder, Fordy-Marsh N = 10 and 11, and the Somos-5 family up to (3, 3)
+_TRACKED_CASES = {
+    **{name: get_fixture(name).matrix("B") for name in ("somos5", "c7-pair", "somos5-2periodic")},
+    **{f"fm{len(row) + 1}:{row}": fordy_marsh(row) for row in (
+        (1, -1, 0, -1, 1),
+        (1, -1, 0, 0, -1, 1),
+        (1, -1, 0, 0, 0, -1, 1),
+        (1, 0, -1, 0, 0, -1, 0, 1),
+        (1, -1, 0, 0, 0, 0, 0, -1, 1),
+        (1, 0, 0, -1, 0, 0, -1, 0, 0, 1),
+    )},
+    **{f"somos5({r},{s})": somos5_matrix(r, s) for r in range(4) for s in range(4)},
+}
+
+# period 3; its one invariant tensor C = B3 leaves log-canonical form
+# between the mutations, and it is not compatible (B3 B3 != 0)
+_B3 = IntMatrix.from_rows([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
+
+
+class TestPeriodPoissonBasis:
+    """The kernel of the mutation-tracked integer system against sampled
+    discovery on the map itself."""
+
+    @pytest.mark.parametrize("name", sorted(_TRACKED_CASES))
+    def test_matches_sampled_discovery(self, name):
+        b = _TRACKED_CASES[name]
+        cert = detect_period(b)
+        phi = cluster_map(b, cert)
+        exact = _period_poisson_basis(b, cert.period)
+        assert exact == find_invariant_poisson(phi, b)
+        for m in exact:
+            assert check_poisson_map(phi, PoissonStructure(m), samples=5, seed=7).ok
+
+    def test_without_compatibility_the_tracked_kernel_is_smaller(self):
+        cert = detect_period(_B3)
+        assert cert.period == 3
+        phi = cluster_map(_B3, cert)
+        assert _period_poisson_basis(_B3, 3, compatible=False) == []
+        assert find_invariant_poisson(phi) == [_B3]
+        assert _period_poisson_basis(_B3, 3) == find_invariant_poisson(phi, _B3) == []
+
+    def test_pipeline_without_compatibility_samples(self):
+        report = run_pipeline(_B3, WorkflowConfig(require_compatible=False))
+        assert [d["matrix"] for d in report.discovered] == [_B3.to_json_dict()]
 
 
 class TestSubmersions:
