@@ -23,12 +23,14 @@ from cluster_reduce import (
     build_flag,
     chained_reduction,
     cluster_map,
+    degree_growth,
     derive_reduced_map,
     detect_global_periodicity,
     detect_period,
     find_periodic_points,
     get_fixture,
     golden_ratio,
+    growth_class,
     kernel_lattice,
     leaf_itinerary,
     no_periodic_points_scan,
@@ -37,6 +39,7 @@ from cluster_reduce import (
     sublattice_subset,
     submersion_from_rows,
 )
+from cluster_reduce.pipeline import GROWTH_STEPS
 
 
 def section(title):
@@ -84,8 +87,11 @@ def main():
     scan = no_periodic_points_scan(psi2, p_max=20, samples=25, seed=0)
     print(f"5-d level: periodic points found up to p=20 over 25 sampled orbits: "
           f"{scan.period_found}")
-    print(f"  monotone last-coordinate growth on all samples: {scan.monotone_growth}")
     print(f"  ({scan.note})")
+    degrees = degree_growth(b, cert, GROWTH_STEPS)
+    kind, _ = growth_class(degrees)
+    print(f"full 7-d map: degrees of its iterates {degrees[:8]} ... {degrees[-1]}, "
+          f"{kind} growth (exact, tropical d-vectors)")
 
     section("Fixed points of the periodic levels")
     with mp.workdps(64):

@@ -88,7 +88,9 @@ from .quiver import (
     Quiver,
     Seed,
     cluster_map,
+    degree_growth,
     detect_period,
+    growth_class,
     mutate_matrix,
     mutate_seed,
     shifted_matrix,
@@ -131,6 +133,8 @@ __all__ = [
     "shifted_matrix",
     "detect_period",
     "cluster_map",
+    "degree_growth",
+    "growth_class",
     # geometry
     "GeometryError",
     "NotFiberConstantError",

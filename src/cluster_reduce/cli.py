@@ -391,7 +391,6 @@ def _cmd_pipeline(args) -> int:
         seed=args.seed,
         m_max=args.max_m,
         p_max=args.max_p,
-        samples=args.samples,
         precision=_resolve_precision(args.precision),
         require_compatible=not args.no_compatible,
     )
@@ -495,7 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-m", type=int, default=8)
     p.add_argument("--max-p", type=int, default=12)
-    p.add_argument("--samples", type=int, default=20)
     p.add_argument("--precision", type=int)
     p.add_argument(
         "--no-compatible",

@@ -10,7 +10,7 @@ lifted orbit.  A reduced system (phi, pi, psi) is iterated upstairs:
 psi^k(y) = pi(phi^k(y^V)) with V an integer right inverse of pi's
 exponent rows, so the orbit follows the cluster map phi (a few monomials
 per component) instead of psi (expanded binomial powers).  A bare map f
-is the lift (f, identity).  That orbit is followed in three arithmetics,
+is the lift (f, identity).  That orbit is followed in two arithmetics,
 and each statement says which one it rests on:
 
 * returns are screened with residues mod a prime (Roberts & Vivaldi,
@@ -20,13 +20,11 @@ and each statement says which one it rests on:
   negative; when a unit test fails, a second prime and then exact
   arithmetic take over for that orbit;
 * every return found mod p is confirmed on the exact rational orbit
-  before it is reported;
-* growth comparisons are decided on outward-rounded intervals
-  (``mpmath.iv`` at ``DEFAULT_PRECISION`` digits), which stay tight
-  because cluster maps and monomial projections are subtraction-free;
-  a comparison the intervals cannot decide falls back to the exact orbit.
+  before it is reported.
 
-So every verdict equals the one exact iteration would give.  Global
+So every verdict equals the one exact iteration would give.  Degree
+growth is not read off orbits: it is exact, from the exchange matrix
+(``quiver.degree_growth``).  Global
 periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
@@ -57,7 +55,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
 from .intlinalg import right_inverse
-from .laurent import _sparse, _terms, _to_mpf
+from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
 from .maps import _MPF, _compile, _Numbers, _step
 
@@ -244,8 +242,8 @@ class _LiftedOrbit:
     """x_k = phi^k(x0) for k = 0..steps, each arithmetic computed on first use.
 
     residues: (p, points, inverses) for the first screen prime that keeps
-    the orbit in units mod p, or None; intervals: enclosures; exact(k):
-    the exact rational point, from ``iterate_orbit``.
+    the orbit in units mod p, or None; exact(k): the exact rational
+    point, from ``iterate_orbit``.
     """
 
     def __init__(self, phi: BirationalMap, x0, steps: int) -> None:
@@ -260,17 +258,6 @@ class _LiftedOrbit:
             if orbit is not None:
                 return (p, *orbit)
         return None
-
-    @cached_property
-    def intervals(self) -> list:
-        """Enclosures of x_0..x_steps; a denominator interval that contains 0
-        gives an unbounded enclosure, which no comparison can decide."""
-        num = _intervals()
-        comps = self.phi._compiled(num)
-        points = [[num.convert(v) for v in self._exact[0]]]
-        for _ in range(self.steps):
-            points.append(_step(comps, points[-1], False, num)[0])
-        return points
 
     def exact(self, k: int) -> tuple:
         """x_k; the first call past x0 computes the whole exact orbit, so an
@@ -322,6 +309,13 @@ class _Lift:
         x0 = y0 if self.section is None else self.section.evaluate(y0)
         return _LiftedOrbit(self.phi, x0, steps)
 
+    def first_returns(self, m: int, samples: int, seed):
+        """(y0, least k <= m with psi^k(y0) = y0, or None) for the sampled
+        starts y0 of ``rng_substream(seed, i)``, i = 0..samples-1."""
+        for i in range(samples):
+            y0 = random_positive_point(self.psi.dim_in, rng_substream(seed, i))
+            yield y0, next(_returns(self.orbit(y0, m), self.pi, m), None)
+
 
 def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
     """The steps k = 1..m with pi(x_k) = pi(x_0), in increasing order.
@@ -337,34 +331,6 @@ def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
             continue
         if orbit.label(pi, k) == start:
             yield k
-
-
-def _increasing(values) -> bool | None:
-    """Strict increase decided on intervals; None when undecided."""
-    if not all(mp.isfinite(v.a) and mp.isfinite(v.b) for v in values):
-        return None
-    verdict = True
-    for a, b in zip(values, values[1:]):
-        greater = b > a  # True, False, or None when the intervals overlap
-        if greater is False:
-            return False
-        if greater is None:
-            verdict = None
-    return verdict
-
-
-def _grows(orbit: _LiftedOrbit, pi: MonomialMap | None, window: int) -> bool:
-    """Whether the last label coordinate strictly increases over the final
-    window steps: decided on intervals, exactly when they cannot decide."""
-    ks = range(max(0, orbit.steps - window), orbit.steps + 1)
-    points = orbit.intervals
-    last = ((len(points[0]) - 1, 1),) if pi is None else _sparse(pi.exponents.entries[-1])
-    num = _intervals()
-    verdict = _increasing([_terms(((num.one, last),), points[k], num.zero) for k in ks])
-    if verdict is None:
-        exact = [orbit.label(pi, k)[-1] for k in ks]
-        verdict = all(b > a for a, b in zip(exact, exact[1:]))
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -409,29 +375,20 @@ def detect_global_periodicity(
     Minimality is automatic: any global period is a multiple of every
     observed first-return time.  samples < 1 raises DynamicsError.
     """
-    psi = f.map if isinstance(f, ReducedSystem) else f
-    n = psi.dim_in
-    if psi.dim_out != n:
-        raise DynamicsError("global periodicity requires a self-map")
     if samples < 1:
         raise DynamicsError("periodicity detection needs at least one sampled orbit")
     lift = _Lift(f)
     candidate = 1
-    for i in range(samples):
-        rng = rng_substream(seed, i)
-        y0 = random_positive_point(n, rng)
-        try:
-            first_return = next(_returns(lift.orbit(y0, p_max), lift.pi, p_max), None)
-        except DynamicsError:
-            return PeriodReport(
-                "none", None, p_max, "sampled", samples, "an orbit left the domain"
-            )
-        if first_return is None:
-            return PeriodReport("none", None, p_max, "sampled", samples)
-        candidate = lcm(candidate, first_return)
-        if candidate > p_max:
-            return PeriodReport("none", None, p_max, "sampled", samples)
-    power = psi.iterate(candidate)
+    try:
+        for _, first_return in lift.first_returns(p_max, samples, seed):
+            if first_return is None:
+                return PeriodReport("none", None, p_max, "sampled", samples)
+            candidate = lcm(candidate, first_return)
+            if candidate > p_max:
+                return PeriodReport("none", None, p_max, "sampled", samples)
+    except DynamicsError:
+        return PeriodReport("none", None, p_max, "sampled", samples, "an orbit left the domain")
+    power = lift.psi.iterate(candidate)
     if power.is_identity():
         return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return PeriodReport(
@@ -837,9 +794,8 @@ class ScanReport:
 
     period_found is an exact return of a sampled orbit: returns are
     screened mod p (no return mod p is a sound negative) and confirmed
-    on the exact orbit.  growth_samples counts the orbits whose last
-    coordinate strictly increases over the growth window, each comparison
-    decided on certified intervals or, where they overlap, exactly.
+    on the exact orbit.  There is no growth statement here; see
+    ``quiver.degree_growth``.
     """
 
     period_found: int | None
@@ -847,8 +803,6 @@ class ScanReport:
     p_max: int
     samples: int
     seed: int
-    monotone_growth: bool
-    growth_samples: int
     note: str = (
         "sampled evidence only: absence of periodic points among random "
         "starts does not prove there are none"
@@ -860,37 +814,21 @@ def no_periodic_points_scan(
     p_max: int = 20,
     samples: int = 25,
     seed: int = 0,
-    growth_window: int = 10,
-    growth_steps: int = 20,
 ) -> ScanReport:
-    """Scan for periodic points along random orbits, plus growth evidence.
+    """Scan for periodic points along random orbits.
 
     f is a map, or a reduced system whose orbits are lifted through its
-    source map.  Each sampled orbit is checked for an exact return to its
-    start within p_max steps (a return reports the period and witness).
-    The orbit is continued for growth_steps further steps to look past
-    the transient; growth evidence holds when the last coordinate
-    strictly increases over the final growth_window steps of every
-    sampled orbit.  samples < 1 raises DynamicsError.
+    source map.  Each sampled orbit is followed for p_max steps and
+    checked for an exact return to its start (a return reports the
+    period and witness).  samples < 1 raises DynamicsError.
     """
     if samples < 1:
         raise DynamicsError("the scan needs at least one sampled orbit")
-    lift = _Lift(f)
-    n = lift.psi.dim_in
-    growth_count = 0
-    for i in range(samples):
-        rng = rng_substream(seed, i)
-        x0 = random_positive_point(n, rng)
-        orbit = lift.orbit(x0, p_max + growth_steps)
-        k = next(_returns(orbit, lift.pi, p_max), None)
+    for x0, k in _Lift(f).first_returns(p_max, samples, seed):
         if k is not None:
-            return ScanReport(k, x0, p_max, samples, seed, False, 0,
+            return ScanReport(k, x0, p_max, samples, seed,
                               note="periodic point found by the scan")
-        if _grows(orbit, lift.pi, growth_window):
-            growth_count += 1
-    return ScanReport(
-        None, None, p_max, samples, seed, growth_count == samples, growth_count
-    )
+    return ScanReport(None, None, p_max, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The full analysis of an exchange matrix, stage by stage.
 
 run_pipeline takes a skew-symmetric exchange matrix through mutation
-period, cluster map, invariant structures, the flag of foliations,
+period, cluster map, degree growth, invariant structures, foliation flag,
 reduced and chained maps, per-level dynamics and a leaf itinerary, and
 collects everything in an AnalysisReport.  Stage failures are recorded
 in the report; the command-line front end only parses arguments and
@@ -42,7 +42,7 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
 from .maps import random_positive_point, rng_substream
-from .quiver import cluster_map, detect_period
+from .quiver import cluster_map, degree_growth, detect_period, growth_class
 
 __all__ = ["run_pipeline", "WorkflowConfig", "AnalysisReport", "InputError"]
 
@@ -53,11 +53,15 @@ class InputError(ValueError):
 
 
 # Fixed bounds of the orbit stages, reported under "config" with the
-# settable ones: the non-periodicity scan samples SCAN_SAMPLES orbits up
-# to period SCAN_P_MAX, and the leaf itinerary runs ITINERARY_STEPS steps.
+# settable ones: global periodicity and the scan sample PERIOD_SAMPLES and
+# SCAN_SAMPLES orbits, the scan up to period SCAN_P_MAX, and the leaf
+# itinerary runs ITINERARY_STEPS steps.
+PERIOD_SAMPLES = 10
 SCAN_SAMPLES = 10
 SCAN_P_MAX = 20
 ITINERARY_STEPS = 20
+# Iterates of the cluster map whose degrees the growth class is read from.
+GROWTH_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,11 @@ class WorkflowConfig:
     seed: int = 0
     m_max: int = 8
     p_max: int = 12
-    samples: int = 20
     precision: int = DEFAULT_PRECISION
     require_compatible: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("m_max", "p_max", "samples", "precision"):
+        for name in ("m_max", "p_max", "precision"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
 
@@ -85,6 +88,7 @@ class AnalysisReport:
     config: WorkflowConfig
     period: int | None = None
     map_components: list = field(default_factory=list)
+    growth: dict | None = None
     presymplectic_invariant: bool | None = None
     rank: int | None = None
     discovered: list = field(default_factory=list)
@@ -104,7 +108,7 @@ class AnalysisReport:
                 "seed": self.config.seed,
                 "m_max": self.config.m_max,
                 "p_max": self.config.p_max,
-                "samples": self.config.samples,
+                "samples": PERIOD_SAMPLES,
                 "scan_samples": SCAN_SAMPLES,
                 "scan_p_max": SCAN_P_MAX,
                 "itinerary_steps": ITINERARY_STEPS,
@@ -113,6 +117,7 @@ class AnalysisReport:
             },
             "period": self.period,
             "map": self.map_components,
+            "growth": self.growth,
             "presymplectic_invariant": self.presymplectic_invariant,
             "rank": self.rank,
             "discovered_structures": self.discovered,
@@ -134,6 +139,9 @@ class AnalysisReport:
             return "\n".join(lines)
         lines.append(f"mutation period: {self.period}")
         lines.append("cluster map: " + ", ".join(self.map_components))
+        g = self.growth
+        lines.append(f"degree growth: {g['class']}, entropy {g['entropy']}, "
+                     f"d_{GROWTH_STEPS} = {g['degrees'][-1]} ({g['certificate']})")
         lines.append(
             f"presymplectic form invariant: {self.presymplectic_invariant} "
             f"(rank {self.rank}, exact (mutation period))"
@@ -264,6 +272,10 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     report.period = cert.period
     phi = cluster_map(matrix, cert)
     report.map_components = phi.to_strings()
+    degrees = degree_growth(matrix, cert, GROWTH_STEPS)
+    growth_kind, entropy = growth_class(degrees)
+    report.growth = {"degrees": degrees, "class": growth_kind, "entropy": entropy,
+                     "certificate": "exact (tropical d-vectors)"}
 
     form = PresymplecticForm(matrix)
     report.rank = form.rank
@@ -358,7 +370,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         entry = {"kind": kind, "dimension": psi.dim_in}
         try:
             period_report = detect_global_periodicity(
-                system, config.p_max, min(config.samples, 10), config.seed
+                system, config.p_max, PERIOD_SAMPLES, config.seed
             )
         except DynamicsError as exc:
             report.errors.append(["dynamics", str(exc)])
@@ -376,19 +388,14 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                 continue
             entry["scan"] = {
                 "period_found": scan.period_found,
-                "monotone_growth": scan.monotone_growth,
-                "growth_samples": scan.growth_samples,
                 "samples": scan.samples,
                 "p_max": scan.p_max,
             }
             if scan.period_found:
                 entry["summary"] = f"sampled orbit closed at period {scan.period_found}"
             else:
-                growth = "with" if scan.monotone_growth else "without uniform"
-                entry["summary"] = (
-                    f"no global period up to {config.p_max}; no sampled periodic "
-                    f"point up to {SCAN_P_MAX}, {growth} monotone growth evidence"
-                )
+                entry["summary"] = (f"no global period up to {config.p_max}; "
+                                    f"no sampled periodic point up to {SCAN_P_MAX}")
         if psi.dim_in and psi.dim_in <= 3:
             try:
                 fixed = find_periodic_points(psi, 1, precision=config.precision, grid=4)

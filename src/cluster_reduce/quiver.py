@@ -13,6 +13,7 @@ of quiver nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix
@@ -29,6 +30,8 @@ __all__ = [
     "shifted_matrix",
     "detect_period",
     "cluster_map",
+    "degree_growth",
+    "growth_class",
 ]
 
 
@@ -186,3 +189,51 @@ def cluster_map(b: IntMatrix, cert: PeriodicityCertificate) -> BirationalMap:
     m = cert.period
     comps = tuple(seed.cluster[(i + m) % n] for i in range(n))
     return BirationalMap(n, comps)
+
+
+def _d_vectors(b: IntMatrix, cert: PeriodicityCertificate):
+    """d-vectors of phi, phi^2, ...: row i of the k-th tuple of N rows is the
+    denominator vector of component i of phi^k.  From d_i = -e_i, mutation
+    at k sets d_k to max(sum [b_kl]+ d_l, sum [-b_kl]+ d_l) - d_k, b_k the
+    k-th exchange row of the period, and each period ends with the
+    relabelling of ``cluster_map``.  This max-plus relation is exact: the
+    two monomials of an exchange relation have positive coefficients and
+    never cancel (Lee & Schiffler, Ann. Math. 182, 2015)."""
+    if cert.n != b.rows or not cert.verify(b):
+        raise CertificateError("certificate does not verify against this matrix")
+    n, m, current, rows = b.rows, cert.period, b, []
+    for k in range(m):
+        row = current.entries[k]
+        rows.append((k, [(l, e) for l, e in enumerate(row) if e > 0],
+                     [(l, -e) for l, e in enumerate(row) if e < 0]))
+        current = mutate_matrix(current, k + 1)
+    d = [[-int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        for k, plus, minus in rows:
+            d[k] = [max(sum(e * d[l][c] for l, e in plus), sum(e * d[l][c] for l, e in minus))
+                    - d[k][c] for c in range(n)]
+        d = d[m:] + d[:m]
+        yield tuple(d)
+
+
+def degree_growth(b: IntMatrix, cert: PeriodicityCertificate, steps: int) -> list[int]:
+    """deg_1..deg_steps of the cluster map: deg_k is the largest total degree
+    sum_i [d_i]+ of the denominator of a component of phi^k, in integers."""
+    vectors = _d_vectors(b, cert)
+    return [max(sum(v for v in row if v > 0) for row in next(vectors)) for _ in range(steps)]
+
+
+def growth_class(degrees: list[int]) -> tuple[str, float]:
+    """(class, entropy) of degrees d_1..d_s: the class is read off
+    d_s / d_(s-1) (exponential, with entropy its log) and
+    r = log2(d_s / d_(s/2)) (bounded, linear or quadratic)."""
+    last, prev, half = degrees[-1], degrees[-2], degrees[len(degrees) // 2 - 1]
+    if not last:
+        return "bounded", 0.0
+    if prev and 10 * last >= 11 * prev:
+        return "exponential", round(math.log(last / prev), 4)
+    r = math.log2(last / half) if half else math.inf
+    for bound, name in ((0.5, "bounded"), (1.5, "linear"), (2.5, "quadratic")):
+        if r <= bound:
+            return name, 0.0
+    return "unclassified", 0.0

@@ -22,6 +22,7 @@ from cluster_reduce import (
     check_poisson_map,
     check_presymplectic_invariance,
     cluster_map,
+    degree_growth,
     derive_reduced_map,
     detect_global_periodicity,
     detect_period,
@@ -30,6 +31,7 @@ from cluster_reduce import (
     first_integral_check,
     get_fixture,
     golden_ratio,
+    growth_class,
     hermite_normal_form,
     image_lattice,
     iterate_orbit,
@@ -49,6 +51,7 @@ from cluster_reduce import (
     verify_closed_form,
 )
 from cluster_reduce.geometry import vectorize_skew
+from cluster_reduce.pipeline import GROWTH_STEPS
 
 # pinned tolerances and budgets
 RESIDUAL_TOL = "1e-40"
@@ -348,8 +351,11 @@ def test_criterion_12_non_periodicity_scan():
     psi2 = derive_reduced_map(phi7, _sub("c7-pair", "casimir2", "casimir")).map
     scan = no_periodic_points_scan(psi2, p_max=20, samples=25, seed=0)
     assert scan.period_found is None
-    assert scan.monotone_growth
-    assert scan.growth_samples == scan.samples == 25
+    assert scan.samples == 25
+    # the growth evidence is exact: tropical degrees of the cluster map
+    b = get_fixture("c7-pair").matrix("B")
+    degrees = degree_growth(b, detect_period(b), GROWTH_STEPS)
+    assert growth_class(degrees) == ("quadratic", 0.0)
 
 
 def test_criterion_13_property_suites():

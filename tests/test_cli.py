@@ -407,6 +407,8 @@ class TestPipeline:
         assert code == 0
         assert "mutation period: 1" in text
         assert "flag of foliations: null(2) < casimir(3)" in text
+        assert ("degree growth: quadratic, entropy 0.0, d_60 = 685 "
+                "(exact (tropical d-vectors))") in text
         assert json.loads(out.read_text())["schema"] == "v1"
 
     @pytest.mark.parametrize("name", [
@@ -456,12 +458,20 @@ class TestRunPipelineApi:
         assert report.period == 1
         assert report.map_components == ["x2", "2/x1"]
         assert report.rank == 0
+        assert report.growth["degrees"][-4:] == [1, 1, 1, 0]
+        assert report.growth["class"] == "bounded"
         assert report.reductions == []
         assert any("no reduction" in note for note in report.notes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorkflowConfig(m_max=0)
+
+    def test_pipeline_has_no_samples_setting(self, files):
+        # global periodicity samples a fixed number of orbits (config.samples)
+        assert not hasattr(WorkflowConfig(), "samples")
+        with pytest.raises(SystemExit):
+            main(["pipeline", "--matrix", files["b5"], "--samples", "20"])
 
     def test_default_run_samples_no_invariance(self, monkeypatch):
         def sampled(*args, **kwargs):
@@ -519,8 +529,7 @@ class TestLadderGates:
         assert (entry["kind"], entry["dimension"]) == ("null", 4)
         assert "global_period" not in entry
         assert entry["scan"]["period_found"] is None
-        assert entry["scan"]["monotone_growth"] is True
-        assert entry["scan"]["growth_samples"] == 10
+        assert (report.growth["class"], report.growth["entropy"]) == ("exponential", 0.9624)
         assert report.itinerary["label_periods"] == [None]
 
     def test_fordy_marsh_n8_scans_finish(self, monkeypatch):
@@ -541,5 +550,4 @@ class TestLadderGates:
         assert sum(spent) < 5
         for entry in report.dynamics:
             assert entry["scan"]["period_found"] is None
-            assert entry["scan"]["monotone_growth"] is False
-            assert entry["scan"]["growth_samples"] == 0
+        assert report.growth["class"] == "quadratic"

@@ -523,12 +523,23 @@ class TestScans:
         scan = no_periodic_points_scan(LYNESS)
         assert scan.period_found == 5
 
-    def test_psi2_scan_finds_nothing_and_orbits_grow(self):
+    def test_psi2_scan_finds_nothing(self):
         scan = no_periodic_points_scan(PSI_2)
         assert scan.period_found is None
-        assert scan.monotone_growth
-        assert scan.growth_samples == scan.samples == 25
+        assert scan.samples == 25
         assert "sampled evidence" in scan.note
+
+    def test_orbits_stop_at_p_max(self, monkeypatch):
+        steps = []
+        lifted = dynamics._LiftedOrbit
+
+        def recording(phi, x0, n):
+            steps.append(n)
+            return lifted(phi, x0, n)
+
+        monkeypatch.setattr(dynamics, "_LiftedOrbit", recording)
+        assert no_periodic_points_scan(PSI_2, p_max=7, samples=3).period_found is None
+        assert steps == [7, 7, 7]
 
     def test_scan_is_seeded(self):
         a = no_periodic_points_scan(PSI_2, samples=5, seed=3)
@@ -683,14 +694,6 @@ class TestLiftedOrbitEngine:
         assert no_periodic_points_scan(PSI_2, samples=5) == expected
         assert detect_global_periodicity(PSI_1).period == 10
 
-    def test_undecided_growth_falls_back_to_exact(self):
-        # the last coordinate is constant: its equal, non-degenerate
-        # enclosures cannot decide b > a, so the exact orbit does
-        flat = no_periodic_points_scan(BirationalMap.from_strings(["2*x1", "x2"]), samples=3)
-        assert (flat.monotone_growth, flat.growth_samples) == (False, 0)
-        rising = no_periodic_points_scan(BirationalMap.from_strings(["x1", "2*x2"]), samples=3)
-        assert (rising.monotone_growth, rising.growth_samples) == (True, 3)
-
     def test_exact_orbits_lie_in_their_enclosures(self, ladder_maps):
         # 30 steps on the cluster maps; exact orbits of the reduced maps
         # cost seconds past 15 steps, and the somos5-2periodic maps grow
@@ -699,15 +702,11 @@ class TestLiftedOrbitEngine:
             steps = 6 if name.startswith("somos5-2periodic") else 15 if ":" in name else 30
             x0 = random_positive_point(f.dim_in, rng_substream(name, 0))
             orbit = dynamics._LiftedOrbit(f, x0, steps)
+            num = dynamics._intervals()
+            comps = f._compiled(num)
+            boxes = [num.convert(v) for v in x0]
             for k in range(steps + 1):
-                for q, box in zip(orbit.exact(k), orbit.intervals[k], strict=True):
+                for q, box in zip(orbit.exact(k), boxes, strict=True):
                     lo, hi = (Fraction(*to_rational(end)) for end in box._mpi_)
                     assert lo <= q <= hi, (name, k)
-
-    def test_interval_comparisons(self):
-        ctx = dynamics._interval_context()
-        rising = [ctx.mpf(1), ctx.mpf(2), ctx.mpf(3)]
-        assert dynamics._increasing(rising) is True
-        assert dynamics._increasing([ctx.mpf(2), ctx.mpf([1, 3])]) is None
-        assert dynamics._increasing([ctx.mpf([1, 3]), ctx.mpf(2), ctx.mpf(2)]) is False
-        assert dynamics._increasing([ctx.mpf(1), ctx.mpf(1) / ctx.mpf([-1, 1])]) is None
+                boxes = maps._step(comps, boxes, False, num)[0]

@@ -1,5 +1,6 @@
 """Matrix mutation, mutation periodicity, and the induced cluster maps."""
 
+import math
 import random
 
 import pytest
@@ -11,12 +12,17 @@ from cluster_reduce import (
     Quiver,
     Seed,
     cluster_map,
+    degree_growth,
     detect_period,
+    fordy_marsh,
     get_fixture,
+    growth_class,
     mutate_matrix,
     mutate_seed,
     shifted_matrix,
 )
+from cluster_reduce.pipeline import GROWTH_STEPS
+from cluster_reduce.quiver import _d_vectors
 
 # genuinely non-mutation-periodic: every cyclic shift up to 4 fails
 NON_PERIODIC = IntMatrix.from_rows(
@@ -189,6 +195,8 @@ class TestClusterMap:
             cluster_map(b, PeriodicityCertificate(5, 3))
         with pytest.raises(CertificateError):
             cluster_map(b, PeriodicityCertificate(4, 1))
+        with pytest.raises(CertificateError):
+            degree_growth(b, PeriodicityCertificate(5, 3), 1)
 
     def test_recurrence_structure(self):
         # the map acts as a shift: first n-1 components are coordinates
@@ -196,6 +204,81 @@ class TestClusterMap:
         phi = cluster_map(b, detect_period(b))
         for i, comp in enumerate(phi.components[:-1]):
             assert comp.is_coordinate(i + 1)
+
+
+def _ladder_matrix(name):
+    rows = {"fm-n6": (1, -1, 0, -1, 1), "fm-n7": (1, -1, 0, 0, -1, 1),
+            "fm-n8": (1, -1, 0, 0, 0, -1, 1), "fm-n9": (1, 0, -1, 0, 0, -1, 0, 1)}
+    return fordy_marsh(rows[name]) if name in rows else get_fixture(name).matrix("B")
+
+
+def _growth(b):
+    return growth_class(degree_growth(b, detect_period(b), GROWTH_STEPS))
+
+
+class TestDegreeGrowth:
+    # phi^3 of somos5-2periodic (six exchanges, degree 17) does not finish in
+    # 90 s, all of it in the normal form's multivariate gcd, so that rung
+    # stops at k = 2
+    @pytest.mark.parametrize("name, steps", [
+        ("somos5", 5), ("c7-pair", 5), ("somos5-2periodic", 2),
+        ("fm-n6", 3), ("fm-n7", 3), ("fm-n8", 3), ("fm-n9", 3),
+    ])
+    def test_d_vectors_are_the_exact_denominators(self, name, steps):
+        # d_i of a component of phi^k: its denominator exponent of x_i minus
+        # the least exponent of x_i in its numerator
+        b = _ladder_matrix(name)
+        cert = detect_period(b)
+        phi = cluster_map(b, cert)
+        vectors = _d_vectors(b, cert)
+        iterate = phi
+        for k in range(1, steps + 1):
+            if k > 1:
+                iterate = phi.compose(iterate)
+            exact = []
+            for comp in iterate.components:
+                assert comp.den.is_monomial()
+                exact.append([d - c for d, c in zip(comp.den.min_exponents(),
+                                                    comp.num.min_exponents())])
+            assert list(next(vectors)) == exact, (name, k)
+
+    def test_somos5_degrees(self):
+        b = get_fixture("somos5").matrix("B")
+        degrees = degree_growth(b, detect_period(b), GROWTH_STEPS)
+        assert degrees[:9] == [1, 2, 3, 5, 8, 10, 13, 17, 21]
+        assert degrees[-1] == 685
+
+    @pytest.mark.parametrize("first_row, kind", [
+        ((1, 1), "linear"), ((1, 0, 1), "linear"), ((1, 0, 0, 1), "linear"),
+        ((0, 1, 0), "bounded"), ((1, -2, 1), "quadratic"),
+        ((1, -1, 0, -1, 1), "quadratic"), ((1, -1, 0, 0, -1, 1), "quadratic"),
+        ((1, -1, 0, 0, 0, -1, 1), "quadratic"), ((1, 0, -1, 0, 0, -1, 0, 1), "quadratic"),
+        ((2, 2), "exponential"), ((1, 1, 1), "exponential"),
+    ])
+    def test_fordy_hone_classes(self, first_row, kind):
+        found, entropy = _growth(fordy_marsh(first_row))
+        assert found == kind
+        assert (entropy > 0) == (kind == "exponential")
+
+    @pytest.mark.parametrize("name, kind", [
+        ("somos5", "quadratic"), ("c7-pair", "quadratic"), ("somos5-2periodic", "exponential"),
+    ])
+    def test_fixture_classes(self, name, kind):
+        assert _growth(get_fixture(name).matrix("B"))[0] == kind
+
+    def test_entropy_is_log_of_golden_ratio_squared(self):
+        # d_(k+1) / d_k tends to (3 + sqrt 5)/2 for both (2, 2) and somos5-2periodic
+        entropy = round(math.log((3 + math.sqrt(5)) / 2), 4)
+        assert entropy == 0.9624
+        assert _growth(fordy_marsh((2, 2)))[1] == entropy
+        assert _growth(get_fixture("somos5-2periodic").matrix("B"))[1] == entropy
+
+    @pytest.mark.parametrize("degrees, kind", [
+        ([0] * 60, "bounded"), ([3] * 60, "bounded"), (list(range(1, 61)), "linear"),
+        ([k**3 for k in range(1, 61)], "unclassified"), ([0] * 30 + [1] * 30, "unclassified"),
+    ])
+    def test_class_rule(self, degrees, kind):
+        assert growth_class(degrees) == (kind, 0.0)
 
 
 class TestSeedMutation:
