@@ -29,10 +29,11 @@ periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
 
-Exact and float orbits, interval enclosures and Newton steps all evaluate
-the map by the kernel of ``maps`` (``_step`` on the map's cached compiled
-terms, which runs ``laurent._terms``); only the residue screen has its own
-loop, as units mod p with explicit inverses are not a number type.
+Exact and float orbits and Newton steps evaluate the map by the kernel of
+``maps`` (``_step`` on the map's cached compiled terms, which runs
+``laurent._terms``); only the residue screen has its own loop, as units
+mod p with explicit inverses are not a number type.  ``_intervals()``
+(``mpmath.iv``) is kept for the Krawczyk test of ROADMAP item 4.
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
@@ -228,7 +229,8 @@ def _interval_context() -> MPIntervalContext:
 
 @cache
 def _intervals() -> _Numbers:
-    """Outward-rounded intervals of that context, for the map kernel."""
+    """Outward-rounded intervals of that context, for the map kernel; no
+    caller in the package until the Krawczyk test (ROADMAP item 4)."""
     ctx = _interval_context()
 
     def enclose(q):

@@ -331,18 +331,6 @@ def _coefficients_in(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
     return result
 
 
-def _from_coefficients(coeffs: dict[int, LaurentPoly], var: int, nvars: int) -> LaurentPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            e2 = tuple(k if j == var else x for j, x in enumerate(e))
-            terms[e2] = c
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.nvars = nvars
-    res.terms = terms
-    return res
-
-
 def _normalize_primitive(f: LaurentPoly) -> LaurentPoly:
     """Divide by the rational content: integer coefficients, gcd 1, lead > 0."""
     cont = f.content()

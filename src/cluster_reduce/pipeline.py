@@ -42,7 +42,7 @@ from .geometry import (
 )
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
 from .maps import random_positive_point, rng_substream
-from .quiver import cluster_map, degree_growth, detect_period, growth_class
+from .quiver import GROWTH_STEPS, cluster_map, degree_growth, detect_period, growth_class
 
 __all__ = ["run_pipeline", "WorkflowConfig", "AnalysisReport", "InputError"]
 
@@ -60,8 +60,6 @@ PERIOD_SAMPLES = 10
 SCAN_SAMPLES = 10
 SCAN_P_MAX = 20
 ITINERARY_STEPS = 20
-# Iterates of the cluster map whose degrees the growth class is read from.
-GROWTH_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,9 @@ class AnalysisReport:
         lines.append(f"mutation period: {self.period}")
         lines.append("cluster map: " + ", ".join(self.map_components))
         g = self.growth
-        lines.append(f"degree growth: {g['class']}, entropy {g['entropy']}, "
-                     f"d_{GROWTH_STEPS} = {g['degrees'][-1]} ({g['certificate']})")
+        lines.append(f"degree growth: d_{GROWTH_STEPS} = {g['degrees'][-1]} "
+                     f"({g['degrees_certificate']}); {g['class']}, entropy {g['entropy']} "
+                     f"({g['class_certificate']})")
         lines.append(
             f"presymplectic form invariant: {self.presymplectic_invariant} "
             f"(rank {self.rank}, exact (mutation period))"
@@ -272,10 +271,11 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     report.period = cert.period
     phi = cluster_map(matrix, cert)
     report.map_components = phi.to_strings()
-    degrees = degree_growth(matrix, cert, GROWTH_STEPS)
+    degrees = degree_growth(matrix, cert)
     growth_kind, entropy = growth_class(degrees)
-    report.growth = {"degrees": degrees, "class": growth_kind, "entropy": entropy,
-                     "certificate": "exact (tropical d-vectors)"}
+    report.growth = {"degrees": degrees, "degrees_certificate": "exact (tropical d-vectors)",
+                     "class": growth_kind, "entropy": entropy,
+                     "class_certificate": "read off d_30, d_59, d_60"}
 
     form = PresymplecticForm(matrix)
     report.rank = form.rank

@@ -30,9 +30,13 @@ __all__ = [
     "shifted_matrix",
     "detect_period",
     "cluster_map",
+    "GROWTH_STEPS",
     "degree_growth",
     "growth_class",
 ]
+
+# Iterates of phi whose degrees degree_growth returns; growth_class is tuned to it.
+GROWTH_STEPS = 60
 
 
 class CertificateError(ValueError):
@@ -216,18 +220,23 @@ def _d_vectors(b: IntMatrix, cert: PeriodicityCertificate):
         yield tuple(d)
 
 
-def degree_growth(b: IntMatrix, cert: PeriodicityCertificate, steps: int) -> list[int]:
-    """deg_1..deg_steps of the cluster map: deg_k is the largest total degree
-    sum_i [d_i]+ of the denominator of a component of phi^k, in integers."""
+def degree_growth(b: IntMatrix, cert: PeriodicityCertificate) -> list[int]:
+    """deg_1..deg_GROWTH_STEPS of the cluster map: deg_k is the largest total
+    degree sum_i [d_i]+ of the denominator of a component of phi^k, in
+    integers."""
     vectors = _d_vectors(b, cert)
-    return [max(sum(v for v in row if v > 0) for row in next(vectors)) for _ in range(steps)]
+    return [max(sum(v for v in row if v > 0) for row in next(vectors))
+            for _ in range(GROWTH_STEPS)]
 
 
 def growth_class(degrees: list[int]) -> tuple[str, float]:
-    """(class, entropy) of degrees d_1..d_s: the class is read off
-    d_s / d_(s-1) (exponential, with entropy its log) and
-    r = log2(d_s / d_(s/2)) (bounded, linear or quadratic)."""
-    last, prev, half = degrees[-1], degrees[-2], degrees[len(degrees) // 2 - 1]
+    """(class, entropy) of the degrees d_1..d_60 from ``degree_growth``: the
+    class is read off d_60 / d_59 (exponential, with entropy its log) and
+    r = log2(d_60 / d_30) (bounded, linear or quadratic).  The thresholds
+    hold for 60 degrees only, so any other length is rejected."""
+    if len(degrees) != GROWTH_STEPS:
+        raise ValueError(f"growth_class reads {GROWTH_STEPS} degrees, got {len(degrees)}")
+    last, prev, half = degrees[-1], degrees[-2], degrees[GROWTH_STEPS // 2 - 1]
     if not last:
         return "bounded", 0.0
     if prev and 10 * last >= 11 * prev:

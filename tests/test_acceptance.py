@@ -51,7 +51,6 @@ from cluster_reduce import (
     verify_closed_form,
 )
 from cluster_reduce.geometry import vectorize_skew
-from cluster_reduce.pipeline import GROWTH_STEPS
 
 # pinned tolerances and budgets
 RESIDUAL_TOL = "1e-40"
@@ -354,7 +353,7 @@ def test_criterion_12_non_periodicity_scan():
     assert scan.samples == 25
     # the growth evidence is exact: tropical degrees of the cluster map
     b = get_fixture("c7-pair").matrix("B")
-    degrees = degree_growth(b, detect_period(b), GROWTH_STEPS)
+    degrees = degree_growth(b, detect_period(b))
     assert growth_class(degrees) == ("quadratic", 0.0)
 
 

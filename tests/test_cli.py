@@ -407,8 +407,8 @@ class TestPipeline:
         assert code == 0
         assert "mutation period: 1" in text
         assert "flag of foliations: null(2) < casimir(3)" in text
-        assert ("degree growth: quadratic, entropy 0.0, d_60 = 685 "
-                "(exact (tropical d-vectors))") in text
+        assert ("degree growth: d_60 = 685 (exact (tropical d-vectors)); "
+                "quadratic, entropy 0.0 (read off d_30, d_59, d_60)") in text
         assert json.loads(out.read_text())["schema"] == "v1"
 
     @pytest.mark.parametrize("name", [

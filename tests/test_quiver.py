@@ -21,7 +21,6 @@ from cluster_reduce import (
     mutate_seed,
     shifted_matrix,
 )
-from cluster_reduce.pipeline import GROWTH_STEPS
 from cluster_reduce.quiver import _d_vectors
 
 # genuinely non-mutation-periodic: every cyclic shift up to 4 fails
@@ -196,7 +195,7 @@ class TestClusterMap:
         with pytest.raises(CertificateError):
             cluster_map(b, PeriodicityCertificate(4, 1))
         with pytest.raises(CertificateError):
-            degree_growth(b, PeriodicityCertificate(5, 3), 1)
+            degree_growth(b, PeriodicityCertificate(5, 3))
 
     def test_recurrence_structure(self):
         # the map acts as a shift: first n-1 components are coordinates
@@ -213,7 +212,7 @@ def _ladder_matrix(name):
 
 
 def _growth(b):
-    return growth_class(degree_growth(b, detect_period(b), GROWTH_STEPS))
+    return growth_class(degree_growth(b, detect_period(b)))
 
 
 class TestDegreeGrowth:
@@ -244,7 +243,7 @@ class TestDegreeGrowth:
 
     def test_somos5_degrees(self):
         b = get_fixture("somos5").matrix("B")
-        degrees = degree_growth(b, detect_period(b), GROWTH_STEPS)
+        degrees = degree_growth(b, detect_period(b))
         assert degrees[:9] == [1, 2, 3, 5, 8, 10, 13, 17, 21]
         assert degrees[-1] == 685
 
@@ -279,6 +278,18 @@ class TestDegreeGrowth:
     ])
     def test_class_rule(self, degrees, kind):
         assert growth_class(degrees) == (kind, 0.0)
+
+    def test_class_rule_rejects_other_lengths(self):
+        # d_10 / d_9 = 24 / 21 of somos5 would pass the exponential threshold
+        # tuned for d_60 / d_59, so a prefix is refused, not misclassified
+        b = get_fixture("somos5").matrix("B")
+        degrees = degree_growth(b, detect_period(b))
+        assert len(degrees) == 60
+        for short in (degrees[:10], degrees[:1], []):
+            with pytest.raises(ValueError):
+                growth_class(short)
+        with pytest.raises(ValueError):
+            growth_class(degrees + [degrees[-1]])
 
 
 class TestSeedMutation:
