@@ -160,18 +160,20 @@ def _cmd_period(args) -> int:
         raise InputError("period needs exactly one of --matrix or --map")
     if args.matrix:
         b = _load_matrix(args.matrix)
-        cert = detect_period(b, args.max_m)
+        m_max = _positive(args.max_m, "--max-m")
+        cert = detect_period(b, m_max)
         doc = {
             "schema": "v1",
             "input": "matrix",
-            "m_max": args.max_m,
+            "m_max": m_max,
             "period": cert.period if cert else None,
         }
         _emit(doc, args.out)
         return 0
     f = _load_map(args.map)
     samples = _positive(args.samples, "--samples")
-    report = detect_global_periodicity(f, args.max_p, samples, args.seed)
+    p_max = _positive(args.max_p, "--max-p")
+    report = detect_global_periodicity(f, p_max, samples, args.seed)
     doc = {
         "schema": "v1",
         "input": "map",
@@ -189,9 +191,10 @@ def _cmd_period(args) -> int:
 
 def _cmd_map(args) -> int:
     b = _load_matrix(args.matrix)
-    cert = detect_period(b, args.max_m)
+    m_max = _positive(args.max_m, "--max-m")
+    cert = detect_period(b, m_max)
     if cert is None:
-        print(f"no mutation period up to {args.max_m}", file=sys.stderr)
+        print(f"no mutation period up to {m_max}", file=sys.stderr)
         return 2
     phi = cluster_map(b, cert)
     doc = phi.to_json_dict()
@@ -304,12 +307,13 @@ def _cmd_verify(args) -> int:
 def _cmd_orbit(args) -> int:
     phi = _load_map(args.map)
     start = _parse_start(args.start, phi.dim_in)
+    steps = _positive(args.steps, "--steps")
     precision = _resolve_precision(args.precision)
-    orbit = iterate_orbit(phi, start, args.steps, args.mode, precision)
+    orbit = iterate_orbit(phi, start, steps, args.mode, precision)
     doc = {
         "schema": "v1",
         "mode": orbit.mode,
-        "steps": args.steps,
+        "steps": steps,
         "points": [_point_json(p, orbit.mode, precision) for p in orbit.points],
     }
     if orbit.mode == "float":
@@ -322,12 +326,13 @@ def _cmd_itinerary(args) -> int:
     phi = _load_map(args.map)
     subs = [_load_submersion(p) for p in args.submersions]
     start = _parse_start(args.start, phi.dim_in)
+    steps = _positive(args.steps, "--steps")
     precision = _resolve_precision(args.precision)
-    itin = leaf_itinerary(phi, subs, start, args.steps, args.mode, precision)
+    itin = leaf_itinerary(phi, subs, start, steps, args.mode, precision)
     doc = {
         "schema": "v1",
         "mode": args.mode,
-        "steps": args.steps,
+        "steps": steps,
         "names": list(itin.names),
         "label_periods": list(itin.periods),
         "labels": [

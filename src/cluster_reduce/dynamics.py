@@ -32,8 +32,7 @@ f^(p) = id.
 Exact and float orbits and Newton steps evaluate the map by the kernel of
 ``maps`` (``_step`` on the map's cached compiled terms, which runs
 ``laurent._terms``); only the residue screen has its own loop, as units
-mod p with explicit inverses are not a number type.  ``_intervals()``
-(``mpmath.iv``) is kept for the Krawczyk test of ROADMAP item 4.
+mod p with explicit inverses are not a number type.
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
@@ -48,11 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import lcm
 
 import mpmath as mp
-from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
 from .intlinalg import right_inverse
@@ -217,27 +215,6 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
         points.append(tuple(x))
     inverses.append([pow(v, -1, p) for v in x])
     return points, inverses
-
-
-@cache
-def _interval_context() -> MPIntervalContext:
-    """A private mpmath.iv context, so callers' iv precision is untouched."""
-    ctx = MPIntervalContext()
-    ctx.dps = DEFAULT_PRECISION
-    return ctx
-
-
-@cache
-def _intervals() -> _Numbers:
-    """Outward-rounded intervals of that context, for the map kernel; no
-    caller in the package until the Krawczyk test (ROADMAP item 4)."""
-    ctx = _interval_context()
-
-    def enclose(q):
-        q = Fraction(q)
-        return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-
-    return _Numbers(ctx.mpf(0), ctx.mpf(1), enclose, lambda: "iv")
 
 
 class _LiftedOrbit:

@@ -286,8 +286,9 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     if config.require_compatible:
         basis = _period_poisson_basis(matrix, cert.period)
     else:
-        # without C B = 0 the tracked kernel can miss structures that leave
-        # log-canonical form between mutations, so the space is sampled
+        # without C B = 0 the tracked kernel is incomplete for period >= 2:
+        # it misses structures that leave log-canonical form between
+        # mutations and still return, so the space is sampled
         try:
             basis = find_invariant_poisson(phi, None, seed=config.seed)
         except GeometryError as exc:

@@ -357,7 +357,7 @@ def test_criterion_12_non_periodicity_scan():
     assert growth_class(degrees) == ("quadratic", 0.0)
 
 
-def test_criterion_13_property_suites():
+def test_criterion_13_property_suites(ladder_systems):
     # mutation is an involution
     rng = random.Random(1300)
     for _ in range(200):
@@ -432,3 +432,16 @@ def test_criterion_13_property_suites():
         for i in range(100):
             x = random_positive_point(phi.dim_in, rng_substream(1313, i))
             assert pi.evaluate(phi.evaluate(x)) == psi.evaluate(pi.evaluate(x))
+
+    # every reduction and flag link of the ladder, pointwise and as the
+    # identity of rational functions that the lattice rewrite guarantees
+    assert sum(len(links) for _, _, links in ladder_systems.values()) == 5
+    for name, (phi, systems, links) in ladder_systems.items():
+        for system in systems:
+            psi, pi = system.map, system.submersion.map
+            assert psi.compose(pi.as_birational()) == pi.after(phi), name
+            for i in range(10):
+                x = random_positive_point(phi.dim_in, rng_substream(1314, i))
+                assert pi.evaluate(phi.evaluate(x)) == psi.evaluate(pi.evaluate(x)), name
+        for outer, inner, p in links:
+            assert outer.map.compose(p.as_birational()) == p.after(inner.map), name

@@ -309,17 +309,24 @@ class TestOrbit:
         assert code == 0
         assert doc["precision"] == 30
 
-    @pytest.mark.parametrize("precision", ["0", "-4"])
-    @pytest.mark.parametrize("command", ["orbit", "itinerary"])
-    def test_nonpositive_precision_flag_exits_3(self, capsys, files, command, precision):
-        argv = [command, "--map", files["phi5"], "--start", "1,1,1,1,1", "--steps", "2",
-                "--mode", "float", "--precision", precision]
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    @pytest.mark.parametrize("command, flag", [
+        ("orbit", "--precision"), ("itinerary", "--precision"),
+        ("orbit", "--steps"), ("itinerary", "--steps"),
+        ("period --matrix b5", "--max-m"), ("period --map phi5", "--max-p"),
+        ("map --matrix b5", "--max-m"),
+    ])
+    def test_nonpositive_flag_exits_3(self, capsys, files, command, flag, value):
+        argv = [files.get(word, word) for word in command.split()]
+        if command in ("orbit", "itinerary"):
+            argv += ["--map", files["phi5"], "--start", "1,1,1,1,1", "--mode", "float"]
+            argv += ["--steps", "2"] if flag != "--steps" else []
         if command == "itinerary":
             argv += ["--submersions", files["null5"]]
-        code = main(argv)
+        code = main(argv + [flag, value])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert "--precision must be a positive integer" in captured.err
+        assert f"{flag} must be a positive integer" in captured.err
 
     def test_wrong_arity_start(self, capsys, files):
         code, _ = _run(

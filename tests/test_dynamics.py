@@ -6,7 +6,6 @@ from functools import cache
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import to_rational
 
 from cluster_reduce import (
     BirationalMap,
@@ -693,20 +692,3 @@ class TestLiftedOrbitEngine:
         monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (2, 3))
         assert no_periodic_points_scan(PSI_2, samples=5) == expected
         assert detect_global_periodicity(PSI_1).period == 10
-
-    def test_exact_orbits_lie_in_their_enclosures(self, ladder_maps):
-        # 30 steps on the cluster maps; exact orbits of the reduced maps
-        # cost seconds past 15 steps, and the somos5-2periodic maps grow
-        # exponentially
-        for name, f in ladder_maps.items():
-            steps = 6 if name.startswith("somos5-2periodic") else 15 if ":" in name else 30
-            x0 = random_positive_point(f.dim_in, rng_substream(name, 0))
-            orbit = dynamics._LiftedOrbit(f, x0, steps)
-            num = dynamics._intervals()
-            comps = f._compiled(num)
-            boxes = [num.convert(v) for v in x0]
-            for k in range(steps + 1):
-                for q, box in zip(orbit.exact(k), boxes, strict=True):
-                    lo, hi = (Fraction(*to_rational(end)) for end in box._mpi_)
-                    assert lo <= q <= hi, (name, k)
-                boxes = maps._step(comps, boxes, False, num)[0]

@@ -1,5 +1,6 @@
 """Invariant structures, monomial submersions, reduced maps, and flags."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -134,7 +135,7 @@ class TestPoissonBracket:
             sub = casimir_submersion(structure)
             n = structure.dim
             coordinates = [parse_rational(f"x{j+1}", n) for j in range(n)]
-            for z in sub.components():
+            for z in sub.map.components():
                 for x in coordinates:
                     assert poisson_bracket(z, x, structure).is_zero()
 
@@ -273,7 +274,6 @@ class TestPeriodPoissonBasis:
         cert = detect_period(_B3)
         assert cert.period == 3
         phi = cluster_map(_B3, cert)
-        assert _period_poisson_basis(_B3, 3, compatible=False) == []
         assert find_invariant_poisson(phi) == [_B3]
         assert _period_poisson_basis(_B3, 3) == find_invariant_poisson(phi, _B3) == []
 
@@ -497,6 +497,22 @@ class TestChainedReduction:
         wrong = MonomialMap.from_rows([(0, 0, 1), (0, 1, 0)], 3)
         with pytest.raises(GeometryError):
             chained_reduction(outer, inner, wrong)
+
+    def test_systems_of_different_maps_rejected(self):
+        # the witness p o pi_inner = pi_outer holds, but psi_inner reduces
+        # phi^2, so p o psi_inner = psi_outer^2 o p and not psi_outer o p
+        phi = _phi("somos5")
+        null = submersion_from_rows(SOMOS5_Y[:2], 5, kind="null")
+        cas = submersion_from_rows(SOMOS5_Y, 5, kind="casimir")
+        outer = derive_reduced_map(phi, null)
+        inner = derive_reduced_map(phi, cas)
+        p = check_subfoliation(null, cas)
+        squared = derive_reduced_map(phi.compose(phi), cas)
+        assert p.after(squared.map) != outer.map.compose(p.as_birational())
+        unknown = replace(outer, source=None)
+        for pair in ((outer, squared), (unknown, inner), (unknown, replace(inner, source=None))):
+            with pytest.raises(GeometryError, match="do not reduce the same map"):
+                chained_reduction(*pair, p)
 
 
 class TestIsotropy:
