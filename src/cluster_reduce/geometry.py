@@ -707,8 +707,8 @@ def derive_reduced_map(phi: BirationalMap, sub: Submersion) -> ReducedSystem:
     Each component y_i o phi is rewritten in fiber coordinates; failure
     of any component means phi does not descend through pi.  The rewrite
     keeps every coefficient and sends each shifted exponent delta to the
-    unique sol with U^T sol = delta, so psi_i o pi = (pi o phi)_i is an
-    identity of rational functions and is not recomposed.
+    unique sol with U^T sol = delta, so psi_i o pi = (pi o phi)_i holds
+    as an identity of rational functions.
     """
     n = sub.dim_in
     if phi.dim_in != n or phi.dim_out != n:
