@@ -29,28 +29,34 @@ periodicity is certified symbolically: the sampled first returns propose
 the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
 
-Exact and float orbits and Newton steps evaluate the map by the kernel of
-``maps`` (``_step`` on the map's cached compiled terms, which runs
-``laurent._terms``); only the residue screen has its own loop, as units
-mod p with explicit inverses are not a number type.
+Exact and float orbits, Newton steps and interval enclosures evaluate
+the map by the kernel of ``maps`` (``_step`` on the map's cached compiled
+terms, which runs ``laurent._terms``); only the residue screen has its
+own loop, as units mod p with explicit inverses are not a number type.
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
 along those steps, so the composite f^(p) is never formed.  Each start
 runs in hardware floats until the residual max|f^(p)(x) - x| is below
 1e-10 and finishes at the working precision; any float failure re-runs
-the start at the working precision, and every returned point passes the
-full-precision residual test.
+the start at the working precision.  Every returned point passes the
+full-precision residual test and its relative form, and copies of one
+root are merged.  Each point found gets a candidate box; when a later
+start's float iterate lands in it, Krawczyk's test on ``mpmath``
+intervals is run once, and a certified box, which holds exactly one
+solution, makes every start landing in it a duplicate with no
+full-precision finish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 
 import mpmath as mp
+from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
 from .intlinalg import right_inverse
@@ -419,6 +425,27 @@ class PeriodicPoint:
 _FLOAT = _Numbers(0.0, 1.0, float, lambda: "float",
                   lambda: 2.0**-52, lambda xs: sum(map(abs, xs)))
 
+
+@cache
+def _interval_context(prec: int) -> MPIntervalContext:
+    """A private mpmath.iv context at prec bits, so callers' iv precision
+    is untouched, and an mpf of prec bits converts to it exactly."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
+
+
+def _intervals() -> _Numbers:
+    """Outward-rounded intervals at the working precision, for the map kernel."""
+    ctx = _interval_context(mp.mp.prec)
+
+    def enclose(q):
+        q = Fraction(q)
+        return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
+
+    return _Numbers(ctx.mpf(0), ctx.mpf(1), enclose, lambda: ("iv", ctx.prec))
+
+
 # Newton runs in floats until max|f^p(x) - x| is below this, about the
 # square root of the float unit roundoff; from there each full-precision
 # step roughly doubles the correct digits.
@@ -439,6 +466,11 @@ def _power(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
                 for row in step
             ]
     return x, jac
+
+
+def _less_identity(jac) -> list:
+    """J - I for a square list of rows J: the Jacobian of F = f^p - id."""
+    return [[v - (1 if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(jac)]
 
 
 def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
@@ -498,9 +530,9 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     and in ``mpf`` from the start when either of those fails.  Each step
     solves (J(f^p) - I) dx = x - f^p(x) and halves dx until x + dx
     stays positive and lowers max|f^p(x) - x|.  Returns (point,
-    residual, steps taken) once the residual is below tol, or None: for a
-    start outside the domain, a singular system, no descent after 40
-    halvings, or max_iter steps spent.  A non-finite residual never
+    f^p(point) - point, steps taken) once the residual is below tol, or
+    None: for a start outside the domain, a singular system, no descent
+    after 40 halvings, or max_iter steps spent.  A non-finite residual never
     descends (an inf or nan step gives no positive trial with a smaller
     residual), so it ends in None too.  A float overflow in a power
     raises OverflowError.
@@ -519,10 +551,9 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
         return None
     for steps in range(max_iter):
         if res < tol:
-            return tuple(x), res, steps
-        jm = [[jac[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+            return tuple(x), fvec, steps
         try:
-            step = _lu_solve(jm, [-v for v in fvec], num)
+            step = _lu_solve(_less_identity(jac), [-v for v in fvec], num)
         except ZeroDivisionError:
             return None
         damping = num.one
@@ -541,18 +572,21 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
             damping /= 2
         if not improved:
             return None
-    return (tuple(x), res, max_iter) if res < tol else None
+    return (tuple(x), fvec, max_iter) if res < tol else None
 
 
-def _periodic_point_newton(comps, fcomps, p: int, start, tol):
-    """(point, residual, steps) for the Newton run from start, or None.
+def _periodic_point_newton(comps, fcomps, p: int, start, tol, known):
+    """(point, f^p(point) - point, steps) for the Newton run from start,
+    or None.
 
     Newton runs in floats (fcomps) until the residual is below
     ``_HANDOFF``, then continues at the working precision (comps) from
     the float iterate with the iterations left, until the residual is
     below tol.  When either phase fails, or a float overflows, the whole
     run is repeated at the working precision from start, so no start is
-    lost to float arithmetic.
+    lost to float arithmetic.  When known(x) holds for the float iterate
+    x, the start duplicates a point already found: None, with no
+    full-precision finish.
     """
     if fcomps is not None:
         try:
@@ -563,10 +597,69 @@ def _periodic_point_newton(comps, fcomps, p: int, start, tol):
             rough = None
         if rough is not None:
             point, _, used = rough
+            if known(point):
+                return None
             result = _newton_solve(comps, p, [mp.mpf(v) for v in point], tol, _MAX_ITER - used)
             if result is not None:
                 return result
     return _newton_solve(comps, p, start, tol, _MAX_ITER)
+
+
+# Half-width of the candidate uniqueness box around a found point y, in
+# units of max(1, |y_i|).  It is wide enough to hold the float iterates
+# of later starts bound for y (residual below _HANDOFF) and narrow enough
+# that J(f^p) varies little over it, which Krawczyk's test needs.
+_BOX_RADIUS = 1e-6
+
+
+def _candidate_box(point) -> list:
+    """[(lo, hi)]: the mpf endpoints of the box of half-width
+    _BOX_RADIUS max(1, |y_i|) around point."""
+    box = []
+    for y in point:
+        radius = _BOX_RADIUS * max(1, abs(y))
+        box.append((y - radius, y + radius))
+    return box
+
+
+def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
+    """Whether Krawczyk's test proves that box X holds exactly one zero
+    of F = f^p - id (Krawczyk, Computing 4 (1969); Rump, Acta Numerica 19
+    (2010)).
+
+    With y the point and Y the ``mpf`` inverse of J_F(y), X is certified
+    when K(X) = y - Y F(y) + (I - Y J_F(X)) (X - y) lies in the interior
+    of X.  F(y) is enclosed on the degenerate interval [y, y] and J_F(X)
+    is the interval chain-rule product of ``_power``, both outward-rounded
+    at the working precision; Y need not be exact.  A singular J_F(y), as
+    on a curve of period-p points, leaves X uncertified, and so do a
+    denominator that may vanish on X and an unbounded enclosure.
+    """
+    n = len(point)
+    iv = _intervals()
+    ctx = _interval_context(mp.mp.prec)
+    icomps = f._compiled(iv)
+    ys = [ctx.mpf(v) for v in point]
+    xs = [ctx.mpf([lo, hi]) for lo, hi in box]
+    try:
+        jac = _power(f._compiled(_MPF), list(point), p, True)[1]
+        columns = [_lu_solve(_less_identity(jac), [int(i == j) for i in range(n)])
+                   for j in range(n)]
+        image = _power(icomps, ys, p, False, iv)[0]
+        jbox = _less_identity(_power(icomps, xs, p, True, iv)[1])
+    except ZeroDivisionError:
+        return False
+    inverse = [[ctx.mpf(col[i]) for col in columns] for i in range(n)]
+    fy = [a - b for a, b in zip(image, ys)]
+    for i, row in enumerate(inverse):
+        k = ys[i] - sum(row[j] * fy[j] for j in range(n)) + sum(
+            ((1 if i == m else 0) - sum(row[j] * jbox[j][m] for j in range(n))) * (xs[m] - ys[m])
+            for m in range(n)
+        )
+        lo, hi = (mp.mpf(end) for end in k._mpi_)
+        if not (box[i][0] < lo and hi < box[i][1]):
+            return False
+    return True
 
 
 def find_periodic_points(
@@ -590,13 +683,26 @@ def find_periodic_points(
     Any float failure (a singular system, an overflow or a non-finite
     residual, no descent, the iteration budget spent) re-runs the start
     at the working precision from the start.  Every returned point
-    passes the full-precision residual test max|f^(p)(x) - x| < tol.
+    passes the full-precision residual test max|f^(p)(x) - x| < tol and
+    the relative test max|f^(p)(x)_i - x_i| / x_i < tol, which drops runs
+    that creep towards a coordinate 0.  Two points merge when they are
+    closer than 10^-(precision/2), or than 100 tol where that is larger
+    (below 52 digits), the distance within which a residual below tol
+    leaves the copies of a root with |J_F^-1| < 50, F = f^(p) - id.
+
+    A found point y gets a candidate box of half-width 1e-6 max(1,
+    |y_i|).  The first time a later start's float iterate lies in it
+    (compared with the box's ``mpf`` endpoints), Krawczyk's test is run
+    on the box and the verdict kept.  A certified box holds exactly one
+    solution, so every start whose float iterate lies in it is y's
+    duplicate and is dropped with no full-precision finish; the list is
+    the one the finishes would give, as y is still the first start's.
 
     Where the solutions form a curve (J(f^(p)) - I singular along it, as
     for the period-2 points of the Casimir-reduced somos5 and c7-pair
-    maps), each start lands somewhere on the curve, at a place that
-    depends on its Newton path: the list samples the curve and its
-    length is not a count of periodic points.
+    maps), no box is certified, and each start lands somewhere on the
+    curve, at a place that depends on its Newton path: the list samples
+    the curve and its length is not a count of periodic points.
     """
     n = f.dim_in
     if n > 3:
@@ -610,6 +716,10 @@ def find_periodic_points(
     with mp.workdps(precision):
         if tol is None:
             tol = mp.mpf(10) ** (-(precision - 24))
+        # A residual below tol puts a point within |J_F^-1| tol of its
+        # root, so copies of a root with |J_F^-1| < 50 are less than
+        # 100 tol apart.  That bound is the larger one below 52 digits.
+        merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
         comps = f._compiled(_MPF)
         try:
             fcomps = f._compiled(_FLOAT)
@@ -621,13 +731,32 @@ def find_periodic_points(
         for _ in range(n - 1):
             starts = [s + [t] for s in starts for t in ticks]
         found: list[PeriodicPoint] = []
-        merge_tol = mp.mpf(10) ** (-precision // 2)
+        boxes, certified = [], {}
+
+        def known(rough) -> bool:
+            """Whether the float iterate rough lies in the certified box
+            of a found point; a box is tested when an iterate first lands
+            in it, and the verdict kept."""
+            with mp.workprec(53):  # the floats as mpf values, exactly
+                x = [mp.mpf(v) for v in rough]
+            for k, box in enumerate(boxes):
+                if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+                    if k not in certified:
+                        certified[k] = _krawczyk(f, p, found[k].point, box)
+                    if certified[k]:
+                        return True
+            return False
+
         for s in starts:
-            result = _periodic_point_newton(comps, fcomps, p, s, tol)
+            result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
             if result is None:
                 continue
-            point, res, _ = result
+            point, diff, _ = result
             if any(v <= 0 for v in point):
+                continue
+            # an absolute residual below tol is also reached by runs that
+            # creep towards a coordinate 0; the relative one is not
+            if max(abs(diff[i]) / point[i] for i in range(n)) >= tol:
                 continue
             # f^d(point) for each proper divisor d of p, stepping f
             minimal, image = True, point
@@ -647,7 +776,8 @@ def find_periodic_points(
                     duplicate = True
                     break
             if not duplicate:
-                found.append(PeriodicPoint(point, res, p, precision))
+                found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
+                boxes.append(_candidate_box(point))
         found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
         return found
 

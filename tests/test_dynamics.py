@@ -6,6 +6,7 @@ from functools import cache
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_rational
 
 from cluster_reduce import (
     BirationalMap,
@@ -39,7 +40,7 @@ from cluster_reduce import (
 )
 from cluster_reduce import dynamics, maps
 from cluster_reduce.intlinalg import right_inverse
-from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations
+from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, run_pipeline
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])
 PSI_HAT5 = BirationalMap.from_strings(["x2", "(x2 + 1)/(x1*x2)"])
@@ -347,7 +348,7 @@ def _all_mpf_search(monkeypatch, f, p: int, **kwargs) -> list:
     precision, from the start: the search before it had a float phase."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_periodic_point_newton",
-                  lambda comps, fcomps, p, start, tol:
+                  lambda comps, fcomps, p, start, tol, known:
                   dynamics._newton_solve(comps, p, start, tol, dynamics._MAX_ITER))
         return find_periodic_points(f, p, **kwargs)
 
@@ -479,6 +480,113 @@ class TestMixedPrecisionNewton:
         monkeypatch.setattr(dynamics, "_power", counting)
         assert len(find_periodic_points(f, 1, grid=4)) == 1
         assert sum(full) <= 4 * 4**3
+
+
+def _uncertified(monkeypatch, f, p: int, **kwargs) -> list:
+    """find_periodic_points with every uniqueness box left uncertified, so
+    every start that converges pays its full-precision finish."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_krawczyk", lambda f, p, point, box: False)
+        return find_periodic_points(f, p, **kwargs)
+
+
+def _relative_residual(f, p: int, point):
+    image = dynamics._power(f._compiled(dynamics._MPF), list(point), p)[0]
+    return max(abs(a - b) / b for a, b in zip(image, point))
+
+
+class TestUniquenessBoxes:
+    """Krawczyk's test on the interval kernel, and the search that skips
+    the starts landing in a certified box."""
+
+    @pytest.mark.parametrize("p, precision", [(1, 64), (2, 64), (1, 128)])
+    @pytest.mark.parametrize("name", REDUCED_MAPS)
+    def test_skipped_starts_change_no_output(self, monkeypatch, name, p, precision):
+        f = _low_dimensional_maps()[name]
+        got = find_periodic_points(f, p, precision=precision, grid=4)
+        assert got == _uncertified(monkeypatch, f, p, precision=precision, grid=4)
+
+    def test_one_full_precision_finish_per_fixed_point(self, monkeypatch):
+        f = _low_dimensional_maps()["somos5:casimir3"]
+        solve = dynamics._newton_solve
+        runs = []
+
+        def counting(comps, p, start, tol, max_iter, num=dynamics._MPF):
+            runs.append(num is dynamics._MPF)
+            return solve(comps, p, start, tol, max_iter, num)
+
+        monkeypatch.setattr(dynamics, "_newton_solve", counting)
+        assert len(find_periodic_points(f, 1, grid=4)) == 1
+        assert sum(runs) <= 2
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("name", ["lyness", "psi_1", "psi_hat5", *REDUCED_MAPS])
+    def test_every_fixed_point_box_is_certified(self, name, precision):
+        f = _low_dimensional_maps()[name]
+        (fp,) = find_periodic_points(f, 1, precision=precision, grid=4)
+        with mp.workdps(precision):
+            assert dynamics._krawczyk(f, 1, fp.point, dynamics._candidate_box(fp.point))
+
+    def test_box_that_misses_the_root_is_rejected(self):
+        f = _low_dimensional_maps()["somos5:casimir3"]
+        (fp,) = find_periodic_points(f, 1)
+        with mp.workdps(64):
+            box = dynamics._candidate_box(fp.point)
+            width = box[0][1] - box[0][0]
+            shifted = [(lo + 2 * width, hi + 2 * width) for lo, hi in box[:1]] + box[1:]
+            assert not dynamics._krawczyk(f, 1, fp.point, shifted)
+
+    def test_sign_flipped_jacobian_is_rejected(self, monkeypatch):
+        f = _low_dimensional_maps()["somos5:casimir3"]
+        (fp,) = find_periodic_points(f, 1)
+        power = dynamics._power
+
+        def flipped(comps, x, p, jacobian=False, num=dynamics._MPF):
+            value, jac = power(comps, x, p, jacobian, num)
+            if jacobian and num.key()[0] == "iv":
+                # J_F = J - I becomes I - J
+                jac = [[(2 if i == j else 0) - v for j, v in enumerate(row)]
+                       for i, row in enumerate(jac)]
+            return value, jac
+
+        monkeypatch.setattr(dynamics, "_power", flipped)
+        with mp.workdps(64):
+            assert not dynamics._krawczyk(f, 1, fp.point, dynamics._candidate_box(fp.point))
+
+    def test_period_two_curve_sample_is_rejected(self):
+        # J(f^2) - I is singular along the curve of period-2 points
+        f = _low_dimensional_maps()["somos5:casimir3"]
+        point = find_periodic_points(f, 2, grid=4)[0].point
+        with mp.workdps(64):
+            assert not dynamics._krawczyk(f, 2, point, dynamics._candidate_box(point))
+
+    @pytest.mark.parametrize("precision", [30, 35, 37, 47])
+    @pytest.mark.parametrize("name", REDUCED_MAPS)
+    def test_one_fixed_point_below_48_digits(self, monkeypatch, name, precision):
+        # tol = 10^-(precision - 24) is looser than 10^-(precision // 2)
+        # here: merging at the latter kept up to 29 copies of one root
+        f = _low_dimensional_maps()[name]
+        assert len(_uncertified(monkeypatch, f, 1, precision=precision, grid=4)) == 1
+
+    def test_pipeline_at_30_digits_reports_one_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_krawczyk", lambda f, p, point, box: False)
+        report = run_pipeline(get_fixture("somos5").matrix("B"), WorkflowConfig(precision=30))
+        assert [len(d["fixed_points"]) for d in report.dynamics] == [1, 1]
+
+    @pytest.mark.parametrize("name, p", [
+        ("somos5:null2", 3), ("somos5:casimir3", 2), ("c7-pair:casimir3", 2),
+    ])
+    def test_runs_creeping_to_the_boundary_are_dropped(self, name, p):
+        # at 30 digits some starts pass the absolute residual test with a
+        # coordinate near 0 (somos5 null(2), p = 3, gave two points with a
+        # coordinate about 3.6e-25, and nothing else); at 64 digits the
+        # same starts fail
+        f = _low_dimensional_maps()[name]
+        points = find_periodic_points(f, p, precision=30, grid=4)
+        assert bool(points) == (p == 2)
+        with mp.workdps(30):
+            for pp in points:
+                assert _relative_residual(f, p, pp.point) < mp.mpf(10) ** -6
 
 
 class TestItineraries:
@@ -692,3 +800,21 @@ class TestLiftedOrbitEngine:
         monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (2, 3))
         assert no_periodic_points_scan(PSI_2, samples=5) == expected
         assert detect_global_periodicity(PSI_1).period == 10
+
+    def test_exact_orbits_lie_in_their_enclosures(self, ladder_maps):
+        # 30 steps on the cluster maps; exact orbits of the reduced maps
+        # cost seconds past 15 steps, and the somos5-2periodic maps grow
+        # exponentially
+        for name, f in ladder_maps.items():
+            steps = 6 if name.startswith("somos5-2periodic") else 15 if ":" in name else 30
+            x0 = random_positive_point(f.dim_in, rng_substream(name, 0))
+            orbit = dynamics._LiftedOrbit(f, x0, steps)
+            with mp.workdps(dynamics.DEFAULT_PRECISION):
+                num = dynamics._intervals()
+                comps = f._compiled(num)
+                boxes = [num.convert(v) for v in x0]
+                for k in range(steps + 1):
+                    for q, box in zip(orbit.exact(k), boxes, strict=True):
+                        lo, hi = (Fraction(*to_rational(end)) for end in box._mpi_)
+                        assert lo <= q <= hi, (name, k)
+                    boxes = maps._step(comps, boxes, False, num)[0]
