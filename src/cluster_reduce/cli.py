@@ -120,15 +120,11 @@ def _emit(doc: dict, out: str | None, summary: str | None = None) -> None:
         print(text)
 
 
-def _fraction_str(v: Fraction) -> str:
-    return str(v)
-
-
 def _point_json(point, mode: str, precision: int):
     if mode == "float":
         with mp.workdps(precision):
             return [mp.nstr(v, precision) for v in point]
-    return [_fraction_str(v) for v in point]
+    return [str(v) for v in point]
 
 
 def _positive(value, name: str) -> int:
@@ -206,6 +202,11 @@ def _cmd_map(args) -> int:
 def _cmd_find_poisson(args) -> int:
     phi = _load_map(args.map)
     compat = _load_matrix(args.compatible) if args.compatible else None
+    if compat is not None and (compat.rows, compat.cols) != (phi.dim_in, phi.dim_in):
+        raise InputError(
+            f"compatibility matrix is {compat.rows} x {compat.cols} but the map "
+            f"has {phi.dim_in} coordinates"
+        )
     basis = find_invariant_poisson(phi, compat, seed=args.seed)
     doc = {
         "schema": "v1",
@@ -299,7 +300,7 @@ def _cmd_verify(args) -> int:
         "seed": args.seed,
     }
     if result.witness is not None:
-        doc["witness"] = [_fraction_str(v) for v in result.witness]
+        doc["witness"] = [str(v) for v in result.witness]
     _emit(doc, args.out)
     return 0 if result.ok else 2
 
@@ -325,6 +326,12 @@ def _cmd_orbit(args) -> int:
 def _cmd_itinerary(args) -> int:
     phi = _load_map(args.map)
     subs = [_load_submersion(p) for p in args.submersions]
+    for path, sub in zip(args.submersions, subs):
+        if sub.dim_in != phi.dim_in:
+            raise InputError(
+                f"submersion {path} lives on {sub.dim_in} coordinates but the "
+                f"map has {phi.dim_in}"
+            )
     start = _parse_start(args.start, phi.dim_in)
     steps = _positive(args.steps, "--steps")
     precision = _resolve_precision(args.precision)

@@ -452,6 +452,14 @@ def _intervals() -> _Numbers:
 _HANDOFF = 1e-10
 # Newton steps per start, shared by its float and full-precision phases.
 _MAX_ITER = 120
+# Periodic-point starts form a grid over this box in every coordinate.
+_START_BOX = (Fraction(1, 2), Fraction(3))
+
+
+def _residual_tol(precision: int):
+    """10^-(precision - 24): the residual and relative-error tolerance at a
+    working precision, as an mpf at the current one."""
+    return mp.mpf(10) ** (-(precision - 24))
 
 
 def _power(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
@@ -665,14 +673,12 @@ def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
 def find_periodic_points(
     f: BirationalMap,
     p: int,
-    box: tuple = (Fraction(1, 2), Fraction(3)),
     precision: int = DEFAULT_PRECISION,
     grid: int = 5,
-    tol=None,
 ) -> list[PeriodicPoint]:
     """Positive solutions of f^(p)(x) = x with minimal period exactly p.
 
-    Damped Newton iteration from a grid of starts over the box; roots
+    Damped Newton iteration from a grid of starts over [1/2, 3]^n; roots
     whose period properly divides p are filtered out; duplicates merged.
     f^(p) is never formed: f is compiled once, f^(p)(x) is p steps of f
     and its Jacobian the chain-rule product along those steps.
@@ -683,7 +689,8 @@ def find_periodic_points(
     Any float failure (a singular system, an overflow or a non-finite
     residual, no descent, the iteration budget spent) re-runs the start
     at the working precision from the start.  Every returned point
-    passes the full-precision residual test max|f^(p)(x) - x| < tol and
+    passes the full-precision residual test max|f^(p)(x) - x| < tol,
+    tol = 10^-(precision - 24), and
     the relative test max|f^(p)(x)_i - x_i| / x_i < tol, which drops runs
     that creep towards a coordinate 0.  Two points merge when they are
     closer than 10^-(precision/2), or than 100 tol where that is larger
@@ -714,8 +721,7 @@ def find_periodic_points(
     if grid < 1:
         raise DynamicsError("the grid must have at least one start per coordinate")
     with mp.workdps(precision):
-        if tol is None:
-            tol = mp.mpf(10) ** (-(precision - 24))
+        tol = _residual_tol(precision)
         # A residual below tol puts a point within |J_F^-1| tol of its
         # root, so copies of a root with |J_F^-1| < 50 are less than
         # 100 tol apart.  That bound is the larger one below 52 digits.
@@ -725,7 +731,7 @@ def find_periodic_points(
             fcomps = f._compiled(_FLOAT)
         except OverflowError:
             fcomps = None
-        lo, hi = _to_mpf(box[0]), _to_mpf(box[1])
+        lo, hi = _to_mpf(_START_BOX[0]), _to_mpf(_START_BOX[1])
         ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
         starts = [[t] for t in ticks]
         for _ in range(n - 1):
@@ -861,18 +867,24 @@ def leaf_itinerary(
     mode: str = "exact",
     precision: int = DEFAULT_PRECISION,
     names=None,
-    float_tol=None,
 ) -> LeafItinerary:
     """Labels pi(orbit point) per step for each submersion, with cycle lengths.
 
     In exact mode label equality is exact: label periods are screened mod
     p on the lifted orbit and confirmed on exact labels.  In float mode
-    two labels are equal when all coordinates agree within float_tol
-    (default 10^-(precision/2)).
+    two labels are equal when all coordinates agree within
+    10^-(precision/2).  A submersion whose source dimension is not the
+    map's raises DynamicsError.
     """
     if phi.dim_out != phi.dim_in:
         raise DynamicsError("orbits require a self-map")
     submersions = tuple(submersions)
+    for s in submersions:
+        if s.dim_in != phi.dim_in:
+            raise DynamicsError(
+                f"submersion {s.kind}-{s.dim_out}d has source dimension "
+                f"{s.dim_in}, the map has {phi.dim_in}"
+            )
     if names is None:
         names = [f"{s.kind}-{s.dim_out}d" for s in submersions]
     itinerary = LeafItinerary(
@@ -883,7 +895,7 @@ def leaf_itinerary(
         periods = [_exact_label_period(orbit, s.map, n) for s in submersions]
     elif mode == "float":
         with mp.workdps(precision):
-            tol = float_tol if float_tol is not None else mp.mpf(10) ** (-precision // 2)
+            tol = mp.mpf(10) ** (-precision // 2)
             equal = lambda a, b: all(abs(u - v) < tol for u, v in zip(a, b))
             periods = [_label_period(labels, equal) for labels in itinerary.labels]
     else:
@@ -994,7 +1006,6 @@ def verify_closed_form(
     lam,
     r,
     n_max: int = 20,
-    tol=None,
 ) -> ClosedFormReport:
     """Check orbit terms of the Somos-5 recurrence against a closed form.
 
@@ -1008,14 +1019,14 @@ def verify_closed_form(
         x_{2n+4} = lam^n r^(n^2) x4^(2n+1) / x3^(2n),
         x_{2n+5} = lam^(n+1) r^(n(n+1)) x4^(2n+2) / x3^(2n+1),  n >= 1.
 
-    The orbit must be in float mode and long enough to cover the terms.
+    The orbit must be in float mode and long enough to cover the terms;
+    it matches when every relative error is below 10^-(precision - 24).
     """
     if orbit.mode != "float":
         raise DynamicsError("closed-form verification expects a float-mode orbit")
     precision = orbit.precision or DEFAULT_PRECISION
     with mp.workdps(precision):
-        if tol is None:
-            tol = mp.mpf(10) ** (-(precision - 24))
+        tol = _residual_tol(precision)
         x3 = mp.mpf(x3)
         x4 = mp.mpf(x4)
         lam = mp.mpf(lam)

@@ -230,10 +230,6 @@ class Submersion:
         return self.map.dim_out
 
     @property
-    def is_trivial(self) -> bool:
-        return self.dim_out == 0
-
-    @property
     def is_local_diffeo(self) -> bool:
         return self.dim_out == self.dim_in
 
@@ -582,7 +578,7 @@ def find_invariant_poisson(
     n = phi.dim_in
     if phi.dim_out != n:
         raise GeometryError("invariant structures require a self-map")
-    if compatible_with is not None and compatible_with.rows != n:
+    if compatible_with is not None and (compatible_with.rows, compatible_with.cols) != (n, n):
         raise GeometryError("compatibility matrix dimension differs from the map")
     n_unknowns = n * (n - 1) // 2
     max_points = n_unknowns + stable_runs + 3

@@ -1,12 +1,13 @@
 """Exact integer linear algebra for lattices of monomial exponents.
 
-Everything here runs over the integers (exact rationals internally, never
-floats): Hermite and Smith normal forms with unimodular transforms,
-saturated kernel/image lattices, membership tests, and Darboux-paired
-bases of skew-symmetric forms.  Saturation matters because downstream
-code rewrites Laurent monomials in lattice coordinates, which is only
-well behaved when a basis generates the full intersection of its
-rational span with the integer lattice.
+Everything here runs over the integers, on one core of unimodular row
+and column operations (never rationals or floats): Hermite and Smith
+normal forms with unimodular transforms, saturated kernel/image
+lattices, membership tests, and Darboux-paired bases of skew-symmetric
+forms.  Saturation matters because downstream code rewrites Laurent
+monomials in lattice coordinates, which is only well behaved when a
+basis generates the full intersection of its rational span with the
+integer lattice.
 
 Deterministic output is part of the contract: lattice bases are
 normalized by the Hermite form of their stacked rows, so equal lattices
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 __all__ = [
     "IntMatrix",
@@ -186,7 +186,7 @@ class DarbouxBasis:
 
     The pairing means  sum_m scales[m] * (u_{2m} u_{2m+1}^T - u_{2m+1} u_{2m}^T)
     reconstructs the skew form the basis was computed from (0-based pairs).
-    Each scale is a positive rational.
+    Each scale is positive; darboux_basis always returns integral ones.
     """
 
     ambient_dim: int
@@ -498,44 +498,6 @@ def right_inverse(m: IntMatrix) -> IntMatrix | None:
 
 
 # ---------------------------------------------------------------------------
-# Rational helpers (internal)
-# ---------------------------------------------------------------------------
-
-
-def _rat_identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _rat_mul(a, b) -> list[list[Fraction]]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _rat_inverse(mat) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    inv = _rat_identity(n)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        inv[col] = [x / d for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return inv
-
-
-# ---------------------------------------------------------------------------
 # Darboux bases of skew-symmetric forms
 # ---------------------------------------------------------------------------
 
@@ -613,9 +575,15 @@ def darboux_basis(b: IntMatrix) -> DarbouxBasis:
     """Darboux-paired saturated basis of the image lattice of a skew form.
 
     The returned vectors generate the saturation of Im b and come in
-    pairs (u_1, u_2), (u_3, u_4), ... with positive rational scales
-    lam_m such that  sum_m lam_m (u_{2m-1} u_{2m}^T - u_{2m} u_{2m-1}^T)
-    equals b exactly.
+    pairs (u_1, u_2), (u_3, u_4), ... with positive scales lam_m such
+    that  sum_m lam_m (u_{2m-1} u_{2m}^T - u_{2m} u_{2m-1}^T)  equals b
+    exactly.
+
+    With S the saturated image basis and V its integer right inverse,
+    b = S^T G S for G = V^T b V, an integer skew matrix.  A unimodular
+    congruence q^T G q into 2x2 blocks gives the vectors as the rows of
+    q^-1 S and the scales as the block entries, so every scale is a
+    positive integer (kept as a Fraction).
     """
     if not b.is_skew_symmetric():
         raise ValueError("Darboux basis requires a skew-symmetric matrix")
@@ -628,39 +596,21 @@ def darboux_basis(b: IntMatrix) -> DarbouxBasis:
         raise ArithmeticError("skew-symmetric matrix with odd rank")
     s = img.matrix()
 
-    # Write b = S^T G S for the unique rational skew G (S has full row rank).
-    s_rat = [[Fraction(x) for x in row] for row in s.entries]
-    s_t = [[Fraction(s.entries[i][j]) for i in range(r)] for j in range(n)]
-    gram_inv = _rat_inverse(_rat_mul(s_rat, s_t))
-    b_rat = [[Fraction(x) for x in row] for row in b.entries]
-    middle = _rat_mul(_rat_mul(s_rat, b_rat), s_t)
-    g = _rat_mul(_rat_mul(gram_inv, middle), gram_inv)
+    v = right_inverse(s)
+    if v is None:
+        raise ArithmeticError("image basis has no integer right inverse")
+    g = v.transpose() @ b @ v
+    if s.transpose() @ g @ s != b:
+        raise ArithmeticError("image basis does not carry the skew form")
 
-    # defensive exactness check: S^T G S must reproduce b
-    recon = _rat_mul(_rat_mul(s_t, g), s_rat)
-    for i in range(n):
-        for j in range(n):
-            if recon[i][j] != b_rat[i][j]:
-                raise ArithmeticError("image basis does not carry the skew form")
-
-    denom = lcm(*[x.denominator for row in g for x in row]) if r else 1
-    g_int = [[int(x * denom) for x in row] for row in g]
-    q, ds = _skew_congruence_blocks(g_int)
+    q, ds = _skew_congruence_blocks([list(row) for row in g.entries])
     if 2 * len(ds) != r:
         raise ArithmeticError("skew form degenerated on its own image")
+    q_inv = right_inverse(IntMatrix.from_rows(q, cols=r))
+    if q_inv is None:
+        raise ArithmeticError("congruence transform is not unimodular")
 
-    q_inv_rat = _rat_inverse([[Fraction(x) for x in row] for row in q])
-    a_rows = []
-    for i in range(r):
-        row = []
-        for j in range(n):
-            x = sum(q_inv_rat[i][k] * s.entries[k][j] for k in range(r))
-            if x.denominator != 1:
-                raise ArithmeticError("unimodular inverse was not integral")
-            row.append(int(x))
-        a_rows.append(tuple(row))
-
-    scales = tuple(Fraction(d, denom) for d in ds)
+    scales = tuple(Fraction(d) for d in ds)
     if any(lam <= 0 for lam in scales):
         raise ArithmeticError("Darboux scales must be positive")
-    return DarbouxBasis(n, tuple(a_rows), scales)
+    return DarbouxBasis(n, (q_inv @ s).entries, scales)

@@ -513,9 +513,6 @@ class RationalFunction:
     def is_coordinate(self, i: int) -> bool:
         return self.den.is_one() and self.num == LaurentPoly.variable(i, self.nvars)
 
-    def is_laurent_monomial(self) -> bool:
-        return self.num.is_monomial() and self.den.is_monomial()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cluster_reduce import DynamicsError, fordy_marsh, get_fixture, submersion_from_rows
+from cluster_reduce import DynamicsError, IntMatrix, fordy_marsh, get_fixture, submersion_from_rows
 from cluster_reduce import geometry, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
@@ -133,6 +133,15 @@ class TestFindPoisson:
         assert doc["count"] == 1
         entries = doc["basis"][0]["entries"]
         assert entries[0][1] in ("1", "-1")
+
+    @pytest.mark.parametrize("rows", [7, 5])
+    def test_wrong_size_compatible_matrix_exits_3(self, capsys, files, tmp_path, rows):
+        # 7 x 7 does not match the map; 5 x 7 is not square
+        b7 = get_fixture("c7-pair").matrix("B")
+        path = tmp_path / "compat.json"
+        path.write_text(json.dumps(IntMatrix.from_rows(b7.entries[:rows]).to_json_dict()))
+        code, _ = _run(capsys, ["find-poisson", "--map", files["phi5"], "--compatible", str(path)])
+        assert code == 3
 
 
 class TestReduce:
@@ -355,6 +364,18 @@ class TestItinerary:
         assert doc["label_periods"] == [None]
         assert len(doc["labels"][0]) == 11
         assert doc["labels"][0][0] == ["1", "1"]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_submersion_dimension_mismatch_exits_3(self, capsys, files, tmp_path, mode):
+        sub7 = submersion_from_rows([(1, 0, 0, 0, 0, 0, -1)], 7)
+        path = tmp_path / "sub7.json"
+        path.write_text(json.dumps(sub7.to_json_dict()))
+        code, _ = _run(
+            capsys,
+            ["itinerary", "--map", files["phi5"], "--submersions", files["null5"], str(path),
+             "--start", "1,1,1,1,1", "--steps", "3", "--mode", mode],
+        )
+        assert code == 3
 
 
 class TestFixturesCommand:

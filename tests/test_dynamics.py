@@ -624,6 +624,13 @@ class TestItineraries:
         itin = leaf_itinerary(phi, subs, _ones(5), 15)
         assert itin.periods == (None,)
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_submersion_of_another_dimension_rejected(self, mode):
+        phi = _phi("somos5")
+        subs = [submersion_from_rows(C7_Y[:2], 7, kind="null")]
+        with pytest.raises(DynamicsError, match="source dimension 7"):
+            leaf_itinerary(phi, subs, _ones(5), 3, mode)
+
 
 class TestScans:
     def test_lyness_scan_finds_period(self):

@@ -18,6 +18,7 @@ from cluster_reduce import (
     solve_in_lattice,
     sublattice_subset,
 )
+from cluster_reduce import intlinalg
 
 
 def _det(m: IntMatrix) -> Fraction:
@@ -280,15 +281,25 @@ class TestDarboux:
     def test_random_reconstruction(self):
         rng = random.Random(11)
         for _ in range(30):
-            n = rng.randint(2, 6)
-            b = _random_skew(rng, n)
+            n = rng.randint(2, 12)
+            b = _random_skew(rng, n, bound=9)
             d = darboux_basis(b)
             assert len(d) == b.rank()
             assert d.reconstruct() == b
-            # the Darboux vectors span the row space of b
-            rows = image_lattice(b.transpose())
-            for v in d.vectors:
-                assert solve_in_lattice(rows, v) is not None
+            # the Darboux vectors generate exactly the saturated image lattice
+            image = image_lattice(b)
+            assert sublattice_subset(d.basis(), image)
+            assert sublattice_subset(image, d.basis())
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda v: v.scale(2), lambda v: None], ids=["doubled", "missing"]
+    )
+    def test_wrong_right_inverse_detected(self, monkeypatch, wrong):
+        b = IntMatrix.from_rows([[0, 2, -1, 3], [-2, 0, 4, 1], [1, -4, 0, 5], [-3, -1, -5, 0]])
+        true_inverse = intlinalg.right_inverse
+        monkeypatch.setattr(intlinalg, "right_inverse", lambda m: wrong(true_inverse(m)))
+        with pytest.raises(ArithmeticError):
+            darboux_basis(b)
 
     def test_zero_form(self):
         d = darboux_basis(IntMatrix.zeros(3, 3))
