@@ -73,6 +73,14 @@ def _load_matrix(path: str) -> IntMatrix:
         raise InputError(f"{path} is not a valid matrix file: {exc}") from exc
 
 
+def _load_structure(path: str, n: int) -> IntMatrix:
+    """The n x n skew-symmetric matrix in path; InputError (exit 3) otherwise."""
+    matrix = _load_matrix(path)
+    if (matrix.rows, matrix.cols) != (n, n) or not matrix.is_skew_symmetric():
+        raise InputError(f"structure {path} is not a skew-symmetric {n} x {n} matrix")
+    return matrix
+
+
 def _load_map(path: str) -> BirationalMap:
     data = _read_json(path)
     try:
@@ -232,13 +240,7 @@ def _cmd_reduce(args) -> int:
     if bool(args.structure) == bool(args.exponents):
         raise InputError("reduce needs exactly one of --structure or --exponents")
     if args.structure:
-        matrix = _load_matrix(args.structure)
-        if matrix.rows != phi.dim_in:
-            raise InputError(
-                f"structure is {matrix.rows} x {matrix.cols} but the map has "
-                f"{phi.dim_in} coordinates"
-            )
-        sub = _build_submersion(matrix, args.kind)
+        sub = _build_submersion(_load_structure(args.structure, phi.dim_in), args.kind)
     else:
         sub = _load_submersion(args.exponents)
         if sub.dim_in != phi.dim_in:
@@ -262,8 +264,9 @@ def _cmd_flag(args) -> int:
         raise InputError("--kinds must list one kind per structure")
     if not kinds:
         kinds = ["null"] + ["casimir"] * (len(args.structures) - 1)
+    n = _load_matrix(args.structures[0]).rows
     subs = [
-        _build_submersion(_load_matrix(path), kind.strip())
+        _build_submersion(_load_structure(path, n), kind.strip())
         for path, kind in zip(args.structures, kinds)
     ]
     flag = build_flag(subs)
@@ -279,12 +282,7 @@ def _cmd_flag(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi = _load_map(args.map)
-    matrix = _load_matrix(args.structure)
-    if matrix.rows != phi.dim_in:
-        raise InputError(
-            f"structure is {matrix.rows} x {matrix.cols} but the map has "
-            f"{phi.dim_in} coordinates"
-        )
+    matrix = _load_structure(args.structure, phi.dim_in)
     samples = _positive(args.samples, "--samples")
     if args.kind == "presymplectic":
         result = check_presymplectic_invariance(

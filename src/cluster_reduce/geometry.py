@@ -8,8 +8,9 @@ self-map is a rational-function identity.  Each fact is known in one of
 three ways, and only one way is used per fact:
 
 * sampled exact points: invariance of a form or tensor under an
-  arbitrary map is checked with exact rationals at seeded random
-  positive points;
+  arbitrary map is the congruence M^T B M = B, or M C M^T = C, of the
+  log-Jacobian M(p)_ij = p_j d_j phi_i(p) / phi_i(p), checked with exact
+  rationals at seeded random positive points, one kernel run per point;
 * lattice rewrite: a reduced map psi satisfies pi o phi = psi o pi
   by construction, as the exact rewrite of pi o phi in fiber
   coordinates; a chained reduction follows from two such rewrites and
@@ -45,6 +46,7 @@ from .intlinalg import (
     DarbouxBasis,
     IntMatrix,
     LatticeBasis,
+    _congruent,
     darboux_basis,
     kernel_lattice,
     saturation_index,
@@ -52,9 +54,11 @@ from .intlinalg import (
 )
 from .laurent import LaurentPoly, RationalFunction
 from .maps import (
+    _EXACT,
     BirationalMap,
     MonomialMap,
     PositivePoint,
+    _apply,
     random_positive_point,
     rng_substream,
 )
@@ -344,31 +348,14 @@ class InvarianceResult:
         return self.ok
 
 
-def _congruent(a, m, b) -> bool:
-    """Whether A M A^T == B for exact matrices (M square), skipping zero entries."""
-    am = []
-    for arow in a:
-        acc = [0] * len(m)
-        for x, mrow in zip(arow, m):
-            if x:
-                for k, y in enumerate(mrow):
-                    if y:
-                        acc[k] += x * y
-        am.append(acc)
-    return all(
-        sum(x * y for x, y in zip(amrow, arow) if x and y) == b[i][j]
-        for i, amrow in enumerate(am)
-        for j, arow in enumerate(a)
-    )
-
-
 def _sample_points(phi: BirationalMap, count: int, seed: int):
-    """Deterministic stream of count pairs (p, phi(p)), p random positive
-    rational, generated as they are consumed.
+    """Deterministic stream of count pairs (p, M(p)), p random positive
+    rational and M(p)_ij = p_j d_j phi_i(p) / phi_i(p) the log-Jacobian,
+    each from one exact kernel run, generated as they are consumed.
 
-    Substream index increments past points where phi is undefined
-    (raises ZeroDivisionError), so results are reproducible even when the
-    map is undefined somewhere.
+    Substream index increments past points where phi is undefined or
+    phi(p) has a zero coordinate (M does not exist there), so results are
+    reproducible even when the map is undefined somewhere.
     """
     if count < 1:
         raise GeometryError("sampling needs at least one point")
@@ -380,11 +367,25 @@ def _sample_points(phi: BirationalMap, count: int, seed: int):
         p = random_positive_point(phi.dim_in, rng_substream(seed, index))
         index += 1
         try:
-            image = phi.evaluate(p)
+            image, jac = _apply(phi, p, _EXACT, True)
         except ZeroDivisionError:
             continue
-        found += 1
-        yield p, image
+        if all(image):
+            found += 1
+            yield p, [[v * x / y if v else v for v, x in zip(row, p)]
+                      for row, y in zip(jac, image)]
+
+
+def _check_congruence(phi, matrix: IntMatrix, samples, seed, poisson) -> InvarianceResult:
+    """M C M^T = C (poisson) or M^T B M = B at each sampled log-Jacobian M;
+    the witness is the first point where it fails."""
+    n = matrix.rows
+    if phi.dim_in != n or phi.dim_out != n:
+        raise GeometryError("map and structure dimensions differ")
+    for p, m in _sample_points(phi, samples, seed):
+        if not _congruent(m if poisson else list(zip(*m)), matrix.entries, matrix.entries):
+            return InvarianceResult(False, samples, p)
+    return InvarianceResult(True, samples)
 
 
 def check_presymplectic_invariance(
@@ -395,20 +396,11 @@ def check_presymplectic_invariance(
 ) -> InvarianceResult:
     """Exact check of phi-invariance of the form at seeded random points.
 
-    At each point p the identity J(p)^T W(phi(p)) J(p) = W(p) is tested
-    with exact rational arithmetic, W(x) = [b_ij/(x_i x_j)].  samples < 1
-    raises GeometryError.
+    J(p)^T W(phi(p)) J(p) = W(p), W(x) = [b_ij/(x_i x_j)], times diag(p)
+    on both sides is M^T B M = B, tested with exact rationals at points
+    where phi(p) has no zero coordinate.  samples < 1 raises GeometryError.
     """
-    n = form.dim
-    if phi.dim_in != n or phi.dim_out != n:
-        raise GeometryError("map and form dimensions differ")
-    for p, image in _sample_points(phi, samples, seed):
-        if any(v <= 0 for v in image):
-            return InvarianceResult(False, samples, p)
-        j_t = [list(col) for col in zip(*phi.jacobian(p))]
-        if not _congruent(j_t, form.coefficients_at(image), form.coefficients_at(p)):
-            return InvarianceResult(False, samples, p)
-    return InvarianceResult(True, samples)
+    return _check_congruence(phi, form.matrix, samples, seed, False)
 
 
 def check_poisson_map(
@@ -419,18 +411,11 @@ def check_poisson_map(
 ) -> InvarianceResult:
     """Exact check that phi preserves the Poisson tensor at seeded points.
 
-    At each point p the identity J(p) Pi(p) J(p)^T = Pi(phi(p)) is
-    tested exactly, Pi(x) = [c_ij x_i x_j].  samples < 1 raises
-    GeometryError.
+    J(p) Pi(p) J(p)^T = Pi(phi(p)), Pi(x) = [c_ij x_i x_j], times
+    diag(phi(p))^-1 on both sides is M C M^T = C, tested exactly at points
+    where phi(p) has no zero coordinate.  samples < 1 raises GeometryError.
     """
-    n = structure.dim
-    if phi.dim_in != n or phi.dim_out != n:
-        raise GeometryError("map and structure dimensions differ")
-    for p, image in _sample_points(phi, samples, seed):
-        j = phi.jacobian(p)
-        if not _congruent(j, structure.tensor_at(p), structure.tensor_at(image)):
-            return InvarianceResult(False, samples, p)
-    return InvarianceResult(True, samples)
+    return _check_congruence(phi, structure.matrix, samples, seed, True)
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +449,23 @@ def unvectorize_skew(vec, n: int) -> IntMatrix:
     return IntMatrix.from_rows(entries)
 
 
-def _poisson_equations_at(
-    phi: BirationalMap, p: PositivePoint, image: PositivePoint
-) -> list[tuple[int, ...]]:
-    """Integer linear equations on c_kl expressing J Pi(p) J^T = Pi(image),
-    image = phi(p).
+def _poisson_equations_at(m) -> list[tuple[int, ...]]:
+    """Integer linear equations on c_kl expressing M C M^T = C for the
+    log-Jacobian M at a point.
 
+    Row (a, b) is sum_{k<l} (M_ak M_bl - M_al M_bk) c_kl - c_ab = 0, the
+    (a, b) entry of J Pi(p) J^T = Pi(phi(p)) divided by phi_a phi_b.
     Unknowns are ordered by _pair_index.  Each equation row is cleared of
     denominators.
     """
-    n = phi.dim_in
-    pairs = _pair_index(n)
-    j = phi.jacobian(p)
+    pairs = _pair_index(len(m))
     rows = []
     for a, b in pairs:
-        coeffs = []
-        for k, l in pairs:
-            value = (j[a][k] * j[b][l] - j[a][l] * j[b][k]) * p[k] * p[l]
-            if (k, l) == (a, b):
-                value -= image[a] * image[b]
-            coeffs.append(value)
-        denom = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        ma, mb = m[a], m[b]
+        coeffs = [
+            ma[k] * mb[l] - ma[l] * mb[k] - ((k, l) == (a, b)) for k, l in pairs
+        ]
+        denom = lcm(*(c.denominator for c in coeffs))
         rows.append(tuple(int(c * denom) for c in coeffs))
     return rows
 
@@ -566,13 +547,13 @@ def find_invariant_poisson(
 ) -> list[IntMatrix]:
     """Saturated integer basis of the space of invariant log-canonical tensors.
 
-    The invariance identity J Pi(p) J^T = Pi(phi(p)) is linear in the
-    coefficients c_kl, so each sampled point contributes exact linear
-    equations; points are added until the solution space dimension is
-    unchanged for three consecutive points.  With `compatible_with` = B,
-    the equations C B = 0 are imposed as well.  Every basis element is
-    re-verified by an independent sampled check; a failing candidate's
-    witness point is fed back into the system.
+    The invariance identity M C M^T = C of the log-Jacobian M(p) is
+    linear in the coefficients c_kl, so each sampled point contributes
+    exact linear equations; points are added until the solution space
+    dimension is unchanged for three consecutive points.  With
+    `compatible_with` = B, the equations C B = 0 are imposed as well.
+    Every basis element is re-verified at independent sample points; a
+    failing candidate's witness point is fed back into the system.
     """
     stable_runs = 3
     n = phi.dim_in
@@ -594,27 +575,23 @@ def find_invariant_poisson(
 
     dims = []
     basis = current_basis()
-    for p, image in _sample_points(phi, max_points, seed):
-        if basis.dim == 0:
-            break
-        equations.extend(_poisson_equations_at(phi, p, image))
+    for _, m in _sample_points(phi, max_points, seed) if basis.dim else ():
+        equations.extend(_poisson_equations_at(m))
         basis = current_basis()
         dims.append(basis.dim)
-        if len(dims) >= stable_runs and len(set(dims[-stable_runs:])) == 1:
+        if basis.dim == 0 or (len(dims) >= stable_runs and len(set(dims[-stable_runs:])) == 1):
             break
 
-    # Independent re-verification; any failure feeds its witness back in.
+    # Re-verification at 5 points of another seed, sampled once; the first
+    # failure's log-Jacobian is fed back into the system.
+    checks = [m for _, m in _sample_points(phi, 5, seed + 10_000)] if basis.dim else []
     for _ in range(n_unknowns + 1):
         candidates = [unvectorize_skew(v, n) for v in basis.vectors]
-        retry = None
-        for c in candidates:
-            res = check_poisson_map(phi, PoissonStructure(c), samples=5, seed=seed + 10_000)
-            if not res.ok:
-                retry = res.witness
-                break
+        retry = next((m for c in candidates for m in checks
+                      if not _congruent(m, c.entries, c.entries)), None)
         if retry is None:
             return candidates
-        equations.extend(_poisson_equations_at(phi, retry, phi.evaluate(retry)))
+        equations.extend(_poisson_equations_at(retry))
         basis = current_basis()
     raise GeometryError("invariant-structure search failed to stabilize")
 

@@ -4,7 +4,8 @@ Everything here runs over the integers, on one core of unimodular row
 and column operations (never rationals or floats): Hermite and Smith
 normal forms with unimodular transforms, saturated kernel/image
 lattices, membership tests, and Darboux-paired bases of skew-symmetric
-forms.  Saturation matters because downstream code rewrites Laurent
+forms; only `_congruent`, the one congruence test, also takes
+rationals.  Saturation matters because downstream code rewrites Laurent
 monomials in lattice coordinates, which is only well behaved when a
 basis generates the full intersection of its rational span with the
 integer lattice.
@@ -498,8 +499,29 @@ def right_inverse(m: IntMatrix) -> IntMatrix | None:
 
 
 # ---------------------------------------------------------------------------
-# Darboux bases of skew-symmetric forms
+# Congruence of skew-symmetric forms, and their Darboux bases
 # ---------------------------------------------------------------------------
+
+
+def _congruent(a, m, b) -> bool:
+    """Whether A M A^T == B for skew M and B, given as rows of exact
+    entries.  A M A^T is then skew, so only entries above the diagonal are
+    compared.  The package's one congruence test (Darboux bases here,
+    isotropy and invariance under a map in `geometry`)."""
+    am = []
+    for arow in a:
+        acc = [0] * len(m)
+        for x, mrow in zip(arow, m):
+            if x:
+                for k, y in enumerate(mrow):
+                    if y:
+                        acc[k] += x * y
+        am.append(acc)
+    return all(
+        sum(x * y for x, y in zip(am[i], a[j]) if x and y) == b[i][j]
+        for i in range(len(a))
+        for j in range(i + 1, len(a))
+    )
 
 
 def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -600,7 +622,7 @@ def darboux_basis(b: IntMatrix) -> DarbouxBasis:
     if v is None:
         raise ArithmeticError("image basis has no integer right inverse")
     g = v.transpose() @ b @ v
-    if s.transpose() @ g @ s != b:
+    if not _congruent(s.transpose().entries, g.entries, b.entries):
         raise ArithmeticError("image basis does not carry the skew form")
 
     q, ds = _skew_congruence_blocks([list(row) for row in g.entries])

@@ -279,6 +279,32 @@ class TestVerify:
         assert (code, out) == (3, "")
 
 
+class TestStructureFiles:
+    @pytest.mark.parametrize("shape", ["5x4", "non-skew"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "--kind", "presymplectic"],
+        ["verify", "--kind", "poisson"],
+        ["reduce", "--kind", "null"],
+        ["reduce", "--kind", "casimir"],
+        ["flag"],
+    ], ids=" ".join)
+    def test_bad_structure_matrix_exits_3(self, capsys, files, tmp_path, command, shape):
+        # bad input, not a failed verification (exit 2)
+        if shape == "5x4":
+            entries = [[0, 1, 0, 0], [-1, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4]
+        else:
+            entries = [[0] * 5 for _ in range(5)]
+            entries[0][1] = entries[1][0] = 1
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"schema": "v1", "rows": 5, "cols": len(entries[0]),
+                                 "entries": [[str(e) for e in row] for row in entries]}))
+        if command == ["flag"]:
+            argv = ["flag", "--structures", files["b5"], str(p)]
+        else:
+            argv = command + ["--map", files["phi5"], "--structure", str(p)]
+        assert _run(capsys, argv) == (3, "")
+
+
 class TestOrbit:
     def test_exact_orbit(self, capsys, files):
         code, doc = _run_json(

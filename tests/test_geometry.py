@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_reduce import geometry, maps
 from cluster_reduce import (
     BirationalMap,
     GeometryError,
     IntMatrix,
+    InvarianceResult,
     MonomialMap,
     NotAChainError,
     NotFiberConstantError,
@@ -172,6 +174,28 @@ class TestInvariance:
         bad = _perturbed(get_fixture("somos5").matrix("C"), 1, 3)
         assert not check_poisson_map(_phi("somos5"), PoissonStructure(bad)).ok
 
+    def test_negative_image_coordinate(self):
+        # M(p) is the identity, so both checks pass although phi(p) is not
+        # positive
+        phi = BirationalMap.from_strings(["-x1", "x2"])
+        b = IntMatrix.from_rows([[0, 1], [-1, 0]])
+        assert check_presymplectic_invariance(phi, PresymplecticForm(b)).ok
+        assert check_poisson_map(phi, PoissonStructure(b)).ok
+        assert find_invariant_poisson(phi) == [b]
+
+    def test_points_with_a_zero_image_coordinate_skipped(self, monkeypatch):
+        # M(p) does not exist where a coordinate of phi(p) is 0: the first
+        # draw, (1, 1), is passed over
+        phi = BirationalMap.from_strings(["x1 - x2", "x2"])
+        draws = iter([(Fraction(1), Fraction(1))])
+        monkeypatch.setattr(
+            geometry,
+            "random_positive_point",
+            lambda n, rng: next(draws, None) or random_positive_point(n, rng),
+        )
+        points = [p for p, _ in geometry._sample_points(phi, 3, 0)]
+        assert len(points) == 3 and (1, 1) not in points
+
     @pytest.mark.parametrize("samples", [0, -2])
     def test_no_samples_certify_nothing(self, samples):
         # with no sample point the loop never runs: refuse rather than
@@ -185,24 +209,28 @@ class TestInvariance:
             check_poisson_map(phi, structure, samples)
 
     def test_map_evaluated_once_per_sample(self, monkeypatch):
-        calls = []
-        evaluate = BirationalMap.evaluate
+        # every value and Jacobian is one run of the evaluation kernel,
+        # which geometry imports by name
+        runs = []
+        apply = maps._apply
 
-        def counted(self, point):
-            calls.append(point)
-            return evaluate(self, point)
+        def counted(f, point, num, jacobian):
+            runs.append(point)
+            return apply(f, point, num, jacobian)
 
-        monkeypatch.setattr(BirationalMap, "evaluate", counted)
+        for module in (maps, geometry):
+            monkeypatch.setattr(module, "_apply", counted)
         fix = get_fixture("somos5")
         phi = _phi("somos5")
         assert check_presymplectic_invariance(phi, PresymplecticForm(fix.matrix("B"))).ok
-        assert len(calls) == 20
-        calls.clear()
+        assert len(runs) == 20
+        runs.clear()
         assert check_poisson_map(phi, PoissonStructure(fix.matrix("C"))).ok
-        assert len(calls) == 20
-        calls.clear()
-        find_invariant_poisson(phi, fix.matrix("B"))
-        assert len(calls) == len(set(calls))
+        assert len(runs) == 20
+        for name in ("somos5", "c7-pair"):
+            runs.clear()
+            find_invariant_poisson(_phi(name), get_fixture(name).matrix("B"))
+            assert runs and len(runs) == len(set(runs))
 
 
 class TestDiscovery:
@@ -229,6 +257,20 @@ class TestDiscovery:
     def test_identity_map_space_is_full(self):
         basis = find_invariant_poisson(BirationalMap.identity(3))
         assert len(basis) == 3
+
+    def test_reverification_failure_is_fed_back(self, monkeypatch):
+        # one discovery point leaves the kernel too large; a failing
+        # re-verification point adds its equations and cuts it down
+        phi = _phi("somos5")
+        expected = find_invariant_poisson(phi)
+        sample, equations = geometry._sample_points, geometry._poisson_equations_at
+        calls = []
+        monkeypatch.setattr(geometry, "_sample_points",
+                            lambda f, count, seed: sample(f, 1 if seed == 0 else count, seed))
+        monkeypatch.setattr(geometry, "_poisson_equations_at",
+                            lambda m: calls.append(m) or equations(m))
+        assert find_invariant_poisson(phi) == expected
+        assert len(calls) == 2
 
     def test_discovered_structures_verify(self):
         phi = _phi("somos5")
@@ -280,6 +322,64 @@ class TestPeriodPoissonBasis:
     def test_pipeline_without_compatibility_samples(self):
         report = run_pipeline(_B3, WorkflowConfig(require_compatible=False))
         assert [d["matrix"] for d in report.discovered] == [_B3.to_json_dict()]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _pointwise_check(phi, matrix, samples, seed, poisson) -> InvarianceResult:
+    """An invariance check by its definition, at the checks' sample points:
+    J Pi(p) J^T = Pi(phi(p)) for a Poisson tensor, J^T W(phi(p)) J = W(p)
+    for a presymplectic form."""
+    found = index = 0
+    while found < samples:
+        p = random_positive_point(phi.dim_in, rng_substream(seed, index))
+        index += 1
+        try:
+            image = phi.evaluate(p)
+        except ZeroDivisionError:
+            continue
+        if not all(image):
+            continue
+        found += 1
+        j = phi.jacobian(p)
+        j_t = [list(col) for col in zip(*j)]
+        if poisson:
+            tensor = PoissonStructure(matrix)
+            holds = _product(_product(j, tensor.tensor_at(p)), j_t) == tensor.tensor_at(image)
+        else:
+            form = PresymplecticForm(matrix)
+            w = form.coefficients_at
+            holds = _product(_product(j_t, w(image)), j) == w(p)
+        if not holds:
+            return InvarianceResult(False, samples, p)
+    return InvarianceResult(True, samples)
+
+
+class TestInvarianceReference:
+    """The log-Jacobian congruences against the pointwise definitions, on
+    the ladder maps and B3: the same verdicts and the same witnesses."""
+
+    @pytest.mark.parametrize("name", list(_TRACKED_CASES)[:7] + ["B3"])
+    def test_checks_match_pointwise_definitions(self, name):
+        b = _B3 if name == "B3" else _TRACKED_CASES[name]
+        phi = cluster_map(b, detect_period(b))
+        invariant = find_invariant_poisson(phi, None if name == "B3" else b)
+        matrices = [b, _perturbed(b, 0, 2)]
+        matrices += invariant + [_perturbed(c, 1, 2) for c in invariant]
+        verdicts = set()
+        for seed in (0, 1, 2):
+            for m in matrices:
+                result = check_presymplectic_invariance(phi, PresymplecticForm(m), 6, seed)
+                assert result == _pointwise_check(phi, m, 6, seed, False)
+                verdicts.add(("presymplectic", result.ok))
+                result = check_poisson_map(phi, PoissonStructure(m), 6, seed)
+                assert result == _pointwise_check(phi, m, 6, seed, True)
+                verdicts.add(("poisson", result.ok))
+        # each check fails somewhere; B passes, and the Poisson check passes
+        # where the map has an invariant tensor
+        assert len(verdicts) == (4 if invariant else 3)
 
 
 class TestSubmersions:
