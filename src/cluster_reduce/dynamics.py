@@ -32,7 +32,9 @@ f^(p) = id.
 Exact and float orbits, Newton steps and interval enclosures evaluate
 the map by the kernel of ``maps`` (``_step`` on the map's cached compiled
 terms, which runs ``laurent._terms``); only the residue screen has its
-own loop, as units mod p with explicit inverses are not a number type.
+own loop, as units mod p with explicit inverses are not a number type
+of the kernel.  It runs on the map compiled mod p once per prime, and
+inverts each orbit point with one modular inversion.
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
@@ -62,7 +64,7 @@ from .geometry import ReducedSystem
 from .intlinalg import right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
-from .maps import _MPF, _compile, _Numbers, _step
+from .maps import _MPF, _Numbers, _step
 
 __all__ = [
     "DynamicsError",
@@ -87,6 +89,10 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 64
+# Least working precision of the periodic-point search: below it the merge
+# radius max(10^-(P/2), 100 tol) of ``find_periodic_points`` is 10^(26-P),
+# at least 10^-3 (and at least 1 up to 26 digits), so distinct points merge.
+MIN_SEARCH_PRECISION = 30
 
 
 class DynamicsError(RuntimeError):
@@ -175,8 +181,41 @@ SCREEN_PRIMES = (2**61 - 1, 2**89 - 1)
 
 def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
     for i, k in mono:
-        coeff = coeff * (pow(x[i], k, p) if k > 0 else pow(inv[i], -k, p)) % p
-    return coeff
+        if k == 1:
+            coeff *= x[i]
+        elif k == -1:
+            coeff *= inv[i]
+        else:
+            coeff *= pow(x[i], k, p) if k > 0 else pow(inv[i], -k, p)
+    return coeff % p
+
+
+def _inverses_mod(xs, p: int) -> list[int]:
+    """[pow(v, -1, p) for v in xs] with one modular inversion (Montgomery,
+    Math. Comp. 48 (1987)): invert the product of all, then peel off one
+    factor at a time by the prefix products.  Every v must be a unit."""
+    prefix = [1]
+    for v in xs:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * xs[i] % p
+    return out
+
+
+@cache
+def _residues(p: int) -> _Numbers:
+    """Residues mod the prime p as a number type of the map compiler; a
+    rational whose denominator is not a unit converts to None."""
+
+    def residue(q):
+        q = Fraction(q)
+        den = q.denominator % p
+        return q.numerator * pow(den, -1, p) % p if den else None
+
+    return _Numbers(0, 1, residue, lambda: ("mod", p))
 
 
 def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
@@ -185,29 +224,26 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
 
     None when a start coordinate, a coefficient, a component denominator
     or an orbit coordinate is not a unit mod p: only while all of them
-    are units are the residues those of the exact orbit.
+    are units are the residues those of the exact orbit.  phi is compiled
+    mod p once and cached on it; each point is inverted by one modular
+    inversion (``_inverses_mod``).
     """
-
-    def residue(q):
-        q = Fraction(q)
-        den = q.denominator % p
-        return q.numerator * pow(den, -1, p) % p if den else None
-
-    comps = _compile(phi, residue)
-    x = [residue(v) for v in x0]
+    num = _residues(p)
+    comps = phi._compiled(num)
+    x = [num.convert(v) for v in x0]
     if comps is None or not all(x):
         return None
     points, inverses = [tuple(x)], []
     for _ in range(steps):
-        inv = [pow(v, -1, p) for v in x]
+        inv = _inverses_mod(x, p)
         inverses.append(inv)
         image = []
         for comp in comps:
             if isinstance(comp, int):
                 image.append(x[comp])
                 continue
-            num, den = comp
-            v = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in num)
+            terms, den = comp
+            v = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in terms)
             if den is not None:
                 d = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in den) % p
                 if d == 0:
@@ -219,7 +255,7 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
             image.append(v)
         x = image
         points.append(tuple(x))
-    inverses.append([pow(v, -1, p) for v in x])
+    inverses.append(_inverses_mod(x, p))
     return points, inverses
 
 
@@ -710,6 +746,9 @@ def find_periodic_points(
     maps), no box is certified, and each start lands somewhere on the
     curve, at a place that depends on its Newton path: the list samples
     the curve and its length is not a count of periodic points.
+
+    A precision below ``MIN_SEARCH_PRECISION`` (30 digits) raises
+    DynamicsError, as does grid < 1.
     """
     n = f.dim_in
     if n > 3:
@@ -720,6 +759,8 @@ def find_periodic_points(
         raise DynamicsError("the period must be at least 1")
     if grid < 1:
         raise DynamicsError("the grid must have at least one start per coordinate")
+    if precision < MIN_SEARCH_PRECISION:
+        raise DynamicsError(f"the search needs at least {MIN_SEARCH_PRECISION} digits")
     with mp.workdps(precision):
         tol = _residual_tol(precision)
         # A residual below tol puts a point within |J_F^-1| tol of its

@@ -10,7 +10,19 @@ what lets the geometry layer certify identities symbolically.
 
 The multivariate gcd is the classic primitive polynomial remainder
 sequence: recurse on the contents one variable at a time and run a
-pseudo-division Euclid in the main variable.
+pseudo-division Euclid in the main variable.  A gcd with a constant
+argument (once common monomials are shifted off) is 1 at once.
+
+Sums, derivatives and new fractions take the full normal form, and a
+composition exactly one: numerator and denominator are brought over one
+common denominator, which cancels.  A product cross-cancels its two
+normal forms (Henrici, J. ACM 3, 1956) and takes no final gcd: each
+numerator factor left is coprime to each denominator factor left, and
+by Gauss's lemma the product of the two denominator factors, each
+primitive with a positive lead, is primitive with a positive lead too.
+An inverse only rescales by the numerator's content.
+``RationalFunction._raw`` stores its pair unchecked, so every caller
+must pass a normal form.
 
 The package's one point-evaluation kernel lives here: `_terms` gives the
 value and optional gradient of a sparse term list in any number type.
@@ -400,13 +412,9 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 def _poly_gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     n = f.nvars
-    var = None
-    for v in range(n - 1, -1, -1):
-        if f.degree(v) > 0 or g.degree(v) > 0:
-            var = v
-            break
-    if var is None:
+    if f.is_constant() or g.is_constant():
         return LaurentPoly.constant(1, n)
+    var = max(v for v in range(n) if f.degree(v) > 0 or g.degree(v) > 0)
 
     if f.degree(var) == 0 or g.degree(var) == 0:
         # one argument is free of the main variable: gcd divides its
@@ -451,7 +459,13 @@ def _poly_gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
 
 
 class RationalFunction:
-    """Quotient of Laurent polynomials kept in canonical normal form."""
+    """Quotient of Laurent polynomials kept in canonical normal form.
+
+    The constructor normalises with a gcd.  Products, quotients, powers
+    and inverses of normal forms are normal forms with no final gcd (see
+    the module docstring) and are built by ``_raw``, which must only be
+    given a normal form.
+    """
 
     __slots__ = ("num", "den")
 
@@ -532,19 +546,20 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        # cross-cancel before multiplying to keep the gcd calls small
+        # cross-cancelled normal forms multiply to a normal form
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
         a = self.num if g1.is_one() else _exact_divide(self.num, g1)
         d = other.den if g1.is_one() else _exact_divide(other.den, g1)
         c = other.num if g2.is_one() else _exact_divide(other.num, g2)
         b = self.den if g2.is_one() else _exact_divide(self.den, g2)
-        return RationalFunction(a * c, b * d)
+        return RationalFunction._raw(a * c, b * d)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        scale = 1 / self.num.content()
+        return RationalFunction._raw(self.den.scale(scale), self.num.scale(scale))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inverse()
@@ -582,12 +597,45 @@ class RationalFunction:
         return self.num.evaluate_mp(point) / den
 
     def compose(self, args: "list[RationalFunction]") -> "RationalFunction":
-        """Substitute args[i] for variable i; args live in their own space."""
+        """Substitute args[i] = n_i / d_i for variable i; args live in their
+        own space.
+
+        Numerator and denominator are polynomials, so both are brought over
+        the one common denominator prod_i d_i^(h_i), h_i the largest
+        exponent of x_i in either: x^e becomes prod_i n_i^(e_i)
+        d_i^(h_i - e_i).  That denominator cancels from the quotient, which
+        takes a single normal form.
+        """
         if len(args) != self.nvars:
             raise ValueError("wrong number of substitution arguments")
-        num_c = _compose_laurent(self.num, args)
-        den_c = _compose_laurent(self.den, args)
-        return num_c / den_c
+        if not args:
+            raise ValueError("composition needs at least one argument")
+        m = args[0].nvars
+        if any(a.nvars != m for a in args):
+            raise ValueError("substitution arguments live in different spaces")
+        exps = [*self.num.terms, *self.den.terms]
+        high = [max(e[i] for e in exps) for i in range(self.nvars)]
+        powers: dict[tuple[int, int], LaurentPoly] = {}
+
+        def power(i: int, k: int) -> LaurentPoly:
+            # n_i^k for k >= 0, d_i^(-k) for k < 0
+            if (i, k) not in powers:
+                powers[i, k] = args[i].num ** k if k >= 0 else args[i].den ** -k
+            return powers[i, k]
+
+        def cleared(p: LaurentPoly) -> LaurentPoly:
+            total = LaurentPoly(m)
+            for e, c in p.terms.items():
+                term = LaurentPoly.constant(c, m)
+                for i, k in enumerate(e):
+                    if k:
+                        term = term * power(i, k)
+                    if high[i] > k:
+                        term = term * power(i, k - high[i])
+                total = total + term
+            return total
+
+        return RationalFunction(cleared(self.num), cleared(self.den))
 
     def __repr__(self) -> str:
         return f"RationalFunction({format_rational(self)!r})"
@@ -621,67 +669,6 @@ def _normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laure
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
-
-
-def _compose_laurent(p: LaurentPoly, args: list[RationalFunction]) -> RationalFunction:
-    """Substitute rational functions into a Laurent polynomial.
-
-    Builds the result over a single common denominator to avoid one
-    normal-form pass per term.
-    """
-    if not args:
-        raise ValueError("composition needs at least one argument")
-    m = args[0].nvars
-    for a in args:
-        if a.nvars != m:
-            raise ValueError("substitution arguments live in different spaces")
-    if p.is_zero():
-        return RationalFunction.constant(0, m)
-
-    lo = [min(e[i] for e in p.terms) for i in range(p.nvars)]
-    hi = [max(e[i] for e in p.terms) for i in range(p.nvars)]
-
-    # cache powers of numerators and denominators of each argument
-    num_pow: list[dict[int, LaurentPoly]] = [{} for _ in args]
-    den_pow: list[dict[int, LaurentPoly]] = [{} for _ in args]
-
-    def npow(i: int, k: int) -> LaurentPoly:
-        d = num_pow[i]
-        if k not in d:
-            d[k] = args[i].num ** k
-        return d[k]
-
-    def dpow(i: int, k: int) -> LaurentPoly:
-        d = den_pow[i]
-        if k not in d:
-            d[k] = args[i].den ** k
-        return d[k]
-
-    # common denominator: prod num_i^(-lo_i if lo_i<0) * den_i^(hi_i if hi_i>0)
-    total_num = LaurentPoly(m)
-    for e, c in p.terms.items():
-        term = LaurentPoly.constant(c, m)
-        for i, k in enumerate(e):
-            if k > 0:
-                term = term * npow(i, k)
-            if k < 0:
-                term = term * dpow(i, -k)
-            # pad up to the common denominator
-            pad_num = (-lo[i] if lo[i] < 0 else 0) - (-k if k < 0 else 0)
-            pad_den = (hi[i] if hi[i] > 0 else 0) - (k if k > 0 else 0)
-            if pad_num > 0:
-                term = term * npow(i, pad_num)
-            if pad_den > 0:
-                term = term * dpow(i, pad_den)
-        total_num = total_num + term
-
-    common_den = LaurentPoly.constant(1, m)
-    for i in range(p.nvars):
-        if lo[i] < 0:
-            common_den = common_den * npow(i, -lo[i])
-        if hi[i] > 0:
-            common_den = common_den * dpow(i, hi[i])
-    return RationalFunction(total_num, common_den)
 
 
 # ---------------------------------------------------------------------------

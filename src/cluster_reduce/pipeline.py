@@ -17,6 +17,7 @@ import mpmath as mp
 
 from .dynamics import (
     DEFAULT_PRECISION,
+    MIN_SEARCH_PRECISION,
     DynamicsError,
     detect_global_periodicity,
     find_periodic_points,
@@ -76,6 +77,8 @@ class WorkflowConfig:
         for name in ("m_max", "p_max", "precision"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        if self.precision < MIN_SEARCH_PRECISION:
+            raise InputError(f"precision must be at least {MIN_SEARCH_PRECISION} digits")
 
 
 @dataclass

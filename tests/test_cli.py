@@ -370,6 +370,27 @@ class TestOrbit:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_pipeline_precision_below_30_exits_3(self, capsys, files, monkeypatch, source):
+        argv = ["pipeline", "--matrix", files["b5"]]
+        if source == "flag":
+            argv += ["--precision", "24"]
+        else:
+            monkeypatch.setenv("CLUSTER_REDUCE_PRECISION", "24")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "precision must be at least 30 digits" in captured.err
+
+    @pytest.mark.parametrize("command", ["orbit", "itinerary"])
+    def test_orbits_accept_low_precision(self, capsys, files, command):
+        argv = [command, "--map", files["phi5"], "--start", "1,1,1,1,1",
+                "--steps", "2", "--mode", "float", "--precision", "15"]
+        if command == "itinerary":
+            argv += ["--submersions", files["null5"]]
+        code, doc = _run_json(capsys, argv)
+        assert code == 0
+
     def test_nonpositive_start(self, capsys, files):
         code, _ = _run(
             capsys,

@@ -3,8 +3,14 @@
 Small random polynomials in 2-3 variables, drawn by Hypothesis: the
 primitive gcd agrees with ``sympy.gcd`` up to sign and content, and the
 rational-function normal form with ``sympy.cancel`` up to a constant
-factor shared by numerator and denominator.
+factor shared by numerator and denominator.  The operations that skip
+the final gcd (product, quotient, inverse) or take a single normal form
+(composition) also equal, term for term, the full normal form of their
+unreduced numerator and denominator.  The residue screen's one-inversion
+arithmetic is checked against one ``pow(v, -1, p)`` per coordinate.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +18,8 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
+from cluster_reduce import rng_substream  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -60,18 +68,107 @@ def test_poly_gcd_matches_sympy(polys):
     assert _constant_ratio(_sympy(ours), sympy.gcd(_sympy(f), _sympy(g))) is not None
 
 
+def _matches_cancel(ours: RationalFunction, expr) -> None:
+    """ours is sympy.cancel(expr) up to a constant shared by numerator and
+    denominator, in the canonical representative: true polynomials, the
+    denominator with integer coefficients, content 1 and a positive
+    leading coefficient."""
+    theirs_num, theirs_den = sympy.fraction(sympy.cancel(expr))
+    scale = _constant_ratio(_sympy(ours.num), theirs_num)
+    assert scale is not None
+    assert _constant_ratio(_sympy(ours.den), theirs_den) == scale
+    assert ours.num.is_polynomial() and ours.den.is_polynomial()
+    assert all(k.denominator == 1 for k in ours.den.terms.values())
+    assert ours.den.content() == 1
+    assert ours.den.leading_coefficient() > 0
+
+
+def _laurent(expr, nvars: int) -> LaurentPoly:
+    """A sympy polynomial in x1..x<nvars> as a LaurentPoly."""
+    poly = sympy.Poly(expr, *SYMBOLS[:nvars])
+    return LaurentPoly(nvars, {
+        e: Fraction(int(c.p), int(c.q)) for e, c in zip(poly.monoms(), poly.coeffs())
+    })
+
+
+def _rational(r: RationalFunction):
+    return _sympy(r.num) / _sympy(r.den)
+
+
 @SETTINGS
 @given(_triples(low=-1))
 def test_normal_form_matches_sympy_cancel(polys):
     a, b, c = polys
     num, den = a * c, b * c
-    ours = RationalFunction(num, den)
-    theirs_num, theirs_den = sympy.fraction(sympy.cancel(_sympy(num) / _sympy(den)))
-    scale = _constant_ratio(_sympy(ours.num), theirs_num)
-    assert scale is not None
-    assert _constant_ratio(_sympy(ours.den), theirs_den) == scale
-    # the canonical representative: true polynomials, the denominator with
-    # integer coefficients, content 1 and a positive leading coefficient
-    assert ours.num.is_polynomial() and ours.den.is_polynomial()
-    assert all(k.denominator == 1 for k in ours.den.terms.values())
-    assert ours.den.content() == 1
+    _matches_cancel(RationalFunction(num, den), _sympy(num) / _sympy(den))
+
+
+@SETTINGS
+@given(_triples(low=-1))
+def test_gcd_free_operations_match_the_full_normal_form(polys):
+    # b is f's denominator and g's numerator, so f * g and f / h
+    # cross-cancel it
+    a, b, c = polys
+    f, g, h = RationalFunction(a, b), RationalFunction(b, c), RationalFunction(c, b)
+    cases = [
+        (f * g, f.num * g.num, f.den * g.den, _rational(f) * _rational(g)),
+        (f / h, f.num * h.den, f.den * h.num, _rational(f) / _rational(h)),
+        (f.inverse(), f.den, f.num, 1 / _rational(f)),
+    ]
+    for ours, raw_num, raw_den, expr in cases:
+        _matches_cancel(ours, expr)
+        full = RationalFunction(raw_num, raw_den)
+        assert (ours.num.terms, ours.den.terms) == (full.num.terms, full.den.terms)
+
+
+@SETTINGS
+@given(_triples())
+def test_compose_matches_the_full_normal_form(polys):
+    # x1 -> b / x1 in a / c, the other coordinates kept, as in an exchange
+    # relation: the common denominator, a power of x1, cancels
+    a, b, c = polys
+    n = a.nvars
+    x1 = LaurentPoly.variable(0, n)
+    f = RationalFunction(a, c)
+    args = [RationalFunction(b, x1)] + [RationalFunction.coordinate(i, n) for i in range(1, n)]
+    ours = f.compose(args)
+    expr = _rational(f).subs(
+        {x: _rational(arg) for x, arg in zip(SYMBOLS, args)}, simultaneous=True
+    )
+    _matches_cancel(ours, expr)
+    raw_num, raw_den = sympy.fraction(sympy.together(expr))
+    full = RationalFunction(_laurent(raw_num, n), _laurent(raw_den, n))
+    assert (ours.num.terms, ours.den.terms) == (full.num.terms, full.den.terms)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([7, *dynamics.SCREEN_PRIMES]).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(1, p - 1), max_size=8))
+    )
+)
+def test_inverses_mod_match_one_pow_each(case):
+    p, xs = case
+    assert dynamics._inverses_mod(xs, p) == [pow(v, -1, p) for v in xs]
+
+
+def _residue_orbit_reference(phi, x0, steps: int, p: int):
+    """The exact orbit reduced mod p, each coordinate inverted by its own pow."""
+    points = [
+        tuple(v.numerator * pow(v.denominator, -1, p) % p for v in x)
+        for x in iterate_orbit(phi, x0, steps, "exact").points
+    ]
+    return points, [[pow(v, -1, p) for v in x] for x in points]
+
+
+def test_residue_orbit_matches_per_coordinate_inverses(ladder_systems):
+    # the lifted orbits of the pipeline: each rung's cluster map, and the
+    # cluster map from the section y^V of each of its reduced systems
+    for phi, systems, _ in ladder_systems.values():
+        for system in [phi, *systems]:
+            lift = dynamics._Lift(system)
+            y0 = random_positive_point(lift.psi.dim_in, rng_substream(0, 0))
+            orbit = lift.orbit(y0, 8)
+            for p in dynamics.SCREEN_PRIMES:
+                got = dynamics._residue_orbit(lift.phi, orbit._exact[0], 8, p)
+                assert got == _residue_orbit_reference(lift.phi, orbit._exact[0], 8, p)

@@ -40,7 +40,13 @@ from cluster_reduce import (
 )
 from cluster_reduce import dynamics, maps
 from cluster_reduce.intlinalg import right_inverse
-from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, run_pipeline
+from cluster_reduce.pipeline import (
+    AnalysisReport,
+    InputError,
+    WorkflowConfig,
+    _foliations,
+    run_pipeline,
+)
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])
 PSI_HAT5 = BirationalMap.from_strings(["x2", "(x2 + 1)/(x1*x2)"])
@@ -101,8 +107,8 @@ def _symbolic_powers(f: BirationalMap, count: int) -> list:
     """[f, f^2, ..., f^count] in normal form, each composed as f^(p-1) o f.
 
     These are the composites f.iterate(p) forms as f o f^(p-1);
-    substituting f into the composite is the cheap order here (0.2 s
-    instead of 10 s for p = 3 on the somos5 Casimir map).
+    substituting f into the composite is the cheaper order here (about
+    3 times faster for p = 3 on the somos5 Casimir map).
     """
     powers = [f]
     while len(powers) < count:
@@ -567,6 +573,18 @@ class TestUniquenessBoxes:
         # here: merging at the latter kept up to 29 copies of one root
         f = _low_dimensional_maps()[name]
         assert len(_uncertified(monkeypatch, f, 1, precision=precision, grid=4)) == 1
+
+    def test_distinct_fixed_points_kept_from_30_digits(self):
+        # the merge radius max(10^-(P/2), 100 tol) is at least 1 up to
+        # 26 digits, where the fixed points 1 and 2 of this map merged
+        f = BirationalMap.from_strings(["(x1^2 + 2)/3"])
+        with pytest.raises(DynamicsError, match="at least 30 digits"):
+            find_periodic_points(f, 1, precision=24)
+        points = find_periodic_points(f, 1, precision=30)
+        with mp.workdps(30):
+            assert sorted(int(mp.nint(pp.point[0])) for pp in points) == [1, 2]
+        with pytest.raises(InputError, match="at least 30 digits"):
+            WorkflowConfig(precision=29)
 
     def test_pipeline_at_30_digits_reports_one_fixed_point(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_krawczyk", lambda f, p, point, box: False)

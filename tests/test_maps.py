@@ -9,10 +9,18 @@ import pytest
 from cluster_reduce import (
     BirationalMap,
     MonomialMap,
+    PoissonStructure,
+    casimir_submersion,
+    cluster_map,
+    derive_reduced_map,
+    detect_period,
+    get_fixture,
     positive_point,
     random_positive_point,
     rng_substream,
 )
+from cluster_reduce import laurent
+from cluster_reduce.quiver import degree_growth
 
 LYNESS = ["x2", "(x2 + 1)/x1"]
 
@@ -124,6 +132,46 @@ class TestBirationalMap:
         assert checked == 6
         with pytest.raises(ValueError, match="dimension"):
             MonomialMap.from_rows([[1, -1, 2]], 3).evaluate_mp([2, 3])
+
+
+class TestExactComposition:
+    """Composites that the one-normal-form composition makes cheap."""
+
+    def test_phi_cubed_of_somos5_2periodic(self):
+        # the Laurent phenomenon: every denominator is a monomial, whose
+        # largest total degree is the tropical d-vector degree deg_3
+        b = get_fixture("somos5-2periodic").matrix("B")
+        cert = detect_period(b)
+        phi = cluster_map(b, cert)
+        cube = phi.compose(phi.compose(phi))
+        dens = [c.den.terms for c in cube.components]
+        assert all(list(den.values()) == [1] for den in dens)
+        assert list(dens[-1]) == [(6, 6, 2, 2, 1)]
+        assert max(sum(e) for den in dens for e in den) == degree_growth(b, cert)[2] == 17
+
+    def test_iterate_of_somos5_casimir_map_in_both_orders(self):
+        fixture = get_fixture("somos5")
+        b = fixture.matrix("B")
+        sub = casimir_submersion(PoissonStructure(fixture.matrix("C")))
+        f = derive_reduced_map(cluster_map(b, detect_period(b)), sub).map
+        assert f.iterate(3) == f.iterate(2).compose(f)
+
+    def test_gcds_of_non_constants_are_bounded(self, monkeypatch):
+        # a gcd with a constant argument is 1 without any work, and the
+        # products and inverses of normal forms need no final gcd: this
+        # composite makes 78 core calls on two non-constants, of 207 in
+        # all (136 of 780 without those shortcuts)
+        core = laurent._poly_gcd_core
+        calls = []
+
+        def counted(f, g):
+            calls.append(not (f.is_constant() or g.is_constant()))
+            return core(f, g)
+
+        monkeypatch.setattr(laurent, "_poly_gcd_core", counted)
+        f = BirationalMap.from_strings(["(x2^2 + x2)/x1", "(x2*x3 + x3)/x1", "(x2 + 1)/x1"])
+        f.iterate(10)
+        assert sum(calls) <= 78
 
 
 class TestOneKernel:
