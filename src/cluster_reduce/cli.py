@@ -82,13 +82,16 @@ def _load_structure(path: str, n: int) -> IntMatrix:
 
 
 def _load_map(path: str) -> BirationalMap:
+    """The self-map in path (every map subcommand needs one); InputError otherwise."""
     data = _read_json(path)
+    load = BirationalMap.from_strings if isinstance(data, list) else BirationalMap.from_json_dict
     try:
-        if isinstance(data, list):
-            return BirationalMap.from_strings(data)
-        return BirationalMap.from_json_dict(data)
+        f = load(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a valid map file: {exc}") from exc
+    if f.dim_out != f.dim_in:
+        raise InputError(f"{path} maps {f.dim_in} coordinates to {f.dim_out}, not a self-map")
+    return f
 
 
 def _load_submersion(path: str) -> Submersion:

@@ -40,14 +40,14 @@ Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
 along those steps, so the composite f^(p) is never formed.  Each start
 runs in hardware floats until the residual max|f^(p)(x) - x| is below
-1e-10 and finishes at the working precision; any float failure re-runs
-the start at the working precision.  Every returned point passes the
-full-precision residual test and its relative form, and copies of one
-root are merged.  Each point found gets a candidate box; when a later
-start's float iterate lands in it, Krawczyk's test on ``mpmath``
-intervals is run once, and a certified box, which holds exactly one
-solution, makes every start landing in it a duplicate with no
-full-precision finish.
+1e-10 or the floats stop, and continues at the working precision from
+the last float iterate: one Newton trajectory per start.  Every returned
+point passes the full-precision residual test and its relative form,
+and copies of one root are merged.  Each point found gets a candidate
+box; when a later start's float run converges in it, Krawczyk's test on
+``mpmath`` intervals is run once, and a certified box, which holds
+exactly one solution, makes every start converging in it a duplicate
+with no full-precision run.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import inf, lcm
 
 import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
@@ -570,16 +570,15 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     compiled, and start given, in that type).
 
     Every run of a periodic-point start goes through here: in floats
-    down to the hand-off residual, in ``mpf`` from there down to tol,
-    and in ``mpf`` from the start when either of those fails.  Each step
-    solves (J(f^p) - I) dx = x - f^p(x) and halves dx until x + dx
-    stays positive and lowers max|f^p(x) - x|.  Returns (point,
-    f^p(point) - point, steps taken) once the residual is below tol, or
-    None: for a start outside the domain, a singular system, no descent
-    after 40 halvings, or max_iter steps spent.  A non-finite residual never
-    descends (an inf or nan step gives no positive trial with a smaller
-    residual), so it ends in None too.  A float overflow in a power
-    raises OverflowError.
+    down to the hand-off residual, then in ``mpf`` down to tol.  Each
+    step solves (J(f^p) - I) dx = x - f^p(x) and halves dx until x + dx
+    stays positive and lowers max|f^p(x) - x|.  Returns (x, f^p(x) - x,
+    max|f^p(x) - x|, steps taken) for the last iterate x, the first with
+    a residual below tol or the one where Newton stopped (a singular
+    system, no descent after 40 halvings, max_iter steps spent): the
+    caller tests the residual.  A start outside the domain gives (start,
+    None, inf, 0).  Only a start can have a non-finite residual: an inf
+    or nan one never descends.  A float overflow raises OverflowError.
     """
     n = len(start)
     x = list(start)
@@ -592,61 +591,58 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     try:
         fvec, res, jac = residual_at(x)
     except (ZeroDivisionError, ValueError):
-        return None
-    for steps in range(max_iter):
-        if res < tol:
-            return tuple(x), fvec, steps
+        return tuple(x), None, inf, 0
+    steps = 0
+    while steps < max_iter and not res < tol:
         try:
             step = _lu_solve(_less_identity(jac), [-v for v in fvec], num)
         except ZeroDivisionError:
-            return None
+            break
         damping = num.one
-        improved = False
         for _ in range(40):
             trial = [x[i] + damping * step[i] for i in range(n)]
+            damping /= 2
             if all(v > 0 for v in trial):
                 try:
                     tvec, tres, tjac = residual_at(trial)
                 except (ZeroDivisionError, ValueError):
-                    tvec = None
-                if tvec is not None and (tres < res or res == 0):
+                    continue
+                if tres < res:
                     x, fvec, res, jac = trial, tvec, tres, tjac
-                    improved = True
                     break
-            damping /= 2
-        if not improved:
-            return None
-    return (tuple(x), fvec, max_iter) if res < tol else None
+        else:
+            break
+        steps += 1
+    return tuple(x), fvec, res, steps
 
 
 def _periodic_point_newton(comps, fcomps, p: int, start, tol, known):
-    """(point, f^p(point) - point, steps) for the Newton run from start,
-    or None.
+    """The ``_newton_solve`` result of the run from start at the working
+    precision (comps), or None when the start duplicates a known point.
 
     Newton runs in floats (fcomps) until the residual is below
-    ``_HANDOFF``, then continues at the working precision (comps) from
-    the float iterate with the iterations left, until the residual is
-    below tol.  When either phase fails, or a float overflows, the whole
-    run is repeated at the working precision from start, so no start is
-    lost to float arithmetic.  When known(x) holds for the float iterate
-    x, the start duplicates a point already found: None, with no
-    full-precision finish.
+    ``_HANDOFF`` or the floats stop, then continues at the working
+    precision from the last float iterate with the iterations left: one
+    trajectory per start.  A float phase that took no step or overflowed,
+    and a map with no float compilation, leave the whole run to the
+    working precision from start.  When the float run converged and
+    known(x) holds for its iterate x, the start duplicates a point
+    already found: None, with no full-precision run.
     """
+    used = 0
     if fcomps is not None:
         try:
-            rough = _newton_solve(
+            rough, _, res, used = _newton_solve(
                 fcomps, p, [float(v) for v in start], _HANDOFF, _MAX_ITER, _FLOAT
             )
         except OverflowError:
-            rough = None
-        if rough is not None:
-            point, _, used = rough
-            if known(point):
+            pass
+        else:
+            if res < _HANDOFF and known(rough):
                 return None
-            result = _newton_solve(comps, p, [mp.mpf(v) for v in point], tol, _MAX_ITER - used)
-            if result is not None:
-                return result
-    return _newton_solve(comps, p, start, tol, _MAX_ITER)
+            if used:
+                start = [mp.mpf(v) for v in rough]
+    return _newton_solve(comps, p, start, tol, _MAX_ITER - used)
 
 
 # Half-width of the candidate uniqueness box around a found point y, in
@@ -721,25 +717,27 @@ def find_periodic_points(
     Desk-scale only: dimension at most 3.
 
     Each start runs Newton in hardware floats until max|f^(p)(x) - x|
-    is below 1e-10, then finishes at the working precision from there.
-    Any float failure (a singular system, an overflow or a non-finite
-    residual, no descent, the iteration budget spent) re-runs the start
-    at the working precision from the start.  Every returned point
-    passes the full-precision residual test max|f^(p)(x) - x| < tol,
-    tol = 10^-(precision - 24), and
-    the relative test max|f^(p)(x)_i - x_i| / x_i < tol, which drops runs
-    that creep towards a coordinate 0.  Two points merge when they are
-    closer than 10^-(precision/2), or than 100 tol where that is larger
-    (below 52 digits), the distance within which a residual below tol
-    leaves the copies of a root with |J_F^-1| < 50, F = f^(p) - id.
+    is below 1e-10 or the floats stop (a singular system, no descent,
+    the iteration budget spent), then continues at the working precision
+    from the last float iterate with the iterations left.  A start whose
+    float phase took no step (a non-finite residual, a singular system
+    or no descent at the start) or overflowed runs at the working
+    precision from the start itself.  Every returned point passes the
+    full-precision residual test max|f^(p)(x) - x| < tol, tol =
+    10^-(precision - 24), and the relative test max|f^(p)(x)_i - x_i| /
+    x_i < tol, which drops runs that creep towards a coordinate 0.  Two
+    points merge when they are closer than 10^-(precision/2), or than
+    100 tol where that is larger (below 52 digits), the distance within
+    which a residual below tol leaves the copies of a root with |J_F^-1|
+    < 50, F = f^(p) - id.
 
     A found point y gets a candidate box of half-width 1e-6 max(1,
-    |y_i|).  The first time a later start's float iterate lies in it
+    |y_i|).  The first time a later start's float run converges in it
     (compared with the box's ``mpf`` endpoints), Krawczyk's test is run
     on the box and the verdict kept.  A certified box holds exactly one
-    solution, so every start whose float iterate lies in it is y's
-    duplicate and is dropped with no full-precision finish; the list is
-    the one the finishes would give, as y is still the first start's.
+    solution, so every start whose float run converges in it is y's
+    duplicate and is dropped with no full-precision run; the list is
+    the one those runs would give, as y is still the first start's.
 
     Where the solutions form a curve (J(f^(p)) - I singular along it, as
     for the period-2 points of the Casimir-reduced somos5 and c7-pair
@@ -796,11 +794,9 @@ def find_periodic_points(
 
         for s in starts:
             result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
-            if result is None:
+            if result is None or not result[2] < tol:
                 continue
-            point, diff, _ = result
-            if any(v <= 0 for v in point):
-                continue
+            point, diff, res, _ = result
             # an absolute residual below tol is also reached by runs that
             # creep towards a coordinate 0; the relative one is not
             if max(abs(diff[i]) / point[i] for i in range(n)) >= tol:
@@ -823,7 +819,7 @@ def find_periodic_points(
                     duplicate = True
                     break
             if not duplicate:
-                found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
+                found.append(PeriodicPoint(point, res, p, precision))
                 boxes.append(_candidate_box(point))
         found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
         return found

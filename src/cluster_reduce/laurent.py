@@ -397,7 +397,6 @@ def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if not (f.is_polynomial() and g.is_polynomial()):
         raise ValueError("gcd requires true polynomials")
 
-    n = f.nvars
     mf = f.min_exponents()
     mg = g.min_exponents()
     common = tuple(min(a, b) for a, b in zip(mf, mg))
@@ -434,6 +433,8 @@ def _poly_gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     while True:
         r = _pseudo_remainder(a, b, var)
         if r.is_zero():
+            # b is pp_f, pp_g or a remainder with its content divided
+            # out, so it is primitive in var already
             h = b
             break
         if r.degree(var) == 0:
@@ -446,7 +447,6 @@ def _poly_gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     cont_gcd = poly_gcd(cont_f, cont_g)
     if h is None:
         return _normalize_primitive(cont_gcd)
-    h = _exact_divide(h, _poly_content_in(h, var)) if not _poly_content_in(h, var).is_one() else h
     result = _normalize_primitive(h)
     if not cont_gcd.is_one():
         result = result * cont_gcd

@@ -305,6 +305,27 @@ class TestStructureFiles:
         assert _run(capsys, argv) == (3, "")
 
 
+class TestMapFiles:
+    @pytest.mark.parametrize("command", [
+        ["period"],
+        ["orbit", "--start", "1,1", "--steps", "3"],
+        ["itinerary", "--submersions", "null5", "--start", "1,1", "--steps", "3"],
+        ["find-poisson"],
+        ["reduce", "--structure", "c5", "--kind", "casimir"],
+        ["verify", "--structure", "c5", "--kind", "poisson"],
+    ], ids=lambda command: command[0])
+    def test_map_that_is_not_a_self_map_exits_3(self, capsys, files, tmp_path, command):
+        # every subcommand that reads --map needs a self-map: bad input
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({"schema": "v1", "dim_in": 2,
+                                 "components": ["x1", "x2", "x1*x2"]}))
+        argv = [command[0], "--map", str(p)] + [files.get(a, a) for a in command[1:]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "not a self-map" in captured.err
+
+
 class TestOrbit:
     def test_exact_orbit(self, capsys, files):
         code, doc = _run_json(

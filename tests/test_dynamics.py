@@ -359,16 +359,34 @@ def _all_mpf_search(monkeypatch, f, p: int, **kwargs) -> list:
         return find_periodic_points(f, p, **kwargs)
 
 
-def _failing_newton(monkeypatch, fails):
-    """Make the Newton runs for which fails(num, max_iter) holds fail."""
+def _singular_floats(monkeypatch):
+    """Make every float Newton system singular, so no float step is taken."""
+    solve = dynamics._lu_solve
+
+    def patched(a, b, num=dynamics._MPF):
+        if num is dynamics._FLOAT:
+            raise ZeroDivisionError("matrix is numerically singular")
+        return solve(a, b, num)
+
+    monkeypatch.setattr(dynamics, "_lu_solve", patched)
+
+
+def _newton_runs(monkeypatch, float_steps: int) -> list:
+    """Record every _newton_solve run as (num, start, max_iter, result),
+    each float run stopping after at most float_steps steps (its
+    tolerance is 0)."""
     solve = dynamics._newton_solve
+    runs = []
 
-    def patched(comps, p, start, tol, max_iter, num=dynamics._MPF):
-        if fails(num, max_iter):
-            return None
-        return solve(comps, p, start, tol, max_iter, num)
+    def recording(comps, p, start, tol, max_iter, num=dynamics._MPF):
+        if num is dynamics._FLOAT:
+            tol, max_iter = 0.0, float_steps
+        result = solve(comps, p, start, tol, max_iter, num)
+        runs.append((num, list(start), max_iter, result))
+        return result
 
-    monkeypatch.setattr(dynamics, "_newton_solve", patched)
+    monkeypatch.setattr(dynamics, "_newton_solve", recording)
+    return runs
 
 
 def _float_step(monkeypatch, image):
@@ -390,8 +408,9 @@ REDUCED_MAPS = ["somos5:null2", "somos5:casimir3", "c7-pair:null2", "c7-pair:cas
 
 
 class TestMixedPrecisionNewton:
-    """Newton in floats up to the hand-off, then at the working precision;
-    the full-precision search from the start whenever the floats fail."""
+    """One Newton trajectory per start: in floats up to the hand-off or
+    until the floats stop, then at the working precision from the last
+    float iterate; from the start itself when the floats took no step."""
 
     @pytest.mark.parametrize("name", [
         "lyness", "psi_1", "psi_hat5", *REDUCED_MAPS,
@@ -429,21 +448,16 @@ class TestMixedPrecisionNewton:
         got = dynamics._lu_solve([[1.0, 1.0], [1.0, 1.0 + 2.0**-48]], [1.0, 2.0], dynamics._FLOAT)
         assert got == [1.0 - 2.0**48, 2.0**48]
 
-    @pytest.mark.parametrize("failure", [
-        "no float root", "overflow", "non-finite residual", "no full-precision finish",
-    ])
+    @pytest.mark.parametrize("failure", ["no float root", "overflow", "non-finite residual"])
     @pytest.mark.parametrize("name, p", [("lyness", 1), ("somos5:null2", 1), ("psi_1", 2)])
     def test_failed_float_phase_gives_the_all_mpf_search(self, monkeypatch, failure, name, p):
+        # a float phase that takes no step leaves the start to the
+        # working precision, from the start itself
         f = _low_dimensional_maps()[name]
         expected = _all_mpf_search(monkeypatch, f, p, grid=4)
         assert expected
         if failure == "no float root":
-            _failing_newton(monkeypatch, lambda num, max_iter: num is dynamics._FLOAT)
-        elif failure == "no full-precision finish":
-            # the finish is the full-precision run with the budget the
-            # float steps left over
-            _failing_newton(monkeypatch, lambda num, max_iter:
-                            num is dynamics._MPF and max_iter < dynamics._MAX_ITER)
+            _singular_floats(monkeypatch)
         elif failure == "overflow":
             _float_step(monkeypatch, _overflow)
         else:
@@ -459,20 +473,77 @@ class TestMixedPrecisionNewton:
         assert [pp.point for pp in points] == [(1,)]
         assert points == _all_mpf_search(monkeypatch, f, 1, grid=4)
 
-    @pytest.mark.parametrize("precision", [64, 128])
-    @pytest.mark.parametrize("name", REDUCED_MAPS)
+    @pytest.mark.parametrize("precision", [30, 64, 128])
+    @pytest.mark.parametrize("name", ["lyness", "psi_1", "psi_hat5", *REDUCED_MAPS])
     def test_fixed_points_match_the_all_mpf_search(self, monkeypatch, name, precision):
         f = _low_dimensional_maps()[name]
         got = find_periodic_points(f, 1, precision=precision, grid=4)
         want = _all_mpf_search(monkeypatch, f, 1, precision=precision, grid=4)
-
-        def printed(points):
-            return [[mp.nstr(v, 30) for v in pp.point] for pp in points]
-
-        assert len(got) == 1
-        assert printed(got) == printed(want)
+        assert len(got) == len(want) == 1
         with mp.workdps(precision):
-            assert got[0].residual < mp.mpf(10) ** (24 - precision)
+            # one root: closer than the merge radius 100 tol (at 30
+            # digits the float iterate already passes tol = 10^-6)
+            tol = dynamics._residual_tol(precision)
+            assert max(abs(a - b) for a, b in zip(got[0].point, want[0].point)) < 100 * tol
+            assert got[0].residual < tol
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("name, p", [("lyness", 1), ("somos5:casimir3", 1), ("psi_1", 2)])
+    def test_working_precision_continues_the_float_run(self, monkeypatch, name, p, k):
+        runs = _newton_runs(monkeypatch, float_steps=k)
+        find_periodic_points(_low_dimensional_maps()[name], p, grid=4)
+        continued = 0
+        for (num, start, _, (rough, _, res, steps)), after in zip(runs, runs[1:] + [None]):
+            if num is not dynamics._FLOAT:
+                continue
+            if after is None or after[0] is dynamics._FLOAT:
+                # only a float run that reached the hand-off residual
+                # within its k steps can end its start, in a certified box
+                assert res < dynamics._HANDOFF
+                continue
+            _, mstart, budget, _ = after
+            if steps:
+                assert mstart == [mp.mpf(v) for v in rough]
+                assert budget == dynamics._MAX_ITER - steps
+                continued += steps == k
+            else:
+                assert [float(v) for v in mstart] == start
+                assert budget == dynamics._MAX_ITER
+        assert continued
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["lyness", "psi_1", "psi_hat5", *REDUCED_MAPS])
+    def test_one_newton_trajectory_per_start(self, monkeypatch, name, p):
+        # "f" and "m" mark a float and an mpf run, "." each linear solve
+        # of a run (Krawczyk's solves are not Newton steps)
+        f = _low_dimensional_maps()[name]
+        solve, lu = dynamics._newton_solve, dynamics._lu_solve
+        events, inside = [], []
+
+        def marking(comps, p, start, tol, max_iter, num=dynamics._MPF):
+            events.append("f" if num is dynamics._FLOAT else "m")
+            inside.append(True)
+            try:
+                return solve(comps, p, start, tol, max_iter, num)
+            finally:
+                inside.pop()
+
+        def counting(a, b, num=dynamics._MPF):
+            if inside:
+                events.append(".")
+            return lu(a, b, num)
+
+        monkeypatch.setattr(dynamics, "_newton_solve", marking)
+        monkeypatch.setattr(dynamics, "_lu_solve", counting)
+        find_periodic_points(f, p, precision=64, grid=4)
+        starts = "".join(events).split("f")
+        assert starts[0] == "" and len(starts) == 1 + 4**f.dim_in
+        for run in starts[1:]:
+            # at most one mpf run, and one step budget for the whole
+            # trajectory: each run solves one system per step, plus at
+            # most one whose step did not descend
+            assert run.count("m") <= 1
+            assert run.count(".") <= dynamics._MAX_ITER + 2
 
     def test_few_full_precision_jacobians_per_start(self, monkeypatch):
         f = _low_dimensional_maps()["somos5:casimir3"]
