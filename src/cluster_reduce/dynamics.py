@@ -41,9 +41,10 @@ f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
 along those steps, so the composite f^(p) is never formed.  Each start
 runs in hardware floats until the residual max|f^(p)(x) - x| is below
 1e-10 or the floats stop, and continues at the working precision from
-the last float iterate: one Newton trajectory per start.  Every returned
-point passes the full-precision residual test and its relative form,
-and copies of one root are merged.  Each point found gets a candidate
+the last float iterate: one Newton trajectory per start.  There a step
+must also lower the acceptance residual, below tol exactly when the
+residual test and its relative form both hold, and the run stops on it;
+copies of one root are merged.  Each point found gets a candidate
 box; when a later start's float run converges in it, Krawczyk's test on
 ``mpmath`` intervals is run once, and a certified box, which holds
 exactly one solution, makes every start converging in it a duplicate
@@ -565,6 +566,13 @@ def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
     return x
 
 
+def _acceptance_residual(diff, x):
+    """max_i |diff_i| / min(1, x_i) for positive x: below tol exactly when
+    both max|diff_i| < tol and max_i |diff_i| / x_i < tol, also rounded,
+    as dividing by 1 is exact and rounding keeps order."""
+    return max(abs(d) / min(1, v) for d, v in zip(diff, x))
+
+
 def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF):
     """Damped Newton for f^p(x) = x from start, in num's number type (f
     compiled, and start given, in that type).
@@ -572,48 +580,65 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     Every run of a periodic-point start goes through here: in floats
     down to the hand-off residual, then in ``mpf`` down to tol.  Each
     step solves (J(f^p) - I) dx = x - f^p(x) and halves dx until x + dx
-    stays positive and lowers max|f^p(x) - x|.  Returns (x, f^p(x) - x,
-    max|f^p(x) - x|, steps taken) for the last iterate x, the first with
-    a residual below tol or the one where Newton stopped (a singular
-    system, no descent after 40 halvings, max_iter steps spent): the
-    caller tests the residual.  A start outside the domain gives (start,
-    None, inf, 0).  Only a start can have a non-finite residual: an inf
-    or nan one never descends.  A float overflow raises OverflowError.
+    stays positive and lowers max|f^p(x) - x| and, in ``mpf``, also the
+    acceptance residual r(x) of ``_acceptance_residual``.  The run stops
+    when r, in floats max|f^p(x) - x|, is below tol; a run that creeps
+    towards a coordinate 0 lowers max|f^p(x) - x| but raises r, so it
+    stops at its first step.  The full step is evaluated with its
+    Jacobian and a halved one by value only; the Jacobian at an accepted
+    halved step is computed when another step follows.  Returns (x,
+    f^p(x) - x, r(x) or in floats max|f^p(x) - x|, steps taken) for the
+    last iterate x, the first below tol or the one where Newton stopped
+    (a singular system, no descent after 40 halvings, max_iter steps
+    spent): the caller tests it.  A start outside the domain gives
+    (start, None, inf, 0).  Only a start can have a non-finite residual:
+    an inf or nan one never descends.  A float overflow raises
+    OverflowError.
     """
     n = len(start)
     x = list(start)
 
-    def residual_at(vec):
-        img, jac = _power(comps, vec, p, jacobian=True, num=num)
+    def residuals_at(vec, jacobian):
+        """(f^p(vec) - vec, residuals, Jacobian or None); residuals is
+        (max|f^p(vec) - vec|,) in floats and adds r(vec) in mpf."""
+        img, jac = _power(comps, vec, p, jacobian, num)
         diff = [img[i] - vec[i] for i in range(n)]
-        return diff, max(abs(d) for d in diff), jac
+        res = (max(abs(d) for d in diff),)
+        if num is not _FLOAT:
+            res += (_acceptance_residual(diff, vec),)
+        return diff, res, jac
 
     try:
-        fvec, res, jac = residual_at(x)
+        fvec, res, jac = residuals_at(x, True)
     except (ZeroDivisionError, ValueError):
         return tuple(x), None, inf, 0
     steps = 0
-    while steps < max_iter and not res < tol:
+    while steps < max_iter and not res[-1] < tol:
+        if jac is None:
+            jac = _power(comps, x, p, True, num)[1]
         try:
             step = _lu_solve(_less_identity(jac), [-v for v in fvec], num)
         except ZeroDivisionError:
             break
         damping = num.one
-        for _ in range(40):
+        for halvings in range(40):
             trial = [x[i] + damping * step[i] for i in range(n)]
             damping /= 2
             if all(v > 0 for v in trial):
                 try:
-                    tvec, tres, tjac = residual_at(trial)
+                    tvec, tres, tjac = residuals_at(trial, halvings == 0)
                 except (ZeroDivisionError, ValueError):
                     continue
-                if tres < res:
+                # r alone would accept steps that raise max|f^p(x) - x|
+                # where a coordinate is below 1, and move the samples of
+                # a curve of periodic points (psi_1, p = 2)
+                if all(t < r for t, r in zip(tres, res)):
                     x, fvec, res, jac = trial, tvec, tres, tjac
                     break
         else:
             break
         steps += 1
-    return tuple(x), fvec, res, steps
+    return tuple(x), fvec, res[-1], steps
 
 
 def _periodic_point_newton(comps, fcomps, p: int, start, tol, known):
@@ -722,11 +747,16 @@ def find_periodic_points(
     from the last float iterate with the iterations left.  A start whose
     float phase took no step (a non-finite residual, a singular system
     or no descent at the start) or overflowed runs at the working
-    precision from the start itself.  Every returned point passes the
-    full-precision residual test max|f^(p)(x) - x| < tol, tol =
-    10^-(precision - 24), and the relative test max|f^(p)(x)_i - x_i| /
-    x_i < tol, which drops runs that creep towards a coordinate 0.  Two
-    points merge when they are closer than 10^-(precision/2), or than
+    precision from the start itself.  At the working precision a step
+    must lower both max|f^(p)(x) - x| and the acceptance residual
+    max_i |f^(p)(x)_i - x_i| / min(1, x_i), and the run stops when the
+    latter is below tol = 10^-(precision - 24): every returned point
+    passes both the absolute test max|f^(p)(x) - x| < tol and the
+    relative test max|f^(p)(x)_i - x_i| / x_i < tol.  A run that creeps
+    towards a coordinate 0 lowers only the absolute residual and stops
+    at its first step.  Halved Newton steps are evaluated without their
+    Jacobian.  A point's ``residual`` is the absolute max|f^(p)(x) - x|.
+    Two points merge when they are closer than 10^-(precision/2), or than
     100 tol where that is larger (below 52 digits), the distance within
     which a residual below tol leaves the copies of a root with |J_F^-1|
     < 50, F = f^(p) - id.
@@ -796,11 +826,7 @@ def find_periodic_points(
             result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
             if result is None or not result[2] < tol:
                 continue
-            point, diff, res, _ = result
-            # an absolute residual below tol is also reached by runs that
-            # creep towards a coordinate 0; the relative one is not
-            if max(abs(diff[i]) / point[i] for i in range(n)) >= tol:
-                continue
+            point, diff, _, _ = result
             # f^d(point) for each proper divisor d of p, stepping f
             minimal, image = True, point
             for d in range(1, p):
@@ -819,7 +845,7 @@ def find_periodic_points(
                     duplicate = True
                     break
             if not duplicate:
-                found.append(PeriodicPoint(point, res, p, precision))
+                found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
                 boxes.append(_candidate_box(point))
         found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
         return found

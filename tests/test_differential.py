@@ -7,11 +7,14 @@ factor shared by numerator and denominator.  The operations that skip
 the final gcd (product, quotient, inverse) or take a single normal form
 (composition) also equal, term for term, the full normal form of their
 unreduced numerator and denominator.  The residue screen's one-inversion
-arithmetic is checked against one ``pow(v, -1, p)`` per coordinate.
+arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, and
+the periodic-point Newton's acceptance residual against the absolute and
+relative residual tests it stands for.
 """
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 sympy = pytest.importorskip("sympy")
@@ -172,3 +175,31 @@ def test_residue_orbit_matches_per_coordinate_inverses(ladder_systems):
             for p in dynamics.SCREEN_PRIMES:
                 got = dynamics._residue_orbit(lift.phi, orbit._exact[0], 8, p)
                 assert got == _residue_orbit_reference(lift.phi, orbit._exact[0], 8, p)
+
+
+@st.composite
+def _residual_cases(draw):
+    """(x, diff, tol) as 64-digit mpf values: x positive with coordinates
+    below and above 1, diff signed, tol positive."""
+    below = draw(st.floats(1e-8, 1, exclude_max=True))
+    above = draw(st.floats(1, 1e3, exclude_min=True))
+    rest = draw(st.lists(st.one_of(st.just(1.0), st.floats(1e-8, 1e3)), max_size=1))
+    x = draw(st.permutations([below, above, *rest]))
+    diff = draw(st.lists(st.floats(-10, 10), min_size=len(x), max_size=len(x)))
+    tol = draw(st.floats(1e-12, 1e3))
+    return [mp.mpf(v) for v in x], [mp.mpf(v) for v in diff], mp.mpf(tol)
+
+
+@SETTINGS
+@given(_residual_cases())
+def test_acceptance_residual_is_the_absolute_and_relative_tests(case):
+    # the drawn tol, and as tol each quotient |diff_i| and |diff_i| / x_i
+    # itself, where one of the two tests fails by a tie
+    x, diff, drawn = case
+    with mp.workdps(64):
+        absolute = [abs(d) for d in diff]
+        relative = [abs(d) / v for d, v in zip(diff, x)]
+        residual = dynamics._acceptance_residual(diff, x)
+        for tol in [drawn, *absolute, *relative]:
+            both = max(absolute) < tol and max(relative) < tol
+            assert (residual < tol) == both

@@ -1,8 +1,10 @@
 """Orbits, global periodicity, periodic points, itineraries, closed forms."""
 
+import json
 import random
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -55,6 +57,8 @@ PSI_2 = BirationalMap.from_strings(
     ["x2", "(x2 + 1)/x1", "(x2^2 + x2)/x3", "x5", "x3*x5^2/(x2*x4)"]
 )
 
+DATA = Path(__file__).parent / "data"
+
 C7_Y = [
     (1, 0, -1, -1, 0, 1, 0),
     (0, 1, 0, -1, -1, 0, 1),
@@ -101,6 +105,13 @@ def _low_dimensional_maps() -> dict:
                     casimir_submersion(PoissonStructure(fixture.matrix(casimir)))):
             maps[f"{case}:{sub.kind}{sub.dim_out}"] = derive_reduced_map(phi, sub).map
     return maps
+
+
+@cache
+def _period_two_samples(name: str) -> list:
+    """find_periodic_points(f, 2, grid=4) at 64 digits for a map of
+    _low_dimensional_maps, computed once for the tests that read it."""
+    return find_periodic_points(_low_dimensional_maps()[name], 2, precision=64, grid=4)
 
 
 def _symbolic_powers(f: BirationalMap, count: int) -> list:
@@ -264,7 +275,7 @@ class TestPeriodicPoints:
         # point found: the period-2 points form a curve, and the list
         # holds samples of it
         f = _low_dimensional_maps()[name]
-        points = find_periodic_points(f, 2, grid=4)
+        points = _period_two_samples(name)
         assert len(points) > 3
         g = _symbolic_powers(f, 2)[1]
         with mp.workdps(64):
@@ -274,6 +285,15 @@ class TestPeriodicPoints:
                 low, mid, _ = sorted(mp.svd_r(a, compute_uv=False))
                 assert low < mp.mpf(10) ** -35
                 assert mid > mp.mpf(10) ** -1
+
+    @pytest.mark.parametrize("name", ["somos5:casimir3", "c7-pair:casimir3"])
+    def test_period_two_samples_are_pinned(self, name):
+        # where a start lands on the curve depends on its whole Newton
+        # path, floats included: the 61 samples of each map to 30 digits
+        want = json.loads((DATA / "period2-samples.json").read_text())[name]
+        with mp.workdps(64):
+            got = [[mp.nstr(v, 30) for v in pp.point] for pp in _period_two_samples(name)]
+        assert got == want
 
 
 class TestPeriodicPointKernel:
@@ -556,7 +576,42 @@ class TestMixedPrecisionNewton:
 
         monkeypatch.setattr(dynamics, "_power", counting)
         assert len(find_periodic_points(f, 1, grid=4)) == 1
-        assert sum(full) <= 4 * 4**3
+        # 4 for the 64 starts: one finish of 3 evaluations, and Krawczyk's
+        # test, which drops the other starts
+        assert sum(full) <= 6
+
+    @pytest.mark.parametrize("name", ["somos5:casimir3", "c7-pair:casimir3"])
+    def test_creeping_starts_end_early(self, monkeypatch, name):
+        # a run creeping towards a coordinate 0 lowers max|f^2(x) - x|
+        # but raises the acceptance residual, so its first step finds no
+        # descent: at most the start, the full step and 40 halvings.  With
+        # descent in the absolute residual alone such starts take 58-88
+        # evaluations, and each search 810-892 Jacobian steps
+        f = _low_dimensional_maps()[name]
+        power, step, solve = dynamics._power, dynamics._step, dynamics._newton_solve
+        evaluations, jacobian_steps, failed = [], [], []
+
+        def counting_power(comps, x, p, jacobian=False, num=dynamics._MPF):
+            evaluations.append(num is dynamics._MPF)
+            return power(comps, x, p, jacobian, num)
+
+        def counting_step(comps, x, jacobian, num=dynamics._MPF):
+            jacobian_steps.append(jacobian and num is dynamics._MPF)
+            return step(comps, x, jacobian, num)
+
+        def recording(comps, p, start, tol, max_iter, num=dynamics._MPF):
+            before = sum(evaluations)
+            result = solve(comps, p, start, tol, max_iter, num)
+            if num is dynamics._MPF and not result[2] < tol:
+                failed.append(sum(evaluations) - before)
+            return result
+
+        monkeypatch.setattr(dynamics, "_power", counting_power)
+        monkeypatch.setattr(dynamics, "_step", counting_step)
+        monkeypatch.setattr(dynamics, "_newton_solve", recording)
+        assert len(find_periodic_points(f, 2, precision=64, grid=4)) == 61
+        assert failed and max(failed) <= 42
+        assert sum(jacobian_steps) <= 450
 
 
 def _uncertified(monkeypatch, f, p: int, **kwargs) -> list:
@@ -633,7 +688,7 @@ class TestUniquenessBoxes:
     def test_period_two_curve_sample_is_rejected(self):
         # J(f^2) - I is singular along the curve of period-2 points
         f = _low_dimensional_maps()["somos5:casimir3"]
-        point = find_periodic_points(f, 2, grid=4)[0].point
+        point = _period_two_samples("somos5:casimir3")[0].point
         with mp.workdps(64):
             assert not dynamics._krawczyk(f, 2, point, dynamics._candidate_box(point))
 
@@ -666,10 +721,10 @@ class TestUniquenessBoxes:
         ("somos5:null2", 3), ("somos5:casimir3", 2), ("c7-pair:casimir3", 2),
     ])
     def test_runs_creeping_to_the_boundary_are_dropped(self, name, p):
-        # at 30 digits some starts pass the absolute residual test with a
-        # coordinate near 0 (somos5 null(2), p = 3, gave two points with a
-        # coordinate about 3.6e-25, and nothing else); at 64 digits the
-        # same starts fail
+        # at 30 digits some starts creep towards a coordinate 0 and pass
+        # the absolute residual test alone (somos5 null(2), p = 3, gave
+        # two points with a coordinate about 3.6e-25, and nothing else);
+        # the acceptance residual is relative there and drops them
         f = _low_dimensional_maps()[name]
         points = find_periodic_points(f, p, precision=30, grid=4)
         assert bool(points) == (p == 2)
