@@ -9,8 +9,13 @@ three ways, and only one way is used per fact:
 
 * sampled exact points: invariance of a form or tensor under an
   arbitrary map is the congruence M^T B M = B, or M C M^T = C, of the
-  log-Jacobian M(p)_ij = p_j d_j phi_i(p) / phi_i(p), checked with exact
-  rationals at seeded random positive points, one kernel run per point;
+  log-Jacobian M(p)_ij = p_j d_j phi_i(p) / phi_i(p) at seeded random
+  positive points, one kernel run per point.  M(p) is cleared to the
+  integer matrix d M(p) once per point (d the lcm of its denominators),
+  and the congruence is checked on integers against d^2 B or d^2 C.
+  Discovery solves each point's integer equations inside the saturated
+  kernel found so far, which narrows it without re-eliminating the
+  equations of earlier points;
 * lattice rewrite: a reduced map psi satisfies pi o phi = psi o pi
   by construction, as the exact rewrite of pi o phi in fiber
   coordinates; a chained reduction follows from two such rewrites and
@@ -40,13 +45,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .intlinalg import (
     DarbouxBasis,
     IntMatrix,
     LatticeBasis,
     _congruent,
+    _narrowed_kernel,
     darboux_basis,
     kernel_lattice,
     saturation_index,
@@ -349,9 +355,11 @@ class InvarianceResult:
 
 
 def _sample_points(phi: BirationalMap, count: int, seed: int):
-    """Deterministic stream of count pairs (p, M(p)), p random positive
-    rational and M(p)_ij = p_j d_j phi_i(p) / phi_i(p) the log-Jacobian,
-    each from one exact kernel run, generated as they are consumed.
+    """Deterministic stream of count pairs (p, (dM, d)), p random positive
+    rational, M(p)_ij = p_j d_j phi_i(p) / phi_i(p) the log-Jacobian and
+    d the lcm of its denominators, so that dM = d M(p) is the integer
+    matrix the checks use.  Each point is one exact kernel run, and the
+    pairs are generated as they are consumed.
 
     Substream index increments past points where phi is undefined or
     phi(p) has a zero coordinate (M does not exist there), so results are
@@ -372,18 +380,22 @@ def _sample_points(phi: BirationalMap, count: int, seed: int):
             continue
         if all(image):
             found += 1
-            yield p, [[v * x / y if v else v for v, x in zip(row, p)]
-                      for row, y in zip(jac, image)]
+            m = [[v * x / y if v else v for v, x in zip(row, p)]
+                 for row, y in zip(jac, image)]
+            d = lcm(*(v.denominator for row in m for v in row))
+            yield p, ([[v.numerator * (d // v.denominator) for v in row] for row in m], d)
 
 
 def _check_congruence(phi, matrix: IntMatrix, samples, seed, poisson) -> InvarianceResult:
-    """M C M^T = C (poisson) or M^T B M = B at each sampled log-Jacobian M;
-    the witness is the first point where it fails."""
+    """M C M^T = C (poisson) or M^T B M = B at each sampled log-Jacobian
+    M, on integers as (dM) C (dM)^T = d^2 C or (dM)^T B (dM) = d^2 B; the
+    witness is the first point where it fails."""
     n = matrix.rows
     if phi.dim_in != n or phi.dim_out != n:
         raise GeometryError("map and structure dimensions differ")
-    for p, m in _sample_points(phi, samples, seed):
-        if not _congruent(m if poisson else list(zip(*m)), matrix.entries, matrix.entries):
+    for p, (m, d) in _sample_points(phi, samples, seed):
+        if not _congruent(m if poisson else list(zip(*m)), matrix.entries,
+                          matrix.scale(d * d).entries):
             return InvarianceResult(False, samples, p)
     return InvarianceResult(True, samples)
 
@@ -449,24 +461,26 @@ def unvectorize_skew(vec, n: int) -> IntMatrix:
     return IntMatrix.from_rows(entries)
 
 
-def _poisson_equations_at(m) -> list[tuple[int, ...]]:
+def _poisson_equations_at(scaled) -> list[tuple[int, ...]]:
     """Integer linear equations on c_kl expressing M C M^T = C for the
-    log-Jacobian M at a point.
+    log-Jacobian M at a point, given cleared as scaled = (dM, d).
 
     Row (a, b) is sum_{k<l} (M_ak M_bl - M_al M_bk) c_kl - c_ab = 0, the
-    (a, b) entry of J Pi(p) J^T = Pi(phi(p)) divided by phi_a phi_b.
-    Unknowns are ordered by _pair_index.  Each equation row is cleared of
-    denominators.
+    (a, b) entry of J Pi(p) J^T = Pi(phi(p)) divided by phi_a phi_b; it
+    is formed on integers as the same row times d^2,
+    sum_{k<l} (dM_ak dM_bl - dM_al dM_bk) c_kl - d^2 c_ab, and divided by
+    the gcd of its entries.  Unknowns are ordered by _pair_index.
     """
+    m, d = scaled
     pairs = _pair_index(len(m))
     rows = []
     for a, b in pairs:
         ma, mb = m[a], m[b]
         coeffs = [
-            ma[k] * mb[l] - ma[l] * mb[k] - ((k, l) == (a, b)) for k, l in pairs
+            ma[k] * mb[l] - ma[l] * mb[k] - d * d * ((k, l) == (a, b)) for k, l in pairs
         ]
-        denom = lcm(*(c.denominator for c in coeffs))
-        rows.append(tuple(int(c * denom) for c in coeffs))
+        g = gcd(*coeffs) or 1
+        rows.append(tuple(c // g for c in coeffs))
     return rows
 
 
@@ -549,11 +563,17 @@ def find_invariant_poisson(
 
     The invariance identity M C M^T = C of the log-Jacobian M(p) is
     linear in the coefficients c_kl, so each sampled point contributes
-    exact linear equations; points are added until the solution space
-    dimension is unchanged for three consecutive points.  With
-    `compatible_with` = B, the equations C B = 0 are imposed as well.
-    Every basis element is re-verified at independent sample points; a
-    failing candidate's witness point is fed back into the system.
+    exact linear equations, formed on integers from dM = d M(p);
+    points are added until the solution space dimension is unchanged
+    for three consecutive points.  With `compatible_with` = B, the
+    equations C B = 0 are the initial system; without it, every tensor
+    is a solution at first.  Each point's equations then narrow the
+    saturated kernel K found so far (`intlinalg._narrowed_kernel`): they
+    are solved in K's coordinates, so no Hermite form sees more than
+    dim K rows and earlier points are never re-eliminated.  Every basis
+    element is re-verified at independent sample points, as the
+    integer congruence (dM) C (dM)^T = d^2 C; a failing candidate's
+    witness point is fed back in the same way.
     """
     stable_runs = 3
     n = phi.dim_in
@@ -564,35 +584,25 @@ def find_invariant_poisson(
     n_unknowns = n * (n - 1) // 2
     max_points = n_unknowns + stable_runs + 3
 
-    equations: list[tuple[int, ...]] = []
-    if compatible_with is not None:
-        equations.extend(_compatibility_equations(compatible_with))
-
-    def current_basis() -> LatticeBasis:
-        if not equations:
-            return kernel_lattice(IntMatrix.zeros(1, n_unknowns))
-        return kernel_lattice(IntMatrix.from_rows(equations))
-
+    initial = [] if compatible_with is None else _compatibility_equations(compatible_with)
+    basis = kernel_lattice(IntMatrix.from_rows(initial, cols=n_unknowns))
     dims = []
-    basis = current_basis()
-    for _, m in _sample_points(phi, max_points, seed) if basis.dim else ():
-        equations.extend(_poisson_equations_at(m))
-        basis = current_basis()
+    for _, scaled in _sample_points(phi, max_points, seed) if basis.dim else ():
+        basis = _narrowed_kernel(basis, _poisson_equations_at(scaled))
         dims.append(basis.dim)
         if basis.dim == 0 or (len(dims) >= stable_runs and len(set(dims[-stable_runs:])) == 1):
             break
 
     # Re-verification at 5 points of another seed, sampled once; the first
     # failure's log-Jacobian is fed back into the system.
-    checks = [m for _, m in _sample_points(phi, 5, seed + 10_000)] if basis.dim else []
+    checks = [scaled for _, scaled in _sample_points(phi, 5, seed + 10_000)] if basis.dim else []
     for _ in range(n_unknowns + 1):
         candidates = [unvectorize_skew(v, n) for v in basis.vectors]
-        retry = next((m for c in candidates for m in checks
-                      if not _congruent(m, c.entries, c.entries)), None)
+        retry = next(((m, d) for c in candidates for m, d in checks
+                      if not _congruent(m, c.entries, c.scale(d * d).entries)), None)
         if retry is None:
             return candidates
-        equations.extend(_poisson_equations_at(retry))
-        basis = current_basis()
+        basis = _narrowed_kernel(basis, _poisson_equations_at(retry))
     raise GeometryError("invariant-structure search failed to stabilize")
 
 

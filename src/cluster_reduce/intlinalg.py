@@ -4,8 +4,7 @@ Everything here runs over the integers, on one core of unimodular row
 and column operations (never rationals or floats): Hermite and Smith
 normal forms with unimodular transforms, saturated kernel/image
 lattices, membership tests, and Darboux-paired bases of skew-symmetric
-forms; only `_congruent`, the one congruence test, also takes
-rationals.  Saturation matters because downstream code rewrites Laurent
+forms.  Saturation matters because downstream code rewrites Laurent
 monomials in lattice coordinates, which is only well behaved when a
 basis generates the full intersection of its rational span with the
 integer lattice.
@@ -408,6 +407,22 @@ def kernel_lattice(m: IntMatrix) -> LatticeBasis:
     return _normalized_basis(m.cols, vecs)
 
 
+def _narrowed_kernel(kernel: LatticeBasis, equations) -> LatticeBasis:
+    """Saturated basis of the solutions in `kernel` of further integer
+    equations (rows over Z^ambient), without re-eliminating the system
+    that `kernel` solves.
+
+    The kernel K must be saturated: every integer solution of the old
+    system is then y K with y integral, and y K solves the new rows E
+    exactly when E K^T y = 0.  So the new kernel is Y K for
+    Y = kernel_lattice(E K^T), a Hermite form of at most dim K rows,
+    normalized so that equal lattices give identical bases.
+    """
+    k = kernel.matrix()
+    y = kernel_lattice(IntMatrix.from_rows(equations, cols=k.cols) @ k.transpose())
+    return _normalized_basis(k.cols, (y.matrix() @ k).entries)
+
+
 def image_lattice(m: IntMatrix) -> LatticeBasis:
     """Saturated basis of (column span of m) intersected with Z^rows.
 
@@ -504,10 +519,11 @@ def right_inverse(m: IntMatrix) -> IntMatrix | None:
 
 
 def _congruent(a, m, b) -> bool:
-    """Whether A M A^T == B for skew M and B, given as rows of exact
+    """Whether A M A^T == B for skew M and B, given as rows of integer
     entries.  A M A^T is then skew, so only entries above the diagonal are
     compared.  The package's one congruence test (Darboux bases here,
-    isotropy and invariance under a map in `geometry`)."""
+    isotropy and invariance under a map in `geometry`, the latter on the
+    log-Jacobian cleared to integers)."""
     am = []
     for arow in a:
         acc = [0] * len(m)

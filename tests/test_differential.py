@@ -9,10 +9,15 @@ the final gcd (product, quotient, inverse) or take a single normal form
 unreduced numerator and denominator.  The residue screen's one-inversion
 arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, and
 the periodic-point Newton's acceptance residual against the absolute and
-relative residual tests it stands for.
+relative residual tests it stands for.  The congruences of the geometry
+checks, on a log-Jacobian cleared to integers, give the verdicts of the
+rational identities, and the integer discovery rows have the kernel of
+the rows cleared from `Fraction` coefficients.
 """
 
+from functools import cache
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -22,7 +27,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
-from cluster_reduce import rng_substream  # noqa: E402
+from cluster_reduce import IntMatrix, cluster_map, detect_period, geometry  # noqa: E402
+from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream  # noqa: E402
+from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
+from cluster_reduce.intlinalg import _congruent  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -203,3 +211,81 @@ def test_acceptance_residual_is_the_absolute_and_relative_tests(case):
         for tol in [drawn, *absolute, *relative]:
             both = max(absolute) < tol and max(relative) < tol
             assert (residual < tol) == both
+
+
+@cache
+def _small_maps():
+    """(phi, structures) for the cluster maps of dimension <= 5: the
+    Somos-5 family up to (2, 2) and the period-3 B3, each with its
+    exchange matrix and its invariant tensors."""
+    b3 = IntMatrix.from_rows([[0, 1, 1], [-1, 0, 0], [-1, 0, 0]])
+    small = []
+    for b in [somos5_matrix(r, s) for r in range(3) for s in range(3)] + [b3]:
+        phi = cluster_map(b, detect_period(b))
+        small.append((phi, [b, *find_invariant_poisson(phi)]))
+    return small
+
+
+def _skews(n: int):
+    upper = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    return upper.map(lambda vec: [list(r) for r in geometry.unvectorize_skew(vec, n).entries])
+
+
+@st.composite
+def _log_jacobian_cases(draw):
+    """(M, S): an n x n rational M (n <= 5) with a random integer skew S,
+    or the log-Jacobian M(p)_ij = p_j d_j phi_i(p) / phi_i(p) of a small
+    cluster map with its exchange matrix or an invariant tensor as S,
+    possibly with one entry moved."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        return m, draw(_skews(n))
+    phi, structures = draw(st.sampled_from(_small_maps()))
+    p = random_positive_point(phi.dim_in, rng_substream(0, draw(st.integers(0, 99))))
+    image = phi.evaluate(p)
+    hypothesis.assume(all(image))
+    m = [[v * x / y for v, x in zip(row, p)] for row, y in zip(phi.jacobian(p), image)]
+    s = [list(r) for r in draw(st.sampled_from(structures)).entries]
+    if draw(st.booleans()):
+        s[0][1] += 1
+        s[1][0] -= 1
+    return m, s
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _fraction_poisson_rows(m):
+    """The rows of M C M^T = C in the unknowns c_kl (k < l), with Fraction
+    coefficients, each multiplied by the lcm of its denominators."""
+    pairs = [(k, l) for k in range(len(m)) for l in range(k + 1, len(m))]
+    rows = []
+    for a, b in pairs:
+        coeffs = [m[a][k] * m[b][l] - m[a][l] * m[b][k] - ((k, l) == (a, b)) for k, l in pairs]
+        denom = lcm(*(c.denominator for c in coeffs))
+        rows.append([int(c * denom) for c in coeffs])
+    return rows
+
+
+@SETTINGS
+@given(_log_jacobian_cases())
+def test_cleared_congruences_match_the_rational_identities(case):
+    # M(p) = dM / d: M^T B M = B and M C M^T = C are dM^T B dM = d^2 B and
+    # dM C dM^T = d^2 C, each row of the discovery system a multiple of the
+    # cleared rational row
+    m, s = case
+    d = lcm(*(v.denominator for row in m for v in row))
+    cleared = [[int(v * d) for v in row] for row in m]
+    scaled = [[d * d * v for v in row] for row in s]
+    m_t = [list(col) for col in zip(*m)]
+    assert _congruent(cleared, s, scaled) == (_product(_product(m, s), m_t) == s)
+    assert _congruent(list(zip(*cleared)), s, scaled) == (_product(_product(m_t, s), m) == s)
+    unknowns = len(m) * (len(m) - 1) // 2
+    ours = geometry._poisson_equations_at((cleared, d))
+    assert all(type(v) is int for row in ours for v in row)
+    assert kernel_lattice(IntMatrix.from_rows(ours, cols=unknowns)) == kernel_lattice(
+        IntMatrix.from_rows(_fraction_poisson_rows(m), cols=unknowns)
+    )

@@ -2,10 +2,11 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from cluster_reduce import geometry, maps
+from cluster_reduce import geometry, intlinalg, maps
 from cluster_reduce import (
     BirationalMap,
     GeometryError,
@@ -325,7 +326,7 @@ class TestPeriodPoissonBasis:
 
 
 def _product(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in zip(*b)] for row in a]
 
 
 def _pointwise_check(phi, matrix, samples, seed, poisson) -> InvarianceResult:
@@ -380,6 +381,128 @@ class TestInvarianceReference:
         # each check fails somewhere; B passes, and the Poisson check passes
         # where the map has an invariant tensor
         assert len(verdicts) == (4 if invariant else 3)
+
+
+def _log_jacobians(phi, count, seed):
+    """M(p)_ij = p_j d_j phi_i(p) / phi_i(p) in Fractions, at the sampler's
+    points: the seeded draws where phi(p) has no zero coordinate."""
+    found = index = 0
+    while found < count:
+        p = random_positive_point(phi.dim_in, rng_substream(seed, index))
+        index += 1
+        image = phi.evaluate(p)
+        if all(image):
+            found += 1
+            yield [[v * x / y for v, x in zip(row, p)] for row, y in zip(phi.jacobian(p), image)]
+
+
+def _stacked_discovery(phi, b, seed) -> list[IntMatrix]:
+    """Invariant-tensor discovery on the whole stacked system: the rows of
+    M C M^T = C at each point, with Fraction coefficients cleared of
+    denominators, are added to the stack and its kernel is taken anew,
+    until three points leave the dimension unchanged; a basis tensor
+    failing M C M^T = C at one of 5 points of seed + 10000 adds that
+    point's rows."""
+    n = phi.dim_in
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    stack = [] if b is None else geometry._compatibility_equations(b)
+
+    def kernel(m=()):
+        for a, c in pairs if m else ():
+            row = [m[a][k] * m[c][l] - m[a][l] * m[c][k] - ((k, l) == (a, c)) for k, l in pairs]
+            denom = lcm(*(v.denominator for v in row))
+            stack.append([int(v * denom) for v in row])
+        return kernel_lattice(IntMatrix.from_rows(stack, cols=len(pairs)))
+
+    basis, dims = kernel(), []
+    for m in _log_jacobians(phi, len(pairs) + 6, seed) if basis.dim else ():
+        basis = kernel(m)
+        dims.append(basis.dim)
+        if basis.dim == 0 or dims[-3:] == [basis.dim] * 3:
+            break
+    def invariant(m, c):
+        return _product(_product(m, c), list(zip(*m))) == [list(row) for row in c]
+
+    checks = list(_log_jacobians(phi, 5, seed + 10_000)) if basis.dim else []
+    for _ in range(len(pairs) + 1):
+        candidates = [geometry.unvectorize_skew(v, n) for v in basis.vectors]
+        retry = next((m for c in candidates for m in checks if not invariant(m, c.entries)), None)
+        if retry is None:
+            return candidates
+        basis = kernel(retry)
+    raise AssertionError("the stacked discovery did not settle")
+
+
+class TestDiscoveryReference:
+    """Discovery by narrowing a saturated kernel on integer rows against
+    the stacked Fraction system, with and without C B = 0."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", list(_TRACKED_CASES)[:7] + ["B3"])
+    def test_matches_stacked_fraction_discovery(self, name, seed):
+        b = _B3 if name == "B3" else _TRACKED_CASES[name]
+        phi = cluster_map(b, detect_period(b))
+        for compatible in (b, None):
+            assert find_invariant_poisson(phi, compatible, seed) == _stacked_discovery(
+                phi, compatible, seed
+            )
+
+
+class TestIntegerGeometry:
+    """The sampled checks and discovery see each log-Jacobian once, cleared
+    to integers, and discovery's Hermite forms stay within the kernel."""
+
+    def test_sampled_log_jacobian_is_cleared_once(self):
+        phi = _phi("c7-pair")
+        sampled = list(geometry._sample_points(phi, 4, 3))
+        for (p, (m, d)), exact in zip(sampled, _log_jacobians(phi, 4, 3)):
+            assert d == lcm(*(v.denominator for row in exact for v in row))
+            assert m == [[v * d for v in row] for row in exact]
+            assert all(type(v) is int for row in m for v in row)
+
+    def test_integer_congruences_and_narrow_hermite_forms(self, monkeypatch):
+        congruent, hermite = geometry._congruent, intlinalg.hermite_normal_form
+        normalized, equations = intlinalg._normalized_basis, geometry._poisson_equations_at
+        entries, events = [], []
+
+        def seen(a, m, b):
+            entries.extend(v for matrix in (a, m, b) for row in matrix for v in row)
+            return congruent(a, m, b)
+
+        def hermite_rows(m):
+            events.append(("hnf", m.rows))
+            return hermite(m)
+
+        def kernel_dim(ambient, vectors):
+            basis = normalized(ambient, vectors)
+            events.append(("kernel", basis.dim))
+            return basis
+
+        monkeypatch.setattr(geometry, "_congruent", seen)
+        monkeypatch.setattr(intlinalg, "hermite_normal_form", hermite_rows)
+        monkeypatch.setattr(intlinalg, "_normalized_basis", kernel_dim)
+        monkeypatch.setattr(geometry, "_poisson_equations_at",
+                            lambda scaled: events.append(("point", 0)) or equations(scaled))
+        fm9 = fordy_marsh((1, 0, -1, 0, 0, -1, 0, 1))
+        c7 = get_fixture("c7-pair").matrix("B")
+        for b, compatible in ((fm9, None), (c7, c7)):
+            events.clear()
+            assert find_invariant_poisson(cluster_map(b, detect_period(b)), compatible)
+            # from the first point on, every Hermite form has at most as
+            # many rows as the kernel left by the step before
+            assert ("point", 0) in events
+            last = bound = None
+            for kind, size in events:
+                if kind == "kernel":
+                    last = size
+                elif kind == "point":
+                    bound = last
+                elif bound is not None:
+                    assert size <= bound, (kind, size, bound)
+        fix = get_fixture("somos5")
+        assert check_presymplectic_invariance(_phi("somos5"), PresymplecticForm(fix.matrix("B"))).ok
+        assert check_poisson_map(_phi("somos5"), PoissonStructure(fix.matrix("C"))).ok
+        assert entries and all(type(v) is int for v in entries)
 
 
 class TestSubmersions:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cluster_reduce import (
     DarbouxBasis,
@@ -263,6 +264,47 @@ class TestLattices:
             saturation_index(LatticeBasis(3, ((2, 0, 0), (0, 3, 0)), saturated=False))
             == 6
         )
+
+
+# zeros, units and non-units
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, -6])
+
+
+@st.composite
+def _stacked_systems(draw):
+    """(cols, E1, E2) over Z^cols: E1 zero (its kernel is all of Z^cols),
+    triangular with a nonzero diagonal (its kernel is empty) or at random."""
+    cols = draw(st.integers(1, 5))
+
+    def rows(low, high):
+        row = st.lists(_ENTRIES, min_size=cols, max_size=cols)
+        return st.lists(row, min_size=low, max_size=high)
+
+    nonzero = _ENTRIES.filter(bool)
+    triangular = st.tuples(
+        st.lists(nonzero, min_size=cols, max_size=cols), rows(cols, cols)
+    ).map(lambda t: [[t[0][i] if i == j else t[1][i][j] * (j > i) for j in range(cols)]
+                     for i in range(cols)])
+    e1 = draw(st.one_of(st.just([[0] * cols]), triangular, rows(0, 4)))
+    return cols, e1, draw(rows(0, 3))
+
+
+class TestNarrowedKernel:
+    """Solving further equations inside a saturated kernel gives the kernel
+    of the stacked system, basis for basis."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_stacked_systems())
+    @example((3, [[0, 0, 0]], [[2, -3, 0], [4, 0, 6]]))
+    @example((2, [[1, 4], [0, 2]], [[1, 1]]))
+    @example((3, [[2, 4, 0]], [[0, 3, 6]]))
+    # Y K is not in Hermite form here, and only the normalization makes it so
+    @example((4, [[1, 2, 4, 4]], [[-3, 2, -6, -1]]))
+    def test_narrowed_kernel_is_the_stacked_kernel(self, system):
+        cols, e1, e2 = system
+        k = kernel_lattice(IntMatrix.from_rows(e1, cols=cols))
+        stacked = kernel_lattice(IntMatrix.from_rows(e1 + e2, cols=cols))
+        assert intlinalg._narrowed_kernel(k, e2) == stacked
 
 
 class TestDarboux:
