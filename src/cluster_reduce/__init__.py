@@ -25,6 +25,7 @@ from .dynamics import (
     ScanReport,
     detect_global_periodicity,
     find_periodic_points,
+    find_periodic_points_over,
     first_integral_check,
     golden_ratio,
     iterate_orbit,
@@ -170,6 +171,7 @@ __all__ = [
     "first_integral_check",
     "PeriodicPoint",
     "find_periodic_points",
+    "find_periodic_points_over",
     "LeafItinerary",
     "leaf_itinerary",
     "ScanReport",

@@ -49,6 +49,13 @@ box; when a later start's float run converges in it, Krawczyk's test on
 ``mpmath`` intervals is run once, and a certified box, which holds
 exactly one solution, makes every start converging in it a duplicate
 with no full-precision run.
+
+A finer level of a flag of reductions is searched on fibers
+(``find_periodic_points_over``): a flag projection p with psi_coarse o
+p = p o psi_fine carries every fixed point of psi_fine onto a fixed
+point of psi_coarse, so the Newton runs start on the fibers p^-1(z)
+over the coarse fixed points z only, and the fine list is complete
+relative to the coarse one.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
-from .intlinalg import right_inverse
+from .intlinalg import kernel_lattice, right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
 from .maps import _MPF, _Numbers, _step
@@ -80,6 +87,7 @@ __all__ = [
     "orbit_sequence",
     "detect_global_periodicity",
     "find_periodic_points",
+    "find_periodic_points_over",
     "leaf_itinerary",
     "first_integral_check",
     "no_periodic_points_scan",
@@ -219,21 +227,28 @@ def _residues(p: int) -> _Numbers:
     return _Numbers(0, 1, residue, lambda: ("mod", p))
 
 
-def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
+def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     """(points, inverses): x_k and its coordinatewise inverse mod p for
     k = 0..steps, or None.
 
-    None when a start coordinate, a coefficient, a component denominator
-    or an orbit coordinate is not a unit mod p: only while all of them
-    are units are the residues those of the exact orbit.  phi is compiled
-    mod p once and cached on it; each point is inverted by one modular
-    inversion (``_inverses_mod``).
+    x0 is the rational start; with section (the sparse rows of an
+    integer matrix V) it is a point y0, and the start y0^V is reduced mod
+    p from y0 mod p.  None when a coordinate of x0, a coefficient, a
+    component denominator or an orbit coordinate is not a unit mod p:
+    only while all of them are units are the residues those of the exact
+    orbit.  With a section y0 is tested in place of x0, which gives the
+    same verdict when V is a right inverse of rows U: y0^V is all units
+    when y0 is, and y0 = (y0^V)^U is when y0^V is.  phi is compiled mod p once and cached on it; each
+    point is inverted by one modular inversion (``_inverses_mod``).
     """
     num = _residues(p)
     comps = phi._compiled(num)
     x = [num.convert(v) for v in x0]
     if comps is None or not all(x):
         return None
+    if section is not None:
+        inv = _inverses_mod(x, p)
+        x = [_monomial_mod(1, mono, x, inv, p) for mono in section]
     points, inverses = [tuple(x)], []
     for _ in range(steps):
         inv = _inverses_mod(x, p)
@@ -263,33 +278,51 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
 class _LiftedOrbit:
     """x_k = phi^k(x0) for k = 0..steps, each arithmetic computed on first use.
 
+    start is x0, or, with a section V (an integer right inverse of the
+    exponent rows U of the labels pi), the label y0 of x0 = y0^V: then
+    pi(x0) = y0^(UV) = y0 is the start label, and x0 mod p is reduced from
+    y0 mod p, so the exact x0 is computed only with the exact orbit.
     residues: (p, points, inverses) for the first screen prime that keeps
     the orbit in units mod p, or None; exact(k): the exact rational
     point, from ``iterate_orbit``.
     """
 
-    def __init__(self, phi: BirationalMap, x0, steps: int) -> None:
+    def __init__(self, phi: BirationalMap, start, steps: int,
+                 section: MonomialMap | None = None) -> None:
         self.phi = phi
         self.steps = steps
-        self._exact = (tuple(Fraction(v) for v in x0),)
+        self.start = tuple(Fraction(v) for v in start)
+        self.section = section
+        self._exact = None
 
     @cached_property
     def residues(self):
+        rows = None if self.section is None else [
+            _sparse(row) for row in self.section.exponents.entries
+        ]
         for p in SCREEN_PRIMES:
-            orbit = _residue_orbit(self.phi, self._exact[0], self.steps, p)
+            orbit = _residue_orbit(self.phi, self.start, self.steps, p, rows)
             if orbit is not None:
                 return (p, *orbit)
         return None
 
+    @cached_property
+    def _x0(self) -> tuple:
+        return self.start if self.section is None else self.section.evaluate(self.start)
+
     def exact(self, k: int) -> tuple:
         """x_k; the first call past x0 computes the whole exact orbit, so an
         orbit that leaves the domain raises DynamicsError there."""
-        if k >= len(self._exact):
-            self._exact = iterate_orbit(self.phi, self._exact[0], self.steps, "exact").points
+        if k == 0:
+            return self._x0
+        if self._exact is None:
+            self._exact = iterate_orbit(self.phi, self._x0, self.steps, "exact").points
         return self._exact[k]
 
     def label(self, pi: MonomialMap | None, k: int) -> tuple:
         """The exact label pi(x_k); pi None is the identity."""
+        if k == 0 and self.section is not None:
+            return self.start
         x = self.exact(k)
         return x if pi is None else pi.evaluate(x)
 
@@ -328,8 +361,7 @@ class _Lift:
                 self.section = MonomialMap(inverse)
 
     def orbit(self, y0, steps: int) -> _LiftedOrbit:
-        x0 = y0 if self.section is None else self.section.evaluate(y0)
-        return _LiftedOrbit(self.phi, x0, steps)
+        return _LiftedOrbit(self.phi, y0, steps, self.section)
 
     def first_returns(self, m: int, samples: int, seed):
         """(y0, least k <= m with psi^k(y0) = y0, or None) for the sampled
@@ -727,6 +759,31 @@ def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
     return True
 
 
+def _check_search(f: BirationalMap, p: int, precision: int, grid: int) -> None:
+    """The arguments shared by both periodic-point searches, or DynamicsError."""
+    if f.dim_in > 3:
+        raise DynamicsError("periodic-point search is supported for dimension <= 3")
+    if f.dim_out != f.dim_in:
+        raise DynamicsError("periodic points require a self-map")
+    if p < 1:
+        raise DynamicsError("the period must be at least 1")
+    if grid < 1:
+        raise DynamicsError("the grid must have at least one start per coordinate")
+    if precision < MIN_SEARCH_PRECISION:
+        raise DynamicsError(f"the search needs at least {MIN_SEARCH_PRECISION} digits")
+
+
+def _start_grid(dim: int, grid: int) -> list:
+    """The grid^dim points of the start grid over [1/2, 3]^dim, at the
+    working precision, the last coordinate varying fastest."""
+    lo, hi = _to_mpf(_START_BOX[0]), _to_mpf(_START_BOX[1])
+    ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
+    starts = [[]]
+    for _ in range(dim):
+        starts = [s + [t] for s in starts for t in ticks]
+    return starts
+
+
 def find_periodic_points(
     f: BirationalMap,
     p: int,
@@ -778,77 +835,123 @@ def find_periodic_points(
     A precision below ``MIN_SEARCH_PRECISION`` (30 digits) raises
     DynamicsError, as does grid < 1.
     """
-    n = f.dim_in
-    if n > 3:
-        raise DynamicsError("periodic-point search is supported for dimension <= 3")
-    if f.dim_out != n:
-        raise DynamicsError("periodic points require a self-map")
-    if p < 1:
-        raise DynamicsError("the period must be at least 1")
-    if grid < 1:
-        raise DynamicsError("the grid must have at least one start per coordinate")
-    if precision < MIN_SEARCH_PRECISION:
-        raise DynamicsError(f"the search needs at least {MIN_SEARCH_PRECISION} digits")
+    _check_search(f, p, precision, grid)
     with mp.workdps(precision):
-        tol = _residual_tol(precision)
-        # A residual below tol puts a point within |J_F^-1| tol of its
-        # root, so copies of a root with |J_F^-1| < 50 are less than
-        # 100 tol apart.  That bound is the larger one below 52 digits.
-        merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
-        comps = f._compiled(_MPF)
-        try:
-            fcomps = f._compiled(_FLOAT)
-        except OverflowError:
-            fcomps = None
-        lo, hi = _to_mpf(_START_BOX[0]), _to_mpf(_START_BOX[1])
-        ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
-        starts = [[t] for t in ticks]
-        for _ in range(n - 1):
-            starts = [s + [t] for s in starts for t in ticks]
-        found: list[PeriodicPoint] = []
-        boxes, certified = [], {}
+        return _search(f, p, precision, _start_grid(f.dim_in, grid))
 
-        def known(rough) -> bool:
-            """Whether the float iterate rough lies in the certified box
-            of a found point; a box is tested when an iterate first lands
-            in it, and the verdict kept."""
-            with mp.workprec(53):  # the floats as mpf values, exactly
-                x = [mp.mpf(v) for v in rough]
-            for k, box in enumerate(boxes):
-                if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
-                    if k not in certified:
-                        certified[k] = _krawczyk(f, p, found[k].point, box)
-                    if certified[k]:
-                        return True
-            return False
 
-        for s in starts:
-            result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
-            if result is None or not result[2] < tol:
-                continue
-            point, diff, _, _ = result
-            # f^d(point) for each proper divisor d of p, stepping f
-            minimal, image = True, point
-            for d in range(1, p):
-                try:
-                    image, _ = _step(comps, image, False, _MPF)
-                except (ZeroDivisionError, ValueError):
-                    break
-                if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-            duplicate = False
-            for other in found:
-                if max(abs(point[i] - other.point[i]) for i in range(n)) < merge_tol:
-                    duplicate = True
-                    break
-            if not duplicate:
-                found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
-                boxes.append(_candidate_box(point))
-        found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
-        return found
+def find_periodic_points_over(
+    f: BirationalMap,
+    p: int,
+    projection: MonomialMap,
+    base_points,
+    precision: int = DEFAULT_PRECISION,
+    grid: int = 5,
+) -> list[PeriodicPoint]:
+    """The points of ``find_periodic_points(f, p)`` that lie over
+    base_points, searched on those fibers only.
+
+    projection is a monomial map y -> y^P with g o projection =
+    projection o f for a self-map g of its target, as a flag projection
+    relates the reduced maps of a finer and a coarser level.  Then
+    projection carries a point of minimal period p of f onto a point of
+    g whose period divides p, so base_points must list those points of
+    g (for p = 1, its fixed points): the result is then complete
+    relative to that list.  Each base point z spans the fiber
+    projection^-1(z) = {z^V t^W}, with V an integer right inverse of P
+    (P V = I), the rows of W a basis of the integer kernel of P and t
+    positive; the starts are z^V t^W for t on the grid^k start grid over
+    [1/2, 3]^k, k = dim f - dim g, base point by base point.  From there
+    the search is that of ``find_periodic_points``: the same Newton runs,
+    uniqueness boxes, minimal-period filter, merge and order.
+
+    Raises DynamicsError as ``find_periodic_points`` does, when the
+    projection's source is not f's space, and when P has no integer
+    right inverse (rows dependent or not saturated).
+    """
+    _check_search(f, p, precision, grid)
+    if projection.dim_in != f.dim_in:
+        raise DynamicsError(
+            f"the projection has source dimension {projection.dim_in}, the map has {f.dim_in}"
+        )
+    exponents = projection.exponents
+    inverse = right_inverse(exponents)
+    if inverse is None:
+        raise DynamicsError("the projection's exponent rows have no integer right inverse")
+    kernel = kernel_lattice(exponents).vectors
+    # coordinate i of z^V t^W is prod_j z_j^V_ij prod_m t_m^W_mi
+    section = [_sparse(row) for row in inverse.entries]
+    fiber = [[(m, w[i]) for m, w in enumerate(kernel) if w[i]] for i in range(f.dim_in)]
+    with mp.workdps(precision):
+        grid_points = _start_grid(len(kernel), grid)
+        starts = []
+        for z in base_points:
+            z = [_to_mpf(v) for v in z]
+            base = [mp.fprod(z[j] ** e for j, e in mono) for mono in section]
+            for t in grid_points:
+                starts.append([b * mp.fprod(t[m] ** e for m, e in mono)
+                               for b, mono in zip(base, fiber)])
+        return _search(f, p, precision, starts)
+
+
+def _search(f: BirationalMap, p: int, precision: int, starts) -> list[PeriodicPoint]:
+    """The periodic-point search of ``find_periodic_points`` from the given
+    starts (lists of mpf), at the working precision `precision`."""
+    n = f.dim_in
+    tol = _residual_tol(precision)
+    # A residual below tol puts a point within |J_F^-1| tol of its
+    # root, so copies of a root with |J_F^-1| < 50 are less than
+    # 100 tol apart.  That bound is the larger one below 52 digits.
+    merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
+    comps = f._compiled(_MPF)
+    try:
+        fcomps = f._compiled(_FLOAT)
+    except OverflowError:
+        fcomps = None
+    found: list[PeriodicPoint] = []
+    boxes, certified = [], {}
+
+    def known(rough) -> bool:
+        """Whether the float iterate rough lies in the certified box
+        of a found point; a box is tested when an iterate first lands
+        in it, and the verdict kept."""
+        with mp.workprec(53):  # the floats as mpf values, exactly
+            x = [mp.mpf(v) for v in rough]
+        for k, box in enumerate(boxes):
+            if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+                if k not in certified:
+                    certified[k] = _krawczyk(f, p, found[k].point, box)
+                if certified[k]:
+                    return True
+        return False
+
+    for s in starts:
+        result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
+        if result is None or not result[2] < tol:
+            continue
+        point, diff, _, _ = result
+        # f^d(point) for each proper divisor d of p, stepping f
+        minimal, image = True, point
+        for d in range(1, p):
+            try:
+                image, _ = _step(comps, image, False, _MPF)
+            except (ZeroDivisionError, ValueError):
+                break
+            if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
+                minimal = False
+                break
+        if not minimal:
+            continue
+        duplicate = False
+        for other in found:
+            if max(abs(point[i] - other.point[i]) for i in range(n)) < merge_tol:
+                duplicate = True
+                break
+        if not duplicate:
+            found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
+            boxes.append(_candidate_box(point))
+    found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,20 @@ reduced and chained maps, per-level dynamics and a leaf itinerary, and
 collects everything in an AnalysisReport.  Stage failures are recorded
 in the report; the command-line front end only parses arguments and
 writes the report.
+
+Fixed points are searched level by level down the flag: a level whose
+coarser neighbour was searched starts Newton only on the fibers of the
+flag projection over that neighbour's fixed points, as every fixed point
+of the finer reduced map lies over one of them.  Its list is then
+complete relative to the coarser list; the coarsest level, and levels
+off the flag, run the start grid of ``find_periodic_points``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 
 import mpmath as mp
 
@@ -21,6 +29,7 @@ from .dynamics import (
     DynamicsError,
     detect_global_periodicity,
     find_periodic_points,
+    find_periodic_points_over,
     leaf_itinerary,
     no_periodic_points_scan,
 )
@@ -187,11 +196,13 @@ def _foliations(
     A basis of a multi-dimensional space of invariant structures is
     generic: every basis vector tends to realise the minimal corank on
     the space, hiding members whose kernel is strictly larger.  Scanning
-    small integer combinations stratifies the pencil by rank.  Each member
-    is keyed by the Hermite rows of its kernel lattice, which are the
-    exponent rows of its Casimir submersion, so casimir_submersion runs
-    once per distinct lattice; an empty kernel means full rank.  A Casimir
-    lattice equal to the null one is noted and analysed once.
+    small integer combinations stratifies the pencil by rank.  A multiple
+    c v of a combination v has v's kernel, so each line through the
+    origin is tried once, at its first member in ``product`` order.  Each
+    member is keyed by the Hermite rows of its kernel lattice, which are
+    the exponent rows of its Casimir submersion, so casimir_submersion
+    runs once per distinct lattice; an empty kernel means full rank.  A
+    Casimir lattice equal to the null one is noted and analysed once.
     """
     subs = [null] if null else []
     null_key = hermite_normal_form(null.map.exponents)[0].entries if null else None
@@ -199,9 +210,16 @@ def _foliations(
     if 2 <= len(basis) <= _STRUCTURE_SEARCH_MAX:
         span = [m.entries for m in basis]
         rows, cols = basis[0].rows, basis[0].cols
+        lines = set()
         for coeffs in product(range(-3, 4), repeat=len(basis)):
             if not any(coeffs):
                 continue
+            # the primitive representative with a positive first nonzero entry
+            g = gcd(*coeffs) * (1 if next(c for c in coeffs if c) > 0 else -1)
+            line = tuple(c // g for c in coeffs)
+            if line in lines:
+                continue
+            lines.add(line)
             entries = [
                 [sum(c * span[t][i][j] for t, c in enumerate(coeffs)) for j in range(cols)]
                 for i in range(rows)
@@ -366,7 +384,9 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             except GeometryError as exc:
                 report.errors.append(["chain", str(exc)])
 
-    for system in systems:
+    # fixed points per searched flag level, the fibers of the next one's starts
+    fixed_on_level: dict[int, list] = {}
+    for level, system in enumerate(systems):
         if system is None:
             continue
         psi = system.map
@@ -402,7 +422,13 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                                     f"no sampled periodic point up to {SCAN_P_MAX}")
         if psi.dim_in and psi.dim_in <= 3:
             try:
-                fixed = find_periodic_points(psi, 1, precision=config.precision, grid=4)
+                if flag and level < len(flag) and level - 1 in fixed_on_level:
+                    base = [fp.point for fp in fixed_on_level[level - 1]]
+                    fixed = find_periodic_points_over(psi, 1, flag.projections[level - 1], base,
+                                                      precision=config.precision, grid=4)
+                else:
+                    fixed = find_periodic_points(psi, 1, precision=config.precision, grid=4)
+                fixed_on_level[level] = fixed
                 entry["fixed_points"] = [
                     [mp.nstr(v, 30) for v in fp.point] for fp in fixed
                 ]

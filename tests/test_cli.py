@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cluster_reduce import DynamicsError, IntMatrix, fordy_marsh, get_fixture, submersion_from_rows
-from cluster_reduce import geometry, pipeline
+from cluster_reduce import dynamics, geometry, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
@@ -536,6 +536,22 @@ class TestPipeline:
 
 
 class TestRunPipelineApi:
+    @pytest.mark.parametrize("name", ["somos5", "c7-pair"])
+    def test_finer_flag_level_searched_on_fibers(self, monkeypatch, name):
+        # null(2) runs the 16-start grid; casimir(3) starts 4 runs on the
+        # fiber over null(2)'s one fixed point instead of its 64-start grid
+        newton = dynamics._periodic_point_newton
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return newton(*args)
+
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", counting)
+        report = run_pipeline(get_fixture(name).matrix("B"))
+        assert [len(d["fixed_points"]) for d in report.dynamics[:2]] == [1, 1]
+        assert calls == [2] * 16 + [3] * 4
+
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix
 

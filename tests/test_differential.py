@@ -181,8 +181,11 @@ def test_residue_orbit_matches_per_coordinate_inverses(ladder_systems):
             y0 = random_positive_point(lift.psi.dim_in, rng_substream(0, 0))
             orbit = lift.orbit(y0, 8)
             for p in dynamics.SCREEN_PRIMES:
-                got = dynamics._residue_orbit(lift.phi, orbit._exact[0], 8, p)
-                assert got == _residue_orbit_reference(lift.phi, orbit._exact[0], 8, p)
+                got = dynamics._residue_orbit(lift.phi, orbit.exact(0), 8, p)
+                assert got == _residue_orbit_reference(lift.phi, orbit.exact(0), 8, p)
+            # the lifted orbit reduces its start y0^V mod p from y0 mod p
+            p, *got = orbit.residues
+            assert tuple(got) == _residue_orbit_reference(lift.phi, orbit.exact(0), 8, p)
 
 
 @st.composite

@@ -17,6 +17,7 @@ from cluster_reduce import (
     MonomialMap,
     PoissonStructure,
     PresymplecticForm,
+    build_flag,
     casimir_submersion,
     cluster_map,
     derive_reduced_map,
@@ -25,6 +26,7 @@ from cluster_reduce import (
     find_invariant_poisson,
     fordy_marsh,
     find_periodic_points,
+    find_periodic_points_over,
     first_integral_check,
     get_fixture,
     golden_ratio,
@@ -733,6 +735,99 @@ class TestUniquenessBoxes:
                 assert _relative_residual(f, p, pp.point) < mp.mpf(10) ** -6
 
 
+@cache
+def _flag_link(case: str):
+    """(psi_coarse, psi_fine, p) for the null(2) < casimir(3) link of the
+    flag of somos5 or c7-pair: the reduced maps and the flag projection
+    with psi_coarse o p = p o psi_fine."""
+    fixture = get_fixture(case)
+    casimir = {"somos5": "C", "c7-pair": "C1"}[case]
+    null = null_submersion(PresymplecticForm(fixture.matrix("B")))
+    fine = casimir_submersion(PoissonStructure(fixture.matrix(casimir)))
+    flag = build_flag([null, fine])
+    reduced = _low_dimensional_maps()
+    return reduced[f"{case}:null2"], reduced[f"{case}:casimir3"], flag.projections[0]
+
+
+@cache
+def _fiber_search(case: str, precision: int) -> tuple:
+    """(base points, fiber points, grid points) of the casimir(3) map, the
+    base points the null(2) map's fixed points."""
+    coarse, fine, proj = _flag_link(case)
+    base = find_periodic_points(coarse, 1, precision=precision, grid=4)
+    over = find_periodic_points_over(fine, 1, proj, [fp.point for fp in base],
+                                     precision=precision, grid=4)
+    return base, over, find_periodic_points(fine, 1, precision=precision, grid=4)
+
+
+def _merge_tol(precision: int):
+    return max(mp.mpf(10) ** (-precision // 2), 100 * dynamics._residual_tol(precision))
+
+
+class TestFiberSearch:
+    """Fixed points of a finer flag level searched on the fibers over the
+    coarser level's fixed points."""
+
+    @pytest.mark.parametrize("precision", [30, 64, 128])
+    @pytest.mark.parametrize("case", ["somos5", "c7-pair"])
+    def test_fiber_points_equal_the_grid_points(self, case, precision):
+        _, over, grid = _fiber_search(case, precision)
+        assert len(over) == len(grid) >= 1
+        with mp.workdps(precision):
+            for a, b in zip(over, grid):
+                assert max(abs(u - v) for u, v in zip(a.point, b.point)) < _merge_tol(precision)
+                if precision > 30:
+                    assert [mp.nstr(v, 30) for v in a.point] == [mp.nstr(v, 30) for v in b.point]
+
+    @pytest.mark.parametrize("precision", [30, 64, 128])
+    @pytest.mark.parametrize("case", ["somos5", "c7-pair"])
+    def test_fiber_points_lie_over_base_points_and_are_certified(self, case, precision):
+        base, over, _ = _fiber_search(case, precision)
+        _, fine, proj = _flag_link(case)
+        with mp.workdps(precision):
+            for fp in over:
+                image = proj.evaluate_mp(fp.point)
+                assert any(max(abs(u - v) for u, v in zip(image, z.point)) < _merge_tol(precision)
+                           for z in base)
+                assert dynamics._krawczyk(fine, 1, fp.point, dynamics._candidate_box(fp.point))
+
+    @pytest.mark.parametrize("case", ["somos5", "c7-pair"])
+    def test_starts_lie_on_the_fibers(self, monkeypatch, case):
+        precision = 64
+        coarse, fine, proj = _flag_link(case)
+        starts = []
+        newton = dynamics._periodic_point_newton
+
+        def recording(comps, fcomps, p, start, tol, known):
+            starts.append(start)
+            return newton(comps, fcomps, p, start, tol, known)
+
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", recording)
+        with mp.workdps(precision):
+            base = [(mp.mpf(3) / 2, mp.mpf(5) / 7), (mp.mpf(2), mp.mpf(1) / 3)]
+        find_periodic_points_over(fine, 1, proj, base, precision=precision, grid=4)
+        assert len(starts) == 2 * 4
+        with mp.workdps(precision):
+            for i, start in enumerate(starts):
+                z = base[i // 4]
+                image = proj.evaluate_mp(start)
+                assert max(abs(u - v) for u, v in zip(image, z)) < mp.mpf(10) ** -(precision - 5)
+            # the grid spans the fiber: no two starts coincide
+            assert len({tuple(mp.nstr(v, 20) for v in s) for s in starts}) == len(starts)
+
+    def test_no_base_point_means_no_fiber_point(self, monkeypatch):
+        _, fine, proj = _flag_link("somos5")
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", None)
+        assert find_periodic_points_over(fine, 1, proj, []) == []
+
+    def test_projection_needs_an_integer_right_inverse(self):
+        _, fine, _ = _flag_link("somos5")
+        with pytest.raises(DynamicsError, match="no integer right inverse"):
+            find_periodic_points_over(fine, 1, MonomialMap.from_rows([[2, 0, 0]]), [(1,)])
+        with pytest.raises(DynamicsError, match="source dimension 2"):
+            find_periodic_points_over(fine, 1, MonomialMap.from_rows([[1, 0]]), [(1,)])
+
+
 class TestItineraries:
     def test_exact_label_periods(self):
         phi = _phi("c7-pair")
@@ -791,9 +886,9 @@ class TestScans:
         steps = []
         lifted = dynamics._LiftedOrbit
 
-        def recording(phi, x0, n):
+        def recording(phi, x0, n, *section):
             steps.append(n)
-            return lifted(phi, x0, n)
+            return lifted(phi, x0, n, *section)
 
         monkeypatch.setattr(dynamics, "_LiftedOrbit", recording)
         assert no_periodic_points_scan(PSI_2, p_max=7, samples=3).period_found is None
