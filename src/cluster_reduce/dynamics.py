@@ -50,12 +50,15 @@ box; when a later start's float run converges in it, Krawczyk's test on
 exactly one solution, makes every start converging in it a duplicate
 with no full-precision run.
 
-A finer level of a flag of reductions is searched on fibers
-(``find_periodic_points_over``): a flag projection p with psi_coarse o
+There is one periodic-point search, ``find_periodic_points_over``, on
+the fibers of a monomial projection.  A finer level of a flag of
+reductions is searched there: a flag projection p with psi_coarse o
 p = p o psi_fine carries every fixed point of psi_fine onto a fixed
 point of psi_coarse, so the Newton runs start on the fibers p^-1(z)
 over the coarse fixed points z only, and the fine list is complete
-relative to the coarse one.
+relative to the coarse one.  ``find_periodic_points`` on a bare map is
+the same search over the projection to a point, whose one fiber is the
+whole space and whose starts are the plain grid.
 """
 
 from __future__ import annotations
@@ -63,13 +66,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from math import inf, lcm
 
 import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
-from .intlinalg import kernel_lattice, right_inverse
+from .intlinalg import IntMatrix, kernel_lattice, right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
 from .maps import _MPF, _Numbers, _step
@@ -521,7 +525,7 @@ def _intervals() -> _Numbers:
 _HANDOFF = 1e-10
 # Newton steps per start, shared by its float and full-precision phases.
 _MAX_ITER = 120
-# Periodic-point starts form a grid over this box in every coordinate.
+# Periodic-point starts form a grid over this box in every fiber coordinate.
 _START_BOX = (Fraction(1, 2), Fraction(3))
 
 
@@ -759,44 +763,53 @@ def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
     return True
 
 
-def _check_search(f: BirationalMap, p: int, precision: int, grid: int) -> None:
-    """The arguments shared by both periodic-point searches, or DynamicsError."""
-    if f.dim_in > 3:
-        raise DynamicsError("periodic-point search is supported for dimension <= 3")
-    if f.dim_out != f.dim_in:
-        raise DynamicsError("periodic points require a self-map")
-    if p < 1:
-        raise DynamicsError("the period must be at least 1")
-    if grid < 1:
-        raise DynamicsError("the grid must have at least one start per coordinate")
-    if precision < MIN_SEARCH_PRECISION:
-        raise DynamicsError(f"the search needs at least {MIN_SEARCH_PRECISION} digits")
-
-
-def _start_grid(dim: int, grid: int) -> list:
-    """The grid^dim points of the start grid over [1/2, 3]^dim, at the
-    working precision, the last coordinate varying fastest."""
-    lo, hi = _to_mpf(_START_BOX[0]), _to_mpf(_START_BOX[1])
-    ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)] if grid > 1 else [(lo + hi) / 2]
-    starts = [[]]
-    for _ in range(dim):
-        starts = [s + [t] for s in starts for t in ticks]
-    return starts
-
-
 def find_periodic_points(
     f: BirationalMap,
     p: int,
     precision: int = DEFAULT_PRECISION,
     grid: int = 5,
 ) -> list[PeriodicPoint]:
-    """Positive solutions of f^(p)(x) = x with minimal period exactly p.
+    """Positive solutions of f^(p)(x) = x with minimal period exactly p,
+    from the grid^n starts over [1/2, 3]^n.
 
-    Damped Newton iteration from a grid of starts over [1/2, 3]^n; roots
-    whose period properly divides p are filtered out; duplicates merged.
-    f^(p) is never formed: f is compiled once, f^(p)(x) is p steps of f
-    and its Jacobian the chain-rule product along those steps.
-    Desk-scale only: dimension at most 3.
+    This is ``find_periodic_points_over`` on the projection of f's space
+    to a point (P the 0 x n matrix, one base point ()): its one fiber is
+    the whole space, V is empty and W = I, so the starts are the grid
+    itself, the last coordinate varying fastest.
+    """
+    to_point = MonomialMap(IntMatrix.zeros(0, f.dim_in))
+    return find_periodic_points_over(f, p, to_point, [()], precision, grid)
+
+
+def find_periodic_points_over(
+    f: BirationalMap,
+    p: int,
+    projection: MonomialMap,
+    base_points,
+    precision: int = DEFAULT_PRECISION,
+    grid: int = 5,
+) -> list[PeriodicPoint]:
+    """Positive solutions of f^(p)(x) = x with minimal period exactly p
+    that lie over base_points, searched on those fibers of projection.
+
+    projection is a monomial map y -> y^P with g o projection =
+    projection o f for a self-map g of its target, as a flag projection
+    relates the reduced maps of a finer and a coarser level.  Then
+    projection carries a point of minimal period p of f onto a point of
+    g whose period divides p, so base_points must list those points of
+    g (for p = 1, its fixed points): the result is then complete
+    relative to that list.  Each base point z spans the fiber
+    projection^-1(z) = {z^V t^W}, with V an integer right inverse of P
+    (P V = I), the rows of W a basis of the integer kernel of P and t
+    positive; the starts are z^V t^W for t on the grid^k start grid over
+    [1/2, 3]^k, k = dim f - dim g, the last coordinate of t varying
+    fastest, base point by base point.
+
+    Damped Newton runs from each start; roots whose period properly
+    divides p are filtered out and duplicates merged.  f^(p) is never
+    formed: f is compiled once, f^(p)(x) is p steps of f and its
+    Jacobian the chain-rule product along those steps.  Desk-scale
+    only: dimension at most 3.
 
     Each start runs Newton in hardware floats until max|f^(p)(x) - x|
     is below 1e-10 or the floats stop (a singular system, no descent,
@@ -816,7 +829,7 @@ def find_periodic_points(
     Two points merge when they are closer than 10^-(precision/2), or than
     100 tol where that is larger (below 52 digits), the distance within
     which a residual below tol leaves the copies of a root with |J_F^-1|
-    < 50, F = f^(p) - id.
+    < 50, F = f^(p) - id.  The list is sorted by coordinates.
 
     A found point y gets a candidate box of half-width 1e-6 max(1,
     |y_i|).  The first time a later start's float run converges in it
@@ -832,126 +845,97 @@ def find_periodic_points(
     curve, at a place that depends on its Newton path: the list samples
     the curve and its length is not a count of periodic points.
 
-    A precision below ``MIN_SEARCH_PRECISION`` (30 digits) raises
-    DynamicsError, as does grid < 1.
+    Raises DynamicsError when f is not a self-map of dimension at most
+    3, when p < 1, grid < 1 or the precision is below
+    ``MIN_SEARCH_PRECISION`` (30 digits), when the projection's source
+    is not f's space, unless every base point has projection.dim_out
+    coordinates, all positive, and when P has no integer right inverse
+    (rows dependent or not saturated).
     """
-    _check_search(f, p, precision, grid)
-    with mp.workdps(precision):
-        return _search(f, p, precision, _start_grid(f.dim_in, grid))
-
-
-def find_periodic_points_over(
-    f: BirationalMap,
-    p: int,
-    projection: MonomialMap,
-    base_points,
-    precision: int = DEFAULT_PRECISION,
-    grid: int = 5,
-) -> list[PeriodicPoint]:
-    """The points of ``find_periodic_points(f, p)`` that lie over
-    base_points, searched on those fibers only.
-
-    projection is a monomial map y -> y^P with g o projection =
-    projection o f for a self-map g of its target, as a flag projection
-    relates the reduced maps of a finer and a coarser level.  Then
-    projection carries a point of minimal period p of f onto a point of
-    g whose period divides p, so base_points must list those points of
-    g (for p = 1, its fixed points): the result is then complete
-    relative to that list.  Each base point z spans the fiber
-    projection^-1(z) = {z^V t^W}, with V an integer right inverse of P
-    (P V = I), the rows of W a basis of the integer kernel of P and t
-    positive; the starts are z^V t^W for t on the grid^k start grid over
-    [1/2, 3]^k, k = dim f - dim g, base point by base point.  From there
-    the search is that of ``find_periodic_points``: the same Newton runs,
-    uniqueness boxes, minimal-period filter, merge and order.
-
-    Raises DynamicsError as ``find_periodic_points`` does, when the
-    projection's source is not f's space, and when P has no integer
-    right inverse (rows dependent or not saturated).
-    """
-    _check_search(f, p, precision, grid)
+    if f.dim_in > 3:
+        raise DynamicsError("periodic-point search is supported for dimension <= 3")
+    if f.dim_out != f.dim_in:
+        raise DynamicsError("periodic points require a self-map")
+    if p < 1:
+        raise DynamicsError("the period must be at least 1")
+    if grid < 1:
+        raise DynamicsError("the grid must have at least one start per coordinate")
+    if precision < MIN_SEARCH_PRECISION:
+        raise DynamicsError(f"the search needs at least {MIN_SEARCH_PRECISION} digits")
     if projection.dim_in != f.dim_in:
         raise DynamicsError(
             f"the projection has source dimension {projection.dim_in}, the map has {f.dim_in}"
         )
-    exponents = projection.exponents
-    inverse = right_inverse(exponents)
+    base_points = [tuple(z) for z in base_points]
+    for z in base_points:
+        if len(z) != projection.dim_out or not all(v > 0 for v in z):
+            raise DynamicsError(
+                f"a base point needs {projection.dim_out} positive coordinates, got {z}"
+            )
+    inverse = right_inverse(projection.exponents)
     if inverse is None:
         raise DynamicsError("the projection's exponent rows have no integer right inverse")
-    kernel = kernel_lattice(exponents).vectors
-    # coordinate i of z^V t^W is prod_j z_j^V_ij prod_m t_m^W_mi
-    section = [_sparse(row) for row in inverse.entries]
-    fiber = [[(m, w[i]) for m, w in enumerate(kernel) if w[i]] for i in range(f.dim_in)]
-    with mp.workdps(precision):
-        grid_points = _start_grid(len(kernel), grid)
-        starts = []
-        for z in base_points:
-            z = [_to_mpf(v) for v in z]
-            base = [mp.fprod(z[j] ** e for j, e in mono) for mono in section]
-            for t in grid_points:
-                starts.append([b * mp.fprod(t[m] ** e for m, e in mono)
-                               for b, mono in zip(base, fiber)])
-        return _search(f, p, precision, starts)
-
-
-def _search(f: BirationalMap, p: int, precision: int, starts) -> list[PeriodicPoint]:
-    """The periodic-point search of ``find_periodic_points`` from the given
-    starts (lists of mpf), at the working precision `precision`."""
+    section = MonomialMap(inverse)
+    fiber = MonomialMap(kernel_lattice(projection.exponents).matrix().transpose())
     n = f.dim_in
-    tol = _residual_tol(precision)
-    # A residual below tol puts a point within |J_F^-1| tol of its
-    # root, so copies of a root with |J_F^-1| < 50 are less than
-    # 100 tol apart.  That bound is the larger one below 52 digits.
-    merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
-    comps = f._compiled(_MPF)
-    try:
-        fcomps = f._compiled(_FLOAT)
-    except OverflowError:
-        fcomps = None
-    found: list[PeriodicPoint] = []
-    boxes, certified = [], {}
+    with mp.workdps(precision):
+        low, high = (_to_mpf(v) for v in _START_BOX)
+        ticks = ([low + (high - low) * k / (grid - 1) for k in range(grid)] if grid > 1
+                 else [(low + high) / 2])
+        offsets = [fiber.evaluate_mp(t) for t in product(ticks, repeat=fiber.dim_in)]
+        bases = [section.evaluate_mp(z) for z in base_points]
+        starts = [[b * w for b, w in zip(base, offset)] for base in bases for offset in offsets]
+        tol = _residual_tol(precision)
+        # A residual below tol puts a point within |J_F^-1| tol of its
+        # root, so copies of a root with |J_F^-1| < 50 are less than
+        # 100 tol apart.  That bound is the larger one below 52 digits.
+        merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
+        comps = f._compiled(_MPF)
+        try:
+            fcomps = f._compiled(_FLOAT)
+        except OverflowError:
+            fcomps = None
+        found: list[PeriodicPoint] = []
+        boxes, certified = [], {}
 
-    def known(rough) -> bool:
-        """Whether the float iterate rough lies in the certified box
-        of a found point; a box is tested when an iterate first lands
-        in it, and the verdict kept."""
-        with mp.workprec(53):  # the floats as mpf values, exactly
-            x = [mp.mpf(v) for v in rough]
-        for k, box in enumerate(boxes):
-            if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
-                if k not in certified:
-                    certified[k] = _krawczyk(f, p, found[k].point, box)
-                if certified[k]:
-                    return True
-        return False
+        def known(rough) -> bool:
+            """Whether the float iterate rough lies in the certified box
+            of a found point; a box is tested when an iterate first lands
+            in it, and the verdict kept."""
+            with mp.workprec(53):  # the floats as mpf values, exactly
+                x = [mp.mpf(v) for v in rough]
+            for k, box in enumerate(boxes):
+                if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+                    if k not in certified:
+                        certified[k] = _krawczyk(f, p, found[k].point, box)
+                    if certified[k]:
+                        return True
+            return False
 
-    for s in starts:
-        result = _periodic_point_newton(comps, fcomps, p, s, tol, known)
-        if result is None or not result[2] < tol:
-            continue
-        point, diff, _, _ = result
-        # f^d(point) for each proper divisor d of p, stepping f
-        minimal, image = True, point
-        for d in range(1, p):
-            try:
-                image, _ = _step(comps, image, False, _MPF)
-            except (ZeroDivisionError, ValueError):
-                break
-            if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
-                minimal = False
-                break
-        if not minimal:
-            continue
-        duplicate = False
-        for other in found:
-            if max(abs(point[i] - other.point[i]) for i in range(n)) < merge_tol:
-                duplicate = True
-                break
-        if not duplicate:
+        for start in starts:
+            result = _periodic_point_newton(comps, fcomps, p, start, tol, known)
+            if result is None or not result[2] < tol:
+                continue
+            point, diff, _, _ = result
+            # f^d(point) for each proper divisor d of p, stepping f
+            minimal, image = True, point
+            for d in range(1, p):
+                try:
+                    image, _ = _step(comps, image, False, _MPF)
+                except (ZeroDivisionError, ValueError):
+                    break
+                if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
+                    minimal = False
+                    break
+            if not minimal:
+                continue
+            if any(max(abs(point[i] - other.point[i]) for i in range(n)) < merge_tol
+                   for other in found):
+                continue
             found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
             boxes.append(_candidate_box(point))
-    found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
-    return found
+        found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
+        return found
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ collects everything in an AnalysisReport.  Stage failures are recorded
 in the report; the command-line front end only parses arguments and
 writes the report.
 
+Each fact is proven once.  Ordering the foliations solves the projection
+witness p o pi_inner = pi_outer of every nested pair exactly, and the
+flag keeps those witnesses.  Both levels of a flag link are lattice
+rewrites of the same cluster map, so with the witness the chained
+reduction psi_outer o p = p o psi_inner follows (``chained_reduction``
+states the argument) and each link is reported with no further check.
+
 Fixed points are searched level by level down the flag: a level whose
 coarser neighbour was searched starts Newton only on the fibers of the
 flag projection over that neighbour's fixed points, as every fixed point
@@ -34,24 +41,22 @@ from .dynamics import (
     no_periodic_points_scan,
 )
 from .geometry import (
+    Flag,
     GeometryError,
-    NotAChainError,
     NotReducibleError,
     PoissonStructure,
     PresymplecticForm,
     ReducedSystem,
     Submersion,
     _period_poisson_basis,
-    build_flag,
     casimir_submersion,
-    chained_reduction,
     check_subfoliation,
     derive_reduced_map,
     find_invariant_poisson,
     null_submersion,
 )
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
-from .maps import random_positive_point, rng_substream
+from .maps import MonomialMap, random_positive_point, rng_substream
 from .quiver import GROWTH_STEPS, cluster_map, degree_growth, detect_period, growth_class
 
 __all__ = ["run_pipeline", "WorkflowConfig", "AnalysisReport", "InputError"]
@@ -243,26 +248,31 @@ def _foliations(
                 "the same exponent lattice and were analysed once"
             )
             continue
-        try:
-            subs.append(casimir_submersion(PoissonStructure(m)))
-        except GeometryError as exc:
-            report.errors.append(["casimir", str(exc)])
+        subs.append(casimir_submersion(PoissonStructure(m)))
     return subs
 
 
-def _maximal_chain(subs: list[Submersion]) -> tuple[list[Submersion], list[Submersion]]:
-    """Longest chain in the subfoliation order, plus the members left out.
+def _maximal_chain(subs: list[Submersion]) -> tuple[Flag, list[Submersion]]:
+    """The flag over a longest chain in the subfoliation order, plus the
+    members left out.
 
     The foliations found for one map form a poset under lattice
     inclusion, not always a chain; the flag is built over a maximum
-    chain and the incomparable members are reported separately.
+    chain, with the projection witnesses solved while ordering, and the
+    incomparable members are reported separately.  The submersions have
+    distinct saturated lattices (``_foliations``), and saturated lattices
+    of equal rank are nested only when equal, so the chain's dimensions
+    strictly increase.
     """
     order = sorted(range(len(subs)), key=lambda i: subs[i].dim_out)
     finer: dict[int, list[int]] = {i: [] for i in order}
+    witness: dict[tuple[int, int], MonomialMap] = {}
     for a_pos, i in enumerate(order):
         for j in order[a_pos + 1 :]:
-            if check_subfoliation(subs[i], subs[j]) is not None:
+            p = check_subfoliation(subs[i], subs[j])
+            if p is not None:
                 finer[i].append(j)
+                witness[i, j] = p
     best: dict[int, list[int]] = {}
 
     def longest_from(i: int) -> list[int]:
@@ -273,9 +283,10 @@ def _maximal_chain(subs: list[Submersion]) -> tuple[list[Submersion], list[Subme
         return best[i]
 
     chain_idx = max((longest_from(i) for i in order), key=len, default=[])
-    chain = [subs[i] for i in chain_idx]
+    flag = Flag(tuple(subs[i] for i in chain_idx),
+                tuple(witness[link] for link in zip(chain_idx, chain_idx[1:])))
     omitted = [subs[i] for i in order if i not in chain_idx]
-    return chain, omitted
+    return flag, omitted
 
 
 def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -> AnalysisReport:
@@ -299,7 +310,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                      "class_certificate": "read off d_30, d_59, d_60"}
 
     form = PresymplecticForm(matrix)
-    report.rank = form.rank
+    rank = report.rank = form.rank
     # cluster_map accepted the certificate mu_m ... mu_1(B) = shifted B,
     # and that integer identity is phi* omega_B = omega_B (Fordy-Hone 2014)
     report.presymplectic_invariant = True
@@ -316,39 +327,26 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             report.errors.append(["find-poisson", str(exc)])
             basis = []
     for m in basis:
+        m_rank = m.rank()
         report.discovered.append(
-            {
-                "matrix": m.to_json_dict(),
-                "rank": m.rank(),
-                "kernel_dim": m.rows - m.rank(),
-            }
+            {"matrix": m.to_json_dict(), "rank": m_rank, "kernel_dim": m.rows - m_rank}
         )
 
-    null = null_submersion(form) if 0 < form.rank < form.dim else None
-    submersions = _foliations(basis, null, report)
-
-    flag = None
-    omitted: list[Submersion] = []
-    if not submersions:
+    null = null_submersion(form) if 0 < rank < form.dim else None
+    flag, omitted = _maximal_chain(_foliations(basis, null, report))
+    if flag:
+        report.flag_chain = flag.describe()
+    else:
         report.notes.append(
             "no nontrivial invariant foliation found: the map admits no reduction"
         )
-    if submersions:
-        chain, omitted = _maximal_chain(submersions)
-        try:
-            flag = build_flag(chain)
-            report.flag_chain = flag.describe()
-        except NotAChainError as exc:
-            report.errors.append(["flag", str(exc)])
-            flag = None
-        for sub in omitted:
-            report.notes.append(
-                f"a {sub.kind}({sub.dim_out}) foliation is incomparable with "
-                "the flag and was analysed separately"
-            )
+    for sub in omitted:
+        report.notes.append(
+            f"a {sub.kind}({sub.dim_out}) foliation is incomparable with "
+            "the flag and was analysed separately"
+        )
 
-    in_chain = list(flag.submersions) if flag else submersions
-    ordered = in_chain + omitted
+    ordered = [*flag.submersions, *omitted]
     systems: list[ReducedSystem | None] = []
     for sub in ordered:
         try:
@@ -367,22 +365,19 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             }
         )
 
-    if flag:
-        for i, proj in enumerate(flag.projections):
-            outer, inner = systems[i], systems[i + 1]
-            if outer is None or inner is None:
-                continue
-            try:
-                chained_reduction(outer, inner, proj)
-                report.chained.append(
-                    {
-                        "outer": f"{outer.submersion.kind}({outer.submersion.dim_out})",
-                        "inner": f"{inner.submersion.kind}({inner.submersion.dim_out})",
-                        "verified": True,
-                    }
-                )
-            except GeometryError as exc:
-                report.errors.append(["chain", str(exc)])
+    # both levels reduce phi and the flag's witness p o pi_inner = pi_outer
+    # is an exact lattice solution, so p o psi_inner = psi_outer o p holds
+    # with no further check
+    chain = systems[: len(flag)]
+    for outer, inner in zip(chain, chain[1:]):
+        if outer is not None and inner is not None:
+            report.chained.append(
+                {
+                    "outer": f"{outer.submersion.kind}({outer.submersion.dim_out})",
+                    "inner": f"{inner.submersion.kind}({inner.submersion.dim_out})",
+                    "verified": True,
+                }
+            )
 
     # fixed points per searched flag level, the fibers of the next one's starts
     fixed_on_level: dict[int, list] = {}
@@ -422,7 +417,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                                     f"no sampled periodic point up to {SCAN_P_MAX}")
         if psi.dim_in and psi.dim_in <= 3:
             try:
-                if flag and level < len(flag) and level - 1 in fixed_on_level:
+                if level < len(flag) and level - 1 in fixed_on_level:
                     base = [fp.point for fp in fixed_on_level[level - 1]]
                     fixed = find_periodic_points_over(psi, 1, flag.projections[level - 1], base,
                                                       precision=config.precision, grid=4)

@@ -11,7 +11,6 @@ import pytest
 
 from cluster_reduce import (
     PresymplecticForm,
-    build_flag,
     cluster_map,
     derive_reduced_map,
     detect_period,
@@ -51,7 +50,7 @@ def ladder_systems() -> dict:
         by_rows = {s.submersion.map.exponents: s for s in systems}
         # the flag of the pipeline, where a Casimir lattice equal to the
         # null one is taken once
-        flag = build_flag(_maximal_chain(_foliations(basis, null, report))[0])
+        flag, _ = _maximal_chain(_foliations(basis, null, report))
         chain = [by_rows[s.map.exponents] for s in flag.submersions]
         ladder[name] = (phi, systems, list(zip(chain, chain[1:], flag.projections)))
     return ladder

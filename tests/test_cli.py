@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from cluster_reduce import DynamicsError, IntMatrix, fordy_marsh, get_fixture, submersion_from_rows
+from cluster_reduce import build_flag, chained_reduction, cluster_map, derive_reduced_map
+from cluster_reduce import detect_period
 from cluster_reduce import dynamics, geometry, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
@@ -21,6 +23,13 @@ _FORDY_MARSH_ROWS = {
     "fm-n8": (1, -1, 0, 0, 0, -1, 1),
     "fm-n9": (1, 0, -1, 0, 0, -1, 0, 1),
 }
+_LADDER = ("somos5", "c7-pair", "somos5-2periodic", *_FORDY_MARSH_ROWS)
+
+
+def _ladder_matrix(name: str) -> IntMatrix:
+    if name in _FORDY_MARSH_ROWS:
+        return fordy_marsh(_FORDY_MARSH_ROWS[name])
+    return get_fixture(name).matrix("B")
 
 
 @pytest.fixture
@@ -507,19 +516,25 @@ class TestPipeline:
                 "quadratic, entropy 0.0 (read off d_30, d_59, d_60)") in text
         assert json.loads(out.read_text())["schema"] == "v1"
 
-    @pytest.mark.parametrize("name", [
-        "somos5", "c7-pair", "somos5-2periodic", "fm-n6", "fm-n7", "fm-n8", "fm-n9",
-    ])
+    @pytest.mark.parametrize("name", _LADDER)
     def test_golden_report(self, capsys, tmp_path, name):
-        matrix = (
-            fordy_marsh(_FORDY_MARSH_ROWS[name]) if name in _FORDY_MARSH_ROWS
-            else get_fixture(name).matrix("B")
-        )
         path = tmp_path / "b.json"
-        path.write_text(json.dumps(matrix.to_json_dict()))
+        path.write_text(json.dumps(_ladder_matrix(name).to_json_dict()))
         code, out = _run(capsys, ["pipeline", "--matrix", str(path), "--seed", "0"])
         assert code == 0
         assert out == (DATA / f"pipeline-{name}-seed0.json").read_text()
+
+    @pytest.mark.parametrize("name", _LADDER)
+    def test_sampled_basis_gives_the_golden_report(self, name):
+        # --no-compatible has no golden file of its own: its sampled basis
+        # runs the same flag and chain stages, and on the ladder it finds
+        # the compatible basis, so only the setting itself differs
+        config = WorkflowConfig(seed=0, require_compatible=False)
+        doc = json.loads(json.dumps(run_pipeline(_ladder_matrix(name), config).to_json_dict()))
+        golden = json.loads((DATA / f"pipeline-{name}-seed0.json").read_text())
+        assert doc["config"].pop("require_compatible") is False
+        assert golden["config"].pop("require_compatible") is True
+        assert doc == golden
 
     def test_somos6_foliation_analysed_once(self):
         report = run_pipeline(fordy_marsh((1, -1, 0, -1, 1)))
@@ -551,6 +566,33 @@ class TestRunPipelineApi:
         report = run_pipeline(get_fixture(name).matrix("B"))
         assert [len(d["fixed_points"]) for d in report.dynamics[:2]] == [1, 1]
         assert calls == [2] * 16 + [3] * 4
+
+    @pytest.mark.parametrize("name", _LADDER)
+    def test_flag_facts_are_proven_once(self, monkeypatch, name):
+        # run_pipeline takes the flag's witnesses and chained links on
+        # trust; here build_flag and chained_reduction prove them again
+        chains = []
+        maximal_chain = pipeline._maximal_chain
+
+        def recording(subs):
+            chains.append(maximal_chain(subs))
+            return chains[-1]
+
+        monkeypatch.setattr(pipeline, "_maximal_chain", recording)
+        b = _ladder_matrix(name)
+        report = run_pipeline(b)
+        ((flag, _),) = chains
+        assert build_flag(flag.submersions) == flag
+        phi = cluster_map(b, detect_period(b))
+        certified = []
+        for outer, inner, p in zip(flag.submersions, flag.submersions[1:], flag.projections):
+            assert p.after_monomial(inner.map) == outer.map
+            link = chained_reduction(derive_reduced_map(phi, outer),
+                                     derive_reduced_map(phi, inner), p)
+            certified.append({"outer": f"{outer.kind}({outer.dim_out})",
+                              "inner": f"{inner.kind}({inner.dim_out})",
+                              "verified": link.verified})
+        assert report.chained == certified
 
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix

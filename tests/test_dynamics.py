@@ -827,6 +827,39 @@ class TestFiberSearch:
         with pytest.raises(DynamicsError, match="source dimension 2"):
             find_periodic_points_over(fine, 1, MonomialMap.from_rows([[1, 0]]), [(1,)])
 
+    @pytest.mark.parametrize("base", [(1, 2, 3), (1,), (1, 0), (2, -1)])
+    def test_base_point_needs_positive_coordinates_on_the_target(self, monkeypatch, base):
+        _, fine, proj = _flag_link("somos5")
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", None)
+        with pytest.raises(DynamicsError, match="needs 2 positive coordinates"):
+            find_periodic_points_over(fine, 1, proj, [(1, 1), base])
+
+    @pytest.mark.parametrize("f, grid", [(LYNESS, 4), (PSI_1, 2)])
+    def test_bare_map_starts_are_the_grid(self, monkeypatch, f, grid):
+        # the search over the projection to a point starts from the grid^n
+        # points of [1/2, 3]^n, the last coordinate varying fastest, each
+        # tick lo + (hi - lo) k / (grid - 1) at the working precision
+        precision = 64
+        starts = []
+        newton = dynamics._periodic_point_newton
+
+        def recording(comps, fcomps, p, start, tol, known):
+            starts.append(start)
+            return newton(comps, fcomps, p, start, tol, known)
+
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", recording)
+        find_periodic_points(f, 1, precision=precision, grid=grid)
+        with mp.workdps(precision):
+            lo, hi = mp.mpf(1) / 2, mp.mpf(3)
+            ticks = [lo + (hi - lo) * k / (grid - 1) for k in range(grid)]
+            grid_points = [[a] for a in ticks]
+            for _ in range(f.dim_in - 1):
+                grid_points = [point + [a] for point in grid_points for a in ticks]
+        assert len(starts) == grid ** f.dim_in
+        assert [[v._mpf_ for v in s] for s in starts] == [
+            [v._mpf_ for v in point] for point in grid_points
+        ]
+
 
 class TestItineraries:
     def test_exact_label_periods(self):

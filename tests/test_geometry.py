@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_reduce import geometry, intlinalg, maps
 from cluster_reduce import (
@@ -631,6 +632,66 @@ class TestReducedMaps:
         assert doc["verified"] is True
         assert doc["psi"] == ["x2", "(x2 + 1)/(x1*x2)"]
         assert doc["pi"]["kind"] == "null"
+
+
+@st.composite
+def _skew_matrices(draw, n: int | None = None) -> IntMatrix:
+    """Integer skew-symmetric n x n matrices, n in 2..5 unless given,
+    entries in -3..3."""
+    n = n or draw(st.integers(2, 5))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    entries = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(geometry._pair_index(n), upper):
+        entries[i][j], entries[j][i] = v, -v
+    return IntMatrix.from_rows(entries)
+
+
+@st.composite
+def _skew_pairs(draw) -> tuple:
+    """Two skew matrices of one size and a small integer matrix T whose
+    rows combine the Casimir rows of the first."""
+    n = draw(st.integers(2, 5))
+    t = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3))
+    return draw(_skew_matrices(n)), draw(_skew_matrices(n)), t
+
+
+class TestLatticeFactsProperty:
+    """The lattice facts the pipeline does not check again hold by
+    construction: a Casimir row solves C u = 0 and a subfoliation
+    witness recomposes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_skew_matrices())
+    def test_casimir_rows_are_in_the_kernel(self, c):
+        structure = PoissonStructure(c)
+        if structure.corank == 0:
+            with pytest.raises(GeometryError, match="trivial kernel"):
+                casimir_submersion(structure)
+            return
+        u = casimir_submersion(structure).map.exponents
+        assert u.rows == structure.corank
+        assert (c @ u.transpose()).is_zero()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_skew_pairs())
+    def test_subfoliation_witness_recomposes(self, pair):
+        c, d, t = pair
+        subs = [null_submersion(PresymplecticForm(m)) for m in (c, d)]
+        subs += [casimir_submersion(PoissonStructure(m)) for m in (c, d)
+                 if PoissonStructure(m).corank]
+        if PoissonStructure(c).corank:
+            # integer combinations of c's Casimir rows: a coarser foliation
+            u = kernel_lattice(c).matrix()
+            combined = IntMatrix.from_rows([r[: u.rows] for r in t], cols=u.rows) @ u
+            coarser = Submersion(MonomialMap(combined), "custom")
+            assert check_subfoliation(coarser, subs[2]) is not None
+            subs.append(coarser)
+        for a in subs:
+            for b in subs:
+                p = check_subfoliation(a, b)
+                if p is not None:
+                    assert p.after_monomial(b.map) == a.map
 
 
 class TestSubfoliationAndFlags:
