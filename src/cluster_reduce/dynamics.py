@@ -30,10 +30,11 @@ the candidate period, and the certificate is the normal-form identity
 f^(p) = id.
 
 Exact and float orbits, Newton steps and interval enclosures evaluate
-the map by the kernel of ``maps`` (``_step`` on the map's cached compiled
-terms, which runs ``laurent._terms``); only the residue screen has its
-own loop, as units mod p with explicit inverses are not a number type
-of the kernel.  It runs on the map compiled mod p once per prime, and
+the map by the kernel of ``maps``: ``_step`` on the map's cached
+compiled terms, which runs ``laurent._terms`` or, once the compiled map
+is hot, the straight-line step generated from them, with the same bits.
+Only the residue screen has its own loop, as units mod p with explicit
+inverses are not a number type of the kernel.  It runs on the map compiled mod p once per prime, and
 inverts each orbit point with one modular inversion.
 
 Periodic points are located by damped Newton on the compiled map:
@@ -44,7 +45,9 @@ runs in hardware floats until the residual max|f^(p)(x) - x| is below
 the last float iterate: one Newton trajectory per start.  There a step
 must also lower the acceptance residual, below tol exactly when the
 residual test and its relative form both hold, and the run stops on it;
-copies of one root are merged.  Each point found gets a candidate
+copies of one root are merged, and the ``mpf`` distance test of a pair
+runs only when their ``float`` images cannot prove them apart
+(``_apart``).  Each point found gets a candidate
 box; when a later start's float run converges in it, Krawczyk's test on
 ``mpmath`` intervals is run once, and a certified box, which holds
 exactly one solution, makes every start converging in it a duplicate
@@ -246,10 +249,11 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     point is inverted by one modular inversion (``_inverses_mod``).
     """
     num = _residues(p)
-    comps = phi._compiled(num)
+    compiled = phi._compiled(num)
     x = [num.convert(v) for v in x0]
-    if comps is None or not all(x):
+    if compiled is None or not all(x):
         return None
+    comps = compiled.components
     if section is not None:
         inv = _inverses_mod(x, p)
         x = [_monomial_mod(1, mono, x, inv, p) for mono in section]
@@ -763,6 +767,30 @@ def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
     return True
 
 
+def _close(a, b, merge_tol) -> bool:
+    """The merge rule: max_i |a_i - b_i| < merge_tol, in ``mpf``."""
+    return max(abs(u - v) for u, v in zip(a, b)) < merge_tol
+
+
+def _apart(fa, fb, gap: float) -> bool:
+    """Whether the float images fa, fb of two points a, b prove
+    ``_close(a, b, merge_tol)`` false, for gap = 2 float(merge_tol) and
+    merge_tol >= 2^-1000: whether |fa_i - fb_i| > gap + 2^-50 (|fa_i| +
+    |fb_i|) in floats for some i.
+
+    Proof.  float() of an mpf c is within 2^-51 |float(c)| + 2^-1073 of c,
+    so with S = |fa_i| + |fb_i|, |a_i - b_i| >= |fa_i - fb_i| - 2^-51 S -
+    2^-1072.  Each float operation of the test is exact or rounds to
+    nearest, so the exact |fa_i - fb_i| exceeds (2t + 2^-50 S) (1 - 2^-51)
+    - 2^-1074 with t = float(merge_tol), and |a_i - b_i| > 2t (1 - 2^-51)
+    - 2^-1071 >= 2 merge_tol (1 - 2^-50) - 2^-1070 > merge_tol.  Rounding
+    a_i - b_i to merge_tol's precision is monotone and keeps merge_tol,
+    so the ``mpf`` distance is at least merge_tol too.  An inf or nan
+    image makes every comparison false, and the pair is left to ``mpf``.
+    """
+    return any(abs(u - v) > gap + 2.0**-50 * (abs(u) + abs(v)) for u, v in zip(fa, fb))
+
+
 def find_periodic_points(
     f: BirationalMap,
     p: int,
@@ -829,7 +857,9 @@ def find_periodic_points_over(
     Two points merge when they are closer than 10^-(precision/2), or than
     100 tol where that is larger (below 52 digits), the distance within
     which a residual below tol leaves the copies of a root with |J_F^-1|
-    < 50, F = f^(p) - id.  The list is sorted by coordinates.
+    < 50, F = f^(p) - id; a pair whose ``float`` images prove it
+    farther apart (``_apart``) skips the ``mpf`` distance test.  The list
+    is sorted by coordinates.
 
     A found point y gets a candidate box of half-width 1e-6 max(1,
     |y_i|).  The first time a later start's float run converges in it
@@ -890,13 +920,16 @@ def find_periodic_points_over(
         # root, so copies of a root with |J_F^-1| < 50 are less than
         # 100 tol apart.  That bound is the larger one below 52 digits.
         merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
+        # the float images of found points screen the merge test
+        # (`_apart`); past about 600 digits no pair is screened
+        gap = 2 * float(merge_tol) if merge_tol > mp.mpf(2) ** -1000 else inf
         comps = f._compiled(_MPF)
         try:
             fcomps = f._compiled(_FLOAT)
         except OverflowError:
             fcomps = None
         found: list[PeriodicPoint] = []
-        boxes, certified = [], {}
+        images, boxes, certified = [], [], {}
 
         def known(rough) -> bool:
             """Whether the float iterate rough lies in the certified box
@@ -929,10 +962,12 @@ def find_periodic_points_over(
                     break
             if not minimal:
                 continue
-            if any(max(abs(point[i] - other.point[i]) for i in range(n)) < merge_tol
-                   for other in found):
+            fpoint = [float(v) for v in point]
+            if any(not _apart(fpoint, fother, gap) and _close(point, other.point, merge_tol)
+                   for other, fother in zip(found, images)):
                 continue
             found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
+            images.append(fpoint)
             boxes.append(_candidate_box(point))
         found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
         return found

@@ -27,7 +27,9 @@ must pass a normal form.
 The package's one point-evaluation kernel lives here: `_terms` gives the
 value and optional gradient of a sparse term list in any number type.
 `LaurentPoly.evaluate(_mp)` call it, and `maps` compiles maps into such
-term lists.
+term lists; a hot compiled map runs straight-line code generated from
+them that makes `_terms`' operations in its order, with `_terms` as
+the reference it must equal bit for bit.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ the periodic-point Newton's acceptance residual against the absolute and
 relative residual tests it stands for.  The congruences of the geometry
 checks, on a log-Jacobian cleared to integers, give the verdicts of the
 rational identities, and the integer discovery rows have the kernel of
-the rows cleared from `Fraction` coefficients.
+the rows cleared from `Fraction` coefficients.  The generated
+straight-line step of a hot compiled map gives the interpreter's values,
+Jacobians and exceptions bit for bit, on random maps in every number
+type of the kernel.
 """
 
 from functools import cache
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
 from cluster_reduce import IntMatrix, cluster_map, detect_period, geometry  # noqa: E402
+from cluster_reduce import laurent, maps  # noqa: E402
 from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream  # noqa: E402
 from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
@@ -292,3 +296,86 @@ def test_cleared_congruences_match_the_rational_identities(case):
     assert kernel_lattice(IntMatrix.from_rows(ours, cols=unknowns)) == kernel_lattice(
         IntMatrix.from_rows(_fraction_poisson_rows(m), cols=unknowns)
     )
+
+
+# Coordinates of the generated-step property: 0 (for -0.0 totals and
+# vanishing denominators), signs, and magnitudes whose powers overflow
+# floats (10^100 ** 4, (10^-150) ** -3).
+_COORDINATES = [0.0, 1.0, -2.0, 0.5, 1e-150, 1e100, 3.25, -0.125]
+
+
+def _term_list(nvars: int):
+    """1-4 terms with Fraction coefficients and exponents -3..4."""
+    coefficients = st.fractions(-5, 5, max_denominator=7).filter(bool)
+    exponents = st.lists(st.integers(-3, 4), min_size=nvars, max_size=nvars)
+    return st.lists(st.tuples(coefficients, exponents.map(laurent._sparse)),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def _step_cases(draw):
+    """(components, point): a random map of 1-3 variables, bare coordinates
+    among its components, and a point of floats."""
+    n = draw(st.integers(1, 3))
+    component = st.one_of(
+        st.integers(0, n - 1),
+        st.tuples(_term_list(n), st.one_of(st.none(), _term_list(n))),
+    )
+    comps = draw(st.lists(component, min_size=1, max_size=3))
+    point = draw(st.lists(st.one_of(st.sampled_from(_COORDINATES), st.floats(-4, 4)),
+                          min_size=n, max_size=n))
+    return comps, point
+
+
+def _bits(v):
+    """v exactly: an interval's endpoints, an mpf's tuple, a float's hex."""
+    if hasattr(v, "_mpi_"):
+        return v._mpi_
+    if hasattr(v, "_mpf_"):
+        return v._mpf_
+    return v.hex() if isinstance(v, float) else (v.numerator, v.denominator)
+
+
+def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
+    """maps._step on a fresh compilation of comps, interpreted or, with
+    hot, generated: its values and Jacobian rows as bits, or the type of
+    what it raised."""
+    compiled = maps._Compiled([
+        comp if isinstance(comp, int) else tuple(
+            None if terms is None else [(num.convert(c), mono) for c, mono in terms]
+            for terms in comp)
+        for comp in comps
+    ])
+    if hot:
+        compiled.steps = maps._HOT_STEPS
+    try:
+        image, rows = maps._step(compiled, x, jacobian, num)
+    except Exception as exc:  # the same type must come from both paths
+        outcome = type(exc)
+    else:
+        outcome = ([(type(v), _bits(v)) for v in image],
+                   rows and [[(type(v), _bits(v)) for v in row] for row in rows])
+    assert (compiled.generated[jacobian] is not None) == hot
+    return outcome
+
+
+# (digits, number type at those digits) of the property
+_NUMBER_TYPES = [(15, lambda: dynamics._FLOAT), (15, lambda: maps._EXACT),
+                 (30, lambda: maps._MPF), (64, lambda: maps._MPF), (128, lambda: maps._MPF),
+                 (64, dynamics._intervals)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_step_cases())
+def test_generated_steps_are_the_interpreted_steps_bit_for_bit(case):
+    # floats, mpf at 30, 64 and 128 digits, Fraction and intervals; the
+    # values and Jacobians, or the exception, of the interpreter and of
+    # the generated straight-line step
+    comps, point = case
+    for digits, number_type in _NUMBER_TYPES:
+        with mp.workdps(digits):
+            num = number_type()
+            x = [num.convert(Fraction(v)) for v in point]
+            for jacobian in (False, True):
+                want = _step_outcome(comps, x, jacobian, num, hot=False)
+                assert _step_outcome(comps, x, jacobian, num, hot=True) == want

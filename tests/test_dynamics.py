@@ -860,6 +860,136 @@ class TestFiberSearch:
             [v._mpf_ for v in point] for point in grid_points
         ]
 
+    def test_monomial_maps_compile_once_per_number_type(self, monkeypatch):
+        # the section is evaluated at each base point and the fiber at
+        # each grid point, each from the one compilation cached on it
+        _, fine, proj = _flag_link("somos5")
+        compile_ = maps._compile
+        compiled = []
+
+        def counting(f, convert):
+            if isinstance(f, MonomialMap):
+                compiled.append(f)
+            return compile_(f, convert)
+
+        monkeypatch.setattr(maps, "_compile", counting)
+        with mp.workdps(64):
+            base = [(mp.mpf(3) / 2, mp.mpf(5) / 7), (mp.mpf(2), mp.mpf(1) / 3)]
+        find_periodic_points_over(fine, 1, proj, base, precision=64, grid=4)
+        assert len(compiled) == len({id(f) for f in compiled}) == 2
+
+
+def _fresh(f: BirationalMap) -> BirationalMap:
+    """f with no compilation cached on it."""
+    return BirationalMap(f.dim_in, f.components)
+
+
+def _generated(monkeypatch) -> list:
+    """Record (components, Jacobian flag) of every generated step."""
+    source = maps._source
+    made = []
+
+    def recording(comps, n, jacobian):
+        made.append((id(comps), jacobian))
+        return source(comps, n, jacobian)
+
+    monkeypatch.setattr(maps, "_source", recording)
+    return made
+
+
+class TestGeneratedSteps:
+    """Hot compiled maps run generated straight-line steps, with the
+    interpreter's results; see test_differential for the bit-for-bit
+    property on random maps."""
+
+    @staticmethod
+    def _point_lists() -> list:
+        """The 25 lists of the numeric workload's reduced maps and LYNESS,
+        p = 1, 2 at 30 and 64 digits and p = 1 at 128, as raw mpf tuples."""
+        names = ["lyness", *REDUCED_MAPS]
+        lists = []
+        for name in names:
+            f = _fresh(_low_dimensional_maps()[name])
+            for p, precision in [(1, 30), (2, 30), (1, 64), (2, 64), (1, 128)]:
+                points = find_periodic_points(f, p, precision=precision, grid=4)
+                lists.append([([v._mpf_ for v in pp.point], pp.residual._mpf_)
+                              for pp in points])
+        return lists
+
+    def test_hot_threshold_changes_no_point(self, monkeypatch):
+        monkeypatch.setattr(maps, "_HOT_STEPS", 1)
+        every_step = self._point_lists()
+        monkeypatch.setattr(maps, "_HOT_STEPS", 10**9)
+        assert len(every_step) == 25
+        assert self._point_lists() == every_step
+
+    def test_a_search_generates_each_step_once(self, monkeypatch):
+        made = _generated(monkeypatch)
+        f = _fresh(_low_dimensional_maps()["somos5:casimir3"])
+        assert len(find_periodic_points(f, 2, precision=64, grid=4)) == 61
+        assert made and len(made) == len(set(made))
+
+    def test_the_pipeline_generates_nothing_on_somos5(self, monkeypatch):
+        made = _generated(monkeypatch)
+        report = run_pipeline(get_fixture("somos5").matrix("B"))
+        assert report.dynamics and not report.errors
+        assert made == []
+
+
+class TestMergeScreen:
+    """The float screen of the merge test skips only pairs the ``mpf``
+    rule keeps apart."""
+
+    @staticmethod
+    def _decisions_agree(a, b, merge_tol) -> bool:
+        gap = 2 * float(merge_tol)
+        fa, fb = [float(v) for v in a], [float(v) for v in b]
+        screened = not dynamics._apart(fa, fb, gap) and dynamics._close(a, b, merge_tol)
+        return screened == dynamics._close(a, b, merge_tol)
+
+    @pytest.mark.parametrize("precision", [30, 64])
+    def test_pinned_samples(self, precision):
+        samples = json.loads((DATA / "period2-samples.json").read_text())
+        with mp.workdps(precision):
+            merge_tol = _merge_tol(precision)
+            for points in samples.values():
+                points = [[mp.mpf(v) for v in point] for point in points]
+                assert len(points) == 61
+                for a in points:
+                    for b in points:
+                        assert self._decisions_agree(a, b, merge_tol)
+
+    @pytest.mark.parametrize("precision", [30, 64])
+    def test_pairs_straddling_the_merge_distance(self, precision):
+        samples = json.loads((DATA / "period2-samples.json").read_text())
+        skipped = 0
+        with mp.workdps(precision):
+            merge_tol = _merge_tol(precision)
+            ulp = mp.mpf(2) ** -mp.mp.prec
+            for point in samples["somos5:casimir3"][::6]:
+                a = [mp.mpf(v) for v in point]
+                for i in range(3):
+                    for scale in (1 - 2 * ulp, 1, 1 + 2 * ulp, 2, 2 + 2**-40, 2.001, 3, 2**60):
+                        for sign in (1, -1):
+                            b = list(a)
+                            b[i] += sign * scale * merge_tol
+                            assert self._decisions_agree(a, b, merge_tol)
+                            assert self._decisions_agree(b, a, merge_tol)
+                            skipped += dynamics._apart([float(v) for v in a],
+                                                       [float(v) for v in b],
+                                                       2 * float(merge_tol))
+        assert skipped
+
+    def test_a_curve_search_makes_no_mpf_distance_test(self, monkeypatch):
+        # the 61 samples are far apart: the mpf-only rule made all
+        # 61 * 60 / 2 = 1830 distance tests
+        calls = []
+        close = dynamics._close
+        monkeypatch.setattr(dynamics, "_close", lambda *args: calls.append(args) or close(*args))
+        f = _fresh(_low_dimensional_maps()["somos5:casimir3"])
+        assert len(find_periodic_points(f, 2, precision=64, grid=4)) == 61
+        assert calls == []
+
 
 class TestItineraries:
     def test_exact_label_periods(self):

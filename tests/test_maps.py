@@ -1,6 +1,8 @@
 """Birational maps, monomial maps, and exact Jacobians."""
 
+import io
 import random
+import tokenize
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,7 +21,7 @@ from cluster_reduce import (
     random_positive_point,
     rng_substream,
 )
-from cluster_reduce import laurent
+from cluster_reduce import laurent, maps
 from cluster_reduce.quiver import degree_growth
 
 LYNESS = ["x2", "(x2 + 1)/x1"]
@@ -206,6 +208,23 @@ class TestOneKernel:
             for got, want in pairs:
                 assert all(abs(a - b) < mp.mpf(10) ** -95 for a, b in zip(got, want))
             assert abs(f.evaluate_mp([2, 5])[0] - (mp.mpf(2) / 3 + 5)) < mp.mpf(10) ** -95
+
+    def test_generated_source_holds_no_coefficient(self):
+        # coefficients reach a generated step as a list argument: its
+        # source has no string and only the int literals of indices and
+        # exponents (0, 1 and 2 here), never -7/3 or 10^-50 in any form
+        f = BirationalMap.from_strings(["(-7/3*x1^2 + x2)/(x1 + 1)", "x1*x2/10^50", "x2"], 2)
+        with mp.workdps(64):
+            for num in (maps._EXACT, maps._MPF):
+                compiled = f._compiled(num)
+                for c in (Fraction(-7, 3), Fraction(1, 10**50)):
+                    assert num.convert(c) in compiled.coeffs
+                for jacobian in (False, True):
+                    source = maps._source(compiled.components, 2, jacobian)
+                    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+                    assert not [t for t in tokens if t.type == tokenize.STRING]
+                    numbers = {t.string for t in tokens if t.type == tokenize.NUMBER}
+                    assert numbers <= {"0", "1", "2"}
 
     def test_monomial_map_matches_its_birational_form(self):
         m = MonomialMap.from_rows([[1, -1, 2], [0, 0, 0], [-3, 0, 1]], 3)
