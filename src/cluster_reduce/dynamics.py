@@ -912,7 +912,22 @@ def find_periodic_points_over(
         low, high = (_to_mpf(v) for v in _START_BOX)
         ticks = ([low + (high - low) * k / (grid - 1) for k in range(grid)] if grid > 1
                  else [(low + high) / 2])
-        offsets = [fiber.evaluate_mp(t) for t in product(ticks, repeat=fiber.dim_in)]
+        # fiber.evaluate_mp at each grid point, from the ticks' powers: a
+        # row's value is the product of its powers in row order, as
+        # `_terms` computes it (its coefficient 1 and its start at 0
+        # change no bit of a working-precision value)
+        rows = [mono for ((_, mono),), _ in fiber._compiled(_MPF).components]
+        powers = {k: [t if k == 1 else t ** k for t in ticks] for mono in rows for _, k in mono}
+        offsets = []
+        for index in product(range(len(ticks)), repeat=fiber.dim_in):
+            offset = []
+            for mono in rows:
+                factors = [powers[k][index[i]] for i, k in mono] or [_MPF.one]
+                v = factors[0]
+                for w in factors[1:]:
+                    v *= w
+                offset.append(v)
+            offsets.append(offset)
         bases = [section.evaluate_mp(z) for z in base_points]
         starts = [[b * w for b, w in zip(base, offset)] for base in bases for offset in offsets]
         tol = _residual_tol(precision)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "IntMatrix",
@@ -178,6 +179,19 @@ class LatticeBasis:
 
     def matrix(self) -> IntMatrix:
         return IntMatrix.from_rows(self.vectors, cols=self.ambient_dim)
+
+    @cached_property
+    def _echelon(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+        """((row, pivot column, Hermite row) per nonzero row of H, U) for
+        the Hermite form U @ B = H of the basis rows B; computed once per
+        basis for `solve_in_lattice`."""
+        h, u = hermite_normal_form(self.matrix())
+        pivots = []
+        for i, hrow in enumerate(h.entries):
+            col = next((j for j, x in enumerate(hrow) if x != 0), None)
+            if col is not None:
+                pivots.append((i, col, hrow))
+        return tuple(pivots), u.entries
 
 
 @dataclass(frozen=True)
@@ -446,14 +460,11 @@ def solve_in_lattice(basis: LatticeBasis, v) -> tuple[int, ...] | None:
         raise ValueError("vector length does not match ambient dimension")
     if not basis.vectors:
         return () if not any(vec) else None
-    bm = basis.matrix()
-    h, u = hermite_normal_form(bm)
+    pivots, u = basis._echelon
+    n = len(u)
     residual = list(vec)
-    coeffs_h = [0] * h.rows
-    for i, hrow in enumerate(h.entries):
-        pivot_col = next((j for j, x in enumerate(hrow) if x != 0), None)
-        if pivot_col is None:
-            continue
+    coeffs_h = [0] * n
+    for i, pivot_col, hrow in pivots:
         q, r = divmod(residual[pivot_col], hrow[pivot_col])
         if r != 0:
             return None
@@ -463,8 +474,7 @@ def solve_in_lattice(basis: LatticeBasis, v) -> tuple[int, ...] | None:
                 residual[j] -= q * hrow[j]
     if any(residual):
         return None
-    n = bm.rows
-    return tuple(sum(coeffs_h[i] * u.entries[i][t] for i in range(n)) for t in range(n))
+    return tuple(sum(coeffs_h[i] * u[i][t] for i in range(n)) for t in range(n))
 
 
 def sublattice_subset(a: LatticeBasis, b: LatticeBasis) -> bool:

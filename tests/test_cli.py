@@ -9,7 +9,7 @@ import pytest
 from cluster_reduce import DynamicsError, IntMatrix, fordy_marsh, get_fixture, submersion_from_rows
 from cluster_reduce import build_flag, chained_reduction, cluster_map, derive_reduced_map
 from cluster_reduce import detect_period
-from cluster_reduce import dynamics, geometry, pipeline
+from cluster_reduce import dynamics, geometry, intlinalg, laurent, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
@@ -593,6 +593,43 @@ class TestRunPipelineApi:
                               "inner": f"{inner.kind}({inner.dim_out})",
                               "verified": link.verified})
         assert report.chained == certified
+
+    def test_a_ladder_pass_takes_no_prs_and_one_hermite_form_per_basis(self, monkeypatch):
+        # the heuristic gcd certifies every gcd of the pass, and
+        # solve_in_lattice puts each basis it is given in Hermite form once
+        core = laurent._poly_gcd_core
+        fallbacks = []
+
+        def counting_core(f, g):
+            fallbacks.append((f, g))
+            return core(f, g)
+
+        solve, hermite = intlinalg.solve_in_lattice, intlinalg.hermite_normal_form
+        bases, open_bases, forms = [], [], {}
+
+        def recording_solve(basis, v):
+            bases.append(basis)  # kept alive, so that ids stay distinct
+            open_bases.append(basis)
+            try:
+                return solve(basis, v)
+            finally:
+                open_bases.pop()
+
+        def counting_hermite(m):
+            if open_bases:
+                key = id(open_bases[-1])
+                forms[key] = forms.get(key, 0) + 1
+            return hermite(m)
+
+        monkeypatch.setattr(laurent, "_poly_gcd_core", counting_core)
+        monkeypatch.setattr(intlinalg, "solve_in_lattice", recording_solve)
+        monkeypatch.setattr(geometry, "solve_in_lattice", recording_solve)
+        monkeypatch.setattr(intlinalg, "hermite_normal_form", counting_hermite)
+        for name in _LADDER:
+            assert run_pipeline(_ladder_matrix(name), WorkflowConfig(seed=0)).errors == []
+        assert fallbacks == []
+        assert max(forms.values()) == 1
+        assert len(bases) > 2 * len(forms)
 
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix

@@ -1,9 +1,11 @@
 """The exact core against an independent implementation (sympy).
 
 Small random polynomials in 2-3 variables, drawn by Hypothesis: the
-primitive gcd agrees with ``sympy.gcd`` up to sign and content, and the
-rational-function normal form with ``sympy.cancel`` up to a constant
-factor shared by numerator and denominator.  The operations that skip
+primitive gcd agrees with ``sympy.gcd`` up to sign and content (and the
+heuristic gcd with its cofactors, in 1-3 variables, with the primitive
+PRS term for term), and the rational-function normal form with
+``sympy.cancel`` up to a constant factor shared by numerator and
+denominator.  The operations that skip
 the final gcd (product, quotient, inverse) or take a single normal form
 (composition) also equal, term for term, the full normal form of their
 unreduced numerator and denominator.  The residue screen's one-inversion
@@ -83,6 +85,33 @@ def test_poly_gcd_matches_sympy(polys):
     assert _constant_ratio(_sympy(ours), sympy.gcd(_sympy(f), _sympy(g))) is not None
 
 
+def _rational_polys(nvars: int):
+    """Nonzero polynomials with 1-4 terms, exponents 0..2 and `Fraction`
+    coefficients of absolute value at most 5 and denominator at most 4."""
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    coefficients = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    return st.dictionaries(exponents, coefficients, min_size=1, max_size=4).map(
+        lambda terms: LaurentPoly(nvars, terms)
+    )
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _rational_polys(n), _rational_polys(n), _rational_polys(n), st.booleans()
+)))
+def test_heuristic_gcd_is_the_prs_gcd(case):
+    # with and without a planted common factor c; the cofactors are the
+    # exact quotients, and every coefficient is a Fraction
+    a, b, c, planted = case
+    f, g = (a * c, b * c) if planted else (a, b)
+    h, cf, cg = laurent._gcd_cofactors(f, g)
+    want = laurent._prs_gcd(f, g)
+    assert h.terms == want.terms
+    assert cf.terms == laurent._exact_divide(f, want).terms
+    assert cg.terms == laurent._exact_divide(g, want).terms
+    assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
+
+
 def _matches_cancel(ours: RationalFunction, expr) -> None:
     """ours is sympy.cancel(expr) up to a constant shared by numerator and
     denominator, in the canonical representative: true polynomials, the
@@ -137,7 +166,7 @@ def test_gcd_free_operations_match_the_full_normal_form(polys):
 
 
 @SETTINGS
-@given(_triples())
+@given(_triples(low=-1))
 def test_compose_matches_the_full_normal_form(polys):
     # x1 -> b / x1 in a / c, the other coordinates kept, as in an exchange
     # relation: the common denominator, a power of x1, cancels

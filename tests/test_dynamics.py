@@ -30,6 +30,7 @@ from cluster_reduce import (
     first_integral_check,
     get_fixture,
     golden_ratio,
+    kernel_lattice,
     iterate_orbit,
     leaf_itinerary,
     no_periodic_points_scan,
@@ -814,6 +815,27 @@ class TestFiberSearch:
                 assert max(abs(u - v) for u, v in zip(image, z)) < mp.mpf(10) ** -(precision - 5)
             # the grid spans the fiber: no two starts coincide
             assert len({tuple(mp.nstr(v, 20) for v in s) for s in starts}) == len(starts)
+
+    @pytest.mark.parametrize("precision", [30, 64])
+    def test_starts_are_the_section_and_fiber_maps_bit_for_bit(self, monkeypatch, precision):
+        # fiber rows of two powers with exponents 1, 2, -2 and -3: each
+        # start is z^V t^W as MonomialMap.evaluate_mp computes it
+        proj = MonomialMap.from_rows([(1, 3, 2)])
+        starts = []
+        monkeypatch.setattr(dynamics, "_periodic_point_newton",
+                            lambda comps, fcomps, p, start, tol, known: starts.append(start))
+        with mp.workdps(precision):
+            base = [(mp.mpf(3) / 2,), (mp.mpf(2) / 7,)]
+        find_periodic_points_over(PSI_1, 1, proj, base, precision=precision, grid=3)
+        section = MonomialMap(right_inverse(proj.exponents))
+        fiber = MonomialMap(kernel_lattice(proj.exponents).matrix().transpose())
+        assert {len(mono) for mono in map(maps._sparse, fiber.exponents.entries)} == {1, 2}
+        with mp.workdps(precision):
+            lo, hi = mp.mpf(1) / 2, mp.mpf(3)
+            ticks = [lo + (hi - lo) * k / 2 for k in range(3)]
+            want = [[b * w for b, w in zip(section.evaluate_mp(z), fiber.evaluate_mp((s, t)))]
+                    for z in base for s in ticks for t in ticks]
+        assert [[v._mpf_ for v in x] for x in starts] == [[v._mpf_ for v in x] for x in want]
 
     def test_no_base_point_means_no_fiber_point(self, monkeypatch):
         _, fine, proj = _flag_link("somos5")

@@ -11,6 +11,7 @@ from cluster_reduce import (
     format_rational,
     parse_rational,
 )
+from cluster_reduce import laurent
 from cluster_reduce.laurent import poly_gcd
 
 
@@ -126,6 +127,98 @@ class TestPolyGcd:
         # x + 1 divides the gcd
         assert not RationalFunction(d, x + one).num.is_zero()
         assert RationalFunction(d, x + one).den.is_monomial()
+
+
+def _counting_prs(monkeypatch) -> list:
+    """Record every call of the PRS core, the heuristic gcd's fallback."""
+    calls = []
+    core = laurent._poly_gcd_core
+
+    def counting(f, g):
+        calls.append((f, g))
+        return core(f, g)
+
+    monkeypatch.setattr(laurent, "_poly_gcd_core", counting)
+    return calls
+
+
+class TestHeuristicGcd:
+    """The heuristic gcd with its PRS fallback gives the PRS's gcd, and
+    each cofactor is the exact quotient; see test_differential for the
+    property on random polynomials."""
+
+    @staticmethod
+    def _check(f, g, want):
+        h, cf, cg = laurent._gcd_cofactors(f, g)
+        assert h.terms == want.terms
+        assert cf.terms == laurent._exact_divide(f, want).terms
+        assert cg.terms == laurent._exact_divide(g, want).terms
+        assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
+
+    @pytest.mark.parametrize("setting", [("_HEU_POINTS", 0), ("_HEU_MAX_BITS", 8)])
+    def test_giving_up_takes_the_prs(self, monkeypatch, setting):
+        # no evaluation point at all, or an evaluated integer over 8 bits
+        # one level down (the inputs' coefficients have at most 4)
+        x, y, z = (LaurentPoly.variable(i, 3) for i in range(3))
+        one = LaurentPoly.constant(1, 3)
+        c = x * y + z.scale(2) + one
+        f, g = c * (x - y), c * c * (x * z + one.scale(3))
+        want = laurent._prs_gcd(f, g)
+        assert want == c
+        calls = _counting_prs(monkeypatch)
+        monkeypatch.setattr(laurent, *setting)
+        self._check(f, g, want)
+        assert calls
+
+    @pytest.mark.parametrize("f, g", [
+        # 3 + 8x and 3x + 4 at xi = 37 are 299 = 13 * 23 and 115 = 5 * 23,
+        # whose gcd 23 has the digits of x - 14
+        (LaurentPoly(1, {(1,): Fraction(1, 2), (2,): Fraction(4, 3)}),
+         LaurentPoly(1, {(2,): Fraction(-3, 4), (1,): -1})),
+        (LaurentPoly(2, {(2, 0): Fraction(-1, 2), (1, 0): -5}),
+         LaurentPoly(2, {(2, 2): -1, (0, 2): Fraction(-2, 3), (2, 1): Fraction(3, 4)})),
+    ])
+    def test_a_candidate_that_does_not_divide_is_rejected(self, monkeypatch, f, g):
+        divide = laurent._divide
+        rejected = []
+
+        def recording(a, b):
+            q = divide(a, b)
+            rejected.append(q is None)
+            return q
+
+        want = laurent._prs_gcd(f, g)
+        calls = _counting_prs(monkeypatch)
+        monkeypatch.setattr(laurent, "_divide", recording)
+        self._check(f, g, want)
+        assert any(rejected) and not calls
+
+    def test_division_rejects_a_non_divisor(self):
+        # 3x + 1 by 2x + 1: the leading exponents divide, the coefficients not
+        assert laurent._divide({(1,): 3, (0,): 1}, {(1,): 2, (0,): 1}) is None
+        assert laurent._divide({(1, 1): 1}, {(0, 2): 1}) is None
+        assert laurent._divide({(2,): 4, (0,): -1}, {(1,): 2, (0,): 1}) == {(1,): 2, (0,): -1}
+
+    def test_monomial_argument(self):
+        f = LaurentPoly(3, {(2, 0, 1): 3})
+        g = LaurentPoly(3, {(1, 2, 3): Fraction(1, 2), (4, 1, 0): -2})
+        h, cf, cg = laurent._gcd_cofactors(f, g)
+        assert h == LaurentPoly.monomial((1, 0, 0), 3)
+        assert (cf, cg) == (laurent._exact_divide(f, h), laurent._exact_divide(g, h))
+        assert poly_gcd(g, f) == h == laurent._prs_gcd(f, g)
+        assert poly_gcd(LaurentPoly.constant(5, 3), g).is_one()
+
+    def test_a_coprime_normal_form_takes_no_prs(self, monkeypatch):
+        # a^2 / (b c) for a random coprime triple (3 variables, exponents
+        # -1..2, coefficients +-1..5) on which the PRS alone ran past 3 s
+        a = LaurentPoly(3, {(2, -1, -1): 5, (0, 0, -1): -4, (0, 2, 2): -4, (-1, 0, 1): -4})
+        b = LaurentPoly(3, {(0, -1, 0): -2, (0, 2, 0): -3, (0, -1, 2): 1, (-1, 2, 0): -1})
+        c = LaurentPoly(3, {(2, 0, 2): -1, (2, 0, 0): 2})
+        calls = _counting_prs(monkeypatch)
+        r = RationalFunction(a * a, b * c)
+        assert calls == []
+        assert r.num * b * c == r.den * a * a
+        assert r.num.is_polynomial() and r.den.content() == 1
 
 
 class TestRationalFunction:
