@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import product
 from math import inf, lcm
 
@@ -79,7 +79,7 @@ from .geometry import ReducedSystem
 from .intlinalg import IntMatrix, kernel_lattice, right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
-from .maps import _MPF, _Numbers, _step
+from .maps import _MPF, _RAW, _Numbers, _boxed, _raw, _step
 
 __all__ = [
     "DynamicsError",
@@ -499,8 +499,7 @@ class PeriodicPoint:
     precision: int
 
 
-_FLOAT = _Numbers(0.0, 1.0, float, lambda: "float",
-                  lambda: 2.0**-52, lambda xs: sum(map(abs, xs)))
+_FLOAT = _Numbers(0.0, 1.0, float, lambda: "float")
 
 
 @cache
@@ -541,76 +540,86 @@ def _residual_tol(precision: int):
 
 def _power(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
     """(g(x), J_g(x) or None) for g = f^p, by stepping f p times; J_g is the
-    chain-rule product J_f(x_(p-1)) ... J_f(x_0) along the same steps."""
+    chain-rule product J_f(x_(p-1)) ... J_f(x_0) along the same steps,
+    each entry summed from zero."""
+    ops = num.arithmetic(0)
     jac = None
     for _ in range(p):
         x, step = _step(comps, x, jacobian, num)
         if jacobian:
             jac = step if jac is None else [
-                [sum(a * b for a, b in zip(row, col)) for col in zip(*jac)]
+                [reduce(ops.add, map(ops.mul, row, col), num.zero) for col in zip(*jac)]
                 for row in step
             ]
     return x, jac
 
 
-def _less_identity(jac) -> list:
+def _less_identity(jac, num: _Numbers) -> list:
     """J - I for a square list of rows J: the Jacobian of F = f^p - id."""
-    return [[v - (1 if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(jac)]
+    sub = num.arithmetic(0).sub
+    return [[sub(v, num.one if i == j else num.zero) for j, v in enumerate(row)]
+            for i, row in enumerate(jac)]
 
 
 def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
     """x with a x = b for a square list of rows a, as ``mpmath.lu_solve``.
 
-    The same Gaussian elimination with 10 extra bits: the pivot of column
-    j is the row k >= j with the largest |a_kj| / sum_(l >= j) |a_kl|, and
-    a row sum or pivot at most mnorm(a, 1) eps raises ZeroDivisionError
-    ("numerically singular").  A column that is zero from row j down is
-    singular too, where ``mpmath.lu_solve`` raises TypeError.  With float
-    entries (num ``_FLOAT``) eps is 2^-52 and the extra bits do nothing.
+    The same Gaussian elimination with 10 extra bits (num's arithmetic at
+    the working precision + 10; mpf objects run as ``_RAW`` values): the
+    pivot of column j is the row k >= j with the largest |a_kj| /
+    sum_(l >= j) |a_kl|, and a row sum or pivot at most mnorm(a, 1) eps
+    raises ZeroDivisionError ("numerically singular").  A column that is
+    zero from row j down is singular too, where ``mpmath.lu_solve``
+    raises TypeError.  Floats have eps 2^-52 and no extra bits.
     """
+    boxed = num is _MPF
+    if boxed:
+        a, b, num = [_raw(row) for row in a], _raw(b), _RAW
+    ops = num.arithmetic(10)
+    add, sub, mul, div, absolute, gt = ops.add, ops.sub, ops.mul, ops.div, ops.abs, ops.gt
     n = len(a)
-    with mp.extraprec(10):
-        a = [list(row) for row in a]
-        x = list(b)
-        tol = num.eps() * max(num.abs_sum(row[j] for row in a) for j in range(n))
+    a = [list(row) for row in a]
+    x = list(b)
+    tol = mul(ops.eps, ops.max([ops.abs_sum([row[j] for row in a]) for j in range(n)]))
 
-        def check(value):
-            if abs(value) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
+    def check(value):
+        if ops.le(absolute(value), tol):
+            raise ZeroDivisionError("matrix is numerically singular")
 
-        for j in range(n - 1):
-            biggest, pivot = 0, None
-            for k in range(j, n):
-                s = num.abs_sum(a[k][j:])
-                check(s)
-                current = 1 / s * abs(a[k][j])
-                if current > biggest:
-                    biggest, pivot = current, k
-            if pivot is None:
-                raise ZeroDivisionError("matrix is numerically singular")
-            a[j], a[pivot] = a[pivot], a[j]
-            x[j], x[pivot] = x[pivot], x[j]
-            check(a[j][j])
-            for i in range(j + 1, n):
-                a[i][j] /= a[j][j]
-                for k in range(j + 1, n):
-                    a[i][k] -= a[i][j] * a[j][k]
-        check(a[n - 1][n - 1])
-        for i in range(1, n):
-            for j in range(i):
-                x[i] -= a[i][j] * x[j]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                x[i] -= a[i][j] * x[j]
-            x[i] /= a[i][i]
-    return x
+    for j in range(n - 1):
+        biggest, pivot = num.zero, None
+        for k in range(j, n):
+            s = ops.abs_sum(a[k][j:])
+            check(s)
+            current = mul(div(num.one, s), absolute(a[k][j]))
+            if gt(current, biggest):
+                biggest, pivot = current, k
+        if pivot is None:
+            raise ZeroDivisionError("matrix is numerically singular")
+        a[j], a[pivot] = a[pivot], a[j]
+        x[j], x[pivot] = x[pivot], x[j]
+        check(a[j][j])
+        for i in range(j + 1, n):
+            a[i][j] = div(a[i][j], a[j][j])
+            for k in range(j + 1, n):
+                a[i][k] = sub(a[i][k], mul(a[i][j], a[j][k]))
+    check(a[n - 1][n - 1])
+    for i in range(1, n):
+        for j in range(i):
+            x[i] = sub(x[i], mul(a[i][j], x[j]))
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i] = sub(x[i], mul(a[i][j], x[j]))
+        x[i] = div(x[i], a[i][i])
+    return _boxed(x) if boxed else x
 
 
-def _acceptance_residual(diff, x):
+def _acceptance_residual(diff, x, num: _Numbers = _MPF):
     """max_i |diff_i| / min(1, x_i) for positive x: below tol exactly when
     both max|diff_i| < tol and max_i |diff_i| / x_i < tol, also rounded,
     as dividing by 1 is exact and rounding keeps order."""
-    return max(abs(d) / min(1, v) for d, v in zip(diff, x))
+    ops, one = num.arithmetic(0), num.one
+    return ops.max([ops.div(ops.abs(d), v if ops.lt(v, one) else one) for d, v in zip(diff, x)])
 
 
 def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF):
@@ -633,8 +642,15 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     spent): the caller tests it.  A start outside the domain gives
     (start, None, inf, 0).  Only a start can have a non-finite residual:
     an inf or nan one never descends.  A float overflow raises
-    OverflowError.
+    OverflowError.  An mpf run computes on the ``_RAW`` values of start
+    and tol, and returns mpf objects.
     """
+    boxed = num is _MPF
+    if boxed:
+        start, tol, num = _raw(start), tol._mpf_, _RAW
+    ops = num.arithmetic(0)
+    add, mul, div, lt = ops.add, ops.mul, ops.div, ops.lt
+    one, two = num.one, add(num.one, num.one)
     n = len(start)
     x = list(start)
 
@@ -642,29 +658,29 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
         """(f^p(vec) - vec, residuals, Jacobian or None); residuals is
         (max|f^p(vec) - vec|,) in floats and adds r(vec) in mpf."""
         img, jac = _power(comps, vec, p, jacobian, num)
-        diff = [img[i] - vec[i] for i in range(n)]
-        res = (max(abs(d) for d in diff),)
+        diff = [ops.sub(img[i], vec[i]) for i in range(n)]
+        res = (ops.max([ops.abs(d) for d in diff]),)
         if num is not _FLOAT:
-            res += (_acceptance_residual(diff, vec),)
+            res += (_acceptance_residual(diff, vec, num),)
         return diff, res, jac
 
     try:
         fvec, res, jac = residuals_at(x, True)
     except (ZeroDivisionError, ValueError):
-        return tuple(x), None, inf, 0
+        return tuple(_boxed(x) if boxed else x), None, inf, 0
     steps = 0
-    while steps < max_iter and not res[-1] < tol:
+    while steps < max_iter and not lt(res[-1], tol):
         if jac is None:
             jac = _power(comps, x, p, True, num)[1]
         try:
-            step = _lu_solve(_less_identity(jac), [-v for v in fvec], num)
+            step = _lu_solve(_less_identity(jac, num), [ops.neg(v) for v in fvec], num)
         except ZeroDivisionError:
             break
-        damping = num.one
+        damping = one
         for halvings in range(40):
-            trial = [x[i] + damping * step[i] for i in range(n)]
-            damping /= 2
-            if all(v > 0 for v in trial):
+            trial = [add(x[i], mul(damping, step[i])) for i in range(n)]
+            damping = div(damping, two)
+            if all(ops.gt(v, num.zero) for v in trial):
                 try:
                     tvec, tres, tjac = residuals_at(trial, halvings == 0)
                 except (ZeroDivisionError, ValueError):
@@ -672,12 +688,14 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
                 # r alone would accept steps that raise max|f^p(x) - x|
                 # where a coordinate is below 1, and move the samples of
                 # a curve of periodic points (psi_1, p = 2)
-                if all(t < r for t, r in zip(tres, res)):
+                if all(lt(t, r) for t, r in zip(tres, res)):
                     x, fvec, res, jac = trial, tvec, tres, tjac
                     break
         else:
             break
         steps += 1
+    if boxed:
+        return tuple(_boxed(x)), _boxed(fvec), mp.make_mpf(res[-1]), steps
     return tuple(x), fvec, res[-1], steps
 
 
@@ -747,11 +765,11 @@ def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
     ys = [ctx.mpf(v) for v in point]
     xs = [ctx.mpf([lo, hi]) for lo, hi in box]
     try:
-        jac = _power(f._compiled(_MPF), list(point), p, True)[1]
-        columns = [_lu_solve(_less_identity(jac), [int(i == j) for i in range(n)])
+        jac = _less_identity(_power(f._compiled(_MPF), list(point), p, True)[1], _MPF)
+        columns = [_lu_solve(jac, [_MPF.one if i == j else _MPF.zero for i in range(n)])
                    for j in range(n)]
         image = _power(icomps, ys, p, False, iv)[0]
-        jbox = _less_identity(_power(icomps, xs, p, True, iv)[1])
+        jbox = _less_identity(_power(icomps, xs, p, True, iv)[1], iv)
     except ZeroDivisionError:
         return False
     inverse = [[ctx.mpf(col[i]) for col in columns] for i in range(n)]

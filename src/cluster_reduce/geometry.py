@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .intlinalg import (
@@ -138,17 +139,6 @@ class PresymplecticForm:
     def rank(self) -> int:
         return self.matrix.rank()
 
-    def coefficients_at(self, point: PositivePoint) -> list[list[Fraction]]:
-        """The matrix [b_ij/(x_i x_j)] at a point."""
-        n = self.dim
-        return [
-            [
-                Fraction(self.matrix.entries[i][j]) / (point[i] * point[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
 
 @dataclass(frozen=True)
 class PoissonStructure:
@@ -174,17 +164,6 @@ class PoissonStructure:
 
     def kernel(self) -> LatticeBasis:
         return kernel_lattice(self.matrix)
-
-    def tensor_at(self, point: PositivePoint) -> list[list[Fraction]]:
-        """The matrix [c_ij x_i x_j] at a point."""
-        n = self.dim
-        return [
-            [
-                Fraction(self.matrix.entries[i][j]) * point[i] * point[j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
 
 
 def poisson_bracket(
@@ -245,11 +224,14 @@ class Submersion:
         return self.dim_out == self.dim_in
 
     def lattice(self) -> LatticeBasis:
-        return LatticeBasis(
-            self.dim_in,
-            tuple(self.map.exponents.entries),
-            saturated=self.saturation == 1,
-        )
+        """The row lattice, one basis per submersion, so that the Hermite
+        form cached on the basis is computed once."""
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> LatticeBasis:
+        return LatticeBasis(self.dim_in, tuple(self.map.exponents.entries),
+                            saturated=self.saturation == 1)
 
     def evaluate(self, point: PositivePoint) -> tuple[Fraction, ...]:
         return self.map.evaluate(point)

@@ -220,26 +220,6 @@ class DarbouxBasis:
     def basis(self) -> LatticeBasis:
         return LatticeBasis(self.ambient_dim, self.vectors, saturated=True)
 
-    def reconstruct(self) -> IntMatrix:
-        """Assemble sum_m lam_m (u v^T - v u^T); entries must come out integral."""
-        n = self.ambient_dim
-        acc = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-        for m, lam in enumerate(self.scales):
-            u = self.vectors[2 * m]
-            v = self.vectors[2 * m + 1]
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += lam * (u[i] * v[j] - v[i] * u[j])
-        ent = []
-        for row in acc:
-            out = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ArithmeticError("Darboux reconstruction produced a non-integer entry")
-                out.append(int(x))
-            ent.append(tuple(out))
-        return IntMatrix(n, n, tuple(ent))
-
 
 # ---------------------------------------------------------------------------
 # Hermite and Smith normal forms

@@ -144,9 +144,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def is_polynomial(self) -> bool:
-        return all(all(x >= 0 for x in e) for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

@@ -17,18 +17,30 @@ runs one generated straight-line function per Jacobian flag, built once
 Evaluating Derivatives, SIAM 2008; compiled only when hot, as in
 Deutsch & Schiffman, POPL 1984).  It makes the interpreter's operations
 in the interpreter's order, so its results are the interpreter's bit
-for bit, and `_terms` stays the reference.
+for bit, and `_terms` stays the reference.  For mpf, one AST pass
+(`_lower`) turns that step into the calls of mpmath's libmpf layer
+(Johansson et al., mpmath) that the mpf operators make, on raw
+``_mpf_`` values at the working precision, without the objects; the
+Newton solver of `dynamics` computes on the same raw values
+(`_RAW`), each number type supplying its arithmetic (`_Arithmetic`).
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import random
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import count
 
 import mpmath as mp
+from mpmath.libmp import (MPZ_ONE, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sub,
+                          mpf_sum, round_nearest)
 
 from .intlinalg import IntMatrix, LatticeBasis
 from .laurent import RationalFunction, format_rational, parse_rational
@@ -67,35 +79,74 @@ def random_positive_point(nvars: int, rng: random.Random) -> PositivePoint:
     )
 
 
+# The operations of the Newton solver of `dynamics` on a number type's
+# values: max is the first largest, as `max`, and eps the unit roundoff.
+_Arithmetic = namedtuple("_Arithmetic", "add sub mul div neg abs lt le gt max abs_sum eps")
+# The operators, the arithmetic of a number type that names no other:
+# exact, or rounded at the type's own precision with no extra bits (eps
+# is the float one).
+_OPERATORS = _Arithmetic(operator.add, operator.sub, operator.mul, operator.truediv,
+                         operator.neg, abs, operator.lt, operator.le, operator.gt, max,
+                         lambda xs: sum(map(abs, xs)), 2.0**-52)
+
+
+@cache
+def _libmpf(prec: int) -> _Arithmetic:
+    """libmpf on raw mpf values, each rounded to nearest at prec bits as
+    the mpf operators round at that working precision; abs_sum is
+    ``mpmath.fsum(absolute=True)`` and eps ``mpmath.eps``."""
+    rnd = round_nearest
+    return _Arithmetic(
+        lambda a, b: mpf_add(a, b, prec, rnd), lambda a, b: mpf_sub(a, b, prec, rnd),
+        lambda a, b: mpf_mul(a, b, prec, rnd), lambda a, b: mpf_div(a, b, prec, rnd),
+        lambda a: mpf_neg(a, prec, rnd), lambda a: mpf_abs(a, prec, rnd),
+        mpf_lt, mpf_le, mpf_gt, lambda xs: reduce(lambda m, v: v if mpf_gt(v, m) else m, xs),
+        lambda xs: mpf_sum(xs, prec, rnd, True), (0, MPZ_ONE, 1 - prec, 1))
+
+
 @dataclass(frozen=True)
 class _Numbers:
     """A number type of the kernel: zero, one, convert (a coefficient or
     coordinate into the type) and key(), the cache entry of coefficients so
     converted; the mpf key holds the working precision, so 1/3 rounded at
-    64 digits is never reused at 128.  The Newton solver of `dynamics` also
-    reads the unit roundoff eps() and the absolute sum abs_sum."""
+    64 digits is never reused at 128.  The Newton solver of `dynamics`
+    runs on arithmetic(extra), the type's `_Arithmetic` at extra more
+    bits."""
 
     zero: object
     one: object
     convert: Callable
     key: Callable
-    eps: Callable | None = None
-    abs_sum: Callable | None = None
+    arithmetic: Callable = lambda extra: _OPERATORS
 
 
 _EXACT = _Numbers(Fraction(0), Fraction(1), Fraction, lambda: "exact")
-_MPF = _Numbers(mp.mp.zero, mp.mp.one, _to_mpf, lambda: ("mpf", mp.mp.prec),
-                lambda: mp.eps, lambda xs: mp.fsum(xs, absolute=True))
+# mpf objects, which the interpreter steps; `dynamics._lu_solve` and the
+# Newton runs convert them to `_RAW` values
+_MPF = _Numbers(mp.mp.zero, mp.mp.one, _to_mpf, lambda: ("mpf", mp.mp.prec))
+# mpf values as libmpf's raw tuples (``mpf._mpf_``), which generated steps
+# and Newton compute on; `_MPF`'s compiled form, of mpf objects, is theirs
+_RAW = replace(_MPF, zero=fzero, one=fone, arithmetic=lambda extra: _libmpf(mp.mp.prec + extra))
+
+
+def _raw(values) -> list:
+    return [v._mpf_ for v in values]
+
+
+def _boxed(values) -> list:
+    return [mp.make_mpf(v) for v in values]
 
 
 # A compiled map is interpreted until this many steps, then runs one
 # generated function per Jacobian flag.  For the somos5 Casimir-reduced
-# map (3 variables) compile() of the source takes 0.7 ms for values and
-# 1.2 ms with the Jacobian, the time of about 40 interpreted float
-# Jacobian steps (30 us each, 4.5 us generated; CPython 3.11, 2-vCPU
-# Xeon).  A periodic-point search of the pipeline takes at most 95 steps
-# per compiled map; those of the numeric workload take 91-2518, and
-# repeat on the same maps.
+# map (3 variables) building the Jacobian step takes 0.6 ms in floats,
+# the time of about 30 interpreted float Jacobian steps (19 us each, 2.7
+# us generated), and 3.7 ms in mpf at 64 digits, where the lowering
+# pass and the compile() of its libmpf calls cost more: about 25
+# interpreted mpf steps (150 us each, 70 us lowered; CPython 3.11,
+# 2-vCPU Xeon).  A periodic-point search of the pipeline takes at most
+# 95 steps per compiled map; those of the numeric workload take
+# 91-2518, and repeat on the same maps.
 _HOT_STEPS = 256
 
 
@@ -156,18 +207,29 @@ def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
     Steps before the _HOT_STEPS-th interpret f (`_interpret`); from there
     on each Jacobian flag runs its generated function (`_source`), built
     on the flag's first hot step, whose results are the interpreter's
-    bit for bit.
+    bit for bit.  The mpf form interprets mpf objects and runs its
+    generated step on raw values (`_lower`), converting at the boundary.
     """
     run = f.generated[jacobian]
     if run is None:
         f.steps += 1
         if f.steps < _HOT_STEPS:
+            if num is _RAW:
+                image, rows = _interpret(f.components, _boxed(x), jacobian, _MPF)
+                return _raw(image), rows and [_raw(row) for row in rows]
             return _interpret(f.components, x, jacobian, num)
-        namespace = {"VANISHES": _VANISHES}
-        exec(compile(_source(f.components, len(x), jacobian), "<compiled map>", "exec"),
-             namespace)
-        run = f.generated[jacobian] = namespace["step"]
-    return run(x, f.coeffs, num.zero, num.one)
+        source = _source(f.components, len(x), jacobian)
+        names = {"VANISHES": _VANISHES, "c": f.coeffs, "zero": num.zero, "one": num.one}
+        if num.key()[0] == "mpf":
+            source = _lower(source)
+            names.update(_LIBMPF_NAMES, c=_raw(f.coeffs), zero=fzero, one=fone,
+                         prec=mp.mp.prec, rnd=round_nearest)
+        exec(compile(source, "<compiled map>", "exec"), names)
+        run = f.generated[jacobian] = names["step"]
+    if num is _MPF:
+        image, rows = run(_raw(x))
+        return _boxed(image), rows and [_boxed(row) for row in rows]
+    return run(x)
 
 
 def _interpret(comps, x, jacobian: bool, num: _Numbers):
@@ -199,8 +261,8 @@ def _interpret(comps, x, jacobian: bool, num: _Numbers):
 
 
 def _source(comps, n: int, jacobian: bool) -> str:
-    """Python source of ``step(x, c, zero, one)``: `_interpret` on comps
-    for points of n coordinates, as straight-line code.
+    """Python source of ``step(x)``: `_interpret` on comps for points of n
+    coordinates, as straight-line code.
 
     It makes the interpreter's operations on the same operands in the
     same order, so its results are the same bits in every number type:
@@ -211,7 +273,8 @@ def _source(comps, n: int, jacobian: bool) -> str:
     A power x_i ** k is computed where the interpreter first computes it
     and reused after, as a power of the same operands is the same value.
     The source holds only int literals and fixed names: the coefficients
-    arrive in the list c, in the order of `_Compiled.coeffs`.
+    are the global list c, in the order of `_Compiled.coeffs`, beside the
+    globals zero and one.
     """
     lines, names, coeffs = [], {}, count()
 
@@ -270,7 +333,67 @@ def _source(comps, n: int, jacobian: bool) -> str:
     body = [f"{''.join(f'c{j}, ' for j in range(used))}= c"] if used else []
     jac = f"[{', '.join(rows)}]" if jacobian else "None"
     body += [*lines, f"return [{', '.join(image)}], {jac}"]
-    return "def step(x, c, zero, one):\n" + "".join(f"    {line}\n" for line in body)
+    return "def step(x):\n" + "".join(f"    {line}\n" for line in body)
+
+
+# The libmpf function that a lowered step calls for each operator, and
+# for * and ** by an int literal, as f(a, b, prec, rnd): the call that
+# the mpf operator makes at the working precision.
+_LOWERED = {ast.Add: "mpf_add", ast.Sub: "mpf_sub", ast.Mult: "mpf_mul", ast.Div: "mpf_div"}
+_BY_INT = {ast.Mult: "mpf_mul_int", ast.Pow: "mpf_pow_int"}
+_LIBMPF_NAMES = {name: globals()[name] for name in [*_LOWERED.values(), *_BY_INT.values(), "fzero"]}
+# the other node kinds of `_source`, which a lowered step keeps
+_KEPT = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
+         ast.List, ast.Name, ast.Load, ast.Store, ast.Subscript, ast.Constant, ast.If,
+         ast.Raise, ast.Call, ast.Return)
+
+
+def _int_literal(node) -> int | None:
+    """The value of an int literal such as 2 or -1, or None."""
+    try:
+        k = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return k if type(k) is int else None
+
+
+class _Lowering(ast.NodeTransformer):
+    # the names a lowered step reads, one shared node each
+    names = {name: ast.Name(name, ast.Load(), lineno=1, col_offset=0)
+             for name in [*_LIBMPF_NAMES, "prec", "rnd"]}
+
+    def visit_BinOp(self, node):
+        k = _int_literal(node.right)
+        f = (_LOWERED if k is None else _BY_INT).get(type(node.op))
+        operands = [node.left] if k is not None else [node.left, node.right]
+        if f is None or not all(isinstance(v, (ast.Name, ast.BinOp)) for v in operands):
+            raise ValueError(f"cannot lower {ast.unparse(node)}")
+        right = self.visit(node.right) if k is None else ast.copy_location(ast.Constant(k), node)
+        args = [self.visit(node.left), right, self.names["prec"], self.names["rnd"]]
+        return ast.copy_location(ast.Call(self.names[f], args, []), node)
+
+    def visit_Compare(self, node):
+        if not (isinstance(node.left, ast.Name) and [type(op) for op in node.ops] == [ast.Eq]
+                and _int_literal(node.comparators[0]) == 0):
+            raise ValueError(f"cannot lower {ast.unparse(node)}")
+        node.comparators = [self.names["fzero"]]
+        return node
+
+    def generic_visit(self, node):
+        if not isinstance(node, _KEPT):
+            raise ValueError(f"cannot lower a {type(node).__name__} node")
+        return super().generic_visit(node)
+
+
+def _lower(source: str) -> ast.Module:
+    """The step of `_source` on raw mpf values: each a op b becomes the
+    libmpf call of `_LOWERED` or `_BY_INT` on a and b at prec and rnd,
+    and d == 0 becomes d == fzero, as an mpf equals 0 exactly when its
+    raw value is fzero.  So it makes the calls of the mpf operators in
+    their order, without their objects.  Raises ValueError on any node
+    that it does not map, so that no Python operator meets a raw value.
+    """
+    return _Lowering().visit(ast.parse(source))
 
 
 def _apply(f, point, num: _Numbers, jacobian: bool):
@@ -420,18 +543,12 @@ class MonomialMap:
             RationalFunction.monomial(row, n) for row in self.exponents.entries
         )
 
-    def as_birational(self) -> BirationalMap:
-        return BirationalMap(self.dim_in, self.components())
-
-    # cached on the map as for `BirationalMap`; `_compile` makes each row
-    # one term of coefficient 1
+    # evaluated as a `BirationalMap`, cached on the map; `_compile` makes
+    # each row one term of coefficient 1
     _compiled = BirationalMap._compiled
 
-    def evaluate(self, point) -> tuple[Fraction, ...]:
-        return tuple(_apply(self, point, _EXACT, False)[0])
-
-    def evaluate_mp(self, point):
-        return tuple(_apply(self, point, _MPF, False)[0])
+    evaluate = BirationalMap.evaluate
+    evaluate_mp = BirationalMap.evaluate_mp
 
     def after(self, inner: BirationalMap) -> BirationalMap:
         """self . inner as a birational map: components prod_j inner_j^(u_ij)."""

@@ -630,6 +630,9 @@ class TestRunPipelineApi:
         assert fallbacks == []
         assert max(forms.values()) == 1
         assert len(bases) > 2 * len(forms)
+        # each submersion keeps one basis: 13 forms for the 12 distinct
+        # lattices of the pass (65 with a new basis per lattice() call)
+        assert sum(forms.values()) == 13
 
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix

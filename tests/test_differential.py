@@ -11,13 +11,15 @@ the final gcd (product, quotient, inverse) or take a single normal form
 unreduced numerator and denominator.  The residue screen's one-inversion
 arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, and
 the periodic-point Newton's acceptance residual against the absolute and
-relative residual tests it stands for.  The congruences of the geometry
+relative residual tests it stands for, and its linear solver on raw mpf
+values against ``mpmath.lu_solve`` bit for bit (in floats, against the
+solver as it was before it ran on raw values).  The congruences of the geometry
 checks, on a log-Jacobian cleared to integers, give the verdicts of the
 rational identities, and the integer discovery rows have the kernel of
 the rows cleared from `Fraction` coefficients.  The generated
 straight-line step of a hot compiled map gives the interpreter's values,
 Jacobians and exceptions bit for bit, on random maps in every number
-type of the kernel.
+type of the kernel, raw mpf values of the lowered step included.
 """
 
 from functools import cache
@@ -29,7 +31,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
 from cluster_reduce import IntMatrix, cluster_map, detect_period, geometry  # noqa: E402
@@ -38,6 +40,7 @@ from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream
 from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
+from reference import is_polynomial  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMBOLS = sympy.symbols("x1:4")
@@ -121,7 +124,7 @@ def _matches_cancel(ours: RationalFunction, expr) -> None:
     scale = _constant_ratio(_sympy(ours.num), theirs_num)
     assert scale is not None
     assert _constant_ratio(_sympy(ours.den), theirs_den) == scale
-    assert ours.num.is_polynomial() and ours.den.is_polynomial()
+    assert is_polynomial(ours.num) and is_polynomial(ours.den)
     assert all(k.denominator == 1 for k in ours.den.terms.values())
     assert ours.den.content() == 1
     assert ours.den.leading_coefficient() > 0
@@ -249,6 +252,112 @@ def test_acceptance_residual_is_the_absolute_and_relative_tests(case):
             assert (residual < tol) == both
 
 
+def _float_lu_solve_reference(a, b):
+    """``dynamics._lu_solve`` on floats as it was before it ran on a number
+    type's arithmetic (eps 2^-52, absolute sums by ``sum``), kept as the
+    reference of the float path."""
+    n = len(a)
+    a = [list(row) for row in a]
+    x = list(b)
+    tol = 2.0**-52 * max(sum(map(abs, (row[j] for row in a))) for j in range(n))
+
+    def check(value):
+        if abs(value) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+
+    for j in range(n - 1):
+        biggest, pivot = 0, None
+        for k in range(j, n):
+            s = sum(map(abs, a[k][j:]))
+            check(s)
+            current = 1 / s * abs(a[k][j])
+            if current > biggest:
+                biggest, pivot = current, k
+        if pivot is None:
+            raise ZeroDivisionError("matrix is numerically singular")
+        a[j], a[pivot] = a[pivot], a[j]
+        x[j], x[pivot] = x[pivot], x[j]
+        check(a[j][j])
+        for i in range(j + 1, n):
+            a[i][j] /= a[j][j]
+            for k in range(j + 1, n):
+                a[i][k] -= a[i][j] * a[j][k]
+    check(a[n - 1][n - 1])
+    for i in range(1, n):
+        for j in range(i):
+            x[i] -= a[i][j] * x[j]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i] -= a[i][j] * x[j]
+        x[i] /= a[i][i]
+    return x
+
+
+@st.composite
+def _lu_systems(draw):
+    """(a, b) with n = 1..3 equations of exact Fraction entries: random
+    (small integers or p/q), singular (the last row an integer
+    combination of the others, or a zero column) or near-singular (the
+    last row another one with an entry moved by s 2^-e, e from 40 to
+    440, across the singularity tolerance of floats and of 30 to 128
+    digits)."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-5, 5).map(Fraction)
+    ratio = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20))
+    entry = draw(st.sampled_from([small, ratio]))
+    a = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "singular", "zero column", "near-singular"]))
+    if kind == "singular" and n > 1:
+        weights = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        a[-1] = [sum(w * row[j] for w, row in zip(weights, a)) for j in range(n)]
+    elif kind == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = Fraction(0)
+    elif kind == "near-singular" and n > 1:
+        j = draw(st.integers(0, n - 1))
+        a[-1] = list(a[0])
+        a[-1][j] += Fraction(draw(st.integers(-64, 64)), 2 ** draw(st.integers(40, 440)))
+    return a, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+def _solution(solve, *args):
+    """solve(*args), or ZeroDivisionError for a singular system."""
+    try:
+        return solve(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lu_systems(), st.sampled_from([30, 64, 128]))
+def test_raw_solver_is_mpmath_lu_solve_bit_for_bit(system, digits):
+    # mpmath raises TypeError on a zero pivot column, where the solver
+    # reports a singular matrix
+    rows, b = system
+    with mp.workdps(digits):
+        a = [[mp.mpf(v.numerator) / v.denominator for v in row] for row in rows]
+        rhs = [mp.mpf(v.numerator) / v.denominator for v in b]
+        got = _solution(dynamics._lu_solve, [maps._raw(row) for row in a], maps._raw(rhs),
+                        maps._RAW)
+        try:
+            want = maps._raw(mp.lu_solve(mp.matrix(a), mp.matrix(rhs)))
+        except (ZeroDivisionError, TypeError):
+            want = ZeroDivisionError
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lu_systems())
+def test_float_solver_is_the_reference_bit_for_bit(system):
+    rows, b = system
+    a, rhs = [[float(v) for v in row] for row in rows], [float(v) for v in b]
+    got = _solution(dynamics._lu_solve, a, rhs, dynamics._FLOAT)
+    want = _solution(_float_lu_solve_reference, a, rhs)
+    assert (got if got is ZeroDivisionError else [v.hex() for v in got]) == (
+        want if want is ZeroDivisionError else [v.hex() for v in want])
+
+
 @cache
 def _small_maps():
     """(phi, structures) for the cluster maps of dimension <= 5: the
@@ -357,7 +466,10 @@ def _step_cases(draw):
 
 
 def _bits(v):
-    """v exactly: an interval's endpoints, an mpf's tuple, a float's hex."""
+    """v exactly: a raw mpf tuple, an interval's endpoints, an mpf's tuple,
+    a float's hex."""
+    if isinstance(v, tuple):
+        return v
     if hasattr(v, "_mpi_"):
         return v._mpi_
     if hasattr(v, "_mpf_"):
@@ -391,20 +503,28 @@ def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
 # (digits, number type at those digits) of the property
 _NUMBER_TYPES = [(15, lambda: dynamics._FLOAT), (15, lambda: maps._EXACT),
                  (30, lambda: maps._MPF), (64, lambda: maps._MPF), (128, lambda: maps._MPF),
+                 (30, lambda: maps._RAW), (64, lambda: maps._RAW), (128, lambda: maps._RAW),
                  (64, dynamics._intervals)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_step_cases())
+# 3/x1 and -2 x2^2/x1 / x2^-3: Jacobian parts c * -1 * x ** -2 and
+# c * -3 * x ** -4, negative int literals of the lowered step
+@example(([([(Fraction(3), ((0, -1),))], None)], [2.0]))
+@example(([([(Fraction(-2), ((0, -1), (1, 2)))], [(Fraction(1), ((1, -3),))])], [0.5, -2.0]))
 def test_generated_steps_are_the_interpreted_steps_bit_for_bit(case):
-    # floats, mpf at 30, 64 and 128 digits, Fraction and intervals; the
-    # values and Jacobians, or the exception, of the interpreter and of
-    # the generated straight-line step
+    # floats, mpf objects and raw mpf values at 30, 64 and 128 digits,
+    # Fraction and intervals; the values and Jacobians, or the
+    # exception, of the interpreter and of the generated straight-line
+    # step, which for mpf is lowered to libmpf calls on raw values
     comps, point = case
     for digits, number_type in _NUMBER_TYPES:
         with mp.workdps(digits):
             num = number_type()
             x = [num.convert(Fraction(v)) for v in point]
+            if num is maps._RAW:  # its convert makes the compiled form's mpf objects
+                x = maps._raw(x)
             for jacobian in (False, True):
                 want = _step_outcome(comps, x, jacobian, num, hot=False)
                 assert _step_outcome(comps, x, jacobian, num, hot=True) == want

@@ -1,5 +1,6 @@
 """Orbits, global periodicity, periodic points, itineraries, closed forms."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -132,6 +133,14 @@ def _symbolic_powers(f: BirationalMap, count: int) -> list:
 
 def _mp_point(point) -> list:
     return [mp.mpf(v.numerator) / v.denominator for v in point]
+
+
+def _search_digest(points) -> str:
+    """SHA-256 of the repr of [([point's mpf tuples], residual's mpf tuple)],
+    each tuple's entries as Python ints."""
+    bits = [([tuple(int(b) for b in v._mpf_) for v in pp.point],
+             tuple(int(b) for b in pp.residual._mpf_)) for pp in points]
+    return hashlib.sha256(repr(bits).encode()).hexdigest()
 
 
 def _relative_error(got, want):
@@ -297,6 +306,16 @@ class TestPeriodicPoints:
         with mp.workdps(64):
             got = [[mp.nstr(v, 30) for v in pp.point] for pp in _period_two_samples(name)]
         assert got == want
+
+    @pytest.mark.parametrize("precision, p", [(64, 1), (64, 2), (128, 1), (30, 1), (30, 2)])
+    @pytest.mark.parametrize("name", ["somos5:null2", "somos5:casimir3",
+                                      "c7-pair:null2", "c7-pair:casimir3"])
+    def test_search_bits_are_pinned(self, name, precision, p):
+        # every bit of every point and residual the search returns, as
+        # a SHA-256 of their raw mpf tuples (tests/data/README.md)
+        want = json.loads((DATA / "search-digests.json").read_text())[f"{name}:p{p}@{precision}"]
+        points = find_periodic_points(_low_dimensional_maps()[name], p, precision=precision, grid=4)
+        assert {"points": len(points), "sha256": _search_digest(points)} == want
 
 
 class TestPeriodicPointKernel:
@@ -574,7 +593,7 @@ class TestMixedPrecisionNewton:
         full = []
 
         def counting(comps, x, p, jacobian=False, num=dynamics._MPF):
-            full.append(jacobian and num is dynamics._MPF)
+            full.append(jacobian and num.key()[0] == "mpf")
             return power(comps, x, p, jacobian, num)
 
         monkeypatch.setattr(dynamics, "_power", counting)
@@ -595,11 +614,11 @@ class TestMixedPrecisionNewton:
         evaluations, jacobian_steps, failed = [], [], []
 
         def counting_power(comps, x, p, jacobian=False, num=dynamics._MPF):
-            evaluations.append(num is dynamics._MPF)
+            evaluations.append(num.key()[0] == "mpf")
             return power(comps, x, p, jacobian, num)
 
         def counting_step(comps, x, jacobian, num=dynamics._MPF):
-            jacobian_steps.append(jacobian and num is dynamics._MPF)
+            jacobian_steps.append(jacobian and num.key()[0] == "mpf")
             return step(comps, x, jacobian, num)
 
         def recording(comps, p, start, tol, max_iter, num=dynamics._MPF):

@@ -1,5 +1,6 @@
 """Birational maps, monomial maps, and exact Jacobians."""
 
+import ast
 import io
 import random
 import tokenize
@@ -23,6 +24,7 @@ from cluster_reduce import (
 )
 from cluster_reduce import laurent, maps
 from cluster_reduce.quiver import degree_growth
+from reference import as_birational
 
 LYNESS = ["x2", "(x2 + 1)/x1"]
 
@@ -228,7 +230,7 @@ class TestOneKernel:
 
     def test_monomial_map_matches_its_birational_form(self):
         m = MonomialMap.from_rows([[1, -1, 2], [0, 0, 0], [-3, 0, 1]], 3)
-        f = m.as_birational()
+        f = as_birational(m)
         for i in range(5):
             p = random_positive_point(3, rng_substream("monomial", i))
             assert m.evaluate(p) == f.evaluate(p)
@@ -237,11 +239,67 @@ class TestOneKernel:
                     assert abs(a - b) <= mp.mpf(10) ** -60 * abs(b)
 
 
+class TestLowering:
+    """`maps._lower`, the AST pass that runs a generated mpf step on raw
+    values: each node kind that `_source` emits, and kinds it does not."""
+
+    @pytest.mark.parametrize("line", [
+        "v = zero + c0 * x0",        # + and * (a term added into its total)
+        "v = (a - v * b) / d",       # - and / (a quotient-rule entry)
+        "v = c0 * 2 * x0_1",         # * by an int literal (a gradient part)
+        "v = c0 * -1 * x0_m2",       # * by a negative int literal
+        "v = x0 ** 3",               # ** by an int literal
+        "v = x0 ** -2",              # ** by a negative int literal
+    ])
+    def test_arithmetic_makes_the_mpf_operators_calls(self, line):
+        with mp.workdps(64):
+            names = ["c0", "x0", "a", "v", "b", "d", "x0_1", "x0_m2"]
+            values = {name: mp.mpf(k) / 7 for k, name in zip([-4, -3, -2, -1, 1, 2, 3, 5], names)}
+            values["zero"] = mp.mp.zero
+            want = dict(values)
+            exec(line, {}, want)
+            got = {name: v._mpf_ for name, v in values.items()}
+            exec(compile(maps._lower(line), "<lowered>", "exec"),
+                 {**maps._LIBMPF_NAMES, "prec": mp.mp.prec, "rnd": mp.libmp.round_nearest}, got)
+            assert got["v"] == want["v"]._mpf_
+
+    def test_a_whole_step_keeps_no_operator(self):
+        # -7/3 x1^-1 x2^2 / (x1 + 2) and x2, with the Jacobian: every
+        # operator becomes a libmpf call, d0 == 0 becomes d0 == fzero,
+        # and the statements, names, lists, the raise and the return stay
+        comps = [([(Fraction(-7, 3), ((0, -1), (1, 2)))],
+                  [(Fraction(1), ((0, 1),)), (Fraction(2), ())]), 1]
+        source = maps._source(comps, 2, True)
+        kinds = {type(node) for node in ast.walk(ast.parse(source))}
+        assert {ast.BinOp, ast.UnaryOp, ast.Compare, ast.If, ast.Raise, ast.Return} <= kinds
+        lowered = maps._lower(source)
+        assert not [n for n in ast.walk(lowered) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
+        compares = [ast.unparse(n) for n in ast.walk(lowered) if isinstance(n, ast.Compare)]
+        assert compares == ["d0 == fzero"]
+        calls = {n.func.id for n in ast.walk(lowered) if isinstance(n, ast.Call)}
+        assert calls == {"mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_mul_int",
+                         "mpf_pow_int", "ZeroDivisionError"}
+
+    @pytest.mark.parametrize("line", [
+        "v = -x0",                   # a unary minus that is not an int literal
+        "v = x0 % y",                # an operator with no libmpf call here
+        "v = x0 + 1",                # an int literal where mpf_add takes mpf values
+        "v = 2 * x0",                # an int literal on the left of *
+        "v = x0 * 1.5",              # a float literal
+        "v = abs(x0) * y",           # a call as an operand
+        "v = x0 if y else z",        # a node kind that _source never emits
+        "if d < 0:\n    pass",      # a comparison other than == 0
+    ])
+    def test_an_unmapped_node_raises(self, line):
+        with pytest.raises(ValueError, match="cannot lower"):
+            maps._lower(line)
+
+
 class TestMonomialMap:
     def test_components(self):
         m = MonomialMap.from_rows([(1, -1, 0), (0, 1, -2)], 3)
         assert (m.dim_in, m.dim_out) == (3, 2)
-        assert m.as_birational().to_strings() == ["x1/x2", "x2/x3^2"]
+        assert as_birational(m).to_strings() == ["x1/x2", "x2/x3^2"]
 
     def test_evaluate(self):
         m = MonomialMap.from_rows([(2, -1)], 2)
