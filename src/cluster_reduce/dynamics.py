@@ -33,9 +33,10 @@ Exact and float orbits, Newton steps and interval enclosures evaluate
 the map by the kernel of ``maps``: ``_step`` on the map's cached
 compiled terms, which runs ``laurent._terms`` or, once the compiled map
 is hot, the straight-line step generated from them, with the same bits.
-Only the residue screen has its own loop, as units mod p with explicit
-inverses are not a number type of the kernel.  It runs on the map compiled mod p once per prime, and
-inverts each orbit point with one modular inversion.
+Only the residue screen has its own arithmetic, as units mod p with
+explicit inverses are not a number type of the kernel: steps generated
+once per map and prime make one inversion per step, with inverses
+carried along the orbit (5-8 us a step on the ladder cluster maps).
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
@@ -79,7 +80,7 @@ from .geometry import ReducedSystem
 from .intlinalg import IntMatrix, kernel_lattice, right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
-from .maps import _MPF, _RAW, _Numbers, _boxed, _raw, _step
+from .maps import _MPF, _RAW, _Numbers, _boxed, _modular_source, _raw, _step
 
 __all__ = [
     "DynamicsError",
@@ -234,52 +235,55 @@ def _residues(p: int) -> _Numbers:
     return _Numbers(0, 1, residue, lambda: ("mod", p))
 
 
+def _modular(f, p: int, carry: bool):
+    """f's step mod p (`_modular_source`), built once and cached on f
+    compiled mod p; None when a coefficient is not a unit mod p."""
+    compiled = f._compiled(_residues(p))
+    if compiled is None:
+        return None
+    kernels = compiled.modular = compiled.modular or [None, None]
+    if kernels[carry] is None:
+        names = {}
+        exec(compile(_modular_source(compiled.components, p, carry), "<map mod p>", "exec"), names)
+        kernels[carry] = names["step"]
+    return kernels[carry]
+
+
 def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     """(points, inverses): x_k and its coordinatewise inverse mod p for
     k = 0..steps, or None.
 
-    x0 is the rational start; with section (the sparse rows of an
-    integer matrix V) it is a point y0, and the start y0^V is reduced mod
-    p from y0 mod p.  None when a coordinate of x0, a coefficient, a
-    component denominator or an orbit coordinate is not a unit mod p:
-    only while all of them are units are the residues those of the exact
-    orbit.  With a section y0 is tested in place of x0, which gives the
-    same verdict when V is a right inverse of rows U: y0^V is all units
-    when y0 is, and y0 = (y0^V)^U is when y0^V is.  phi is compiled mod p once and cached on it; each
-    point is inverted by one modular inversion (``_inverses_mod``).
+    x0 is the rational start; with section (a `MonomialMap` x = y^V) it
+    is a point y0, and the start y0^V is reduced mod p from y0 mod p.
+    None when a coordinate of x0, a coefficient, a component numerator or
+    denominator is not a unit mod p: only while all of them are units
+    are the residues those of the exact orbit.  With a section y0 is
+    tested in place of x0, which gives the same verdict when V is a right
+    inverse of rows U: y0^V is all units when y0 is, and y0 = (y0^V)^U is
+    when y0^V is.  A step is phi's generated step (`_modular`): one
+    inversion, inverses carried along the orbit; the start and the
+    section point (used once, not generated) take one each.
     """
-    num = _residues(p)
-    compiled = phi._compiled(num)
-    x = [num.convert(v) for v in x0]
-    if compiled is None or not all(x):
+    step = _modular(phi, p, True)
+    nums = [v.numerator % p for v in x0]
+    dens = [v.denominator % p for v in x0]
+    if step is None or not all(nums) or not all(dens):
         return None
-    comps = compiled.components
+    inv = _inverses_mod(nums + dens, p)
+    x = tuple(n * i % p for n, i in zip(nums, inv[len(nums):]))
+    inv = [d * i % p for d, i in zip(dens, inv)]
     if section is not None:
+        rows = section.exponents.entries
+        x = tuple(_monomial_mod(1, _sparse(row), x, inv, p) for row in rows)
         inv = _inverses_mod(x, p)
-        x = [_monomial_mod(1, mono, x, inv, p) for mono in section]
-    points, inverses = [tuple(x)], []
+    points, inverses = [x], [inv]
     for _ in range(steps):
-        inv = _inverses_mod(x, p)
+        image = step(x, inv)
+        if image is None:
+            return None
+        x, inv = image
+        points.append(x)
         inverses.append(inv)
-        image = []
-        for comp in comps:
-            if isinstance(comp, int):
-                image.append(x[comp])
-                continue
-            terms, den = comp
-            v = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in terms)
-            if den is not None:
-                d = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in den) % p
-                if d == 0:
-                    return None
-                v *= pow(d, -1, p)
-            v %= p
-            if v == 0:
-                return None
-            image.append(v)
-        x = image
-        points.append(tuple(x))
-    inverses.append(_inverses_mod(x, p))
     return points, inverses
 
 
@@ -291,8 +295,9 @@ class _LiftedOrbit:
     pi(x0) = y0^(UV) = y0 is the start label, and x0 mod p is reduced from
     y0 mod p, so the exact x0 is computed only with the exact orbit.
     residues: (p, points, inverses) for the first screen prime that keeps
-    the orbit in units mod p, or None; exact(k): the exact rational
-    point, from ``iterate_orbit``.
+    the orbit in units mod p, or None (one inversion per step, inverses
+    carried along the orbit); exact(k): the exact rational point, from
+    ``iterate_orbit``.
     """
 
     def __init__(self, phi: BirationalMap, start, steps: int,
@@ -305,11 +310,8 @@ class _LiftedOrbit:
 
     @cached_property
     def residues(self):
-        rows = None if self.section is None else [
-            _sparse(row) for row in self.section.exponents.entries
-        ]
         for p in SCREEN_PRIMES:
-            orbit = _residue_orbit(self.phi, self.start, self.steps, p, rows)
+            orbit = _residue_orbit(self.phi, self.start, self.steps, p, self.section)
             if orbit is not None:
                 return (p, *orbit)
         return None
@@ -341,11 +343,8 @@ class _LiftedOrbit:
         p, points, inverses = self.residues
         if pi is None:
             return points
-        rows = [_sparse(row) for row in pi.exponents.entries]
-        return [
-            tuple(_monomial_mod(1, mono, x, inv, p) for mono in rows)
-            for x, inv in zip(points, inverses)
-        ]
+        label = _modular(pi, p, False)
+        return [label(x, inv) for x, inv in zip(points, inverses)]
 
 
 class _Lift:

@@ -157,10 +157,12 @@ class _Compiled:
     (num, den) of term lists [(coefficient, sparse exponents)], den None
     when it is 1; coeffs: their coefficients in term order, numerator
     before denominator; steps: the `_step` calls so far; generated[j]:
-    the straight-line step for Jacobian flag j, built once hot.
+    the straight-line step for Jacobian flag j, built once hot; modular[j]:
+    for a map compiled mod p, its step mod p (`_modular_source`),
+    carrying inverses when j, a list made on first use.
     """
 
-    __slots__ = ("components", "coeffs", "steps", "generated")
+    __slots__ = ("components", "coeffs", "steps", "generated", "modular")
 
     def __init__(self, components) -> None:
         self.components = components
@@ -168,6 +170,7 @@ class _Compiled:
                        for terms in comp if terms is not None for coeff, _ in terms]
         self.steps = 0
         self.generated = [None, None]
+        self.modular = None
 
 
 def _compile(f, convert) -> _Compiled | None:
@@ -334,6 +337,59 @@ def _source(comps, n: int, jacobian: bool) -> str:
     jac = f"[{', '.join(rows)}]" if jacobian else "None"
     body += [*lines, f"return [{', '.join(image)}], {jac}"]
     return "def step(x):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _modular_source(comps, p: int, carry: bool) -> str:
+    """Python source of ``step(x, inv)``: comps compiled mod p at a point
+    x of units with inverses inv, each power x_i^k computed once from its
+    halves (from inv for k < 0), each numerator n and denominator d
+    reduced once.  Without carry it returns the values (of a projection's
+    rows).  With carry it returns (image, inverses), n/d and d/n or a
+    coordinate's x_i and inv_i, by one inversion of the product of all n
+    and d (Montgomery's trick), or None when that product is 0 mod p."""
+    lines, names, factors, inv = [], {}, [], {}
+
+    def power(i: int, k: int) -> str:
+        if (i, k) not in names:
+            half = k // 2 if k > 0 else -(-k // 2)  # x^k = x^half * x^(k - half)
+            names[i, k] = name = f"x{i}_{k}".replace("-", "m")
+            lines.append(f"{name} = {'x' if k > 0 else 'inv'}[{i}]" if abs(k) == 1 else
+                         f"{name} = {power(i, half)} * {power(i, k - half)} % {p}")
+        return names[i, k]
+
+    def poly(terms, name: str) -> str:
+        total = " + ".join("*".join([*([str(c)] if c != 1 else []), *(
+            power(i, k) for i, k in mono)]) or "1" for c, mono in terms)
+        lines.append(f"{name} = {total}" if total.isidentifier() else
+                     f"{name} = ({total or 0}) % {p}")
+        factors.append(name)
+        return name
+
+    def pair(part) -> tuple[str, str]:
+        if isinstance(part, int):
+            return power(part, 1), power(part, -1)
+        n, d = part
+        return (n, inv[n]) if d is None else (f"{n} * {inv[d]} % {p}", f"{d} * {inv[n]} % {p}")
+
+    parts = [comp if isinstance(comp, int) else
+             (poly(comp[0], f"n{m}"), None if comp[1] is None else poly(comp[1], f"d{m}"))
+             for m, comp in enumerate(comps)]
+    if carry and factors:
+        # prefix products q_j; t, the inverse of the last, peels off one
+        # factor at a time
+        last = len(factors) - 1
+        lines += ["q0 = " + factors[0], *(f"q{j} = q{j - 1} * {factors[j]} % {p}"
+                                          for j in range(1, last + 1)),
+                  f"if q{last} == 0:", "    return None", f"t = pow(q{last}, -1, {p})"]
+        for j in range(last, 0, -1):
+            lines += [f"i{j} = t * q{j - 1} % {p}", f"t = t * {factors[j]} % {p}"]
+        inv = dict(zip(factors, ["t", *(f"i{j}" for j in range(1, last + 1))]))
+    if carry:
+        image, inverse = zip(*map(pair, parts))
+        result = f"({''.join(v + ', ' for v in image)}), [{', '.join(inverse)}]"
+    else:
+        result = f"({''.join(n + ', ' for n, _ in parts)})"
+    return "def step(x, inv):\n" + "".join(f"    {line}\n" for line in [*lines, "return " + result])
 
 
 # The libmpf function that a lowered step calls for each operator, and

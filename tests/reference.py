@@ -1,11 +1,15 @@
 """Reference forms the tests check the package against, which the package
 itself never needs: a monomial map as a birational map, a Darboux basis
 summed back into its skew form, the pointwise matrices of log-canonical
-structures, and the polynomial test of a Laurent polynomial."""
+structures, the polynomial test of a Laurent polynomial, and the residue
+screen's orbit and labels computed term by term, with one inversion per
+coordinate and denominator."""
 
 from fractions import Fraction
 
 from cluster_reduce import BirationalMap, IntMatrix
+from cluster_reduce.dynamics import _residues
+from cluster_reduce.laurent import _sparse
 
 
 def as_birational(m) -> BirationalMap:
@@ -45,3 +49,60 @@ def tensor_at(structure, point) -> list[list[Fraction]]:
 def is_polynomial(p) -> bool:
     """Whether the `LaurentPoly` p has no negative exponent."""
     return all(all(x >= 0 for x in e) for e in p.terms)
+
+
+def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
+    for i, k in mono:
+        if k == 1:
+            coeff *= x[i]
+        elif k == -1:
+            coeff *= inv[i]
+        else:
+            coeff *= pow(x[i], k, p) if k > 0 else pow(inv[i], -k, p)
+    return coeff % p
+
+
+def residue_orbit(phi, x0, steps: int, p: int, section=None):
+    """`dynamics._residue_orbit` by a loop over phi compiled mod p: each
+    point inverted coordinate by coordinate, each denominator by its own
+    pow; section is a `MonomialMap` or None."""
+    num = _residues(p)
+    compiled = phi._compiled(num)
+    x = [num.convert(v) for v in x0]
+    if compiled is None or not all(x):
+        return None
+    if section is not None:
+        inv = [pow(v, -1, p) for v in x]
+        x = [_monomial_mod(1, _sparse(row), x, inv, p) for row in section.exponents.entries]
+    points, inverses = [tuple(x)], []
+    for _ in range(steps):
+        inv = [pow(v, -1, p) for v in x]
+        inverses.append(inv)
+        image = []
+        for comp in compiled.components:
+            if isinstance(comp, int):
+                image.append(x[comp])
+                continue
+            terms, den = comp
+            v = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in terms)
+            if den is not None:
+                d = sum(_monomial_mod(c, mono, x, inv, p) for c, mono in den) % p
+                if d == 0:
+                    return None
+                v *= pow(d, -1, p)
+            v %= p
+            if v == 0:
+                return None
+            image.append(v)
+        x = image
+        points.append(tuple(x))
+    inverses.append([pow(v, -1, p) for v in x])
+    return points, inverses
+
+
+def label_residues(pi, p: int, points, inverses) -> list[tuple]:
+    """`dynamics._LiftedOrbit.label_residues` on (p, points, inverses):
+    the rows of the `MonomialMap` pi mod p, monomial by monomial."""
+    rows = [_sparse(row) for row in pi.exponents.entries]
+    return [tuple(_monomial_mod(1, mono, x, inv, p) for mono in rows)
+            for x, inv in zip(points, inverses)]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON output, pipeline."""
 
+import builtins
 import json
 import time
 from pathlib import Path
@@ -633,6 +634,38 @@ class TestRunPipelineApi:
         # each submersion keeps one basis: 13 forms for the 12 distinct
         # lattices of the pass (65 with a new basis per lattice() call)
         assert sum(forms.values()) == 13
+
+    def test_a_ladder_pass_inverts_once_per_residue_step(self, monkeypatch):
+        # the screen carries inverses along each orbit: one modular
+        # inversion per step, one for the start and one for the section
+        # point y0^V; coefficients are converted mod p before the count
+        residue_orbit, real_pow = dynamics._residue_orbit, builtins.pow
+        inversions, counts = [0], []
+
+        def counting_pow(*args):
+            inversions[0] += len(args) == 3 and args[1] == -1
+            return real_pow(*args)
+
+        def counting_orbit(phi, x0, steps, p, section=None):
+            for f in (phi, section):
+                if f is not None:
+                    f._compiled(dynamics._residues(p))
+            inversions[0] = 0
+            builtins.pow = counting_pow
+            try:
+                result = residue_orbit(phi, x0, steps, p, section)
+            finally:
+                builtins.pow = real_pow
+            assert result is not None
+            counts.append((inversions[0], steps + 1 + (section is not None)))
+            return result
+
+        monkeypatch.setattr(dynamics, "_residue_orbit", counting_orbit)
+        for name in _LADDER:
+            assert run_pipeline(_ladder_matrix(name), WorkflowConfig(seed=0)).errors == []
+        made, expected = zip(*counts)
+        assert made == expected
+        assert len(counts) > 100 and sum(made) > 2000
 
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix

@@ -9,7 +9,9 @@ denominator.  The operations that skip
 the final gcd (product, quotient, inverse) or take a single normal form
 (composition) also equal, term for term, the full normal form of their
 unreduced numerator and denominator.  The residue screen's one-inversion
-arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, and
+arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, its
+generated steps and label rows against the term-by-term screen of
+``reference.residue_orbit`` on random Laurent maps, and
 the periodic-point Newton's acceptance residual against the absolute and
 relative residual tests it stands for, and its linear solver on raw mpf
 values against ``mpmath.lu_solve`` bit for bit (in floats, against the
@@ -22,6 +24,7 @@ Jacobians and exceptions bit for bit, on random maps in every number
 type of the kernel, raw mpf values of the lowered step included.
 """
 
+import gc
 from functools import cache
 from fractions import Fraction
 from math import lcm
@@ -35,12 +38,12 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
 from cluster_reduce import IntMatrix, cluster_map, detect_period, geometry  # noqa: E402
-from cluster_reduce import laurent, maps  # noqa: E402
+from cluster_reduce import BirationalMap, MonomialMap, laurent, maps  # noqa: E402
 from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream  # noqa: E402
 from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
-from reference import is_polynomial  # noqa: E402
+from reference import is_polynomial, label_residues, residue_orbit  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMBOLS = sympy.symbols("x1:4")
@@ -222,6 +225,69 @@ def test_residue_orbit_matches_per_coordinate_inverses(ladder_systems):
             # the lifted orbit reduces its start y0^V mod p from y0 mod p
             p, *got = orbit.residues
             assert tuple(got) == _residue_orbit_reference(lift.phi, orbit.exact(0), 8, p)
+
+
+@st.composite
+def _screen_cases(draw):
+    """(phi, x0, steps, p, section, pi): a Laurent map of 1-4 variables,
+    its components coordinates or quotients with exponents -3..3 and
+    polynomial denominators, coefficients and start coordinates whose
+    numerator or denominator may be 0 mod p, an optional section and a
+    label projection."""
+    p = draw(st.sampled_from([5, 7, *dynamics.SCREEN_PRIMES]))
+    n = draw(st.integers(1, 4))
+    rationals = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1, 10), p]),
+                          st.sampled_from([*range(1, 10), p]))
+    polys = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * n), rationals,
+                            min_size=1, max_size=3).map(lambda t: LaurentPoly(n, t))
+    # the terms as drawn, not a normal form, which would clear the
+    # negative exponents
+    quotients = st.builds(RationalFunction._raw, polys,
+                          st.one_of(st.just(LaurentPoly.constant(1, n)), polys))
+    coordinates = st.integers(0, n - 1).map(lambda i: RationalFunction.coordinate(i, n))
+    phi = BirationalMap(n, draw(st.lists(st.one_of(coordinates, quotients),
+                                         min_size=n, max_size=n)))
+
+    def rows(cols: int, count: int):
+        row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+        return st.lists(row, min_size=count, max_size=count)
+
+    r = draw(st.integers(1, 4))
+    section = draw(st.one_of(st.none(), rows(r, n).map(lambda v: MonomialMap.from_rows(v, r))))
+    dim = n if section is None else r
+    x0 = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    pi = MonomialMap.from_rows(draw(rows(n, draw(st.integers(1, 3)))), n)
+    return phi, x0, draw(st.integers(0, 5)), p, section, pi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_screen_cases())
+def test_residue_kernels_match_the_term_by_term_screen(case):
+    # the generated steps, which carry inverses along the orbit with one
+    # inversion per step, and the generated label rows give the screen's
+    # residues, inverses and labels, and its None, exactly
+    phi, x0, steps, p, section, pi = case
+    want = residue_orbit(phi, x0, steps, p, section)
+    got = dynamics._residue_orbit(phi, x0, steps, p, section)
+    assert got == want
+    if want is not None:
+        orbit = dynamics._LiftedOrbit(phi, x0, steps, section)
+        orbit.residues = (p, *got)
+        assert orbit.label_residues(pi) == label_residues(pi, p, *want)
+
+
+def test_no_kernel_outlives_its_map():
+    # each map's kernels live on its compiled form: a cache keyed by id()
+    # would hand a freed map's kernel to a new map at the same address
+    p, x0 = dynamics.SCREEN_PRIMES[0], (Fraction(2, 3), Fraction(5, 7))
+    for c in range(1, 9):
+        a = BirationalMap.from_strings(["x2", f"(x2 + {c})/x1"])
+        assert dynamics._residue_orbit(a, x0, 6, p) == residue_orbit(a, x0, 6, p)
+        components = BirationalMap.from_strings(["x2", f"(x2 + {c + 1})/x1"]).components
+        del a
+        gc.collect()
+        b = BirationalMap(2, components)
+        assert dynamics._residue_orbit(b, x0, 6, p) == residue_orbit(b, x0, 6, p)
 
 
 @st.composite
