@@ -261,8 +261,9 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     tested in place of x0, which gives the same verdict when V is a right
     inverse of rows U: y0^V is all units when y0 is, and y0 = (y0^V)^U is
     when y0^V is.  A step is phi's generated step (`_modular`): one
-    inversion, inverses carried along the orbit; the start and the
-    section point (used once, not generated) take one each.
+    inversion, inverses carried along the orbit; the start takes one,
+    and the section point (used once, not generated) takes its inverses
+    from the start's, as (y0^V)^-1 = (y0^-1)^V.
     """
     step = _modular(phi, p, True)
     nums = [v.numerator % p for v in x0]
@@ -273,9 +274,9 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     x = tuple(n * i % p for n, i in zip(nums, inv[len(nums):]))
     inv = [d * i % p for d, i in zip(dens, inv)]
     if section is not None:
-        rows = section.exponents.entries
-        x = tuple(_monomial_mod(1, _sparse(row), x, inv, p) for row in rows)
-        inv = _inverses_mod(x, p)
+        rows = [_sparse(row) for row in section.exponents.entries]
+        x, inv = (tuple(_monomial_mod(1, row, x, inv, p) for row in rows),
+                  [_monomial_mod(1, row, inv, x, p) for row in rows])
     points, inverses = [x], [inv]
     for _ in range(steps):
         image = step(x, inv)
@@ -295,9 +296,9 @@ class _LiftedOrbit:
     pi(x0) = y0^(UV) = y0 is the start label, and x0 mod p is reduced from
     y0 mod p, so the exact x0 is computed only with the exact orbit.
     residues: (p, points, inverses) for the first screen prime that keeps
-    the orbit in units mod p, or None (one inversion per step, inverses
-    carried along the orbit); exact(k): the exact rational point, from
-    ``iterate_orbit``.
+    the orbit in units mod p, or None (one inversion for the start and
+    one per step, inverses carried along the orbit); exact(k): the exact
+    rational point, from ``iterate_orbit``.
     """
 
     def __init__(self, phi: BirationalMap, start, steps: int,

@@ -17,17 +17,16 @@ runs one generated straight-line function per Jacobian flag, built once
 Evaluating Derivatives, SIAM 2008; compiled only when hot, as in
 Deutsch & Schiffman, POPL 1984).  It makes the interpreter's operations
 in the interpreter's order, so its results are the interpreter's bit
-for bit, and `_terms` stays the reference.  For mpf, one AST pass
-(`_lower`) turns that step into the calls of mpmath's libmpf layer
-(Johansson et al., mpmath) that the mpf operators make, on raw
-``_mpf_`` values at the working precision, without the objects; the
-Newton solver of `dynamics` computes on the same raw values
-(`_RAW`), each number type supplying its arithmetic (`_Arithmetic`).
+for bit, and `_terms` stays the reference.  For mpf that step is
+written as the calls of mpmath's libmpf layer (Johansson et al.,
+mpmath) that the mpf operators make (`_LIBMPF`), on raw ``_mpf_``
+values at the working precision, without the objects; the Newton solver
+of `dynamics` computes on the same raw values (`_RAW`), each number
+type supplying its arithmetic (`_Arithmetic`).
 """
 
 from __future__ import annotations
 
-import ast
 import operator
 import random
 from collections import namedtuple
@@ -139,13 +138,13 @@ def _boxed(values) -> list:
 
 # A compiled map is interpreted until this many steps, then runs one
 # generated function per Jacobian flag.  For the somos5 Casimir-reduced
-# map (3 variables) building the Jacobian step takes 0.6 ms in floats,
-# the time of about 30 interpreted float Jacobian steps (19 us each, 2.7
-# us generated), and 3.7 ms in mpf at 64 digits, where the lowering
-# pass and the compile() of its libmpf calls cost more: about 25
-# interpreted mpf steps (150 us each, 70 us lowered; CPython 3.11,
-# 2-vCPU Xeon).  A periodic-point search of the pipeline takes at most
-# 95 steps per compiled map; those of the numeric workload take
+# map (3 variables) building the step takes, without and with the
+# Jacobian, 0.35 and 0.7 ms in floats, the time of about 50 and 40
+# interpreted float steps (7 and 16 us each; 1.1 and 2.5 us generated),
+# and 0.55 and 1.3 ms in mpf at 64 digits, about 13 and 10 interpreted
+# mpf steps (43 and 125 us each; 18 and 52 us as libmpf calls; CPython
+# 3.11, 2-vCPU Xeon).  A periodic-point search of the pipeline takes at
+# most 95 steps per compiled map; those of the numeric workload take
 # 91-2518, and repeat on the same maps.
 _HOT_STEPS = 256
 
@@ -202,6 +201,22 @@ def _compile(f, convert) -> _Compiled | None:
 
 _VANISHES = "denominator vanishes at the point"
 
+# How `_source` writes each operation of a step: a + b, a - b, a * b,
+# a / b, a * k and a ** k for an int literal k, and the test d == 0.
+_Spelling = namedtuple("_Spelling", "add sub mul div mul_int pow_int is_zero")
+# Python's operators, for floats, `Fraction` and intervals
+_PYTHON = _Spelling("({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} * {})",
+                    "({} ** {})", "{} == 0")
+# for raw mpf values, the libmpf calls that the mpf operators make at the
+# working precision; an mpf equals 0 exactly when its raw value is fzero
+_LIBMPF = _Spelling("mpf_add({}, {}, prec, rnd)", "mpf_sub({}, {}, prec, rnd)",
+                    "mpf_mul({}, {}, prec, rnd)", "mpf_div({}, {}, prec, rnd)",
+                    "mpf_mul_int({}, {}, prec, rnd)", "mpf_pow_int({}, {}, prec, rnd)",
+                    "{} == fzero")
+_LIBMPF_NAMES = {"mpf_add": mpf_add, "mpf_sub": mpf_sub, "mpf_mul": mpf_mul, "mpf_div": mpf_div,
+                 "mpf_mul_int": mpf_mul_int, "mpf_pow_int": mpf_pow_int, "fzero": fzero,
+                 "rnd": round_nearest}
+
 
 def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
     """(f(x), J_f(x) as rows or None) for f compiled with coefficients of
@@ -211,7 +226,8 @@ def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
     on each Jacobian flag runs its generated function (`_source`), built
     on the flag's first hot step, whose results are the interpreter's
     bit for bit.  The mpf form interprets mpf objects and runs its
-    generated step on raw values (`_lower`), converting at the boundary.
+    generated step, written as libmpf calls (`_LIBMPF`), on raw values,
+    converting at the boundary.
     """
     run = f.generated[jacobian]
     if run is None:
@@ -221,12 +237,11 @@ def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
                 image, rows = _interpret(f.components, _boxed(x), jacobian, _MPF)
                 return _raw(image), rows and [_raw(row) for row in rows]
             return _interpret(f.components, x, jacobian, num)
-        source = _source(f.components, len(x), jacobian)
         names = {"VANISHES": _VANISHES, "c": f.coeffs, "zero": num.zero, "one": num.one}
-        if num.key()[0] == "mpf":
-            source = _lower(source)
-            names.update(_LIBMPF_NAMES, c=_raw(f.coeffs), zero=fzero, one=fone,
-                         prec=mp.mp.prec, rnd=round_nearest)
+        spell = _LIBMPF if num.key()[0] == "mpf" else _PYTHON
+        if spell is _LIBMPF:
+            names.update(_LIBMPF_NAMES, c=_raw(f.coeffs), zero=fzero, one=fone, prec=mp.mp.prec)
+        source = _source(f.components, len(x), jacobian, spell)
         exec(compile(source, "<compiled map>", "exec"), names)
         run = f.generated[jacobian] = names["step"]
     if num is _MPF:
@@ -263,9 +278,10 @@ def _interpret(comps, x, jacobian: bool, num: _Numbers):
     return image, rows
 
 
-def _source(comps, n: int, jacobian: bool) -> str:
+def _source(comps, n: int, jacobian: bool, spell: _Spelling) -> str:
     """Python source of ``step(x)``: `_interpret` on comps for points of n
-    coordinates, as straight-line code.
+    coordinates, as straight-line code, each operation written as spell
+    has it (`_PYTHON` operators, or `_LIBMPF` calls on raw mpf values).
 
     It makes the interpreter's operations on the same operands in the
     same order, so its results are the same bits in every number type:
@@ -280,6 +296,7 @@ def _source(comps, n: int, jacobian: bool) -> str:
     globals zero and one.
     """
     lines, names, coeffs = [], {}, count()
+    add, sub, mul, div, mul_int, pow_int, is_zero = (form.format for form in spell)
 
     def power(i: int, k: int | None) -> str:
         """The local holding x_i ** k, or x_i for k None; loaded or
@@ -290,7 +307,7 @@ def _source(comps, n: int, jacobian: bool) -> str:
                 lines.append(f"x{i} = x[{i}]")
             else:
                 names[i, k] = f"x{i}_{k}".replace("-", "m")
-                lines.append(f"{names[i, k]} = {power(i, None)} ** {k}")
+                lines.append(f"{names[i, k]} = {pow_int(power(i, None), k)}")
         return names[i, k]
 
     def poly(terms, total: str, grad: str | None) -> list[str]:
@@ -301,14 +318,14 @@ def _source(comps, n: int, jacobian: bool) -> str:
         for _, mono in terms:
             c = f"c{next(coeffs)}"
             factors = [power(i, None if k == 1 else k) for i, k in mono]
-            lines.append(f"{total} = {value} + {' * '.join([c, *factors])}")
+            lines.append(f"{total} = {add(value, reduce(mul, [c, *factors]))}")
             value = total
             if grad is None:
                 continue
             for j, (i, k) in enumerate(mono):
-                part = c if k == 1 else f"{c} * {k} * {power(i, k - 1)}"
+                part = c if k == 1 else mul(mul_int(c, k), power(i, k - 1))
                 others = [v for m, v in enumerate(factors) if m != j]
-                lines.append(f"{grad}{i} = {entries[i]} + {' * '.join([part, *others])}")
+                lines.append(f"{grad}{i} = {add(entries[i], reduce(mul, [part, *others]))}")
                 entries[i] = f"{grad}{i}"
         if value == "zero":
             lines.append(f"{total} = zero")
@@ -325,9 +342,10 @@ def _source(comps, n: int, jacobian: bool) -> str:
         a = poly(num_terms, v, f"a{m}_" if jacobian else None)
         if den is not None:
             b = poly(den, d, f"b{m}_" if jacobian else None)
-            lines += [f"if {d} == 0:", "    raise ZeroDivisionError(VANISHES)", f"{v} = {v} / {d}"]
+            lines += [f"if {is_zero(d)}:", "    raise ZeroDivisionError(VANISHES)",
+                      f"{v} = {div(v, d)}"]
             if jacobian:
-                a = [f"({p} - {v} * {q}) / {d}" for p, q in zip(a, b)]
+                a = [div(sub(p, mul(v, q)), d) for p, q in zip(a, b)]
         image.append(v)
         if jacobian:
             lines.append(f"r{m} = [{', '.join(a)}]")
@@ -390,66 +408,6 @@ def _modular_source(comps, p: int, carry: bool) -> str:
     else:
         result = f"({''.join(n + ', ' for n, _ in parts)})"
     return "def step(x, inv):\n" + "".join(f"    {line}\n" for line in [*lines, "return " + result])
-
-
-# The libmpf function that a lowered step calls for each operator, and
-# for * and ** by an int literal, as f(a, b, prec, rnd): the call that
-# the mpf operator makes at the working precision.
-_LOWERED = {ast.Add: "mpf_add", ast.Sub: "mpf_sub", ast.Mult: "mpf_mul", ast.Div: "mpf_div"}
-_BY_INT = {ast.Mult: "mpf_mul_int", ast.Pow: "mpf_pow_int"}
-_LIBMPF_NAMES = {name: globals()[name] for name in [*_LOWERED.values(), *_BY_INT.values(), "fzero"]}
-# the other node kinds of `_source`, which a lowered step keeps
-_KEPT = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Tuple,
-         ast.List, ast.Name, ast.Load, ast.Store, ast.Subscript, ast.Constant, ast.If,
-         ast.Raise, ast.Call, ast.Return)
-
-
-def _int_literal(node) -> int | None:
-    """The value of an int literal such as 2 or -1, or None."""
-    try:
-        k = ast.literal_eval(node)
-    except ValueError:
-        return None
-    return k if type(k) is int else None
-
-
-class _Lowering(ast.NodeTransformer):
-    # the names a lowered step reads, one shared node each
-    names = {name: ast.Name(name, ast.Load(), lineno=1, col_offset=0)
-             for name in [*_LIBMPF_NAMES, "prec", "rnd"]}
-
-    def visit_BinOp(self, node):
-        k = _int_literal(node.right)
-        f = (_LOWERED if k is None else _BY_INT).get(type(node.op))
-        operands = [node.left] if k is not None else [node.left, node.right]
-        if f is None or not all(isinstance(v, (ast.Name, ast.BinOp)) for v in operands):
-            raise ValueError(f"cannot lower {ast.unparse(node)}")
-        right = self.visit(node.right) if k is None else ast.copy_location(ast.Constant(k), node)
-        args = [self.visit(node.left), right, self.names["prec"], self.names["rnd"]]
-        return ast.copy_location(ast.Call(self.names[f], args, []), node)
-
-    def visit_Compare(self, node):
-        if not (isinstance(node.left, ast.Name) and [type(op) for op in node.ops] == [ast.Eq]
-                and _int_literal(node.comparators[0]) == 0):
-            raise ValueError(f"cannot lower {ast.unparse(node)}")
-        node.comparators = [self.names["fzero"]]
-        return node
-
-    def generic_visit(self, node):
-        if not isinstance(node, _KEPT):
-            raise ValueError(f"cannot lower a {type(node).__name__} node")
-        return super().generic_visit(node)
-
-
-def _lower(source: str) -> ast.Module:
-    """The step of `_source` on raw mpf values: each a op b becomes the
-    libmpf call of `_LOWERED` or `_BY_INT` on a and b at prec and rnd,
-    and d == 0 becomes d == fzero, as an mpf equals 0 exactly when its
-    raw value is fzero.  So it makes the calls of the mpf operators in
-    their order, without their objects.  Raises ValueError on any node
-    that it does not map, so that no Python operator meets a raw value.
-    """
-    return _Lowering().visit(ast.parse(source))
 
 
 def _apply(f, point, num: _Numbers, jacobian: bool):

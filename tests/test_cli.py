@@ -637,8 +637,9 @@ class TestRunPipelineApi:
 
     def test_a_ladder_pass_inverts_once_per_residue_step(self, monkeypatch):
         # the screen carries inverses along each orbit: one modular
-        # inversion per step, one for the start and one for the section
-        # point y0^V; coefficients are converted mod p before the count
+        # inversion per step and one for the start, none for the section
+        # point y0^V, whose inverses are (y0^-1)^V; coefficients are
+        # converted mod p before the count
         residue_orbit, real_pow = dynamics._residue_orbit, builtins.pow
         inversions, counts = [0], []
 
@@ -657,7 +658,7 @@ class TestRunPipelineApi:
             finally:
                 builtins.pow = real_pow
             assert result is not None
-            counts.append((inversions[0], steps + 1 + (section is not None)))
+            counts.append((inversions[0], steps + 1))
             return result
 
         monkeypatch.setattr(dynamics, "_residue_orbit", counting_orbit)

@@ -21,7 +21,7 @@ rational identities, and the integer discovery rows have the kernel of
 the rows cleared from `Fraction` coefficients.  The generated
 straight-line step of a hot compiled map gives the interpreter's values,
 Jacobians and exceptions bit for bit, on random maps in every number
-type of the kernel, raw mpf values of the lowered step included.
+type of the kernel, raw mpf values of the libmpf step included.
 """
 
 import gc
@@ -545,8 +545,8 @@ def _bits(v):
 
 def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
     """maps._step on a fresh compilation of comps, interpreted or, with
-    hot, generated: its values and Jacobian rows as bits, or the type of
-    what it raised."""
+    hot, generated: its values and Jacobian rows as bits, or the type and
+    message of what it raised."""
     compiled = maps._Compiled([
         comp if isinstance(comp, int) else tuple(
             None if terms is None else [(num.convert(c), mono) for c, mono in terms]
@@ -557,8 +557,8 @@ def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
         compiled.steps = maps._HOT_STEPS
     try:
         image, rows = maps._step(compiled, x, jacobian, num)
-    except Exception as exc:  # the same type must come from both paths
-        outcome = type(exc)
+    except Exception as exc:  # the same exception must come from both paths
+        outcome = type(exc), str(exc)
     else:
         outcome = ([(type(v), _bits(v)) for v in image],
                    rows and [[(type(v), _bits(v)) for v in row] for row in rows])
@@ -576,14 +576,17 @@ _NUMBER_TYPES = [(15, lambda: dynamics._FLOAT), (15, lambda: maps._EXACT),
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_step_cases())
 # 3/x1 and -2 x2^2/x1 / x2^-3: Jacobian parts c * -1 * x ** -2 and
-# c * -3 * x ** -4, negative int literals of the lowered step
+# c * -3 * x ** -4, negative int literals of the libmpf step
 @example(([([(Fraction(3), ((0, -1),))], None)], [2.0]))
 @example(([([(Fraction(-2), ((0, -1), (1, 2)))], [(Fraction(1), ((1, -3),))])], [0.5, -2.0]))
+# x1/(x1 - 1) at x1 = 1: the denominator vanishes, and the zero test
+# raises before the division does
+@example(([([(Fraction(1), ((0, 1),))], [(Fraction(1), ((0, 1),)), (Fraction(-1), ())])], [1.0]))
 def test_generated_steps_are_the_interpreted_steps_bit_for_bit(case):
     # floats, mpf objects and raw mpf values at 30, 64 and 128 digits,
     # Fraction and intervals; the values and Jacobians, or the
     # exception, of the interpreter and of the generated straight-line
-    # step, which for mpf is lowered to libmpf calls on raw values
+    # step, which for mpf is written as libmpf calls on raw values
     comps, point = case
     for digits, number_type in _NUMBER_TYPES:
         with mp.workdps(digits):

@@ -930,9 +930,9 @@ def _generated(monkeypatch) -> list:
     source = maps._source
     made = []
 
-    def recording(comps, n, jacobian):
+    def recording(comps, n, jacobian, spell):
         made.append((id(comps), jacobian))
-        return source(comps, n, jacobian)
+        return source(comps, n, jacobian, spell)
 
     monkeypatch.setattr(maps, "_source", recording)
     return made

@@ -5,6 +5,7 @@ import io
 import random
 import tokenize
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -221,8 +222,8 @@ class TestOneKernel:
                 compiled = f._compiled(num)
                 for c in (Fraction(-7, 3), Fraction(1, 10**50)):
                     assert num.convert(c) in compiled.coeffs
-                for jacobian in (False, True):
-                    source = maps._source(compiled.components, 2, jacobian)
+                for jacobian, spell in product((False, True), (maps._PYTHON, maps._LIBMPF)):
+                    source = maps._source(compiled.components, 2, jacobian, spell)
                     tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
                     assert not [t for t in tokens if t.type == tokenize.STRING]
                     numbers = {t.string for t in tokens if t.type == tokenize.NUMBER}
@@ -239,60 +240,64 @@ class TestOneKernel:
                     assert abs(a - b) <= mp.mpf(10) ** -60 * abs(b)
 
 
-class TestLowering:
-    """`maps._lower`, the AST pass that runs a generated mpf step on raw
-    values: each node kind that `_source` emits, and kinds it does not."""
+def _written(spell, expression) -> str:
+    """expression, an operand or a tuple (operation, operand, ...) of
+    nested expressions, written as spell writes it."""
+    if not isinstance(expression, tuple):
+        return str(expression)
+    operation, *operands = expression
+    return getattr(spell, operation).format(*(_written(spell, v) for v in operands))
 
-    @pytest.mark.parametrize("line", [
-        "v = zero + c0 * x0",        # + and * (a term added into its total)
-        "v = (a - v * b) / d",       # - and / (a quotient-rule entry)
-        "v = c0 * 2 * x0_1",         # * by an int literal (a gradient part)
-        "v = c0 * -1 * x0_m2",       # * by a negative int literal
-        "v = x0 ** 3",               # ** by an int literal
-        "v = x0 ** -2",              # ** by a negative int literal
+
+class TestSpellings:
+    """How `maps._source` writes the operations of a step: Python's
+    operators (`_PYTHON`), or the libmpf calls that the mpf operators make
+    (`_LIBMPF`), which a generated mpf step runs on raw values."""
+
+    @pytest.mark.parametrize("expression", [
+        ("add", "zero", ("mul", "c0", "x0")),             # a term added into its total
+        ("div", ("sub", "a", ("mul", "v", "b")), "d"),    # a quotient-rule entry
+        ("mul", ("mul_int", "c0", 2), "x0_1"),            # * by an int literal (a gradient part)
+        ("mul", ("mul_int", "c0", -1), "x0_m2"),          # * by a negative int literal
+        ("pow_int", "x0", 3),                             # ** by an int literal
+        ("pow_int", "x0", -2),                            # ** by a negative int literal
     ])
-    def test_arithmetic_makes_the_mpf_operators_calls(self, line):
+    def test_libmpf_calls_are_the_mpf_operators(self, expression):
         with mp.workdps(64):
             names = ["c0", "x0", "a", "v", "b", "d", "x0_1", "x0_m2"]
             values = {name: mp.mpf(k) / 7 for k, name in zip([-4, -3, -2, -1, 1, 2, 3, 5], names)}
             values["zero"] = mp.mp.zero
-            want = dict(values)
-            exec(line, {}, want)
-            got = {name: v._mpf_ for name, v in values.items()}
-            exec(compile(maps._lower(line), "<lowered>", "exec"),
-                 {**maps._LIBMPF_NAMES, "prec": mp.mp.prec, "rnd": mp.libmp.round_nearest}, got)
-            assert got["v"] == want["v"]._mpf_
+            want = eval(_written(maps._PYTHON, expression), {}, values)
+            raw = {name: v._mpf_ for name, v in values.items()}
+            got = eval(_written(maps._LIBMPF, expression),
+                       {**maps._LIBMPF_NAMES, "prec": mp.mp.prec}, raw)
+            assert got == want._mpf_
 
-    def test_a_whole_step_keeps_no_operator(self):
-        # -7/3 x1^-1 x2^2 / (x1 + 2) and x2, with the Jacobian: every
-        # operator becomes a libmpf call, d0 == 0 becomes d0 == fzero,
-        # and the statements, names, lists, the raise and the return stay
+    @pytest.mark.parametrize("value", [mp.mpf(0), mp.mpf(1) / 7, mp.mpf("1e-300")])
+    def test_the_zero_tests_agree(self, value):
+        # an mpf equals 0 exactly when its raw value is fzero
+        want = eval(maps._PYTHON.is_zero.format("d"), {}, {"d": value})
+        got = eval(maps._LIBMPF.is_zero.format("d"), maps._LIBMPF_NAMES, {"d": value._mpf_})
+        assert got == want == (value == 0)
+
+    def test_a_whole_libmpf_step_has_no_operator(self):
+        # -7/3 x1^-1 x2^2 / (x1 + 2) and x2, with the Jacobian: the Python
+        # step has operators and the zero test d0 == 0; the libmpf step
+        # has only libmpf calls, negative int literals as their arguments,
+        # and d0 == fzero
         comps = [([(Fraction(-7, 3), ((0, -1), (1, 2)))],
                   [(Fraction(1), ((0, 1),)), (Fraction(2), ())]), 1]
-        source = maps._source(comps, 2, True)
-        kinds = {type(node) for node in ast.walk(ast.parse(source))}
-        assert {ast.BinOp, ast.UnaryOp, ast.Compare, ast.If, ast.Raise, ast.Return} <= kinds
-        lowered = maps._lower(source)
-        assert not [n for n in ast.walk(lowered) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
-        compares = [ast.unparse(n) for n in ast.walk(lowered) if isinstance(n, ast.Compare)]
-        assert compares == ["d0 == fzero"]
-        calls = {n.func.id for n in ast.walk(lowered) if isinstance(n, ast.Call)}
+        python = ast.parse(maps._source(comps, 2, True, maps._PYTHON))
+        kinds = {type(node) for node in ast.walk(python)}
+        assert {ast.BinOp, ast.Compare, ast.If, ast.Raise, ast.Return} <= kinds
+        nodes = list(ast.walk(ast.parse(maps._source(comps, 2, True, maps._LIBMPF))))
+        assert not [n for n in nodes if isinstance(n, ast.BinOp)]
+        unary = [n for n in nodes if isinstance(n, ast.UnaryOp)]
+        assert unary and all(type(ast.literal_eval(n)) is int for n in unary)
+        assert [ast.unparse(n) for n in nodes if isinstance(n, ast.Compare)] == ["d0 == fzero"]
+        calls = {n.func.id for n in nodes if isinstance(n, ast.Call)}
         assert calls == {"mpf_add", "mpf_sub", "mpf_mul", "mpf_div", "mpf_mul_int",
                          "mpf_pow_int", "ZeroDivisionError"}
-
-    @pytest.mark.parametrize("line", [
-        "v = -x0",                   # a unary minus that is not an int literal
-        "v = x0 % y",                # an operator with no libmpf call here
-        "v = x0 + 1",                # an int literal where mpf_add takes mpf values
-        "v = 2 * x0",                # an int literal on the left of *
-        "v = x0 * 1.5",              # a float literal
-        "v = abs(x0) * y",           # a call as an operand
-        "v = x0 if y else z",        # a node kind that _source never emits
-        "if d < 0:\n    pass",      # a comparison other than == 0
-    ])
-    def test_an_unmapped_node_raises(self, line):
-        with pytest.raises(ValueError, match="cannot lower"):
-            maps._lower(line)
 
 
 class TestMonomialMap:
