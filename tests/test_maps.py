@@ -2,6 +2,7 @@
 
 import ast
 import io
+import operator
 import random
 import tokenize
 from fractions import Fraction
@@ -273,7 +274,29 @@ class TestSpellings:
                        {**maps._LIBMPF_NAMES, "prec": mp.mp.prec}, raw)
             assert got == want._mpf_
 
-    @pytest.mark.parametrize("value", [mp.mpf(0), mp.mpf(1) / 7, mp.mpf("1e-300")])
+    @pytest.mark.parametrize("expression", [
+        ("div", ("sub", "a", ("mul", "v", "b")), "d"),    # not a - v * b / d
+        ("div", "a", ("mul", "v", "b")),                  # not a / v * b
+        ("sub", "a", ("sub", "v", "b")),                  # not a - v - b
+        ("mul", ("add", "a", "b"), "d"),                  # not a + b * d
+        ("mul_int", ("add", "a", "b"), -1),               # not a + b * -1
+        ("pow_int", ("sub", "a", "b"), 2),                # not a - b ** 2
+    ])
+    def test_python_operations_nest_as_written(self, expression):
+        # each Python-spelled operation keeps its operands whole, so the
+        # written expression evaluates as its tree does
+        values = {name: Fraction(k, 7) for k, name in zip([-4, -1, 2, 5], "avbd")}
+        apply = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                 "div": operator.truediv, "mul_int": operator.mul, "pow_int": operator.pow}
+
+        def value(e):
+            if not isinstance(e, tuple):
+                return values.get(e, e)
+            return apply[e[0]](*map(value, e[1:]))
+
+        assert eval(_written(maps._PYTHON, expression), {}, values) == value(expression)
+
+    @pytest.mark.parametrize("value",[mp.mpf(0), mp.mpf(1) / 7, mp.mpf("1e-300")])
     def test_the_zero_tests_agree(self, value):
         # an mpf equals 0 exactly when its raw value is fzero
         want = eval(maps._PYTHON.is_zero.format("d"), {}, {"d": value})
