@@ -93,6 +93,7 @@ __all__ = [
     "rewrite_in_fiber_coordinates",
     "derive_reduced_map",
     "check_subfoliation",
+    "maximal_flag",
     "build_flag",
     "chained_reduction",
     "check_isotropy",
@@ -230,8 +231,7 @@ class Submersion:
 
     @cached_property
     def _lattice(self) -> LatticeBasis:
-        return LatticeBasis(self.dim_in, tuple(self.map.exponents.entries),
-                            saturated=self.saturation == 1)
+        return LatticeBasis(self.dim_in, tuple(self.map.exponents.entries))
 
     def evaluate(self, point: PositivePoint) -> tuple[Fraction, ...]:
         return self.map.evaluate(point)
@@ -269,11 +269,7 @@ def submersion_from_rows(rows, ambient_dim: int | None = None, kind: str = "cust
     u = mono.exponents
     if u.rows and u.rank() != u.rows:
         raise GeometryError("submersion exponent rows must be linearly independent")
-    sat = (
-        saturation_index(LatticeBasis(u.cols, u.entries, saturated=False))
-        if u.rows
-        else 1
-    )
+    sat = saturation_index(LatticeBasis(u.cols, u.entries)) if u.rows else 1
     return Submersion(mono, kind, (), sat)
 
 
@@ -708,31 +704,56 @@ def check_subfoliation(pi1: Submersion, pi2: Submersion) -> MonomialMap | None:
     return MonomialMap.from_rows(rows, pi2.dim_out)
 
 
-def build_flag(submersions) -> Flag:
-    """Order submersions into a flag of coarsening foliations.
+def maximal_flag(subs: list[Submersion]) -> tuple[Flag, list[Submersion]]:
+    """The flag over a longest chain in the subfoliation order, plus the
+    members left out.
 
-    Sorted by target dimension (coarsest first, i.e. smallest lattice);
-    every consecutive pair must have strictly increasing target dimension
-    and be related by a projection witness, else NotAChainError identifies
-    the pair.  Saturated lattices of equal rank are nested only when they
-    are equal, so "<" in a flag always means strictly coarser.
+    Foliations form a poset under lattice inclusion, not always a chain.
+    Only pairs of strictly increasing target dimension are linked, each by
+    its projection witness, so "<" in a flag always means strictly coarser
+    (saturated lattices of equal rank are nested only when equal).  Of
+    equally long chains the first in target-dimension order is taken; the
+    members left out keep that order.
     """
-    subs = sorted(submersions, key=lambda s: s.dim_out)
-    projections = []
-    for a, b in zip(subs, subs[1:]):
-        if a.dim_out == b.dim_out:
-            raise NotAChainError(
-                f"two submersions have targets of dimension {a.dim_out}: "
-                "a flag needs strictly increasing dimensions"
-            )
-        p = check_subfoliation(a, b)
-        if p is None:
-            raise NotAChainError(
-                f"submersions with targets of dimension {a.dim_out} and {b.dim_out} "
-                "are not nested: neither exponent lattice contains the other"
-            )
-        projections.append(p)
-    return Flag(tuple(subs), tuple(projections))
+    order = sorted(range(len(subs)), key=lambda i: subs[i].dim_out)
+    finer: dict[int, list[int]] = {i: [] for i in order}
+    witness: dict[tuple[int, int], MonomialMap] = {}
+    for a_pos, i in enumerate(order):
+        for j in order[a_pos + 1 :]:
+            if subs[j].dim_out > subs[i].dim_out:
+                p = check_subfoliation(subs[i], subs[j])
+                if p is not None:
+                    finer[i].append(j)
+                    witness[i, j] = p
+    best: dict[int, list[int]] = {}
+
+    def longest_from(i: int) -> list[int]:
+        if i not in best:
+            tails = [longest_from(j) for j in finer[i]]
+            tail = max(tails, key=len, default=[])
+            best[i] = [i] + tail
+        return best[i]
+
+    chain_idx = max((longest_from(i) for i in order), key=len, default=[])
+    flag = Flag(tuple(subs[i] for i in chain_idx),
+                tuple(witness[link] for link in zip(chain_idx, chain_idx[1:])))
+    omitted = [subs[i] for i in order if i not in chain_idx]
+    return flag, omitted
+
+
+def build_flag(submersions) -> Flag:
+    """Order submersions into a flag of coarsening foliations: the chain of
+    ``maximal_flag``, which must take every member, else NotAChainError
+    names the members left out.
+    """
+    flag, omitted = maximal_flag(list(submersions))
+    if omitted:
+        names = ", ".join(f"{s.kind}({s.dim_out})" for s in omitted)
+        raise NotAChainError(
+            f"left out of the longest chain {flag.describe()}: {names}; a flag "
+            "needs nested exponent lattices of strictly increasing dimension"
+        )
+    return flag
 
 
 def chained_reduction(

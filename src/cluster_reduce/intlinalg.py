@@ -163,7 +163,6 @@ class LatticeBasis:
 
     ambient_dim: int
     vectors: tuple[tuple[int, ...], ...]
-    saturated: bool = True
 
     def __post_init__(self) -> None:
         for v in self.vectors:
@@ -218,7 +217,7 @@ class DarbouxBasis:
         return len(self.vectors)
 
     def basis(self) -> LatticeBasis:
-        return LatticeBasis(self.ambient_dim, self.vectors, saturated=True)
+        return LatticeBasis(self.ambient_dim, self.vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,7 @@ class MonomialMap:
 
     def lattice(self) -> LatticeBasis:
         """The (unnormalized) lattice basis given by the exponent rows."""
-        return LatticeBasis(self.dim_in, self.exponents.entries, saturated=False)
+        return LatticeBasis(self.dim_in, self.exponents.entries)
 
     def components(self) -> tuple[RationalFunction, ...]:
         n = self.dim_in

@@ -7,12 +7,15 @@ collects everything in an AnalysisReport.  Stage failures are recorded
 in the report; the command-line front end only parses arguments and
 writes the report.
 
-Each fact is proven once.  Ordering the foliations solves the projection
-witness p o pi_inner = pi_outer of every nested pair exactly, and the
-flag keeps those witnesses.  Both levels of a flag link are lattice
-rewrites of the same cluster map, so with the witness the chained
-reduction psi_outer o p = p o psi_inner follows (``chained_reduction``
-states the argument) and each link is reported with no further check.
+Each fact is proven once.  ``geometry.maximal_flag``, the one ordering
+of foliations (``build_flag`` uses it too), solves the projection witness
+p o pi_inner = pi_outer of every nested pair exactly, keeps a longest
+chain with those witnesses as the flag and returns the members left out,
+which are reduced and reported on their own.  Both levels of a flag link
+are lattice rewrites of the same cluster map, so with the witness the
+chained reduction psi_outer o p = p o psi_inner follows
+(``chained_reduction`` states the argument) and each link is reported
+with no further check.
 
 Fixed points are searched level by level down the flag: a level whose
 coarser neighbour was searched starts Newton only on the fibers of the
@@ -41,7 +44,6 @@ from .dynamics import (
     no_periodic_points_scan,
 )
 from .geometry import (
-    Flag,
     GeometryError,
     NotReducibleError,
     PoissonStructure,
@@ -50,13 +52,13 @@ from .geometry import (
     Submersion,
     _period_poisson_basis,
     casimir_submersion,
-    check_subfoliation,
     derive_reduced_map,
     find_invariant_poisson,
+    maximal_flag,
     null_submersion,
 )
 from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
-from .maps import MonomialMap, random_positive_point, rng_substream
+from .maps import random_positive_point, rng_substream
 from .quiver import GROWTH_STEPS, cluster_map, degree_growth, detect_period, growth_class
 
 __all__ = ["run_pipeline", "WorkflowConfig", "AnalysisReport", "InputError"]
@@ -252,43 +254,6 @@ def _foliations(
     return subs
 
 
-def _maximal_chain(subs: list[Submersion]) -> tuple[Flag, list[Submersion]]:
-    """The flag over a longest chain in the subfoliation order, plus the
-    members left out.
-
-    The foliations found for one map form a poset under lattice
-    inclusion, not always a chain; the flag is built over a maximum
-    chain, with the projection witnesses solved while ordering, and the
-    incomparable members are reported separately.  The submersions have
-    distinct saturated lattices (``_foliations``), and saturated lattices
-    of equal rank are nested only when equal, so the chain's dimensions
-    strictly increase.
-    """
-    order = sorted(range(len(subs)), key=lambda i: subs[i].dim_out)
-    finer: dict[int, list[int]] = {i: [] for i in order}
-    witness: dict[tuple[int, int], MonomialMap] = {}
-    for a_pos, i in enumerate(order):
-        for j in order[a_pos + 1 :]:
-            p = check_subfoliation(subs[i], subs[j])
-            if p is not None:
-                finer[i].append(j)
-                witness[i, j] = p
-    best: dict[int, list[int]] = {}
-
-    def longest_from(i: int) -> list[int]:
-        if i not in best:
-            tails = [longest_from(j) for j in finer[i]]
-            tail = max(tails, key=len, default=[])
-            best[i] = [i] + tail
-        return best[i]
-
-    chain_idx = max((longest_from(i) for i in order), key=len, default=[])
-    flag = Flag(tuple(subs[i] for i in chain_idx),
-                tuple(witness[link] for link in zip(chain_idx, chain_idx[1:])))
-    omitted = [subs[i] for i in order if i not in chain_idx]
-    return flag, omitted
-
-
 def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -> AnalysisReport:
     """Full analysis: period, map, invariance, discovery, flag, reductions,
     chained reductions, and per-level dynamics.
@@ -333,7 +298,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         )
 
     null = null_submersion(form) if 0 < rank < form.dim else None
-    flag, omitted = _maximal_chain(_foliations(basis, null, report))
+    flag, omitted = maximal_flag(_foliations(basis, null, report))
     if flag:
         report.flag_chain = flag.describe()
     else:

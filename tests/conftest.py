@@ -19,7 +19,8 @@ from cluster_reduce import (
     get_fixture,
     null_submersion,
 )
-from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, _maximal_chain
+from cluster_reduce.geometry import maximal_flag
+from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations
 
 # First rows of the Fordy-Marsh period-1 quivers N = 6..9 of the ladder.
 _FORDY_MARSH_ROWS = (
@@ -50,7 +51,7 @@ def ladder_systems() -> dict:
         by_rows = {s.submersion.map.exponents: s for s in systems}
         # the flag of the pipeline, where a Casimir lattice equal to the
         # null one is taken once
-        flag, _ = _maximal_chain(_foliations(basis, null, report))
+        flag, _ = maximal_flag(_foliations(basis, null, report))
         chain = [by_rows[s.map.exponents] for s in flag.submersions]
         ladder[name] = (phi, systems, list(zip(chain, chain[1:], flag.projections)))
     return ladder

@@ -1,13 +1,15 @@
 """Reference forms the tests check the package against, which the package
 itself never needs: a monomial map as a birational map, a Darboux basis
 summed back into its skew form, the pointwise matrices of log-canonical
-structures, the polynomial test of a Laurent polynomial, and the residue
+structures, the polynomial test of a Laurent polynomial, the residue
 screen's orbit and labels computed term by term, with one inversion per
-coordinate and denominator."""
+coordinate and denominator, and a longest chain of submersions found by
+trying every subset."""
 
 from fractions import Fraction
+from itertools import combinations
 
-from cluster_reduce import BirationalMap, IntMatrix
+from cluster_reduce import BirationalMap, IntMatrix, check_subfoliation
 from cluster_reduce.dynamics import _residues
 from cluster_reduce.laurent import _sparse
 
@@ -15,6 +17,19 @@ from cluster_reduce.laurent import _sparse
 def as_birational(m) -> BirationalMap:
     """The `MonomialMap` m as a `BirationalMap` of its monomial components."""
     return BirationalMap(m.dim_in, m.components())
+
+
+def longest_chain(subs) -> tuple:
+    """The first subset of most members, in order of target dimension, whose
+    consecutive members have strictly increasing target dimensions and a
+    projection witness; () for no submersions."""
+    ordered = sorted(subs, key=lambda s: s.dim_out)
+    for size in range(len(ordered), 0, -1):
+        for chain in combinations(ordered, size):
+            if all(a.dim_out < b.dim_out and check_subfoliation(a, b) is not None
+                   for a, b in zip(chain, chain[1:])):
+                return chain
+    return ()
 
 
 def reconstruct(d) -> IntMatrix:

@@ -171,7 +171,7 @@ def test_criterion_04_poisson_discovery():
     basis = find_invariant_poisson(phi, fix.matrix("B"))
     elapsed = time.perf_counter() - began
     assert len(basis) == 2
-    span = LatticeBasis(21, tuple(vectorize_skew(m) for m in basis), saturated=True)
+    span = LatticeBasis(21, tuple(vectorize_skew(m) for m in basis))
     for label in ("C1", "C2"):
         assert solve_in_lattice(span, vectorize_skew(fix.matrix(label))) is not None, label
     assert elapsed < DISCOVERY_BUDGET, elapsed

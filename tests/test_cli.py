@@ -12,6 +12,7 @@ from cluster_reduce import build_flag, chained_reduction, cluster_map, derive_re
 from cluster_reduce import detect_period
 from cluster_reduce import dynamics, geometry, intlinalg, laurent, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
+from reference import longest_chain
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
 # the analysis alone must leave them unchanged
@@ -213,14 +214,32 @@ class TestFlag:
         assert doc["chain"] == "null(2) < casimir(3) < casimir(5)"
         assert len(doc["projections"]) == 2
 
-    def test_incomparable_pair_fails(self, capsys, files):
-        code, _ = _run(
+    def test_nested_casimir_pair_chains(self, capsys, files):
+        code, doc = _run_json(
             capsys,
             ["flag", "--structures", files["c71"], files["c72"], "--kinds",
              "casimir,casimir"],
         )
-        # nested kernels: this pair is comparable, so succeeds
         assert code == 0
+        assert doc["chain"] == "casimir(3) < casimir(5)"
+
+    def test_transverse_casimir_pair_exits_2(self, capsys, tmp_path):
+        # kernels span e5 and (e1, e2, e3): neither lattice contains the other
+        def write(name, pairs):
+            entries = [[0] * 5 for _ in range(5)]
+            for i, j in pairs:
+                entries[i][j], entries[j][i] = 1, -1
+            path = tmp_path / name
+            path.write_text(json.dumps(IntMatrix.from_rows(entries).to_json_dict()))
+            return str(path)
+
+        argv = ["flag", "--structures", write("rank4.json", [(0, 1), (2, 3)]),
+                write("rank2.json", [(3, 4)]), "--kinds", "casimir,casimir"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+        assert "longest chain casimir(1): casimir(3);" in captured.err
 
     def test_kinds_length_mismatch(self, capsys, files):
         code, _ = _run(
@@ -571,18 +590,22 @@ class TestRunPipelineApi:
     @pytest.mark.parametrize("name", _LADDER)
     def test_flag_facts_are_proven_once(self, monkeypatch, name):
         # run_pipeline takes the flag's witnesses and chained links on
-        # trust; here build_flag and chained_reduction prove them again
-        chains = []
-        maximal_chain = pipeline._maximal_chain
+        # trust; here a search over every subset of the foliations, build_flag
+        # and chained_reduction prove them again
+        calls = []
+        maximal_flag = pipeline.maximal_flag
 
         def recording(subs):
-            chains.append(maximal_chain(subs))
-            return chains[-1]
+            calls.append((subs, maximal_flag(subs)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(pipeline, "_maximal_chain", recording)
+        monkeypatch.setattr(pipeline, "maximal_flag", recording)
         b = _ladder_matrix(name)
         report = run_pipeline(b)
-        ((flag, _),) = chains
+        ((subs, (flag, omitted)),) = calls
+        assert flag.submersions == longest_chain(subs)
+        assert omitted == [s for s in sorted(subs, key=lambda s: s.dim_out)
+                           if s not in flag.submersions]
         assert build_flag(flag.submersions) == flag
         phi = cluster_map(b, detect_period(b))
         certified = []

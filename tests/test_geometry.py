@@ -43,9 +43,9 @@ from cluster_reduce import (
     submersion_from_rows,
 )
 from cluster_reduce.fixtures import somos5_matrix
-from cluster_reduce.geometry import _period_poisson_basis
+from cluster_reduce.geometry import _period_poisson_basis, maximal_flag
 from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, run_pipeline
-from reference import as_birational, coefficients_at, tensor_at
+from reference import as_birational, coefficients_at, longest_chain, tensor_at
 
 
 def _phi(name: str) -> BirationalMap:
@@ -253,7 +253,7 @@ class TestDiscovery:
         from cluster_reduce.geometry import vectorize_skew
         from cluster_reduce.intlinalg import LatticeBasis, solve_in_lattice
 
-        span = LatticeBasis(21, tuple(vectorize_skew(m) for m in basis), saturated=True)
+        span = LatticeBasis(21, tuple(vectorize_skew(m) for m in basis))
         for label in ("C1", "C2"):
             assert solve_in_lattice(span, vectorize_skew(fix.matrix(label))) is not None
 
@@ -737,6 +737,26 @@ class TestSubfoliationAndFlags:
         assert check_subfoliation(a, b) is not None
         with pytest.raises(NotAChainError):
             build_flag([a, b])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.frozensets(st.integers(0, 3), min_size=1), max_size=6, unique=True))
+    def test_longest_chain_of_coordinate_subsets(self, subsets):
+        # x -> (x_i)_{i in S} has the lattice spanned by e_i, i in S, so its
+        # subfoliation order is inclusion of the subsets S
+        subs = [submersion_from_rows([[int(i == k) for k in range(4)] for i in sorted(s)], 4)
+                for s in subsets]
+        flag, omitted = maximal_flag(subs)
+        chain = longest_chain(subs)
+        assert len(flag) == len(chain)
+        assert flag.submersions == chain
+        assert omitted == [s for s in sorted(subs, key=lambda s: s.dim_out) if s not in chain]
+        for outer, inner, p in zip(flag.submersions, flag.submersions[1:], flag.projections):
+            assert p.after_monomial(inner.map) == outer.map
+        if len(chain) < len(subs):
+            with pytest.raises(NotAChainError):
+                build_flag(subs)
+        else:
+            assert build_flag(subs) == flag
 
     def test_auto_bases_also_chain(self):
         # the automatically computed null and Casimir bases span nested lattices

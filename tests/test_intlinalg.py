@@ -215,7 +215,7 @@ class TestLattices:
         assert ker.dim == 2
         for v in ker.vectors:
             assert sum(a * b for a, b in zip(m.row(0), v)) == 0
-        assert ker.saturated
+        assert saturation_index(ker) == 1
 
     def test_kernel_of_full_rank(self):
         assert kernel_lattice(IntMatrix.identity(3)).dim == 0
@@ -228,7 +228,7 @@ class TestLattices:
             assert solve_in_lattice(img, m.column(j)) is not None
 
     def test_solve_round_trip(self):
-        basis = LatticeBasis(2, ((2, 0), (0, 3)), saturated=False)
+        basis = LatticeBasis(2, ((2, 0), (0, 3)))
         assert solve_in_lattice(basis, (4, 3)) == (2, 1)
         assert solve_in_lattice(basis, (1, 0)) is None
         assert solve_in_lattice(basis, (0, 0)) == (0, 0)
@@ -252,17 +252,17 @@ class TestLattices:
             assert rebuilt == v
 
     def test_sublattice_subset(self):
-        fine = LatticeBasis(2, ((1, 0), (0, 1)), saturated=True)
-        coarse = LatticeBasis(2, ((2, 0), (0, 2)), saturated=False)
+        fine = LatticeBasis(2, ((1, 0), (0, 1)))
+        coarse = LatticeBasis(2, ((2, 0), (0, 2)))
         assert sublattice_subset(coarse, fine)
         assert not sublattice_subset(fine, coarse)
         assert sublattice_subset(coarse, coarse)
 
     def test_saturation_index(self):
-        assert saturation_index(LatticeBasis(2, ((1, 0),), saturated=False)) == 1
-        assert saturation_index(LatticeBasis(2, ((2, 0),), saturated=False)) == 2
+        assert saturation_index(LatticeBasis(2, ((1, 0),))) == 1
+        assert saturation_index(LatticeBasis(2, ((2, 0),))) == 2
         assert (
-            saturation_index(LatticeBasis(3, ((2, 0, 0), (0, 3, 0)), saturated=False))
+            saturation_index(LatticeBasis(3, ((2, 0, 0), (0, 3, 0))))
             == 6
         )
 
