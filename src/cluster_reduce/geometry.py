@@ -254,13 +254,12 @@ class Submersion:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Submersion":
-        mono = MonomialMap.from_json_dict(
-            {"schema": "v1", "dim_in": data["dim_in"], "exponents": data["exponents"]}
-        )
+        """The document's submersion, built by `submersion_from_rows`: the
+        rows are checked independent and the saturation is computed."""
+        rows = [[int(x) for x in row] for row in data["exponents"]]
+        sub = submersion_from_rows(rows, int(data["dim_in"]), data.get("kind", "custom"))
         scales = tuple(Fraction(s) for s in data.get("scales", []))
-        return Submersion(
-            mono, data.get("kind", "custom"), scales, data.get("saturation", 1)
-        )
+        return Submersion(sub.map, sub.kind, scales, sub.saturation)
 
 
 def submersion_from_rows(rows, ambient_dim: int | None = None, kind: str = "custom") -> Submersion:

@@ -17,10 +17,17 @@ image gcds.  The exact divisions of both arguments by the candidate
 certify it as the gcd, and their quotients are the cofactors that
 normal forms and products use, with no second division.  When the
 heuristic gives up (too many evaluation points or too large integers),
-the classic primitive polynomial remainder sequence answers: recurse on
-the contents one variable at a time and run a pseudo-division Euclid in
-the main variable.  It is also the reference the heuristic is tested
-against.
+the primitive part of the argument with fewer terms is tried as a
+divisor of the other, and only when it does not divide does the classic
+primitive polynomial remainder sequence answer: recurse on the contents
+one variable at a time and run a pseudo-division Euclid in the main
+variable.  It is also the reference the heuristic is tested against.
+
+There is one polynomial division, `_divide`, on integer polynomials.
+By Gauss's lemma a primitive divisor divides over Q exactly when it
+divides over Z, so every exact division (the heuristic's certificate,
+the trial division, the PRS and its cofactors) divides the integer
+primitive parts and scales the quotient by the ratio of the contents.
 
 Sums, derivatives and new fractions take the full normal form, and a
 composition exactly one: numerator and denominator are brought over one
@@ -30,8 +37,9 @@ numerator factor left is coprime to each denominator factor left, and
 by Gauss's lemma the product of the two denominator factors, each
 primitive with a positive lead, is primitive with a positive lead too.
 An inverse only rescales by the numerator's content.
-``RationalFunction._raw`` stores its pair unchecked, so every caller
-must pass a normal form.
+The two ``_raw`` constructors store their arguments unchecked:
+``LaurentPoly._raw`` must be given nonzero `Fraction` coefficients, and
+``RationalFunction._raw`` a normal form.
 
 The package's one point-evaluation kernel lives here: `_terms` gives the
 value and optional gradient of a sparse term list in any number type.
@@ -59,10 +67,6 @@ __all__ = [
 
 def _add_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _to_mpf(v):
@@ -116,6 +120,15 @@ class LaurentPoly:
                 clean[e] = c
         self.terms = clean
 
+    @staticmethod
+    def _raw(nvars: int, terms: dict) -> "LaurentPoly":
+        """The polynomial with these terms, unchecked: every coefficient
+        must be a nonzero Fraction and every exponent an nvars-tuple."""
+        res = LaurentPoly.__new__(LaurentPoly)
+        res.nvars = nvars
+        res.terms = terms
+        return res
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -167,16 +180,10 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -193,19 +200,13 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, out)
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
         if c == 0:
             return LaurentPoly(self.nvars)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = {e: k * c for e, k in self.terms.items()}
-        return res
+        return LaurentPoly._raw(self.nvars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -227,10 +228,7 @@ class LaurentPoly:
     def shift(self, exp) -> "LaurentPoly":
         """Multiply by the monomial x^exp."""
         e0 = tuple(int(x) for x in exp)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = {_add_exp(e, e0): c for e, c in self.terms.items()}
-        return res
+        return LaurentPoly._raw(self.nvars, {_add_exp(e, e0): c for e, c in self.terms.items()})
 
     # -- calculus -----------------------------------------------------
 
@@ -246,10 +244,7 @@ class LaurentPoly:
                 out[e2] = s
             else:
                 out.pop(e2, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
+        return LaurentPoly._raw(self.nvars, out)
 
     # -- evaluation ---------------------------------------------------
 
@@ -309,26 +304,23 @@ class LaurentPoly:
 
 
 def _exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact division of polynomials; raises ArithmeticError if not exact."""
+    """f / g for polynomials; raises ArithmeticError if not exact.
+
+    By Gauss's lemma the integer primitive part of g divides that of f
+    over Q exactly when it does over Z, so `_divide` divides the two and
+    the quotient is scaled by content(f) / content(g)."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     n = f.nvars
-    quo: dict[tuple[int, ...], Fraction] = {}
-    rem = f
-    g_lead = g.leading_exponent()
-    g_lc = g.terms[g_lead]
-    while not rem.is_zero():
-        lead = rem.leading_exponent()
-        diff = _sub_exp(lead, g_lead)
-        if any(x < 0 for x in diff):
-            raise ArithmeticError("polynomial division is not exact")
-        c = rem.terms[lead] / g_lc
-        quo[diff] = c
-        rem = rem - g.shift(diff).scale(c)
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.nvars = n
-    res.terms = quo
-    return res
+    if f.is_zero():
+        return LaurentPoly(n)
+    used = range(n)
+    cont_f, pf = _integer_primitive(f, used)
+    cont_g, pg = _integer_primitive(g, used)
+    quo = _divide(pf, pg)
+    if quo is None:
+        raise ArithmeticError("polynomial division is not exact")
+    return _from_integer(quo, n, used, cont_f / cont_g)
 
 
 def _coefficients_in(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
@@ -342,13 +334,7 @@ def _coefficients_in(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
         k = e[var]
         e2 = tuple(0 if j == var else x for j, x in enumerate(e))
         out.setdefault(k, {})[e2] = c
-    result = {}
-    for k, terms in out.items():
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.nvars = f.nvars
-        p.terms = terms
-        result[k] = p
-    return result
+    return {k: LaurentPoly._raw(f.nvars, terms) for k, terms in out.items()}
 
 
 def _normalize_primitive(f: LaurentPoly) -> LaurentPoly:
@@ -427,8 +413,13 @@ def _gcd_cofactors(f: LaurentPoly, g: LaurentPoly):
     g1 = g.shift(tuple(-x for x in mg)) if any(mg) else g
     found = _heu_gcd(f1, g1)
     if found is None:
-        h = _poly_gcd_core(f1, g1)
-        found = (h, f1, g1) if h.is_one() else (h, _exact_divide(f1, h), _exact_divide(g1, h))
+        # the gcd may be the primitive part of the shorter argument itself
+        h = _normalize_primitive(f1 if len(f1.terms) <= len(g1.terms) else g1)
+        try:
+            found = h, _exact_divide(f1, h), _exact_divide(g1, h)
+        except ArithmeticError:
+            h = _poly_gcd_core(f1, g1)
+            found = (h, f1, g1) if h.is_one() else (h, _exact_divide(f1, h), _exact_divide(g1, h))
     h, cf, cg = found
     if any(mf):
         cf = cf.shift(tuple(a - b for a, b in zip(mf, common)))
@@ -464,20 +455,8 @@ def _heu_gcd(f: LaurentPoly, g: LaurentPoly):
     if len(h) == 1 and not any(lead):
         return LaurentPoly.constant(1, n), f, g
     sign = 1 if h[lead] > 0 else -1
-
-    def full(p: dict, scale) -> LaurentPoly:
-        terms = {}
-        for e, c in p.items():
-            x = [0] * n
-            for j, k in zip(used, e):
-                x[j] = k
-            terms[tuple(x)] = Fraction(sign * c) * scale
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.nvars = n
-        res.terms = terms
-        return res
-
-    return full(h, 1), full(cf, cont_f), full(cg, cont_g)
+    return (_from_integer(h, n, used, sign), _from_integer(cf, n, used, sign * cont_f),
+            _from_integer(cg, n, used, sign * cont_g))
 
 
 def _integer_primitive(p: LaurentPoly, used) -> tuple[Fraction, dict]:
@@ -488,6 +467,18 @@ def _integer_primitive(p: LaurentPoly, used) -> tuple[Fraction, dict]:
     q = {tuple(e[j] for j in used): c.numerator * (den // c.denominator) // num
          for e, c in p.terms.items()}
     return cont, q
+
+
+def _from_integer(p: dict, n: int, used, scale) -> LaurentPoly:
+    """scale * p in n variables, for an integer polynomial p {exponents:
+    int} on the variables used."""
+    terms = {}
+    for e, c in p.items():
+        x = [0] * n
+        for j, k in zip(used, e):
+            x[j] = k
+        terms[tuple(x)] = Fraction(c) * scale
+    return LaurentPoly._raw(n, terms)
 
 
 def _heu(f: dict, g: dict, k: int):
@@ -571,7 +562,7 @@ def _divide(f: dict, g: dict):
     """f / g for integer polynomials {exponents: int}, or None when g does
     not divide f in Z[x]."""
     top = tuple(a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g))))
-    if min(top) < 0:
+    if min(top, default=0) < 0:
         return None
     lead = max(g)
     lc = g[lead]

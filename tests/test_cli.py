@@ -449,6 +449,31 @@ class TestOrbit:
         assert code == 3
 
 
+class TestSubmersionFiles:
+    """A submersion document is checked as a row matrix is."""
+
+    @pytest.mark.parametrize("form", ["document", "matrix"])
+    @pytest.mark.parametrize("command", ["reduce", "itinerary"])
+    def test_dependent_rows_exit_3(self, capsys, tmp_path, command, form):
+        rows = [["1", "0"], ["2", "0"]]
+        doc = ({"schema": "v1", "kind": "custom", "exponents": rows, "dim_in": 2}
+               if form == "document" else
+               {"schema": "v1", "rows": 2, "cols": 2, "entries": rows})
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps(doc))
+        lyness = tmp_path / "lyness.json"
+        lyness.write_text(json.dumps(["x2", "(x2 + 1)/x1"]))
+        argv = (["reduce", "--map", str(lyness), "--exponents", str(sub)]
+                if command == "reduce" else
+                ["itinerary", "--map", str(lyness), "--submersions", str(sub),
+                 "--start", "1,1", "--steps", "4"])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "submersion exponent rows must be linearly independent" in captured.err
+
+
 class TestItinerary:
     def test_labels_and_periods(self, capsys, files):
         code, doc = _run_json(

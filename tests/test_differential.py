@@ -3,7 +3,8 @@
 Small random polynomials in 2-3 variables, drawn by Hypothesis: the
 primitive gcd agrees with ``sympy.gcd`` up to sign and content (and the
 heuristic gcd with its cofactors, in 1-3 variables, with the primitive
-PRS term for term), and the rational-function normal form with
+PRS term for term, and exact division undoes a product), and the
+rational-function normal form with
 ``sympy.cancel`` up to a constant factor shared by numerator and
 denominator.  The operations that skip
 the final gcd (product, quotient, inverse) or take a single normal form
@@ -113,9 +114,27 @@ def test_heuristic_gcd_is_the_prs_gcd(case):
     h, cf, cg = laurent._gcd_cofactors(f, g)
     want = laurent._prs_gcd(f, g)
     assert h.terms == want.terms
-    assert cf.terms == laurent._exact_divide(f, want).terms
-    assert cg.terms == laurent._exact_divide(g, want).terms
+    assert h * cf == f and h * cg == g
     assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(_rational_polys(n), _rational_polys(n))))
+def test_exact_division_undoes_a_product(case):
+    # (a b) / b is a term for term, in Fractions; a b + 1 is not divisible
+    # by a non-constant b; zero divides nothing and is divided by anything
+    a, b = case
+    n = a.nvars
+    q = laurent._exact_divide(a * b, b)
+    assert q.terms == a.terms
+    assert all(type(v) is Fraction for v in q.terms.values())
+    if not b.is_constant():
+        with pytest.raises(ArithmeticError):
+            laurent._exact_divide(a * b + LaurentPoly.constant(1, n), b)
+    zero = LaurentPoly(n)
+    with pytest.raises(ZeroDivisionError):
+        laurent._exact_divide(a, zero)
+    assert laurent._exact_divide(zero, b) == zero
 
 
 def _matches_cancel(ours: RationalFunction, expr) -> None:

@@ -542,6 +542,17 @@ class TestSubmersions:
         assert doc["schema"] == "v1"
         assert Submersion.from_json_dict(doc) == sub
 
+    def test_submersion_document_is_checked_as_rows(self):
+        # the rank is checked, the saturation computed and not read, and
+        # the kind and scales are kept
+        doc = {"kind": "null", "exponents": [["2", "0"]], "dim_in": 2,
+               "scales": ["1/2"], "saturation": 1}
+        sub = Submersion.from_json_dict(doc)
+        assert (sub.kind, sub.scales, sub.saturation) == ("null", (Fraction(1, 2),), 2)
+        doc["exponents"] = [["1", "0"], ["2", "0"]]
+        with pytest.raises(GeometryError):
+            Submersion.from_json_dict(doc)
+
     def test_trivial_and_diffeo_flags(self):
         trivial = null_submersion(PresymplecticForm(IntMatrix.zeros(2, 2)))
         assert trivial.dim_out == 0

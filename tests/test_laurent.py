@@ -152,8 +152,7 @@ class TestHeuristicGcd:
     def _check(f, g, want):
         h, cf, cg = laurent._gcd_cofactors(f, g)
         assert h.terms == want.terms
-        assert cf.terms == laurent._exact_divide(f, want).terms
-        assert cg.terms == laurent._exact_divide(g, want).terms
+        assert h * cf == f and h * cg == g
         assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
 
     @pytest.mark.parametrize("setting", [("_HEU_POINTS", 0), ("_HEU_MAX_BITS", 8)])
@@ -170,6 +169,26 @@ class TestHeuristicGcd:
         monkeypatch.setattr(laurent, *setting)
         self._check(f, g, want)
         assert calls
+
+    @pytest.mark.parametrize("setting", [("_HEU_POINTS", 0), ("_HEU_MAX_BITS", 8)])
+    def test_giving_up_tries_the_shorter_argument_first(self, monkeypatch, setting):
+        # g = 3/2 c divides f = c (x - y), so its primitive part c is the
+        # gcd, found by one trial division with no PRS
+        x, y, z = (LaurentPoly.variable(i, 3) for i in range(3))
+        c = x * y + z.scale(2) + LaurentPoly.constant(1, 3)
+        f, g = c * (x - y), c.scale(Fraction(3, 2))
+        heu, gave_up = laurent._heu_gcd, []
+
+        def recording(a, b):
+            found = heu(a, b)
+            gave_up.append(found is None)
+            return found
+
+        calls = _counting_prs(monkeypatch)
+        monkeypatch.setattr(laurent, "_heu_gcd", recording)
+        monkeypatch.setattr(laurent, *setting)
+        self._check(f, g, c)
+        assert gave_up == [True] and not calls
 
     @pytest.mark.parametrize("f, g", [
         # 3 + 8x and 3x + 4 at xi = 37 are 299 = 13 * 23 and 115 = 5 * 23,
@@ -205,7 +224,7 @@ class TestHeuristicGcd:
         g = LaurentPoly(3, {(1, 2, 3): Fraction(1, 2), (4, 1, 0): -2})
         h, cf, cg = laurent._gcd_cofactors(f, g)
         assert h == LaurentPoly.monomial((1, 0, 0), 3)
-        assert (cf, cg) == (laurent._exact_divide(f, h), laurent._exact_divide(g, h))
+        assert (h * cf, h * cg) == (f, g)
         assert poly_gcd(g, f) == h == laurent._prs_gcd(f, g)
         assert poly_gcd(LaurentPoly.constant(5, 3), g).is_one()
 

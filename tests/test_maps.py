@@ -155,6 +155,37 @@ class TestExactComposition:
         assert list(dens[-1]) == [(6, 6, 2, 2, 1)]
         assert max(sum(e) for den in dens for e in den) == degree_growth(b, cert)[2] == 17
 
+    def test_phi_fourth_of_somos5_2periodic_takes_one_trial_division(self, monkeypatch):
+        # the heuristic gcd gives up on one gcd, of 4650 terms against 15,
+        # where the PRS ran past 120 s; the 15-term argument's primitive
+        # part divides the other, so it is the gcd and no PRS runs
+        heu, core = laurent._heu_gcd, laurent._poly_gcd_core
+        gave_up, fallbacks = [], []
+
+        def recording_heu(f, g):
+            found = heu(f, g)
+            if found is None:
+                gave_up.append((len(f.terms), len(g.terms)))
+            return found
+
+        def counting_core(f, g):
+            fallbacks.append((f, g))
+            return core(f, g)
+
+        monkeypatch.setattr(laurent, "_heu_gcd", recording_heu)
+        monkeypatch.setattr(laurent, "_poly_gcd_core", counting_core)
+        b = get_fixture("somos5-2periodic").matrix("B")
+        phi = cluster_map(b, detect_period(b))
+        fourth = phi.iterate(4)
+        assert gave_up == [(4650, 15)]
+        assert fallbacks == []
+        assert [len(c.num.terms) for c in fourth.components] == [12, 74, 131, 1502, 2796]
+        assert all(c.den.is_monomial() for c in fourth.components)
+        x = start = tuple(Fraction(k, 3) for k in range(1, 6))
+        for _ in range(4):
+            x = phi.evaluate(x)
+        assert fourth.evaluate(start) == x
+
     def test_iterate_of_somos5_casimir_map_in_both_orders(self):
         fixture = get_fixture("somos5")
         b = fixture.matrix("B")
