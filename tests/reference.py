@@ -3,14 +3,17 @@ itself never needs: a monomial map as a birational map, a Darboux basis
 summed back into its skew form, the pointwise matrices of log-canonical
 structures, the polynomial test of a Laurent polynomial, the residue
 screen's orbit and labels computed term by term, with one inversion per
-coordinate and denominator, and a longest chain of submersions found by
-trying every subset."""
+coordinate and denominator, a longest chain of submersions found by
+trying every subset, and the digest of a sampled log-Jacobian stream."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
-from cluster_reduce import BirationalMap, IntMatrix, check_subfoliation
+from cluster_reduce import (BirationalMap, IntMatrix, check_subfoliation, cluster_map,
+                            detect_period, fordy_marsh, get_fixture)
 from cluster_reduce.dynamics import _residues
+from cluster_reduce.geometry import _sample_points
 from cluster_reduce.laurent import _sparse
 
 
@@ -121,3 +124,27 @@ def label_residues(pi, p: int, points, inverses) -> list[tuple]:
     rows = [_sparse(row) for row in pi.exponents.entries]
     return [tuple(_monomial_mod(1, mono, x, inv, p) for mono in rows)
             for x, inv in zip(points, inverses)]
+
+
+def sample_digest_maps() -> dict:
+    """The maps of `tests/data/sample-digests.json`: the cluster maps of the
+    seven ladder quivers and a user map with `Fraction` coefficients, a
+    non-monomial denominator and a negative exponent."""
+    matrices = {name: get_fixture(name).matrix("B")
+                for name in ("somos5", "c7-pair", "somos5-2periodic")}
+    for row in [(1, -1, 0, -1, 1), (1, -1, 0, 0, -1, 1), (1, -1, 0, 0, 0, -1, 1),
+                (1, 0, -1, 0, 0, -1, 0, 1)]:
+        matrices[f"fm-n{len(row) + 1}"] = fordy_marsh(row)
+    maps = {name: cluster_map(b, detect_period(b)) for name, b in matrices.items()}
+    maps["user"] = BirationalMap.from_strings(
+        ["x2", "x3", "(3/2*x2*x3 - 5*x1^-1)/(x1 + 2/3*x2)"])
+    return maps
+
+
+def sample_digest(phi, seed: int) -> dict:
+    """The count and SHA-256 of the stream of `geometry._sample_points(phi,
+    20, seed)`, hashed as the repr of [(p's (numerator, denominator)
+    pairs, dM, d), ...] in stream order."""
+    stream = [([(v.numerator, v.denominator) for v in p], m, d)
+              for p, (m, d) in _sample_points(phi, 20, seed)]
+    return {"points": len(stream), "sha256": hashlib.sha256(repr(stream).encode()).hexdigest()}

@@ -1,8 +1,11 @@
 """Invariant structures, monomial submersions, reduced maps, and flags."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +48,10 @@ from cluster_reduce import (
 from cluster_reduce.fixtures import somos5_matrix
 from cluster_reduce.geometry import _period_poisson_basis, maximal_flag
 from cluster_reduce.pipeline import AnalysisReport, WorkflowConfig, _foliations, run_pipeline
-from reference import as_birational, coefficients_at, longest_chain, tensor_at
+from reference import (as_birational, coefficients_at, longest_chain, sample_digest,
+                       sample_digest_maps, tensor_at)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _phi(name: str) -> BirationalMap:
@@ -450,6 +456,11 @@ class TestDiscoveryReference:
             )
 
 
+@cache
+def _digest_maps() -> dict:
+    return sample_digest_maps()
+
+
 class TestIntegerGeometry:
     """The sampled checks and discovery see each log-Jacobian once, cleared
     to integers, and discovery's Hermite forms stay within the kernel."""
@@ -461,6 +472,15 @@ class TestIntegerGeometry:
             assert d == lcm(*(v.denominator for row in exact for v in row))
             assert m == [[v * d for v in row] for row in exact]
             assert all(type(v) is int for row in m for v in row)
+
+    @pytest.mark.parametrize("seed", [0, 10_000])
+    @pytest.mark.parametrize("name", ["somos5", "c7-pair", "somos5-2periodic", "fm-n6",
+                                      "fm-n7", "fm-n8", "fm-n9", "user"])
+    def test_sample_stream_is_pinned(self, name, seed):
+        # every point, dM and d the sampler yields, as a SHA-256 of their
+        # ints (tests/data/README.md)
+        want = json.loads((DATA / "sample-digests.json").read_text())[f"{name}:seed{seed}"]
+        assert sample_digest(_digest_maps()[name], seed) == want
 
     def test_integer_congruences_and_narrow_hermite_forms(self, monkeypatch):
         congruent, hermite = geometry._congruent, intlinalg.hermite_normal_form
