@@ -10,9 +10,11 @@ three ways, and only one way is used per fact:
 * sampled exact points: invariance of a form or tensor under an
   arbitrary map is the congruence M^T B M = B, or M C M^T = C, of the
   log-Jacobian M(p)_ij = p_j d_j phi_i(p) / phi_i(p) at seeded random
-  positive points, one kernel run per point.  M(p) is cleared to the
-  integer matrix d M(p) once per point (d the lcm of its denominators),
-  and the congruence is checked on integers against d^2 B or d^2 C.
+  positive points.  The integer matrix d M(p) (d the lcm of its
+  denominators) is formed once per point on ints by `maps._log_jacobian`,
+  from the map's term lists cleared of the point's numerators and
+  denominators, and the congruence is checked on integers against d^2 B
+  or d^2 C.
   Discovery solves each point's integer equations inside the saturated
   kernel found so far, which narrows it without re-eliminating the
   equations of earlier points;
@@ -47,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .intlinalg import (
     DarbouxBasis,
@@ -62,11 +64,10 @@ from .intlinalg import (
 )
 from .laurent import LaurentPoly, RationalFunction
 from .maps import (
-    _EXACT,
     BirationalMap,
     MonomialMap,
     PositivePoint,
-    _apply,
+    _log_jacobian,
     random_positive_point,
     rng_substream,
 )
@@ -336,7 +337,11 @@ def _sample_points(phi: BirationalMap, count: int, seed: int):
     """Deterministic stream of count pairs (p, (dM, d)), p random positive
     rational, M(p)_ij = p_j d_j phi_i(p) / phi_i(p) the log-Jacobian and
     d the lcm of its denominators, so that dM = d M(p) is the integer
-    matrix the checks use.  Each point is one exact kernel run, and the
+    matrix the checks use.  Each point is one run of `maps._log_jacobian`,
+    which forms (dM, d) on ints: phi's numerators and denominators,
+    compiled once into term lists cleared of the point's numerators a_j
+    and denominators b_j, give p_j d_j P(p) / P(p) by `laurent._terms`,
+    still the package's one point kernel, with its gradient in a.  The
     pairs are generated as they are consumed.
 
     Substream index increments past points where phi is undefined or
@@ -353,15 +358,12 @@ def _sample_points(phi: BirationalMap, count: int, seed: int):
         p = random_positive_point(phi.dim_in, rng_substream(seed, index))
         index += 1
         try:
-            image, jac = _apply(phi, p, _EXACT, True)
+            scaled = _log_jacobian(phi, p)
         except ZeroDivisionError:
             continue
-        if all(image):
+        if scaled is not None:
             found += 1
-            m = [[v * x / y if v else v for v, x in zip(row, p)]
-                 for row, y in zip(jac, image)]
-            d = lcm(*(v.denominator for row in m for v in row))
-            yield p, ([[v.numerator * (d // v.denominator) for v in row] for row in m], d)
+            yield p, scaled
 
 
 def _check_congruence(phi, matrix: IntMatrix, samples, seed, poisson) -> InvarianceResult:
@@ -541,7 +543,9 @@ def find_invariant_poisson(
 
     The invariance identity M C M^T = C of the log-Jacobian M(p) is
     linear in the coefficients c_kl, so each sampled point contributes
-    exact linear equations, formed on integers from dM = d M(p);
+    exact linear equations, formed on integers from dM = d M(p), which
+    `_sample_points` forms on ints by one `maps._log_jacobian` run per
+    point (`laurent._terms` on the map's cleared term lists);
     points are added until the solution space dimension is unchanged
     for three consecutive points.  With `compatible_with` = B, the
     equations C B = 0 are the initial system; without it, every tensor

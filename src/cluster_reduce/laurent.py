@@ -46,7 +46,11 @@ value and optional gradient of a sparse term list in any number type.
 `LaurentPoly.evaluate(_mp)` call it, and `maps` compiles maps into such
 term lists; a hot compiled map runs straight-line code generated from
 them that makes `_terms`' operations in its order, with `_terms` as
-the reference it must equal bit for bit.
+the reference it must equal bit for bit.  `maps` also runs it on Python
+ints, with its gradient, on a map's term lists cleared of a rational
+point's numerators and denominators: that forms the sampled integer
+log-Jacobian d M(p) of `geometry` with no `Fraction` and no generated
+step.
 """
 
 from __future__ import annotations

@@ -23,6 +23,15 @@ mpmath) that the mpf operators make (`_LIBMPF`), on raw ``_mpf_``
 values at the working precision, without the objects; the Newton solver
 of `dynamics` computes on the same raw values (`_RAW`), each number
 type supplying its arithmetic (`_Arithmetic`).
+
+The integer log-Jacobian d M(p), M(p)_ij = p_j d_j f_i(p) / f_i(p), that
+`geometry` samples at rational points p_j = a_j / b_j is formed on
+Python ints (`_log_jacobian`): each numerator and denominator P is
+compiled once, cached on the map, into the term list of an integer
+polynomial N(a, b) with non-negative exponents (`_clear`), and one
+`_terms` run with its gradient gives p_j d_j P(p) / P(p) =
+(a_j dN/da_j + lo_j N) / N.  A sampled map never gets hot, so this has
+no generated step; `BirationalMap.jacobian` keeps the quotient rule.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
+from math import gcd, lcm
 
 import mpmath as mp
 from mpmath.libmp import (MPZ_ONE, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
@@ -416,6 +426,107 @@ def _apply(f, point, num: _Numbers, jacobian: bool):
     if len(x) != f.dim_in:
         raise ValueError("point dimension mismatch")
     return _step(f._compiled(num), x, jacobian, num)
+
+
+_UNDEFINED = "a zero coordinate has a negative exponent"
+
+
+def _clear(terms, n: int) -> tuple:
+    """(cleared, lo, fixed) for the term list of P = sum c_t x^e_t in n
+    variables.  lo_j and hi_j are the least and largest exponents of x_j,
+    and cleared holds the terms of N(a, b) = sum s c_t prod_j
+    a_j^(e_tj - lo_j) b_j^(hi_j - e_tj) in the 2n variables (a, b), s the
+    rational that makes the coefficients coprime integers.  At
+    p_j = a_j / b_j, P(p) = N(a, b) prod_j a_j^lo_j b_j^-hi_j / s.  For a
+    monomial P, N is its one constant term c, and fixed is the pair
+    (c, [c lo_j]) that `_log_derivatives` returns at every point; else
+    fixed is None."""
+    exps = [dict(mono) for _, mono in terms]
+    lo = [min((e.get(j, 0) for e in exps), default=0) for j in range(n)]
+    hi = [max((e.get(j, 0) for e in exps), default=0) for j in range(n)]
+    scale = lcm(*(c.denominator for c, _ in terms))
+    coeffs = [c.numerator * (scale // c.denominator) for c, _ in terms]
+    content = gcd(*coeffs) or 1
+    cleared = [(c // content, _sparse([e.get(j, 0) - lo[j] for j in range(n)]
+                                      + [hi[j] - e.get(j, 0) for j in range(n)]))
+               for c, e in zip(coeffs, exps)]
+    fixed = None
+    if len(cleared) == 1:
+        c = cleared[0][0]
+        fixed = c, [c * k for k in lo]
+    return cleared, lo, fixed
+
+
+def _cleared(f) -> list:
+    """f's components as (num, den) pairs of `_clear` results, den None
+    when it is 1, a coordinate x_k as the num of the monomial x_k; compiled
+    once and cached on f under "cleared"."""
+    if "cleared" not in f._cache:
+        n = f.dim_in
+        f._cache["cleared"] = [
+            (_clear([(Fraction(1), ((comp, 1),))], n), None) if isinstance(comp, int) else
+            (_clear(comp[0], n), None if comp[1] is None else _clear(comp[1], n))
+            for comp in _compile(f, Fraction).components]
+    return f._cache["cleared"]
+
+
+def _log_derivatives(part, x, zeros) -> tuple:
+    """(N, [a_j dN/da_j + lo_j N]) for the `_clear` result part of P at
+    x = (a, b), by `laurent._terms` with its gradient on ints, or part's
+    fixed pair for a monomial.  (0, None) where P(p) is 0 because a zero
+    a_j has lo_j > 0; zeros lists the j with a_j = 0."""
+    cleared, lo, fixed = part
+    if zeros:
+        if any(lo[j] < 0 for j in zeros):
+            raise ZeroDivisionError(_UNDEFINED)
+        if any(lo[j] > 0 for j in zeros):
+            return 0, None
+    if fixed is not None:
+        return fixed
+    grad = [0] * len(x)
+    value = _terms(cleared, x, 0, grad)
+    return value, [v * g + k * value for v, g, k in zip(x, grad, lo)]
+
+
+def _log_jacobian(f, point) -> tuple[list[list[int]], int] | None:
+    """(dM, d) for the log-Jacobian M(p)_ij = p_j d_j f_i(p) / f_i(p) of f
+    at the rational point p, with d the lcm of M's reduced denominators
+    and dM = d M(p) on ints; None where f(p) has a zero coordinate.
+    Raises ZeroDivisionError where f is undefined at p: a denominator
+    vanishes, or a zero coordinate has a negative exponent.
+
+    With p_j = a_j / b_j and N the value of P's cleared terms at (a, b)
+    (`_clear`), p_j d_j P(p) / P(p) = (a_j dN/da_j + lo_j N) / N = A_j / N.
+    So row i of M is (A_j D - B_j N) / (N D) for f_i = P / Q, or A_j / N
+    when Q is 1.  Each row is reduced by the gcd of its entries and its
+    denominator, which it makes positive, and the rows are brought over
+    the lcm d of those denominators.  Each part of a component that is not
+    a monomial is one run of `laurent._terms` on ints, the package's one
+    point kernel."""
+    a = [v.numerator for v in point]
+    x = a + [v.denominator for v in point]
+    zeros = [j for j, v in enumerate(a) if not v] if 0 in a else None
+    rows, dens = [], []
+    for num, den in _cleared(f):
+        v, dv = _log_derivatives(num, x, zeros)
+        if den is not None:
+            w, dw = _log_derivatives(den, x, zeros)
+            if not w:
+                raise ZeroDivisionError(_VANISHES)
+            if v:
+                v, dv = v * w, [p * w - q * v for p, q in zip(dv, dw)]
+        if v and v != 1:
+            g = gcd(v, *dv) if v > 0 else -gcd(v, *dv)
+            if g != 1:
+                v, dv = v // g, [e // g for e in dv]
+        rows.append(dv)
+        dens.append(v)
+    if 0 in dens:
+        return None
+    d = lcm(*dens)
+    # a monomial's row is its cached fixed list, so each row is a new list
+    return [[e * (d // w) for e in row] if w != d else list(row)
+            for row, w in zip(rows, dens)], d
 
 
 class BirationalMap:

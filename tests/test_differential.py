@@ -19,7 +19,10 @@ values against ``mpmath.lu_solve`` bit for bit (in floats, against the
 solver as it was before it ran on raw values).  The congruences of the geometry
 checks, on a log-Jacobian cleared to integers, give the verdicts of the
 rational identities, and the integer discovery rows have the kernel of
-the rows cleared from `Fraction` coefficients.  The generated
+the rows cleared from `Fraction` coefficients.  The log-Jacobian formed
+on ints from cleared term lists is the quotient-rule Jacobian's, cleared
+from `Fraction`s, with the same verdicts at edge points, on random
+rational and monomial maps.  The generated
 straight-line step of a hot compiled map gives the interpreter's values,
 Jacobians and exceptions bit for bit, on random maps in every number
 type of the kernel, raw mpf values of the libmpf step included.
@@ -44,7 +47,7 @@ from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream
 from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
-from reference import is_polynomial, label_residues, residue_orbit  # noqa: E402
+from reference import as_birational, is_polynomial, label_residues, residue_orbit  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMBOLS = sympy.symbols("x1:4")
@@ -519,6 +522,83 @@ def test_cleared_congruences_match_the_rational_identities(case):
     assert kernel_lattice(IntMatrix.from_rows(ours, cols=unknowns)) == kernel_lattice(
         IntMatrix.from_rows(_fraction_poisson_rows(m), cols=unknowns)
     )
+
+
+def _rational_components(n: int):
+    """Coordinates x_i and quotients of Laurent polynomials with 1-3 terms,
+    exponents -1..2 and `Fraction` coefficients, in n variables."""
+    exponents = st.tuples(*[st.integers(-1, 2)] * n)
+    coefficients = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    poly = st.dictionaries(exponents, coefficients, min_size=1, max_size=3).map(
+        lambda terms: LaurentPoly(n, terms))
+    return st.one_of(st.integers(0, n - 1).map(lambda i: RationalFunction.coordinate(i, n)),
+                     st.builds(RationalFunction, poly, poly))
+
+
+@st.composite
+def _log_jacobian_maps(draw):
+    """(f, p): a `BirationalMap` of 1-3 random components or a
+    `MonomialMap` with exponents -2..2, in 1-3 variables, and a point of
+    rationals in -5..5, 0 drawn often."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = BirationalMap(n, draw(st.lists(_rational_components(n), min_size=1, max_size=3)))
+    else:
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        f = MonomialMap.from_rows(draw(st.lists(row, min_size=1, max_size=3)), n)
+    coordinate = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=7))
+    return f, tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+
+
+def _quotient_rule_log_jacobian(f, p):
+    """(dM, d) for M = J(p) p_j / f_i(p) in Fractions, J by
+    `BirationalMap.jacobian`, cleared by the lcm d of M's denominators; None
+    where f(p) has a zero coordinate, ZeroDivisionError where f is
+    undefined at p.  A `MonomialMap` is taken as its birational map."""
+    g = f if isinstance(f, BirationalMap) else as_birational(f)
+    try:
+        image, jac = g.evaluate(p), g.jacobian(p)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    if not all(image):
+        return None
+    m = [[v * x / y for v, x in zip(row, p)] for row, y in zip(jac, image)]
+    d = lcm(*(v.denominator for row in m for v in row))
+    return [[int(v * d) for v in row] for row in m], d
+
+
+def _cleared_log_jacobian(f, p):
+    try:
+        return maps._log_jacobian(f, p)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(SETTINGS, max_examples=300)
+@given(_log_jacobian_maps())
+# zero image coordinates: x1 divides x1^2 + x1 x2 at x1 = 0, and
+# x1 x2 - 1 vanishes at (1/2, 2)
+@example((BirationalMap.from_strings(["x1^2 + x1*x2", "x2"]), (Fraction(0), Fraction(3))))
+@example((BirationalMap.from_strings(["x1*x2 - 1", "x2"]), (Fraction(1, 2), Fraction(2))))
+# vanishing denominators: x1 - x2 at (2, 2), and x1 at x1 = 0
+@example((BirationalMap.from_strings(["x2/(x1 - x2)", "x1"]), (Fraction(2), Fraction(2))))
+@example((BirationalMap.from_strings(["x2/x1", "x1"]), (Fraction(0), Fraction(1))))
+# x2^-1 at x2 = 0, and after a zero image coordinate x1 x2^2 at x2 = 0
+@example((MonomialMap.from_rows([[1, -1], [0, 1]], 2), (Fraction(1), Fraction(0))))
+@example((MonomialMap.from_rows([[1, 2], [0, -1]], 2), (Fraction(1), Fraction(0))))
+def test_cleared_log_jacobian_is_the_quotient_rule_reference(case):
+    # the integer (dM, d) of maps._log_jacobian is the reference cleared
+    # from Fractions, and its verdict at an edge point is the reference's;
+    # no row it returns is shared with the map's cache
+    f, p = case
+    got = _cleared_log_jacobian(f, p)
+    assert got == _quotient_rule_log_jacobian(f, p)
+    if isinstance(got, tuple):
+        dm, d = got
+        assert d > 0 and all(type(v) is int for row in dm for v in row)
+        for row in dm:
+            row.append(None)
+        assert _cleared_log_jacobian(f, p) == _quotient_rule_log_jacobian(f, p)
 
 
 # Coordinates of the generated-step property: 0 (for -0.0 totals and
