@@ -8,6 +8,7 @@ trying every subset, and the digest of a sampled log-Jacobian stream."""
 
 import hashlib
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from cluster_reduce import (BirationalMap, IntMatrix, check_subfoliation, cluster_map,
@@ -126,10 +127,11 @@ def label_residues(pi, p: int, points, inverses) -> list[tuple]:
             for x, inv in zip(points, inverses)]
 
 
+@cache
 def sample_digest_maps() -> dict:
     """The maps of `tests/data/sample-digests.json`: the cluster maps of the
     seven ladder quivers and a user map with `Fraction` coefficients, a
-    non-monomial denominator and a negative exponent."""
+    non-monomial denominator and a negative exponent, built once."""
     matrices = {name: get_fixture(name).matrix("B")
                 for name in ("somos5", "c7-pair", "somos5-2periodic")}
     for row in [(1, -1, 0, -1, 1), (1, -1, 0, 0, -1, 1), (1, -1, 0, 0, 0, -1, 1),

@@ -3,7 +3,6 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from pathlib import Path
 
@@ -456,11 +455,6 @@ class TestDiscoveryReference:
             )
 
 
-@cache
-def _digest_maps() -> dict:
-    return sample_digest_maps()
-
-
 class TestIntegerGeometry:
     """The sampled checks and discovery see each log-Jacobian once, cleared
     to integers, and discovery's Hermite forms stay within the kernel."""
@@ -480,7 +474,7 @@ class TestIntegerGeometry:
         # every point, dM and d the sampler yields, as a SHA-256 of their
         # ints (tests/data/README.md)
         want = json.loads((DATA / "sample-digests.json").read_text())[f"{name}:seed{seed}"]
-        assert sample_digest(_digest_maps()[name], seed) == want
+        assert sample_digest(sample_digest_maps()[name], seed) == want
 
     def test_integer_congruences_and_narrow_hermite_forms(self, monkeypatch):
         congruent, hermite = geometry._congruent, intlinalg.hermite_normal_form
