@@ -30,8 +30,9 @@ Python ints (`_log_jacobian`): each numerator and denominator P is
 compiled once, cached on the map, into the term list of an integer
 polynomial N(a, b) with non-negative exponents (`_clear`), and one
 `_terms` run with its gradient gives p_j d_j P(p) / P(p) =
-(a_j dN/da_j + lo_j N) / N.  A sampled map never gets hot, so this has
-no generated step; `BirationalMap.jacobian` keeps the quotient rule.
+(a_j dN/da_j + lo_j N) / N; a monomial's are constants, kept from
+compilation.  A sampled map never gets hot, so this has no generated
+step; `BirationalMap.jacobian` keeps the quotient rule.
 """
 
 from __future__ import annotations
