@@ -67,6 +67,7 @@ whole space and whose starts are the plain grid.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -143,36 +144,25 @@ def iterate_orbit(
 ) -> Orbit:
     """Iterate f for n steps from x0.
 
-    Exact mode keeps rational coordinates; float mode evaluates with
-    `precision` significant decimal digits.  A vanishing denominator
+    Exact mode keeps rational coordinates (`BirationalMap.evaluate`);
+    float mode evaluates with `precision` significant decimal digits
+    (`evaluate_mp`), by the same stepping loop.  A vanishing denominator
     raises DynamicsError naming the failing step.
     """
     if f.dim_out != f.dim_in:
         raise DynamicsError("orbits require a self-map")
-    if mode == "exact":
-        current = tuple(Fraction(v) for v in x0)
-        points = [current]
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exact = mode == "exact"
+    with nullcontext() if exact else mp.workdps(precision):
+        convert, step_map = (Fraction, f.evaluate) if exact else (_to_mpf, f.evaluate_mp)
+        points = [tuple(convert(v) for v in x0)]
         for step in range(n):
             try:
-                current = f.evaluate(current)
+                points.append(tuple(step_map(points[-1])))
             except ZeroDivisionError as exc:
                 raise DynamicsError(f"denominator vanished at step {step + 1}") from exc
-            points.append(current)
-        return Orbit(f, points[0], tuple(points), "exact")
-    if mode == "float":
-        with mp.workdps(precision):
-            current = tuple(_to_mpf(v) for v in x0)
-            points = [current]
-            for step in range(n):
-                try:
-                    current = f.evaluate_mp(current)
-                except ZeroDivisionError as exc:
-                    raise DynamicsError(
-                        f"denominator vanished at step {step + 1}"
-                    ) from exc
-                points.append(tuple(current))
-        return Orbit(f, points[0], tuple(points), "float", precision)
-    raise ValueError(f"unknown mode {mode!r}")
+    return Orbit(f, points[0], tuple(points), mode, None if exact else precision)
 
 
 def orbit_sequence(orbit: Orbit) -> list:
@@ -1038,12 +1028,10 @@ class LeafItinerary:
     @cached_property
     def labels(self) -> tuple:
         points = self.orbit.points
-        if self.mode == "float":
-            with mp.workdps(self.precision):
-                return tuple(
-                    tuple(tuple(s.evaluate_mp(p)) for p in points) for s in self.submersions
-                )
-        return tuple(tuple(s.evaluate(p) for p in points) for s in self.submersions)
+        exact = self.mode == "exact"
+        with nullcontext() if exact else mp.workdps(self.precision):
+            return tuple(tuple((s.evaluate if exact else s.evaluate_mp)(p) for p in points)
+                         for s in self.submersions)
 
     def summary(self) -> str:
         lines = []

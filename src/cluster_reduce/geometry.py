@@ -16,8 +16,8 @@ three ways, and only one way is used per fact:
   denominators, and the congruence is checked on integers against d^2 B
   or d^2 C.
   Discovery solves each point's integer equations inside the saturated
-  kernel found so far, which narrows it without re-eliminating the
-  equations of earlier points;
+  kernel found so far, which narrows it without re-eliminating earlier
+  points; a re-verification point that fails narrows it the same way;
 * lattice rewrite: a reduced map psi satisfies pi o phi = psi o pi
   by construction, as the exact rewrite of pi o phi in fiber
   coordinates; a chained reduction follows from two such rewrites and
@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd
 
 from .intlinalg import (
@@ -415,11 +416,7 @@ def check_poisson_map(
 
 
 def _pair_index(n: int):
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((i, j))
-    return pairs
+    return list(combinations(range(n), 2))
 
 
 def vectorize_skew(m: IntMatrix) -> tuple[int, ...]:
@@ -552,10 +549,10 @@ def find_invariant_poisson(
     is a solution at first.  Each point's equations then narrow the
     saturated kernel K found so far (`intlinalg._narrowed_kernel`): they
     are solved in K's coordinates, so no Hermite form sees more than
-    dim K rows and earlier points are never re-eliminated.  Every basis
-    element is re-verified at independent sample points, as the
-    integer congruence (dM) C (dM)^T = d^2 C; a failing candidate's
-    witness point is fed back in the same way.
+    dim K rows and earlier points are never re-eliminated.  One pass
+    re-verifies the basis at 5 points of seed + 10000, as the integer
+    congruence (dM) C (dM)^T = d^2 C; a point where an element fails
+    narrows K by its equations, so the result is K cut by all 5 points'.
     """
     stable_runs = 3
     n = phi.dim_in
@@ -575,17 +572,14 @@ def find_invariant_poisson(
         if basis.dim == 0 or (len(dims) >= stable_runs and len(set(dims[-stable_runs:])) == 1):
             break
 
-    # Re-verification at 5 points of another seed, sampled once; the first
-    # failure's log-Jacobian is fed back into the system.
-    checks = [scaled for _, scaled in _sample_points(phi, 5, seed + 10_000)] if basis.dim else []
-    for _ in range(n_unknowns + 1):
-        candidates = [unvectorize_skew(v, n) for v in basis.vectors]
-        retry = next(((m, d) for c in candidates for m, d in checks
-                      if not _congruent(m, c.entries, c.scale(d * d).entries)), None)
-        if retry is None:
-            return candidates
-        basis = _narrowed_kernel(basis, _poisson_equations_at(retry))
-    raise GeometryError("invariant-structure search failed to stabilize")
+    # Re-verification in one pass over 5 points of another seed: a point
+    # where a basis element fails narrows the kernel by its equations.
+    candidates = [unvectorize_skew(v, n) for v in basis.vectors]
+    for _, (m, d) in _sample_points(phi, 5, seed + 10_000) if basis.dim else ():
+        if any(not _congruent(m, c.entries, c.scale(d * d).entries) for c in candidates):
+            basis = _narrowed_kernel(basis, _poisson_equations_at((m, d)))
+            candidates = [unvectorize_skew(v, n) for v in basis.vectors]
+    return candidates
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,14 @@ divides over Z, so every exact division (the heuristic's certificate,
 the trial division, the PRS and its cofactors) divides the integer
 primitive parts and scales the quotient by the ratio of the contents.
 
-Sums, derivatives and new fractions take the full normal form, and a
-composition exactly one: numerator and denominator are brought over one
-common denominator, which cancels.  A product cross-cancels its two
-normal forms (Henrici, J. ACM 3, 1956) and takes no final gcd: each
-numerator factor left is coprime to each denominator factor left, and
+Sums, derivatives and new fractions take the full normal form.  Every
+composition (an exchange relation, a reduction's pi o phi, an iterate)
+is `RationalFunction.compose`: a monomial is a product of powers of the
+arguments, and any other function takes exactly one normal form, its
+numerator and denominator brought over one common denominator, which
+cancels.  A product cross-cancels its two normal forms (Henrici, J. ACM
+3, 1956) and takes no final gcd: each numerator factor left is coprime
+to each denominator factor left, and
 by Gauss's lemma the product of the two denominator factors, each
 primitive with a positive lead, is primitive with a positive lead too.
 An inverse only rescales by the numerator's content.
@@ -797,11 +800,14 @@ class RationalFunction:
         """Substitute args[i] = n_i / d_i for variable i; args live in their
         own space.
 
-        Numerator and denominator are polynomials, so both are brought over
-        the one common denominator prod_i d_i^(h_i), h_i the largest
-        exponent of x_i in either: x^e becomes prod_i n_i^(e_i)
-        d_i^(h_i - e_i).  That denominator cancels from the quotient, which
-        takes a single normal form.
+        A monomial c x^a / x^b is the product of c and the powers
+        args[i]^(a_i - b_i), which cross-cancel pairwise: one normal form
+        of the whole would take a gcd blind to those factors.  Otherwise
+        numerator and denominator, polynomials, are brought over the one
+        common denominator prod_i d_i^(h_i), h_i the largest exponent of
+        x_i in either: x^e becomes prod_i n_i^(e_i) d_i^(h_i - e_i).
+        That denominator cancels from the quotient, which takes a single
+        normal form.
         """
         if len(args) != self.nvars:
             raise ValueError("wrong number of substitution arguments")
@@ -810,6 +816,13 @@ class RationalFunction:
         m = args[0].nvars
         if any(a.nvars != m for a in args):
             raise ValueError("substitution arguments live in different spaces")
+        if self.num.is_monomial() and self.den.is_monomial():
+            ((a, c),), (b,) = self.num.terms.items(), self.den.terms
+            result = RationalFunction.constant(c, m)
+            for arg, i, j in zip(args, a, b):
+                if i != j:
+                    result = result * arg ** (i - j)
+            return result
         exps = [*self.num.terms, *self.den.terms]
         high = [max(e[i] for e in exps) for i in range(self.nvars)]
         powers: dict[tuple[int, int], LaurentPoly] = {}

@@ -460,14 +460,14 @@ def _clear(terms, n: int) -> tuple:
 
 def _cleared(f) -> list:
     """f's components as (num, den) pairs of `_clear` results, den None
-    when it is 1, a coordinate x_k as the num of the monomial x_k; compiled
-    once and cached on f under "cleared"."""
+    when it is 1, a coordinate x_k as the num of the monomial x_k; read
+    off f's exact compiled form and cached on f under "cleared"."""
     if "cleared" not in f._cache:
         n = f.dim_in
         f._cache["cleared"] = [
             (_clear([(Fraction(1), ((comp, 1),))], n), None) if isinstance(comp, int) else
             (_clear(comp[0], n), None if comp[1] is None else _clear(comp[1], n))
-            for comp in _compile(f, Fraction).components]
+            for comp in f._compiled(_EXACT).components]
     return f._cache["cleared"]
 
 
@@ -677,17 +677,14 @@ class MonomialMap:
     evaluate_mp = BirationalMap.evaluate_mp
 
     def after(self, inner: BirationalMap) -> BirationalMap:
-        """self . inner as a birational map: components prod_j inner_j^(u_ij)."""
+        """self . inner as a birational map, components prod_j inner_j^(u_ij),
+        by `BirationalMap.compose`; with no source coordinates, constant 1."""
         if inner.dim_out != self.dim_in:
             raise ValueError("composition dimension mismatch")
-        comps = []
-        for row in self.exponents.entries:
-            acc = RationalFunction.constant(1, inner.dim_in)
-            for j, k in enumerate(row):
-                if k:
-                    acc = acc * inner.components[j] ** k
-            comps.append(acc)
-        return BirationalMap(inner.dim_in, comps)
+        if not self.dim_in:
+            return BirationalMap(inner.dim_in, [RationalFunction.constant(1, inner.dim_in)]
+                                 * self.dim_out)
+        return BirationalMap(self.dim_in, self.components()).compose(inner)
 
     def after_monomial(self, inner: "MonomialMap") -> "MonomialMap":
         """Monomial composition: exponent matrices multiply."""

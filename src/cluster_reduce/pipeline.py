@@ -352,13 +352,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         psi = system.map
         kind = system.submersion.kind
         entry = {"kind": kind, "dimension": psi.dim_in}
-        try:
-            period_report = detect_global_periodicity(
-                system, config.p_max, PERIOD_SAMPLES, config.seed
-            )
-        except DynamicsError as exc:
-            report.errors.append(["dynamics", str(exc)])
-            continue
+        period_report = detect_global_periodicity(system, config.p_max, PERIOD_SAMPLES, config.seed)
         if period_report.is_periodic:
             entry["global_period"] = period_report.period
             entry["summary"] = f"globally {period_report.period}-periodic (symbolic certificate)"

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix
-from .laurent import RationalFunction
+from .laurent import LaurentPoly, RationalFunction
 from .maps import BirationalMap
 
 __all__ = [
@@ -128,24 +128,25 @@ def mutate_matrix(b: IntMatrix, k: int) -> IntMatrix:
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation at node k: exchange relation plus matrix mutation."""
+    """Seed mutation at node k: exchange relation plus matrix mutation.
+
+    The exchange relation (x^[b_k]+ + x^[b_k]-) / x_k, b_k row k of B, is
+    composed with the current cluster by `RationalFunction.compose`; when
+    b_k is zero its two monomials coincide and it is 2 / x_k.
+    """
     b = seed.matrix
     _check_node(b, k)
     kk = k - 1
     n = b.rows
-    plus = RationalFunction.constant(1, n)
-    minus = RationalFunction.constant(1, n)
-    for j in range(n):
-        e = b.entries[kk][j]
-        if e > 0:
-            plus = plus * seed.cluster[j] ** e
-        elif e < 0:
-            minus = minus * seed.cluster[j] ** (-e)
-    new_var = (plus + minus) / seed.cluster[kk]
-    cluster = tuple(
-        new_var if j == kk else seed.cluster[j] for j in range(n)
+    row = b.entries[kk]
+    exchange = RationalFunction(
+        LaurentPoly.monomial([max(e, 0) for e in row], n)
+        + LaurentPoly.monomial([max(-e, 0) for e in row], n),
+        LaurentPoly.variable(kk, n),
     )
-    return Seed(mutate_matrix(b, k), cluster)
+    cluster = list(seed.cluster)
+    cluster[kk] = exchange.compose(cluster)
+    return Seed(mutate_matrix(b, k), tuple(cluster))
 
 
 def shifted_matrix(b: IntMatrix, m: int) -> IntMatrix:

@@ -601,6 +601,39 @@ def test_cleared_log_jacobian_is_the_quotient_rule_reference(case):
         assert _cleared_log_jacobian(f, p) == _quotient_rule_log_jacobian(f, p)
 
 
+@st.composite
+def _composition_cases(draw):
+    """(m, f, points): a `BirationalMap` f of 1-3 random components in 1-3
+    variables, a `MonomialMap` m on its target with exponents -2..2, and
+    three positive rational points."""
+    n = draw(st.integers(1, 3))
+    f = BirationalMap(n, draw(st.lists(_rational_components(n), min_size=1, max_size=3)))
+    row = st.lists(st.integers(-2, 2), min_size=f.dim_out, max_size=f.dim_out)
+    m = MonomialMap.from_rows(draw(st.lists(row, min_size=1, max_size=3)), f.dim_out)
+    coordinate = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    point = st.tuples(*[coordinate] * n)
+    return m, f, draw(st.lists(point, min_size=3, max_size=3))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_composition_cases())
+def test_monomial_after_birational_is_pointwise_composition(case):
+    # m . f from compose equals m(f(p)) wherever the right side is defined;
+    # a normal form is defined wherever an unreduced form of it is
+    m, f, points = case
+    composite = m.after(f)
+    assert composite.dim_in == f.dim_in and composite.dim_out == m.dim_out
+    for p in points:
+        try:
+            want = m.evaluate(f.evaluate(p))
+        except ZeroDivisionError:
+            continue
+        assert composite.evaluate(p) == want
+    wider = MonomialMap.from_rows([[1] * (f.dim_out + 1)], f.dim_out + 1)
+    with pytest.raises(ValueError):
+        wider.after(f)
+
+
 # Coordinates of the generated-step property: 0 (for -0.0 totals and
 # vanishing denominators), signs, and magnitudes whose powers overflow
 # floats (10^100 ** 4, (10^-150) ** -3).

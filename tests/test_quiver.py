@@ -19,6 +19,7 @@ from cluster_reduce import (
     growth_class,
     mutate_matrix,
     mutate_seed,
+    parse_rational,
     shifted_matrix,
 )
 from cluster_reduce.quiver import _d_vectors
@@ -314,3 +315,10 @@ class TestSeedMutation:
         from cluster_reduce import parse_rational
 
         assert seed.cluster[0] == parse_rational("(x2*x5 + x3*x4)/x1", 5)
+
+    def test_coinciding_exchange_monomials_add(self):
+        # row 3 is zero, so both exchange monomials are 1 and x3' x3 = 2
+        b = IntMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        seed = mutate_seed(Seed.initial(b), 3)
+        assert seed.cluster[2] == parse_rational("2/x3", 3)
+        assert seed.cluster[:2] == Seed.initial(b).cluster[:2]
