@@ -552,7 +552,7 @@ def find_invariant_poisson(
     dim K rows and earlier points are never re-eliminated.  One pass
     re-verifies the basis at 5 points of seed + 10000, as the integer
     congruence (dM) C (dM)^T = d^2 C; a point where an element fails
-    narrows K by its equations, so the result is K cut by all 5 points'.
+    narrows K by its equations, so the result passes at all 5 points.
     """
     stable_runs = 3
     n = phi.dim_in

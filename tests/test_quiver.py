@@ -312,8 +312,6 @@ class TestSeedMutation:
         b = get_fixture("somos5").matrix("B")
         seed = mutate_seed(Seed.initial(b), 1)
         # x1' x1 = x2 x5 + x3 x4 for the Somos-5 exchange at node 1
-        from cluster_reduce import parse_rational
-
         assert seed.cluster[0] == parse_rational("(x2*x5 + x3*x4)/x1", 5)
 
     def test_coinciding_exchange_monomials_add(self):
