@@ -4,15 +4,18 @@ summed back into its skew form, the pointwise matrices of log-canonical
 structures, the polynomial test of a Laurent polynomial, the residue
 screen's orbit and labels computed term by term, with one inversion per
 coordinate and denominator, a longest chain of submersions found by
-trying every subset, and the digest of a sampled log-Jacobian stream."""
+trying every subset, and the digests of a sampled log-Jacobian stream
+and of a pipeline report."""
 
 import hashlib
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from cluster_reduce import (BirationalMap, IntMatrix, check_subfoliation, cluster_map,
                             detect_period, fordy_marsh, get_fixture)
+from cluster_reduce.cli import WorkflowConfig, run_pipeline
 from cluster_reduce.dynamics import _residues
 from cluster_reduce.geometry import _sample_points
 from cluster_reduce.laurent import _sparse
@@ -127,17 +130,22 @@ def label_residues(pi, p: int, points, inverses) -> list[tuple]:
             for x, inv in zip(points, inverses)]
 
 
-@cache
-def sample_digest_maps() -> dict:
-    """The maps of `tests/data/sample-digests.json`: the cluster maps of the
-    seven ladder quivers and a user map with `Fraction` coefficients, a
-    non-monomial denominator and a negative exponent, built once."""
+def ladder_matrices() -> dict:
+    """The exchange matrices of the seven ladder quivers, by rung name."""
     matrices = {name: get_fixture(name).matrix("B")
                 for name in ("somos5", "c7-pair", "somos5-2periodic")}
     for row in [(1, -1, 0, -1, 1), (1, -1, 0, 0, -1, 1), (1, -1, 0, 0, 0, -1, 1),
                 (1, 0, -1, 0, 0, -1, 0, 1)]:
         matrices[f"fm-n{len(row) + 1}"] = fordy_marsh(row)
-    maps = {name: cluster_map(b, detect_period(b)) for name, b in matrices.items()}
+    return matrices
+
+
+@cache
+def sample_digest_maps() -> dict:
+    """The maps of `tests/data/sample-digests.json`: the cluster maps of the
+    seven ladder quivers and a user map with `Fraction` coefficients, a
+    non-monomial denominator and a negative exponent, built once."""
+    maps = {name: cluster_map(b, detect_period(b)) for name, b in ladder_matrices().items()}
     maps["user"] = BirationalMap.from_strings(
         ["x2", "x3", "(3/2*x2*x3 - 5*x1^-1)/(x1 + 2/3*x2)"])
     return maps
@@ -150,3 +158,13 @@ def sample_digest(phi, seed: int) -> dict:
     stream = [([(v.numerator, v.denominator) for v in p], m, d)
               for p, (m, d) in _sample_points(phi, 20, seed)]
     return {"points": len(stream), "sha256": hashlib.sha256(repr(stream).encode()).hexdigest()}
+
+
+def report_digest(matrix, seed: int, require_compatible: bool) -> dict:
+    """The SHA-256s of `run_pipeline(matrix, WorkflowConfig(seed=seed,
+    require_compatible=require_compatible))`: of its `to_json_dict()` as
+    JSON with sorted keys, and of its `render_text()`."""
+    report = run_pipeline(matrix, WorkflowConfig(seed=seed, require_compatible=require_compatible))
+    doc = json.dumps(report.to_json_dict(), sort_keys=True)
+    return {"json": hashlib.sha256(doc.encode()).hexdigest(),
+            "text": hashlib.sha256(report.render_text().encode()).hexdigest()}

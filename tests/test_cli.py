@@ -12,7 +12,7 @@ from cluster_reduce import build_flag, chained_reduction, cluster_map, derive_re
 from cluster_reduce import detect_period
 from cluster_reduce import dynamics, geometry, intlinalg, laurent, pipeline
 from cluster_reduce.cli import WorkflowConfig, main, run_pipeline
-from reference import longest_chain
+from reference import ladder_matrices, longest_chain, report_digest
 
 # byte-exact `pipeline` reports at seed 0; a change that is meant to leave
 # the analysis alone must leave them unchanged
@@ -580,6 +580,16 @@ class TestPipeline:
         assert doc["config"].pop("require_compatible") is False
         assert golden["config"].pop("require_compatible") is True
         assert doc == golden
+
+    @pytest.mark.parametrize("compatible", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", _LADDER)
+    def test_report_is_pinned(self, name, seed, compatible):
+        # the JSON and text of every ladder report at three seeds, with and
+        # without compatibility imposed, as SHA-256s (tests/data/README.md)
+        key = f"{name}:seed{seed}:{'compatible' if compatible else 'sampled'}"
+        want = json.loads((DATA / "report-digests.json").read_text())[key]
+        assert report_digest(ladder_matrices()[name], seed, compatible) == want
 
     def test_somos6_foliation_analysed_once(self):
         report = run_pipeline(fordy_marsh((1, -1, 0, -1, 1)))
