@@ -649,12 +649,9 @@ def rewrite_in_fiber_coordinates(f: RationalFunction, sub: Submersion) -> Ration
                     "not constant on fibers: monomial exponent "
                     f"{exp} is not reachable from the reference exponent inside the lattice"
                 )
-            target[sol] = target.get(sol, Fraction(0)) + coeff
-    num = LaurentPoly(r, new_num)
-    den = LaurentPoly(r, new_den)
-    if den.is_zero():
-        raise NotFiberConstantError("denominator collapsed to zero during rewriting")
-    return RationalFunction(num, den)
+            # U^T sol = delta, so distinct exponents get distinct sol
+            target[sol] = coeff
+    return RationalFunction(LaurentPoly._raw(r, new_num), LaurentPoly._raw(r, new_den))
 
 
 def derive_reduced_map(phi: BirationalMap, sub: Submersion) -> ReducedSystem:

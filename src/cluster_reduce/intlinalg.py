@@ -530,10 +530,13 @@ def _congruent(a, m, b) -> bool:
 
 
 def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Unimodular congruence of an integer skew matrix into 2x2 blocks.
+    """Unimodular congruence of a nonsingular integer skew matrix into 2x2
+    blocks.
 
     Returns (q, ds) with q unimodular and q^T m q equal to the block
-    diagonal  [[0, d_1], [-d_1, 0]], ..., padded by zeros; every d_m > 0.
+    diagonal  [[0, d_1], [-d_1, 0]], ...; every d_m > 0.  Each step leaves
+    the first t rows and columns in blocks and the trailing block of rank
+    n - t, so the pivot search always finds a nonzero entry.
     """
     n = len(m)
     a = [list(row) for row in m]
@@ -542,9 +545,7 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
     rows, cols = (a,), (a, q)
 
     ds: list[int] = []
-    t = 0
-    while t + 1 < n:
-        pivot = None
+    for t in range(0, n, 2):
         best = None
         for i in range(t, n):
             for j in range(i + 1, n):
@@ -552,37 +553,31 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
-        if pivot is None:
-            break
+        # pj > pi >= t, so moving row pi to t leaves row pj in place
         pi, pj = pivot
         if pi != t:
             _swap(rows, cols, pi, t)
-            if pj == t:
-                pj = pi
         if pj != t + 1:
             _swap(rows, cols, pj, t + 1)
         if a[t][t + 1] < 0:
             _swap(rows, cols, t, t + 1)
 
-        # make the pivot divide the rest of its two rows, then clear them
+        # make the pivot divide the rest of its two rows, then clear them;
+        # each reduction puts a remainder 0 < r < p at (t, t + 1), the
+        # second one as -r, which the last swap turns
         while True:
             p = a[t][t + 1]
             progressed = False
             for j in range(t + 2, n):
-                r = a[t][j] % p
-                if r:
+                if a[t][j] % p:
                     _add(rows, cols, j, t + 1, -(a[t][j] // p))
                     _swap(rows, cols, j, t + 1)
-                    if a[t][t + 1] < 0:
-                        _swap(rows, cols, t, t + 1)
                     progressed = True
                     break
-                r = a[t + 1][j] % p
-                if r:
+                if a[t + 1][j] % p:
                     _add(rows, cols, j, t, a[t + 1][j] // p)
                     _swap(rows, cols, j, t)
-                    if a[t][t + 1] < 0:
-                        _swap(rows, cols, t, t + 1)
+                    _swap(rows, cols, t, t + 1)
                     progressed = True
                     break
             if not progressed:
@@ -594,7 +589,6 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
             if a[t + 1][j]:
                 _add(rows, cols, j, t, a[t + 1][j] // p)
         ds.append(a[t][t + 1])
-        t += 2
     return q, ds
 
 
@@ -607,20 +601,17 @@ def darboux_basis(b: IntMatrix) -> DarbouxBasis:
     exactly.
 
     With S the saturated image basis and V its integer right inverse,
-    b = S^T G S for G = V^T b V, an integer skew matrix.  A unimodular
-    congruence q^T G q into 2x2 blocks gives the vectors as the rows of
-    q^-1 S and the scales as the block entries, so every scale is a
-    positive integer (kept as a Fraction).
+    b = S^T G S for G = V^T b V, an integer skew matrix of size and rank
+    r = rank b.  A unimodular congruence q^T G q into r/2 blocks gives the
+    vectors as the rows of q^-1 S and the scales as the block entries, so
+    every scale is a positive integer (kept as a Fraction).
     """
     if not b.is_skew_symmetric():
         raise ValueError("Darboux basis requires a skew-symmetric matrix")
     n = b.rows
     img = image_lattice(b)
-    r = img.dim
-    if r == 0:
+    if img.dim == 0:
         return DarbouxBasis(n, (), ())
-    if r % 2:
-        raise ArithmeticError("skew-symmetric matrix with odd rank")
     s = img.matrix()
 
     v = right_inverse(s)
@@ -631,13 +622,5 @@ def darboux_basis(b: IntMatrix) -> DarbouxBasis:
         raise ArithmeticError("image basis does not carry the skew form")
 
     q, ds = _skew_congruence_blocks([list(row) for row in g.entries])
-    if 2 * len(ds) != r:
-        raise ArithmeticError("skew form degenerated on its own image")
-    q_inv = right_inverse(IntMatrix.from_rows(q, cols=r))
-    if q_inv is None:
-        raise ArithmeticError("congruence transform is not unimodular")
-
-    scales = tuple(Fraction(d) for d in ds)
-    if any(lam <= 0 for lam in scales):
-        raise ArithmeticError("Darboux scales must be positive")
-    return DarbouxBasis(n, (q_inv @ s).entries, scales)
+    q_inv = right_inverse(IntMatrix.from_rows(q))
+    return DarbouxBasis(n, (q_inv @ s).entries, tuple(Fraction(d) for d in ds))

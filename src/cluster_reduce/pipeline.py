@@ -48,7 +48,6 @@ from .geometry import (
     NotReducibleError,
     PoissonStructure,
     PresymplecticForm,
-    ReducedSystem,
     Submersion,
     _period_poisson_basis,
     casimir_submersion,
@@ -312,15 +311,16 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
         )
 
     ordered = [*flag.submersions, *omitted]
-    systems: list[ReducedSystem | None] = []
-    for sub in ordered:
+    # (system, fixed points or None) of the flag level above this one, if
+    # it was reduced; its fixed points are the fibers of this level's starts
+    above = None
+    for level, sub in enumerate(ordered):
         try:
             system = derive_reduced_map(phi, sub)
         except NotReducibleError as exc:
             report.errors.append(["reduce", str(exc)])
-            systems.append(None)
+            above = None
             continue
-        systems.append(system)
         report.reductions.append(
             {
                 "kind": sub.kind,
@@ -329,29 +329,23 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                 "verified": system.verified,
             }
         )
-
-    # both levels reduce phi and the flag's witness p o pi_inner = pi_outer
-    # is an exact lattice solution, so p o psi_inner = psi_outer o p holds
-    # with no further check
-    chain = systems[: len(flag)]
-    for outer, inner in zip(chain, chain[1:]):
-        if outer is not None and inner is not None:
+        if level >= len(flag):
+            above = None
+        elif above is not None:
+            # both levels reduce phi and the flag's witness p o pi_inner =
+            # pi_outer is an exact lattice solution, so p o psi_inner =
+            # psi_outer o p holds with no further check
+            outer = above[0].submersion
             report.chained.append(
                 {
-                    "outer": f"{outer.submersion.kind}({outer.submersion.dim_out})",
-                    "inner": f"{inner.submersion.kind}({inner.submersion.dim_out})",
+                    "outer": f"{outer.kind}({outer.dim_out})",
+                    "inner": f"{sub.kind}({sub.dim_out})",
                     "verified": True,
                 }
             )
 
-    # fixed points per searched flag level, the fibers of the next one's starts
-    fixed_on_level: dict[int, list] = {}
-    for level, system in enumerate(systems):
-        if system is None:
-            continue
         psi = system.map
-        kind = system.submersion.kind
-        entry = {"kind": kind, "dimension": psi.dim_in}
+        entry = {"kind": sub.kind, "dimension": psi.dim_in}
         period_report = detect_global_periodicity(system, config.p_max, PERIOD_SAMPLES, config.seed)
         if period_report.is_periodic:
             entry["global_period"] = period_report.period
@@ -363,6 +357,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
                 )
             except DynamicsError as exc:
                 report.errors.append(["dynamics", str(exc)])
+                above = (system, None)
                 continue
             entry["scan"] = {
                 "period_found": scan.period_found,
@@ -374,21 +369,22 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
             else:
                 entry["summary"] = (f"no global period up to {config.p_max}; "
                                     f"no sampled periodic point up to {SCAN_P_MAX}")
+        fixed = None
         if psi.dim_in and psi.dim_in <= 3:
             try:
-                if level < len(flag) and level - 1 in fixed_on_level:
-                    base = [fp.point for fp in fixed_on_level[level - 1]]
+                if above is not None and above[1] is not None:
+                    base = [fp.point for fp in above[1]]
                     fixed = find_periodic_points_over(psi, 1, flag.projections[level - 1], base,
                                                       precision=config.precision, grid=4)
                 else:
                     fixed = find_periodic_points(psi, 1, precision=config.precision, grid=4)
-                fixed_on_level[level] = fixed
                 entry["fixed_points"] = [
                     [mp.nstr(v, 30) for v in fp.point] for fp in fixed
                 ]
             except DynamicsError as exc:
                 report.errors.append(["fixed-points", str(exc)])
         report.dynamics.append(entry)
+        above = (system, fixed)
 
     if ordered:
         x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))

@@ -202,6 +202,37 @@ class TestGlobalPeriodicity:
         report = detect_global_periodicity(PSI_1, p_max=8)
         assert report.kind == "none"
 
+    def test_first_returns_whose_lcm_passes_the_bound(self):
+        # x1 -> a^2/x1 has order 2 and fixes a, the first start's x1; the
+        # scaled 3-cycle on (x2, x3, x4) has order 3 and fixes the second
+        # start's (x2, x3, x4): the two starts return at 3 and 2, and f
+        # has global period 6
+        a = random_positive_point(4, rng_substream(0, 0))[0]
+        u, v, w = random_positive_point(4, rng_substream(0, 1))[1:]
+        f = BirationalMap.from_strings([f"({a})^2/x1", f"{u / v}*x3", f"{v / w}*x4",
+                                        f"{w / u}*x2"])
+        assert [r for _, r in dynamics._Lift(f).first_returns(5, 2, 0)] == [3, 2]
+        report = detect_global_periodicity(f, p_max=5, samples=2)
+        assert (report.kind, report.certificate, report.note) == ("none", "sampled", "")
+        assert detect_global_periodicity(f, p_max=6, samples=2).period == 6
+
+    def test_an_orbit_leaving_the_domain_is_a_negative(self):
+        # the first start is c, where 1/(x1 - c) is undefined
+        c = random_positive_point(1, rng_substream(0, 0))[0]
+        report = detect_global_periodicity(BirationalMap.from_strings([f"1/(x1 - {c})"]),
+                                           samples=1)
+        assert (report.kind, report.period) == ("none", None)
+        assert report.note == "an orbit left the domain"
+
+    def test_a_candidate_failing_the_certificate_is_a_negative(self):
+        # the first start c is a fixed point of x1 + (x1 - c)^2, which is
+        # not the identity
+        c = random_positive_point(1, rng_substream(0, 0))[0]
+        report = detect_global_periodicity(BirationalMap.from_strings([f"x1 + (x1 - {c})^2"]),
+                                           samples=1)
+        assert (report.kind, report.certificate) == ("none", "sampled")
+        assert report.note == "sampled candidate 1 failed the symbolic identity check"
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_rejected(self, samples):
         # with no orbit sampled, LYNESS (5-periodic) used to come back "none"

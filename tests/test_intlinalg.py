@@ -328,6 +328,7 @@ class TestDarboux:
             b = _random_skew(rng, n, bound=9)
             d = darboux_basis(b)
             assert len(d) == b.rank()
+            assert all(lam > 0 and lam.denominator == 1 for lam in d.scales)
             assert reconstruct(d) == b
             # the Darboux vectors generate exactly the saturated image lattice
             image = image_lattice(b)

@@ -129,6 +129,17 @@ class TestPolyGcd:
         assert not RationalFunction(d, x + one).num.is_zero()
         assert RationalFunction(d, x + one).den.is_monomial()
 
+    def test_prs_multiplies_in_the_gcd_of_the_contents(self):
+        # in the main variable x2, f and g have content 2x1 + 2 and x1 + 1
+        # and primitive parts (x2 + x1)(x2 + 1) and (x2 + x1)(x2 - 3)
+        x1, x2 = (LaurentPoly.variable(i, 2) for i in range(2))
+        one = LaurentPoly.constant(1, 2)
+        common = x2 + x1
+        f = (x1 + one).scale(2) * common * (x2 + one)
+        g = (x1 + one) * common * (x2 - one.scale(3))
+        want = (x1 + one) * common
+        assert laurent._prs_gcd(f, g) == want == poly_gcd(f, g)
+
 
 def _counting_prs(monkeypatch) -> list:
     """Record every call of the PRS core, the heuristic gcd's fallback."""
@@ -240,6 +251,28 @@ class TestHeuristicGcd:
         assert r.num * b * c == r.den * a * a
         assert is_polynomial(r.num) and r.den.content() == 1
 
+    def test_a_moderate_composition_stays_on_the_heuristic(self, monkeypatch):
+        # the cleared numerator and denominator have 35 and 18 terms, and
+        # the heuristic's innermost integers reach 5448 bits; past its cap
+        # the trial division fails and the PRS ran for minutes
+        f = [parse_rational(t, 3) for t in (
+            "(4*x1^2*x2^3 - 6*x1*x2^3*x3^3 + 4/3*x2*x3^3)"
+            "/(2*x1^2*x2^2*x3^3 - 2*x1^2*x2*x3^2 + 5*x1*x3)",
+            "(32/3*x1^3*x2^3*x3^2 + 20*x3^2 + 10)/(11*x1^2*x2*x3^2 + 4*x2^3 + 6*x2*x3)")]
+        calls = []
+
+        def no_prs(a, b):
+            calls.append((a, b))
+            raise AssertionError("the heuristic gcd fell through to the PRS")
+
+        monkeypatch.setattr(laurent, "_poly_gcd_core", no_prs)
+        outer = parse_rational("x2^2/x1 + 1", 2)
+        g = outer.compose(f)
+        assert calls == []
+        assert (len(g.num.terms), len(g.den.terms)) == (35, 18)
+        point = (Fraction(2, 3), Fraction(5, 7), Fraction(3, 11))
+        assert g.evaluate(point) == outer.evaluate([h.evaluate(point) for h in f])
+
 
 class TestRationalFunction:
     def test_normal_form_equality(self):
@@ -265,6 +298,15 @@ class TestRationalFunction:
             assert (a / b) * b == a
             assert a - a == RationalFunction.constant(0, n)
             assert b * b.inverse() == RationalFunction.constant(1, n)
+
+    def test_monomial_is_its_normal_form(self):
+        m = RationalFunction.monomial([2, -1, 0], 3)
+        want = RationalFunction(LaurentPoly.monomial((2, 0, 0), 3), LaurentPoly.monomial((0, 1, 0), 3))
+        assert (m.num.terms, m.den.terms) == (want.num.terms, want.den.terms)
+        assert all(type(c) is Fraction for p in (m.num, m.den) for c in p.terms.values())
+        assert all(type(k) is int for p in (m.num, m.den) for e in p.terms for k in e)
+        with pytest.raises(ValueError):
+            RationalFunction.monomial((1, 2), 3)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
