@@ -563,8 +563,8 @@ def _skew_congruence_blocks(m: list[list[int]]) -> tuple[list[list[int]], list[i
             _swap(rows, cols, t, t + 1)
 
         # make the pivot divide the rest of its two rows, then clear them;
-        # each reduction puts a remainder 0 < r < p at (t, t + 1), the
-        # second one as -r, which the last swap turns
+        # each reduction moves a remainder 0 < r < p to (t, t + 1), the
+        # first as r, the second as -r, which swapping t and t + 1 makes r
         while True:
             p = a[t][t + 1]
             progressed = False
