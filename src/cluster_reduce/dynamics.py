@@ -19,15 +19,18 @@ and each statement says which one it rests on:
   orbit is a unit mod p, so a step that does not return mod p is a sound
   negative; when a unit test fails, a second prime and then exact
   arithmetic take over for that orbit;
-* every return found mod p is confirmed on the exact rational orbit
-  before it is reported.
+* a return that a scan or an itinerary reports is confirmed on the
+  exact rational orbit.
 
-So every verdict equals the one exact iteration would give.  Degree
-growth is not read off orbits: it is exact, from the exchange matrix
-(``quiver.degree_growth``).  Global
-periodicity is certified symbolically: the sampled first returns propose
-the candidate period, and the certificate is the normal-form identity
-f^(p) = id.
+Global periodicity is certified symbolically, with no exact orbit: the
+first returns mod p propose the candidate period c, a sample that does
+not return mod p at c/q, for each prime q dividing c, shows that no
+proper divisor of c is a period, and the certificate is the normal-form
+identity f^(c) = id, f^(c) formed by repeated squaring.  What the
+residues cannot decide is confirmed on the exact orbit, as returns are
+elsewhere.  So every verdict equals the one exact iteration would give.
+Degree growth is not read off orbits: it is exact, from the exchange
+matrix (``quiver.degree_growth``).
 
 Exact and float orbits, Newton steps and interval enclosures evaluate
 the map by the kernel of ``maps``: ``_step`` on the map's cached
@@ -71,7 +74,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from math import inf, lcm
 
 import mpmath as mp
@@ -361,12 +364,17 @@ class _Lift:
     def orbit(self, y0, steps: int) -> _LiftedOrbit:
         return _LiftedOrbit(self.phi, y0, steps, self.section)
 
+    def orbits(self, m: int, samples: int, seed):
+        """The orbits of m steps from the sampled starts y0 of
+        ``rng_substream(seed, i)``, i = 0..samples-1, each made when drawn."""
+        for i in range(samples):
+            yield self.orbit(random_positive_point(self.psi.dim_in, rng_substream(seed, i)), m)
+
     def first_returns(self, m: int, samples: int, seed):
         """(y0, least k <= m with psi^k(y0) = y0, or None) for the sampled
-        starts y0 of ``rng_substream(seed, i)``, i = 0..samples-1."""
-        for i in range(samples):
-            y0 = random_positive_point(self.psi.dim_in, rng_substream(seed, i))
-            yield y0, next(_returns(self.orbit(y0, m), self.pi, m), None)
+        starts y0 of ``orbits``."""
+        for orbit in self.orbits(m, samples, seed):
+            yield orbit.start, next(_returns(orbit, self.pi, m), None)
 
 
 def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
@@ -391,10 +399,11 @@ def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
 
 @dataclass(frozen=True)
 class PeriodReport:
-    """kind "global": f^(period) = id certified symbolically.
+    """kind "global": f^(period) = id certified symbolically, and no
+    proper divisor of period is a period.
     kind "none": no global period up to p_max.  The negative rests on a
-    sampled orbit with no exact return within p_max steps (returns are
-    screened mod p, a sound negative, and confirmed exactly), on an
+    sampled orbit with no return within p_max steps (no return mod p is
+    a sound negative), on first returns whose lcm passes p_max, on an
     orbit that left the domain, or on a candidate that failed the
     symbolic certificate; see note.  certificate is "symbolic" or
     "sampled" accordingly."""
@@ -420,19 +429,91 @@ def detect_global_periodicity(
     """Certified minimal global period up to p_max, or a negative report.
 
     f is a map, or a reduced system whose orbits are lifted through its
-    source map.  Random orbits propose the candidate period as the least
-    common multiple of their exact first-return times (screened mod p,
-    confirmed exactly); the candidate is certified by composing the map
-    with itself stepwise and checking f^(p) = id in normal form.
-    Minimality is automatic: any global period is a multiple of every
-    observed first-return time.  samples < 1 raises DynamicsError.
+    source map.  The sampled orbits are followed mod p only: the first
+    sample with no return mod p within p_max steps is a sound negative,
+    as an exact return is a return mod p while the orbit stays in units.
+    Otherwise the candidate c is the lcm of the first returns mod p.  It
+    is minimal when, for every prime q dividing c, some sample's label
+    mod p at step c/q is not its start, and certified by f^(c) = id in
+    normal form, with f^(c) formed by repeated squaring.  So c is a
+    period and no proper divisor of c is one.
+
+    What the residues cannot decide (a sample with no screen prime, an
+    lcm above p_max, a return mod p at every sample's step c/q, a failed
+    certificate) goes to ``_confirmed_period``, which confirms every
+    return on the exact orbit and gives the report of exact iteration.
+    samples < 1 raises DynamicsError.
     """
     if samples < 1:
         raise DynamicsError("periodicity detection needs at least one sampled orbit")
     lift = _Lift(f)
+    sampled = lift.orbits(p_max, samples, seed)
+    orbits, screens, candidate, formed = [], [], 1, {1: lift.psi}
+    for orbit in sampled:
+        orbits.append(orbit)
+        screened = orbit.label_residues(lift.pi)
+        if screened is None:
+            break
+        first_return = next((k for k in range(1, p_max + 1) if screened[k] == screened[0]), None)
+        if first_return is None:
+            return PeriodReport("none", None, p_max, "sampled", samples)
+        candidate = lcm(candidate, first_return)
+        if candidate > p_max:
+            break
+        screens.append(screened)
+    else:
+        minimal = all(any(s[candidate // q] != s[0] for s in screens)
+                      for q in _prime_divisors(candidate))
+        if minimal and _power_by_squaring(lift.psi, candidate, formed).is_identity():
+            return PeriodReport("global", candidate, p_max, "symbolic", samples)
+    return _confirmed_period(lift, chain(orbits, sampled), p_max, samples, formed)
+
+
+def _prime_divisors(n: int):
+    """The primes dividing n >= 1, in increasing order."""
+    q = 2
+    while n > 1:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 1
+
+
+def _power_by_squaring(psi: BirationalMap, n: int, formed: dict) -> BirationalMap:
+    """psi^n for n >= 1 through ``BirationalMap.compose``: the squares
+    psi^(2^i) for 2^i <= n, and for each binary digit of n from the
+    lowest the power so far composed with that digit's square.  formed
+    maps exponents to the composites formed so far (1 to psi) and keeps
+    the new ones."""
+    power, exponent, bit = None, 0, 1
+    while True:
+        if n & bit:
+            exponent += bit
+            if exponent not in formed:
+                formed[exponent] = power.compose(formed[bit])
+            power = formed[exponent]
+        if 2 * bit > n:
+            return power
+        if 2 * bit not in formed:
+            formed[2 * bit] = formed[bit].compose(formed[bit])
+        bit *= 2
+
+
+def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int,
+                      formed: dict) -> PeriodReport:
+    """The report of exact iteration on the sampled orbits.
+
+    The candidate is the lcm of the exact first returns (screened mod p,
+    confirmed on the exact orbit), and it is certified by f^(c) = id in
+    normal form, stepwise unless formed (exponent -> composite) already
+    holds f^(c).  Minimality is automatic: any global period is a
+    multiple of every observed first-return time.
+    """
     candidate = 1
     try:
-        for _, first_return in lift.first_returns(p_max, samples, seed):
+        for orbit in orbits:
+            first_return = next(_returns(orbit, lift.pi, p_max), None)
             if first_return is None:
                 return PeriodReport("none", None, p_max, "sampled", samples)
             candidate = lcm(candidate, first_return)
@@ -440,7 +521,9 @@ def detect_global_periodicity(
                 return PeriodReport("none", None, p_max, "sampled", samples)
     except DynamicsError:
         return PeriodReport("none", None, p_max, "sampled", samples, "an orbit left the domain")
-    power = lift.psi.iterate(candidate)
+    power = formed.get(candidate)
+    if power is None:
+        power = lift.psi.iterate(candidate)
     if power.is_identity():
         return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return PeriodReport(

@@ -169,9 +169,6 @@ class LatticeBasis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector has wrong length")
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     @property
     def dim(self) -> int:
         return len(self.vectors)

@@ -787,12 +787,6 @@ class RationalFunction:
             raise ZeroDivisionError("denominator vanishes at the point")
         return self.num.evaluate(point) / den
 
-    def evaluate_mp(self, point):
-        den = self.den.evaluate_mp(point)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate_mp(point) / den
-
     def compose(self, args: "list[RationalFunction]") -> "RationalFunction":
         """Substitute args[i] = n_i / d_i for variable i; args live in their
         own space.

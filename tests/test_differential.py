@@ -12,7 +12,10 @@ the final gcd (product, quotient, inverse) or take a single normal form
 unreduced numerator and denominator.  The residue screen's one-inversion
 arithmetic is checked against one ``pow(v, -1, p)`` per coordinate, its
 generated steps and label rows against the term-by-term screen of
-``reference.residue_orbit`` on random Laurent maps, and
+``reference.residue_orbit`` on random Laurent maps, global period
+detection from residues and f^c = id alone against the exact-confirmed
+loop it falls back to, on screens with collisions and under screen
+primes 2 and 3, and
 the periodic-point Newton's acceptance residual against the absolute and
 relative residual tests it stands for, and its linear solver on raw mpf
 values against ``mpmath.lu_solve`` bit for bit (in floats, against the
@@ -310,6 +313,85 @@ def test_no_kernel_outlives_its_map():
         gc.collect()
         b = BirationalMap(2, components)
         assert dynamics._residue_orbit(b, x0, 6, p) == residue_orbit(b, x0, 6, p)
+
+
+# The maps of the period property test: each is drawn as its scaling
+# conjugate x -> D^-1 f(D x), which has the same periods.
+_PERIOD_MAPS = {
+    "lyness": ["x2", "(x2 + 1)/x1"],
+    "psi_1": ["x2", "(x2 + 1)/x1", "(x2^2 + x2)/x3"],
+    "psi_hat5": ["x2", "(x2 + 1)/(x1*x2)"],
+    "identity": ["x1", "x2"],
+}
+
+
+def _order_six_map() -> BirationalMap:
+    """x1 -> a^2/x1 with a the first seed-0 start's x1, and a scaled
+    3-cycle fixing the second start's (x2, x3, x4): period 6."""
+    a = random_positive_point(4, rng_substream(0, 0))[0]
+    u, v, w = random_positive_point(4, rng_substream(0, 1))[1:]
+    return BirationalMap.from_strings([f"({a})^2/x1", f"{u / v}*x3", f"{v / w}*x4",
+                                       f"{w / u}*x2"])
+
+
+@st.composite
+def _period_cases(draw):
+    """(f, p_max, samples, seed, collisions): a scaling conjugate of a map
+    of _PERIOD_MAPS, with D's entries n/d for n, d in 1..6, or the
+    order-6 map; p_max 1..12, 1..4 samples, and the (sample, step) pairs
+    at which the screen also reports a return, as labels colliding mod p
+    would."""
+    name = draw(st.sampled_from([*_PERIOD_MAPS, "order_six"]))
+    if name == "order_six":
+        f = _order_six_map()
+    else:
+        f = BirationalMap.from_strings(_PERIOD_MAPS[name])
+        d = draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.integers(1, 6)),
+                          min_size=f.dim_in, max_size=f.dim_in))
+        scale = BirationalMap.from_strings([f"{v}*x{i + 1}" for i, v in enumerate(d)])
+        unscale = BirationalMap.from_strings([f"{1 / v}*x{i + 1}" for i, v in enumerate(d)])
+        f = unscale.compose(f.compose(scale))
+    p_max, samples = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    collisions = draw(st.sets(st.tuples(st.integers(0, samples - 1), st.integers(1, p_max)),
+                              max_size=3))
+    return f, p_max, samples, draw(st.integers(0, 2)), collisions
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_period_cases(), st.sampled_from([dynamics.SCREEN_PRIMES, (2, 3)]))
+# LYNESS (period 5) with a collision at step 2 of the first orbit: the
+# first returns mod p 2, 5, 5 give c = 10, a period, and every orbit
+# returns at 10/2 = 5, so only the c/q test keeps 10 from the report
+@example((BirationalMap.from_strings(_PERIOD_MAPS["lyness"]), 12, 3, 0, {(0, 2)}),
+         dynamics.SCREEN_PRIMES)
+def test_period_detection_is_the_exact_confirmed_loop(case, primes):
+    # the certificate from residues and f^c = id alone gives the report of
+    # the loop that confirms every return on the exact orbit, also on a
+    # screen with collisions and under screen primes as small as 2 and 3,
+    # where most returns mod p are not exact
+    f, p_max, samples, seed, collisions = case
+    starts = {random_positive_point(f.dim_in, rng_substream(seed, i)): i
+              for i in range(samples)}
+    screen = dynamics._LiftedOrbit.label_residues
+
+    def colliding(orbit, pi):
+        screened = screen(orbit, pi)
+        if screened is None:
+            return None
+        screened = list(screened)
+        for i, k in collisions:
+            if starts.get(orbit.start) == i:
+                screened[k] = screened[0]
+        return screened
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "SCREEN_PRIMES", primes)
+        patch.setattr(dynamics._LiftedOrbit, "label_residues", colliding)
+        got = dynamics.detect_global_periodicity(f, p_max, samples, seed)
+        lift = dynamics._Lift(f)
+        want = dynamics._confirmed_period(lift, lift.orbits(p_max, samples, seed), p_max,
+                                          samples, {})
+    assert got == want
 
 
 @st.composite

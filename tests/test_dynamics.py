@@ -98,6 +98,18 @@ def _ones(n: int):
 
 
 @cache
+def _c7_pair_levels() -> dict:
+    """The reduced systems of c7-pair's pipeline levels: "null2",
+    "casimir3" and the two casimir(5) levels "casimir5a", "casimir5b"."""
+    b = get_fixture("c7-pair").matrix("B")
+    phi = cluster_map(b, detect_period(b))
+    subs = [null_submersion(PresymplecticForm(b)),
+            *_foliations(find_invariant_poisson(phi, b), None, AnalysisReport(b, WorkflowConfig()))]
+    names = ["null2", "casimir3", "casimir5a", "casimir5b"]
+    return {name: derive_reduced_map(phi, sub) for name, sub in zip(names, subs, strict=True)}
+
+
+@cache
 def _low_dimensional_maps() -> dict:
     """LYNESS, PSI_1, PSI_HAT5 and the reduced maps of dimension <= 3 of
     somos5 and c7-pair, by their null and Casimir submersions."""
@@ -238,6 +250,155 @@ class TestGlobalPeriodicity:
         # with no orbit sampled, LYNESS (5-periodic) used to come back "none"
         with pytest.raises(DynamicsError, match="at least one sampled orbit"):
             detect_global_periodicity(LYNESS, samples=samples)
+
+
+class TestResidueCertifiedPeriods:
+    """A global period is certified from residues and f^c = id alone; what
+    the residues cannot decide goes to ``_confirmed_period``, the loop
+    that confirms every return on the exact orbit.  Each expected report
+    of a fallback is the one that loop gives on its own."""
+
+    @staticmethod
+    def _fallbacks(monkeypatch) -> list:
+        """The p_max of every ``_confirmed_period`` call, in order."""
+        calls = []
+        confirmed = dynamics._confirmed_period
+
+        def recording(lift, orbits, p_max, samples, formed):
+            calls.append(p_max)
+            return confirmed(lift, orbits, p_max, samples, formed)
+
+        monkeypatch.setattr(dynamics, "_confirmed_period", recording)
+        return calls
+
+    @staticmethod
+    def _first_returns_mod_p(f, p_max: int, samples: int, seed: int = 0) -> list:
+        """(prime, first return mod p) per sampled orbit, None without residues."""
+        lift = dynamics._Lift(f)
+        out = []
+        for orbit in lift.orbits(p_max, samples, seed):
+            screened = orbit.label_residues(lift.pi)
+            out.append(None if screened is None else (orbit.residues[0], next(
+                (k for k in range(1, p_max + 1) if screened[k] == screened[0]), None)))
+        return out
+
+    @pytest.mark.parametrize("name, period", [("null2", 5), ("casimir3", 10),
+                                              ("lyness", 5), ("psi_1", 10)])
+    def test_periodic_maps_take_no_exact_orbit(self, monkeypatch, name, period):
+        # the exact-confirmed loop makes 10 orbits of 12 exact steps on each
+        f = {"lyness": LYNESS, "psi_1": PSI_1, **_c7_pair_levels()}[name]
+        steps = []
+        exact = dynamics.iterate_orbit
+
+        def counting(phi, x0, n, *args):
+            steps.append(n)
+            return exact(phi, x0, n, *args)
+
+        monkeypatch.setattr(dynamics, "iterate_orbit", counting)
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(f, 12, 10, 0)
+        assert report == dynamics.PeriodReport("global", period, 12, "symbolic", 10)
+        assert steps == [] and fallbacks == []
+
+    @pytest.mark.parametrize("name", ["psi_hat5", "casimir5a", "casimir5b"])
+    def test_non_periodic_maps_draw_no_more_residue_orbits(self, monkeypatch, name):
+        # the first sample has no return mod p within 12 steps, and the
+        # exact-confirmed loop also stops there
+        f = {"psi_hat5": PSI_HAT5, **_c7_pair_levels()}[name]
+        orbits = []
+        residue_orbit = dynamics._residue_orbit
+
+        def counting(*args):
+            orbits.append(args)
+            return residue_orbit(*args)
+
+        monkeypatch.setattr(dynamics, "_residue_orbit", counting)
+        report = detect_global_periodicity(f, 12, 10, 0)
+        assert report == dynamics.PeriodReport("none", None, 12, "sampled", 10)
+        assert len(orbits) == 1
+
+    def test_an_lcm_above_p_max_falls_back(self, monkeypatch):
+        # 2 = -1 mod 3 has order 2 and 2 has order 3 mod 7: the first start
+        # is a unit mod 3, the second is not, and 2 x1 never returns
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (3, 7))
+        f = BirationalMap.from_strings(["2*x1"])
+        assert self._first_returns_mod_p(f, 3, 2) == [(3, 2), (7, 3)]
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(f, 3, 2, 0)
+        assert report == dynamics.PeriodReport("none", None, 3, "sampled", 2, "")
+        assert fallbacks == [3]
+
+    def test_a_return_mod_p_at_c_over_q_falls_back(self, monkeypatch):
+        # a screen that also returns at step 2 of the first orbit (labels
+        # may collide mod p at any step): first returns 2, 5, 5 give
+        # c = 10, and every orbit returns at 10/2 = 5
+        start = random_positive_point(2, rng_substream(0, 0))
+        screen = dynamics._LiftedOrbit.label_residues
+
+        def colliding(orbit, pi):
+            screened = list(screen(orbit, pi))
+            if orbit.start == start:
+                screened[2] = screened[0]
+            return screened
+
+        monkeypatch.setattr(dynamics._LiftedOrbit, "label_residues", colliding)
+        assert [r for _, r in self._first_returns_mod_p(LYNESS, 12, 3)] == [2, 5, 5]
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(LYNESS, 12, 3, 0)
+        assert report == dynamics.PeriodReport("global", 5, 12, "symbolic", 3, "")
+        assert fallbacks == [12]
+
+    def test_a_failed_certificate_falls_back(self, monkeypatch):
+        # mod 7 the orbit of PSI_1 returns at 5, but PSI_1 has period 10;
+        # 2 x1 returns at 3 mod 7 and never exactly
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (7,))
+        assert self._first_returns_mod_p(PSI_1, 10, 1) == [(7, 5)]
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(PSI_1, 10, 1, 0)
+        assert report == dynamics.PeriodReport("global", 10, 10, "symbolic", 1, "")
+        f = BirationalMap.from_strings(["2*x1"])
+        assert self._first_returns_mod_p(f, 12, 3) == [(7, 3)] * 3
+        report = detect_global_periodicity(f, 12, 3, 0)
+        assert report == dynamics.PeriodReport("none", None, 12, "sampled", 3, "")
+        assert fallbacks == [10, 12]
+
+    def test_the_fallback_reuses_a_formed_composite(self, monkeypatch):
+        # the first start c is a fixed point of x1 + (x1 - c)^2: the
+        # candidate 1 fails as f itself, which the fallback does not form again
+        c = random_positive_point(1, rng_substream(0, 0))[0]
+        f = BirationalMap.from_strings([f"x1 + (x1 - {c})^2"])
+
+        def iterate(*args):
+            raise AssertionError("the composite was formed again")
+
+        monkeypatch.setattr(BirationalMap, "iterate", iterate)
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(f, samples=1)
+        assert report == dynamics.PeriodReport(
+            "none", None, 12, "sampled", 1, "sampled candidate 1 failed the symbolic identity check")
+        assert fallbacks == [12]
+
+    def test_a_sample_without_screen_prime_falls_back(self, monkeypatch):
+        # (x1 + 2)/(x1 - 1) is an involution; the fourth start is not a
+        # unit along its orbit mod 5 or mod 7
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (5, 7))
+        f = BirationalMap.from_strings(["(x1 + 2)/(x1 - 1)"])
+        assert self._first_returns_mod_p(f, 12, 4) == [(5, 2), (7, 2), (5, 2), None]
+        assert self._first_returns_mod_p(f, 1, 1, seed=5) == [None]
+        fallbacks = self._fallbacks(monkeypatch)
+        report = detect_global_periodicity(f, 12, 4, 0)
+        assert report == dynamics.PeriodReport("global", 2, 12, "symbolic", 4, "")
+        report = detect_global_periodicity(f, 1, 1, 5)
+        assert report == dynamics.PeriodReport("none", None, 1, "sampled", 1, "")
+        assert fallbacks == [12, 1]
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_powers_by_squaring_are_the_iterates(self, n):
+        formed = {1: PSI_1}
+        assert dynamics._power_by_squaring(PSI_1, n, formed) == PSI_1.iterate(n)
+        assert all(power == PSI_1.iterate(k) for k, power in formed.items())
+        # floor(log2 n) squarings and one composite per further binary digit
+        assert len(formed) - 1 == n.bit_length() - 1 + bin(n).count("1") - 1
 
 
 class TestFirstIntegrals:
