@@ -24,9 +24,9 @@ and each statement says which one it rests on:
 
 Global periodicity is certified symbolically, with no exact orbit: the
 first returns mod p propose the candidate period c, a sample that does
-not return mod p at c/q, for each prime q dividing c, shows that no
-proper divisor of c is a period, and the certificate is the normal-form
-identity f^(c) = id, f^(c) formed by repeated squaring.  What the
+not return mod p at step d shows that a proper divisor d of c is not a
+period, and the certificate is the normal-form identity f^(c) = id,
+f^(c) formed by repeated squaring.  What the
 residues cannot decide is confirmed on the exact orbit, as returns are
 elsewhere.  So every verdict equals the one exact iteration would give.
 Degree growth is not read off orbits: it is exact, from the exchange
@@ -433,13 +433,13 @@ def detect_global_periodicity(
     sample with no return mod p within p_max steps is a sound negative,
     as an exact return is a return mod p while the orbit stays in units.
     Otherwise the candidate c is the lcm of the first returns mod p.  It
-    is minimal when, for every prime q dividing c, some sample's label
-    mod p at step c/q is not its start, and certified by f^(c) = id in
+    is minimal when, for every proper divisor d of c, some sample's label
+    mod p at step d is not its start, and certified by f^(c) = id in
     normal form, with f^(c) formed by repeated squaring.  So c is a
     period and no proper divisor of c is one.
 
     What the residues cannot decide (a sample with no screen prime, an
-    lcm above p_max, a return mod p at every sample's step c/q, a failed
+    lcm above p_max, a return mod p at every sample's step d, a failed
     certificate) goes to ``_confirmed_period``, which confirms every
     return on the exact orbit and gives the report of exact iteration.
     samples < 1 raises DynamicsError.
@@ -448,7 +448,7 @@ def detect_global_periodicity(
         raise DynamicsError("periodicity detection needs at least one sampled orbit")
     lift = _Lift(f)
     sampled = lift.orbits(p_max, samples, seed)
-    orbits, screens, candidate, formed = [], [], 1, {1: lift.psi}
+    orbits, screens, candidate, formed = [], [], 1, {}
     for orbit in sampled:
         orbits.append(orbit)
         screened = orbit.label_residues(lift.pi)
@@ -462,30 +462,20 @@ def detect_global_periodicity(
             break
         screens.append(screened)
     else:
-        minimal = all(any(s[candidate // q] != s[0] for s in screens)
-                      for q in _prime_divisors(candidate))
+        minimal = all(any(s[d] != s[0] for s in screens)
+                      for d in range(1, candidate) if candidate % d == 0)
         if minimal and _power_by_squaring(lift.psi, candidate, formed).is_identity():
             return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return _confirmed_period(lift, chain(orbits, sampled), p_max, samples, formed)
-
-
-def _prime_divisors(n: int):
-    """The primes dividing n >= 1, in increasing order."""
-    q = 2
-    while n > 1:
-        if n % q == 0:
-            yield q
-            while n % q == 0:
-                n //= q
-        q += 1
 
 
 def _power_by_squaring(psi: BirationalMap, n: int, formed: dict) -> BirationalMap:
     """psi^n for n >= 1 through ``BirationalMap.compose``: the squares
     psi^(2^i) for 2^i <= n, and for each binary digit of n from the
     lowest the power so far composed with that digit's square.  formed
-    maps exponents to the composites formed so far (1 to psi) and keeps
-    the new ones."""
+    maps exponents to the composites formed so far and keeps the new
+    ones, psi itself among them."""
+    formed.setdefault(1, psi)
     power, exponent, bit = None, 0, 1
     while True:
         if n & bit:
@@ -506,9 +496,10 @@ def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int,
 
     The candidate is the lcm of the exact first returns (screened mod p,
     confirmed on the exact orbit), and it is certified by f^(c) = id in
-    normal form, stepwise unless formed (exponent -> composite) already
-    holds f^(c).  Minimality is automatic: any global period is a
-    multiple of every observed first-return time.
+    normal form, with f^(c) formed by ``_power_by_squaring`` from the
+    composites in formed (exponent -> composite).  Minimality is
+    automatic: any global period is a multiple of every observed
+    first-return time.
     """
     candidate = 1
     try:
@@ -521,10 +512,7 @@ def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int,
                 return PeriodReport("none", None, p_max, "sampled", samples)
     except DynamicsError:
         return PeriodReport("none", None, p_max, "sampled", samples, "an orbit left the domain")
-    power = formed.get(candidate)
-    if power is None:
-        power = lift.psi.iterate(candidate)
-    if power.is_identity():
+    if _power_by_squaring(lift.psi, candidate, formed).is_identity():
         return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return PeriodReport(
         "none",

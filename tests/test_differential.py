@@ -361,7 +361,8 @@ def _period_cases(draw):
 @given(_period_cases(), st.sampled_from([dynamics.SCREEN_PRIMES, (2, 3)]))
 # LYNESS (period 5) with a collision at step 2 of the first orbit: the
 # first returns mod p 2, 5, 5 give c = 10, a period, and every orbit
-# returns at 10/2 = 5, so only the c/q test keeps 10 from the report
+# returns at 5, a proper divisor of 10, so only the minimality test
+# keeps 10 from the report
 @example((BirationalMap.from_strings(_PERIOD_MAPS["lyness"]), 12, 3, 0, {(0, 2)}),
          dynamics.SCREEN_PRIMES)
 def test_period_detection_is_the_exact_confirmed_loop(case, primes):

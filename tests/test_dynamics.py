@@ -328,10 +328,10 @@ class TestResidueCertifiedPeriods:
         assert report == dynamics.PeriodReport("none", None, 3, "sampled", 2, "")
         assert fallbacks == [3]
 
-    def test_a_return_mod_p_at_c_over_q_falls_back(self, monkeypatch):
+    def test_a_return_mod_p_at_a_proper_divisor_falls_back(self, monkeypatch):
         # a screen that also returns at step 2 of the first orbit (labels
         # may collide mod p at any step): first returns 2, 5, 5 give
-        # c = 10, and every orbit returns at 10/2 = 5
+        # c = 10, and every orbit returns at its proper divisor 5
         start = random_positive_point(2, rng_substream(0, 0))
         screen = dynamics._LiftedOrbit.label_residues
 
@@ -363,20 +363,30 @@ class TestResidueCertifiedPeriods:
         assert fallbacks == [10, 12]
 
     def test_the_fallback_reuses_a_formed_composite(self, monkeypatch):
+        compositions = []
+        compose = BirationalMap.compose
+
+        def counting(g, h):
+            compositions.append((g, h))
+            return compose(g, h)
+
+        monkeypatch.setattr(BirationalMap, "compose", counting)
+        fallbacks = self._fallbacks(monkeypatch)
         # the first start c is a fixed point of x1 + (x1 - c)^2: the
-        # candidate 1 fails as f itself, which the fallback does not form again
+        # candidate 1 fails as f itself, which takes no composition
         c = random_positive_point(1, rng_substream(0, 0))[0]
         f = BirationalMap.from_strings([f"x1 + (x1 - {c})^2"])
-
-        def iterate(*args):
-            raise AssertionError("the composite was formed again")
-
-        monkeypatch.setattr(BirationalMap, "iterate", iterate)
-        fallbacks = self._fallbacks(monkeypatch)
         report = detect_global_periodicity(f, samples=1)
         assert report == dynamics.PeriodReport(
             "none", None, 12, "sampled", 1, "sampled candidate 1 failed the symbolic identity check")
-        assert fallbacks == [12]
+        assert compositions == []
+        # PSI_1 mod 7: the failed candidate 5 forms f^2, f^4 and f^5; the
+        # fallback's f^10 takes f^8 and f^2 o f^8, reusing f^2
+        monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (7,))
+        report = detect_global_periodicity(PSI_1, 10, 1, 0)
+        assert report == dynamics.PeriodReport("global", 10, 10, "symbolic", 1, "")
+        assert len(compositions) == 3 + 2
+        assert fallbacks == [12, 10]
 
     def test_a_sample_without_screen_prime_falls_back(self, monkeypatch):
         # (x1 + 2)/(x1 - 1) is an involution; the fourth start is not a
