@@ -43,19 +43,25 @@ carried along the orbit (5-8 us a step on the ladder cluster maps).
 
 Periodic points are located by damped Newton on the compiled map:
 f^(p)(x) is p steps of f, its Jacobian the chain-rule product of J_f
-along those steps, so the composite f^(p) is never formed.  Each start
+along those steps, so the composite f^(p) is never formed.  Once the
+compiled map is hot, f^(p)(x) - x, J(f^(p)) - I and the linear solve
+run as straight-line code generated from their references, with their
+bits (``_newton_kernel``).  Each start
 runs in hardware floats until the residual max|f^(p)(x) - x| is below
 1e-10 or the floats stop, and continues at the working precision from
 the last float iterate: one Newton trajectory per start.  There a step
 must also lower the acceptance residual, below tol exactly when the
 residual test and its relative form both hold, and the run stops on it;
-copies of one root are merged, and the ``mpf`` distance test of a pair
-runs only when their ``float`` images cannot prove them apart
-(``_apart``).  Each point found gets a candidate
+each point is evaluated by value first, and J(f^(p)) is formed only
+where another step follows.  Copies of one root are merged, and the
+``mpf`` distance test of a pair runs only when their ``float`` images
+cannot prove them apart (``_apart``).  Each point found gets a candidate
 box; when a later start's float run converges in it, Krawczyk's test on
 ``mpmath`` intervals is run once, and a certified box, which holds
 exactly one solution, makes every start converging in it a duplicate
-with no full-precision run.
+with no full-precision run.  A box's ``mpf`` endpoints are built only
+when the point's ``float`` image cannot prove an iterate outside it
+(``_outside``).
 
 There is one periodic-point search, ``find_periodic_points_over``, on
 the fibers of a monomial projection.  A finer level of a flag of
@@ -84,7 +90,8 @@ from .geometry import ReducedSystem
 from .intlinalg import IntMatrix, kernel_lattice, right_inverse
 from .laurent import _sparse, _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
-from .maps import _MPF, _RAW, _Numbers, _boxed, _modular_source, _raw, _step
+from .maps import (_LIBMPF, _LIBMPF_NAMES, _MPF, _PYTHON, _RAW, _Numbers, _Spelling, _boxed,
+                   _hot_steps, _libmpf, _modular_source, _raw, _step)
 
 __all__ = [
     "DynamicsError",
@@ -622,6 +629,9 @@ def _less_identity(jac, num: _Numbers) -> list:
             for i, row in enumerate(jac)]
 
 
+_SINGULAR = "matrix is numerically singular"
+
+
 def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
     """x with a x = b for a square list of rows a, as ``mpmath.lu_solve``.
 
@@ -645,7 +655,7 @@ def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
 
     def check(value):
         if ops.le(absolute(value), tol):
-            raise ZeroDivisionError("matrix is numerically singular")
+            raise ZeroDivisionError(_SINGULAR)
 
     for j in range(n - 1):
         biggest, pivot = num.zero, None
@@ -656,7 +666,7 @@ def _lu_solve(a, b, num: _Numbers = _MPF) -> list:
             if gt(current, biggest):
                 biggest, pivot = current, k
         if pivot is None:
-            raise ZeroDivisionError("matrix is numerically singular")
+            raise ZeroDivisionError(_SINGULAR)
         a[j], a[pivot] = a[pivot], a[j]
         x[j], x[pivot] = x[pivot], x[j]
         check(a[j][j])
@@ -683,6 +693,151 @@ def _acceptance_residual(diff, x, num: _Numbers = _MPF):
     return ops.max([ops.div(ops.abs(d), v if ops.lt(v, one) else one) for d, v in zip(diff, x)])
 
 
+def _kernel(comps, p: int, n: int, num: _Numbers):
+    """(system, solve) of the Newton runs of f^p on points of n coordinates
+    in num's type (floats or ``_RAW``), f compiled as comps.
+
+    system(x, jacobian) is (f^p(x) - x, residuals, J(f^p)(x) - I or
+    None); residuals is (max|f^p(x) - x|,) in floats and adds the
+    acceptance residual r(x) otherwise.  solve(a, b) is ``_lu_solve``.
+    While comps is cold they are `_power`, `_less_identity`,
+    `_acceptance_residual` and `_lu_solve`; once hot, the straight-line
+    code `_newton_kernel` generated for n and the working precision, on
+    comps's generated steps, with the same bits and the same exceptions.
+    """
+    steps = _hot_steps(comps, n, num)
+    if steps is not None:
+        make, solve = _newton_kernel(n, None if num is _FLOAT else mp.mp.prec)
+        return make(steps, p), solve
+    ops = num.arithmetic(0)
+
+    def system(x, jacobian):
+        image, jac = _power(comps, x, p, jacobian, num)
+        diff = [ops.sub(image[i], x[i]) for i in range(n)]
+        res = (ops.max([ops.abs(d) for d in diff]),)
+        if num is not _FLOAT:
+            res += (_acceptance_residual(diff, x, num),)
+        return diff, res, jac and _less_identity(jac, num)
+
+    return system, lambda a, b: _lu_solve(a, b, num)
+
+
+def _maximum(name: str, values, gt) -> list[str]:
+    """Lines setting name to the first largest of values, as `max` and
+    `_Arithmetic.max` take it, with the comparison gt."""
+    lines = [f"{name} = {values[0]}"]
+    for v in values[1:]:
+        lines += [f"if {gt(v, name)}:", f"    {name} = {v}"]
+    return lines
+
+
+def _rows(name: str, n: int) -> str:
+    """The n x n locals name0_0, name0_1, ... as a target of rows."""
+    return "".join(f"({''.join(f'{name}{i}_{k}, ' for k in range(n))}), " for i in range(n))
+
+
+def _system_source(n: int, spell: _Spelling, acceptance: bool) -> str:
+    """Python source of ``make(steps, p)``, whose result is the system of
+    `_kernel` for f^p at points of n coordinates, on f's generated steps
+    [by value, with the Jacobian], written as spell has it; with
+    acceptance, the residuals add r(x).  Each entry of the chain-rule
+    product is the left fold from zero of `_power`, and a maximum keeps
+    the first largest value."""
+    add, sub, mul, div, absolute, lt, gt = (
+        form.format for form in (spell.add, spell.sub, spell.mul, spell.div, spell.abs,
+                                 spell.lt, spell.gt))
+    idx = range(n)
+    product = ", ".join(reduce(add, [mul(f"s{i}_{m}", f"j{m}_{k}") for m in idx], "zero")
+                        for i in idx for k in idx)
+    body = ["run = steps[jacobian]", "y, rows = run(x)", "if jacobian:",
+            f"    {_rows('j', n)}= rows", "for _ in range(1, p):", "    y, rows = run(y)",
+            "    if jacobian:", f"        {_rows('s', n)}= rows",
+            f"        {', '.join(f'j{i}_{k}' for i in idx for k in idx)} = {product}",
+            f"{''.join(f'x{i}, ' for i in idx)}= x", f"{''.join(f'y{i}, ' for i in idx)}= y"]
+    body += [f"d{i} = {sub(f'y{i}', f'x{i}')}" for i in idx]
+    body += [f"e{i} = {absolute(f'd{i}')}" for i in idx]
+    body += _maximum("m", [f"e{i}" for i in idx], gt)
+    res = "(m,)"
+    if acceptance:
+        body += [f"q{i} = {div(f'e{i}', '(x{0} if {1} else one)'.format(i, lt(f'x{i}', 'one')))}"
+                 for i in idx]
+        body += _maximum("r", [f"q{i}" for i in idx], gt)
+        res = "(m, r)"
+    diff = f"[{', '.join(f'd{i}' for i in idx)}]"
+    less = ", ".join(f"[{', '.join(sub(f'j{i}_{k}', 'one' if i == k else 'zero') for k in idx)}]"
+                     for i in idx)
+    body += ["if not jacobian:", f"    return {diff}, {res}, None",
+             f"return {diff}, {res}, [{less}]"]
+    return ("def make(steps, p):\n    def system(x, jacobian):\n"
+            + "".join(f"        {line}\n" for line in body) + "    return system\n")
+
+
+def _solve_source(n: int, spell: _Spelling) -> str:
+    """Python source of ``solve(a, b)``: `_lu_solve` for n equations as
+    straight-line code, written as spell has it, with the globals eps,
+    zero, one and SINGULAR; the pivot search compares as it does, a row
+    exchange swaps the locals of the two rows, and each absolute sum is
+    the abs_sum of the type's `_Arithmetic` (``sum`` for floats, as in
+    the reference, and ``mpf_sum`` for mpf)."""
+    sub, mul, div, absolute, le, gt, abs_sum = (
+        form.format for form in (spell.sub, spell.mul, spell.div, spell.abs, spell.le, spell.gt,
+                                 spell.abs_sum))
+    idx = range(n)
+    a = [[f"a{i}_{k}" for k in idx] for i in idx]
+
+    def check(value: str) -> list[str]:
+        return [f"if {le(absolute(value), 'tol')}:", "    raise ZeroDivisionError(SINGULAR)"]
+
+    lines = [f"{_rows('a', n)}= a", f"{''.join(f'x{i}, ' for i in idx)}= b"]
+    lines += [f"t{k} = {abs_sum(', '.join(row[k] for row in a))}" for k in idx]
+    lines += [*_maximum("tol", [f"t{k}" for k in idx], gt), f"tol = {mul('eps', 'tol')}"]
+    for j in range(n - 1):
+        lines.append("big, pivot = zero, None")
+        for k in range(j, n):
+            lines += [f"s = {abs_sum(', '.join(a[k][j:]))}", *check("s"),
+                      f"c = {mul(div('one', 's'), absolute(a[k][j]))}",
+                      f"if {gt('c', 'big')}:", f"    big, pivot = c, {k}"]
+        lines += ["if pivot is None:", "    raise ZeroDivisionError(SINGULAR)"]
+        for k in range(j + 1, n):
+            here, there = [*a[j], f"x{j}"], [*a[k], f"x{k}"]
+            lines += [f"{'if' if k == j + 1 else 'elif'} pivot == {k}:",
+                      f"    {', '.join(here + there)} = {', '.join(there + here)}"]
+        lines += check(a[j][j])
+        for i in range(j + 1, n):
+            lines.append(f"{a[i][j]} = {div(a[i][j], a[j][j])}")
+            lines += [f"{a[i][k]} = {sub(a[i][k], mul(a[i][j], a[j][k]))}"
+                      for k in range(j + 1, n)]
+    lines += check(a[n - 1][n - 1])
+    lines += [f"x{i} = {sub(f'x{i}', mul(a[i][j], f'x{j}'))}" for i in idx for j in range(i)]
+    for i in reversed(idx):
+        lines += [f"x{i} = {sub(f'x{i}', mul(a[i][j], f'x{j}'))}" for j in range(i + 1, n)]
+        lines.append(f"x{i} = {div(f'x{i}', a[i][i])}")
+    lines.append(f"return [{', '.join(f'x{i}' for i in idx)}]")
+    return "def solve(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@cache
+def _newton_kernel(n: int, prec: int | None) -> tuple:
+    """(make, solve) of `_system_source` and `_solve_source` for points of
+    n coordinates, built once: in floats for prec None, else as libmpf
+    calls on raw values at prec bits, the solve at prec + 10 as
+    `_lu_solve`'s.  Both make the reference's operations on the same
+    operands in the same order, by the rules of `maps._source`, so their
+    results and exceptions are the reference's bit for bit."""
+    num, spell = (_FLOAT, _PYTHON) if prec is None else (_RAW, _LIBMPF)
+
+    def built(source: str, extra: int) -> dict:
+        ops = _FLOAT.arithmetic(0) if prec is None else _libmpf(prec + extra)
+        scope = {"eps": ops.eps, "zero": num.zero, "one": num.one, "SINGULAR": _SINGULAR}
+        if prec is not None:
+            scope.update(_LIBMPF_NAMES, prec=prec + extra)
+        exec(compile(source, "<newton kernel>", "exec"), scope)
+        return scope
+
+    return (built(_system_source(n, spell, prec is not None), 0)["make"],
+            built(_solve_source(n, spell), 10)["solve"])
+
+
 def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF):
     """Damped Newton for f^p(x) = x from start, in num's number type (f
     compiled, and start given, in that type).
@@ -694,17 +849,22 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     acceptance residual r(x) of ``_acceptance_residual``.  The run stops
     when r, in floats max|f^p(x) - x|, is below tol; a run that creeps
     towards a coordinate 0 lowers max|f^p(x) - x| but raises r, so it
-    stops at its first step.  The full step is evaluated with its
-    Jacobian and a halved one by value only; the Jacobian at an accepted
-    halved step is computed when another step follows.  Returns (x,
-    f^p(x) - x, r(x) or in floats max|f^p(x) - x|, steps taken) for the
-    last iterate x, the first below tol or the one where Newton stopped
-    (a singular system, no descent after 40 halvings, max_iter steps
-    spent): the caller tests it.  A start outside the domain gives
-    (start, None, inf, 0).  Only a start can have a non-finite residual:
-    an inf or nan one never descends.  A float overflow raises
-    OverflowError.  An mpf run computes on the ``_RAW`` values of start
-    and tol, and returns mpf objects.
+    stops at its first step.  f^p, its Jacobian and the solve are those
+    of `_kernel`: the reference while f is cold, generated code once it
+    is hot.  In floats the full step is evaluated with its Jacobian and
+    a halved one by value only.  In ``mpf`` every point, the start and
+    the full step too, is evaluated by value first, and J(f^p) is formed
+    at an accepted point only when another step follows, so a run that
+    converges never forms the Jacobian at its last point; at a positive
+    point a step with the Jacobian fails only where one by value does,
+    on the same denominators.  Returns (x, f^p(x) - x, r(x) or in floats
+    max|f^p(x) - x|, steps taken) for the last iterate x, the first below
+    tol or the one where Newton stopped (a singular system, no descent
+    after 40 halvings, max_iter steps spent): the caller tests it.  A
+    start outside the domain gives (start, None, inf, 0).  Only a start
+    can have a non-finite residual: an inf or nan one never descends.  A
+    float overflow raises OverflowError.  An mpf run computes on the
+    ``_RAW`` values of start and tol, and returns mpf objects.
     """
     boxed = num is _MPF
     if boxed:
@@ -714,27 +874,18 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
     one, two = num.one, add(num.one, num.one)
     n = len(start)
     x = list(start)
-
-    def residuals_at(vec, jacobian):
-        """(f^p(vec) - vec, residuals, Jacobian or None); residuals is
-        (max|f^p(vec) - vec|,) in floats and adds r(vec) in mpf."""
-        img, jac = _power(comps, vec, p, jacobian, num)
-        diff = [ops.sub(img[i], vec[i]) for i in range(n)]
-        res = (ops.max([ops.abs(d) for d in diff]),)
-        if num is not _FLOAT:
-            res += (_acceptance_residual(diff, vec, num),)
-        return diff, res, jac
-
+    system, solve = _kernel(comps, p, n, num)
+    full = num is _FLOAT  # whether a full step is evaluated with its Jacobian
     try:
-        fvec, res, jac = residuals_at(x, True)
+        fvec, res, jac = system(x, full)
     except (ZeroDivisionError, ValueError):
         return tuple(_boxed(x) if boxed else x), None, inf, 0
     steps = 0
     while steps < max_iter and not lt(res[-1], tol):
         if jac is None:
-            jac = _power(comps, x, p, True, num)[1]
+            jac = system(x, True)[2]
         try:
-            step = _lu_solve(_less_identity(jac, num), [ops.neg(v) for v in fvec], num)
+            step = solve(jac, [ops.neg(v) for v in fvec])
         except ZeroDivisionError:
             break
         damping = one
@@ -743,7 +894,7 @@ def _newton_solve(comps, p: int, start, tol, max_iter: int, num: _Numbers = _MPF
             damping = div(damping, two)
             if all(ops.gt(v, num.zero) for v in trial):
                 try:
-                    tvec, tres, tjac = residuals_at(trial, halvings == 0)
+                    tvec, tres, tjac = system(trial, full and halvings == 0)
                 except (ZeroDivisionError, ValueError):
                     continue
                 # r alone would accept steps that raise max|f^p(x) - x|
@@ -804,6 +955,28 @@ def _candidate_box(point) -> list:
         radius = _BOX_RADIUS * max(1, abs(y))
         box.append((y - radius, y + radius))
     return box
+
+
+def _outside(rough, image) -> bool:
+    """Whether the float image u of a found point y proves the float
+    iterate v = rough outside y's candidate box at a working precision of
+    at least 99 bits: whether |v_i - u_i| > 2 _BOX_RADIUS (1 + |u_i| +
+    |v_i|) in floats for some i.
+
+    Proof.  With R = _BOX_RADIUS (the float, within 10^-12 of 10^-6), the
+    box's endpoints y_i -+ R max(1, |y_i|), each rounded twice at 99 bits
+    or more, lie within W = 1.0001 10^-6 max(1, |y_i|) of y_i, so v_i is
+    outside when |v_i - y_i| > W.  float() rounds y_i to nearest, so
+    |u_i - y_i| <= 2^-53 |y_i| + 2^-1075.  Each float operation of the
+    test is exact or rounds to nearest, and the bound's sum is at least
+    1, so the exact |v_i - u_i| exceeds 2R (1 + |u_i| + |v_i|) (1 -
+    2^-53)^4 > 1.9999 10^-6 (1 + |u_i|), and |v_i - y_i| > 1.9999 10^-6
+    (1 + |u_i|) - 2^-53 |y_i| - 2^-1075 > 1.9998 10^-6 (1 + |y_i|) > W.
+    A difference that overflows is above 2^1023, far beyond W, and an
+    inf or nan coordinate makes every comparison false: the box is then
+    left to ``mpf``.
+    """
+    return any(abs(v - u) > 2 * _BOX_RADIUS * (1.0 + abs(u) + abs(v)) for v, u in zip(rough, image))
 
 
 def _krawczyk(f: BirationalMap, p: int, point, box) -> bool:
@@ -931,8 +1104,10 @@ def find_periodic_points_over(
     passes both the absolute test max|f^(p)(x) - x| < tol and the
     relative test max|f^(p)(x)_i - x_i| / x_i < tol.  A run that creeps
     towards a coordinate 0 lowers only the absolute residual and stops
-    at its first step.  Halved Newton steps are evaluated without their
-    Jacobian.  A point's ``residual`` is the absolute max|f^(p)(x) - x|.
+    at its first step.  Halved float steps are evaluated without their
+    Jacobian; at the working precision every point is evaluated by value
+    first, and J(f^(p)) is formed only where another step follows.  A
+    point's ``residual`` is the absolute max|f^(p)(x) - x|.
     Two points merge when they are closer than 10^-(precision/2), or than
     100 tol where that is larger (below 52 digits), the distance within
     which a residual below tol leaves the copies of a root with |J_F^-1|
@@ -942,7 +1117,9 @@ def find_periodic_points_over(
 
     A found point y gets a candidate box of half-width 1e-6 max(1,
     |y_i|).  The first time a later start's float run converges in it
-    (compared with the box's ``mpf`` endpoints), Krawczyk's test is run
+    (compared with the box's ``mpf`` endpoints, which are built only
+    when y's float image cannot prove the iterate outside the box,
+    ``_outside``), Krawczyk's test is run
     on the box and the verdict kept.  A certified box holds exactly one
     solution, so every start whose float run converges in it is y's
     duplicate and is dropped with no full-precision run; the list is
@@ -1014,6 +1191,8 @@ def find_periodic_points_over(
         # root, so copies of a root with |J_F^-1| < 50 are less than
         # 100 tol apart.  That bound is the larger one below 52 digits.
         merge_tol = max(mp.mpf(10) ** (-precision // 2), 100 * tol)
+        # a point within this of its image under f^d has period dividing d
+        root_tol = mp.sqrt(tol)
         # the float images of found points screen the merge test
         # (`_apart`); past about 600 digits no pair is screened
         gap = 2 * float(merge_tol) if merge_tol > mp.mpf(2) ** -1000 else inf
@@ -1023,15 +1202,24 @@ def find_periodic_points_over(
         except OverflowError:
             fcomps = None
         found: list[PeriodicPoint] = []
-        images, boxes, certified = [], [], {}
+        images, boxes, certified = [], {}, {}
 
         def known(rough) -> bool:
             """Whether the float iterate rough lies in the certified box
-            of a found point; a box is tested when an iterate first lands
-            in it, and the verdict kept."""
-            with mp.workprec(53):  # the floats as mpf values, exactly
-                x = [mp.mpf(v) for v in rough]
-            for k, box in enumerate(boxes):
+            of a found point.  A box that the point's float image proves
+            rough outside of (`_outside`) is passed over; the others are
+            built on first use and compared in ``mpf``, and a box is
+            tested when an iterate first lands in it, the verdict kept."""
+            x = None
+            for k, image in enumerate(images):
+                if _outside(rough, image):
+                    continue
+                if x is None:
+                    with mp.workprec(53):  # the floats as mpf values, exactly
+                        x = [mp.mpf(v) for v in rough]
+                if k not in boxes:
+                    boxes[k] = _candidate_box(found[k].point)
+                box = boxes[k]
                 if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
                     if k not in certified:
                         certified[k] = _krawczyk(f, p, found[k].point, box)
@@ -1051,7 +1239,7 @@ def find_periodic_points_over(
                     image, _ = _step(comps, image, False, _MPF)
                 except (ZeroDivisionError, ValueError):
                     break
-                if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < mp.sqrt(tol):
+                if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < root_tol:
                     minimal = False
                     break
             if not minimal:
@@ -1062,7 +1250,6 @@ def find_periodic_points_over(
                 continue
             found.append(PeriodicPoint(point, max(map(abs, diff)), p, precision))
             images.append(fpoint)
-            boxes.append(_candidate_box(point))
         found.sort(key=lambda pp: tuple(float(v) for v in pp.point))
         return found
 

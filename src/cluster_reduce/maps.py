@@ -22,7 +22,11 @@ written as the calls of mpmath's libmpf layer (Johansson et al.,
 mpmath) that the mpf operators make (`_LIBMPF`), on raw ``_mpf_``
 values at the working precision, without the objects; the Newton solver
 of `dynamics` computes on the same raw values (`_RAW`), each number
-type supplying its arithmetic (`_Arithmetic`).
+type supplying its arithmetic (`_Arithmetic`).  Once a map is hot its
+Newton runs are generated code too, spelled the same way (`_Spelling`):
+f^p(x) - x, J(f^p) - I and the pivoted LU solve, straight-line, on the
+map's generated steps (`dynamics._newton_kernel`), with the bits of
+their references.
 
 The integer log-Jacobian d M(p), M(p)_ij = p_j d_j f_i(p) / f_i(p), that
 `geometry` samples at rational points p_j = a_j / b_j is formed on
@@ -154,9 +158,15 @@ def _boxed(values) -> list:
 # interpreted float steps (7 and 16 us each; 1.1 and 2.5 us generated),
 # and 0.55 and 1.3 ms in mpf at 64 digits, about 13 and 10 interpreted
 # mpf steps (43 and 125 us each; 18 and 52 us as libmpf calls; CPython
-# 3.11, 2-vCPU Xeon).  A periodic-point search of the pipeline takes at
-# most 95 steps per compiled map; those of the numeric workload take
-# 91-2518, and repeat on the same maps.
+# 3.11, 2-vCPU Xeon).  A hot map's Newton runs also use the generated
+# kernels of `dynamics` (built once per dimension and precision: 1.2 ms
+# in floats and 1.9 ms in mpf for 3 variables), and a whole Newton step
+# with J(f^p) of that map, p = 1 and 2, then costs 5-6 and 8 us in
+# floats (14 and 21-22 us with the reference product and solve) and
+# 106-111 and 219-222 us in mpf at 64 digits (129-132 and 251-253 us).
+# A periodic-point search of the pipeline takes at most 95 steps per
+# compiled map; those of the numeric workload take 91-2518, and repeat
+# on the same maps.
 _HOT_STEPS = 256
 
 
@@ -213,20 +223,25 @@ def _compile(f, convert) -> _Compiled | None:
 _VANISHES = "denominator vanishes at the point"
 
 # How `_source` writes each operation of a step: a + b, a - b, a * b,
-# a / b, a * k and a ** k for an int literal k, and the test d == 0.
-_Spelling = namedtuple("_Spelling", "add sub mul div mul_int pow_int is_zero")
+# a / b, a * k and a ** k for an int literal k, and the test d == 0; and
+# how the Newton kernels of `dynamics` write |a|, a < b, a <= b, a > b
+# and the `_Arithmetic` abs_sum of the terms a, b, ...
+_Spelling = namedtuple("_Spelling", "add sub mul div mul_int pow_int is_zero abs lt le gt abs_sum")
 # Python's operators, for floats, `Fraction` and intervals
 _PYTHON = _Spelling("({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} * {})",
-                    "({} ** {})", "{} == 0")
+                    "({} ** {})", "{} == 0", "abs({})", "{} < {}", "{} <= {}", "{} > {}",
+                    "sum(map(abs, ({},)))")
 # for raw mpf values, the libmpf calls that the mpf operators make at the
 # working precision; an mpf equals 0 exactly when its raw value is fzero
 _LIBMPF = _Spelling("mpf_add({}, {}, prec, rnd)", "mpf_sub({}, {}, prec, rnd)",
                     "mpf_mul({}, {}, prec, rnd)", "mpf_div({}, {}, prec, rnd)",
                     "mpf_mul_int({}, {}, prec, rnd)", "mpf_pow_int({}, {}, prec, rnd)",
-                    "{} == fzero")
+                    "{} == fzero", "mpf_abs({}, prec, rnd)", "mpf_lt({}, {})", "mpf_le({}, {})",
+                    "mpf_gt({}, {})", "mpf_sum(({},), prec, rnd, True)")
 _LIBMPF_NAMES = {"mpf_add": mpf_add, "mpf_sub": mpf_sub, "mpf_mul": mpf_mul, "mpf_div": mpf_div,
-                 "mpf_mul_int": mpf_mul_int, "mpf_pow_int": mpf_pow_int, "fzero": fzero,
-                 "rnd": round_nearest}
+                 "mpf_mul_int": mpf_mul_int, "mpf_pow_int": mpf_pow_int, "mpf_abs": mpf_abs,
+                 "mpf_lt": mpf_lt, "mpf_le": mpf_le, "mpf_gt": mpf_gt, "mpf_sum": mpf_sum,
+                 "fzero": fzero, "rnd": round_nearest}
 
 
 def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
@@ -248,17 +263,33 @@ def _step(f: _Compiled, x, jacobian: bool, num: _Numbers):
                 image, rows = _interpret(f.components, _boxed(x), jacobian, _MPF)
                 return _raw(image), rows and [_raw(row) for row in rows]
             return _interpret(f.components, x, jacobian, num)
-        names = {"VANISHES": _VANISHES, "c": f.coeffs, "zero": num.zero, "one": num.one}
-        spell = _LIBMPF if num.key()[0] == "mpf" else _PYTHON
-        if spell is _LIBMPF:
-            names.update(_LIBMPF_NAMES, c=_raw(f.coeffs), zero=fzero, one=fone, prec=mp.mp.prec)
-        source = _source(f.components, len(x), jacobian, spell)
-        exec(compile(source, "<compiled map>", "exec"), names)
-        run = f.generated[jacobian] = names["step"]
+        run = _generated(f, len(x), jacobian, num)
     if num is _MPF:
         image, rows = run(_raw(x))
         return _boxed(image), rows and [_boxed(row) for row in rows]
     return run(x)
+
+
+def _generated(f: _Compiled, n: int, jacobian: bool, num: _Numbers):
+    """f's generated step for the Jacobian flag at points of n coordinates,
+    built on first use (`_source`): on raw values for mpf."""
+    run = f.generated[jacobian]
+    if run is None:
+        names = {"VANISHES": _VANISHES, "c": f.coeffs, "zero": num.zero, "one": num.one}
+        spell = _LIBMPF if num.key()[0] == "mpf" else _PYTHON
+        if spell is _LIBMPF:
+            names.update(_LIBMPF_NAMES, c=_raw(f.coeffs), zero=fzero, one=fone, prec=mp.mp.prec)
+        exec(compile(_source(f.components, n, jacobian, spell), "<compiled map>", "exec"), names)
+        run = f.generated[jacobian] = names["step"]
+    return run
+
+
+def _hot_steps(f: _Compiled, n: int, num: _Numbers) -> list | None:
+    """[step, step with Jacobian] of f generated for points of n
+    coordinates once f is hot (it has run `_HOT_STEPS` steps), else None."""
+    if f.steps < _HOT_STEPS:
+        return None
+    return [_generated(f, n, jacobian, num) for jacobian in (False, True)]
 
 
 def _interpret(comps, x, jacobian: bool, num: _Numbers):
@@ -305,9 +336,16 @@ def _source(comps, n: int, jacobian: bool, spell: _Spelling) -> str:
     The source holds only int literals and fixed names: the coefficients
     are the global list c, in the order of `_Compiled.coeffs`, beside the
     globals zero and one.
+
+    The Newton kernels of `dynamics` are generated by the same rules.  A
+    sum is written as its reference makes it: a fold from zero as that
+    chain of additions, never as Python's ``sum``, which from Python 3.12
+    compensates the rounding of float sums and would change the bits
+    there only; where the reference itself calls ``sum`` (the float
+    abs_sum of `_Arithmetic`), so does the generated code.
     """
     lines, names, coeffs = [], {}, count()
-    add, sub, mul, div, mul_int, pow_int, is_zero = (form.format for form in spell)
+    add, sub, mul, div, mul_int, pow_int, is_zero = (form.format for form in spell[:7])
 
     def power(i: int, k: int | None) -> str:
         """The local holding x_i ** k, or x_i for k None; loaded or

@@ -28,7 +28,9 @@ from `Fraction`s, with the same verdicts at edge points, on random
 rational and monomial maps.  The generated
 straight-line step of a hot compiled map gives the interpreter's values,
 Jacobians and exceptions bit for bit, on random maps in every number
-type of the kernel, raw mpf values of the libmpf step included.
+type of the kernel, raw mpf values of the libmpf step included, and so
+do the generated Newton kernels of a hot map against `_power`,
+`_less_identity` and `_lu_solve`, in floats and on raw mpf values.
 """
 
 import gc
@@ -758,10 +760,8 @@ def _bits(v):
     return v.hex() if isinstance(v, float) else (v.numerator, v.denominator)
 
 
-def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
-    """maps._step on a fresh compilation of comps, interpreted or, with
-    hot, generated: its values and Jacobian rows as bits, or the type and
-    message of what it raised."""
+def _fresh_compiled(comps, num, hot: bool):
+    """comps compiled for num with its coefficients converted, cold or hot."""
     compiled = maps._Compiled([
         comp if isinstance(comp, int) else tuple(
             None if terms is None else [(num.convert(c), mono) for c, mono in terms]
@@ -770,6 +770,14 @@ def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
     ])
     if hot:
         compiled.steps = maps._HOT_STEPS
+    return compiled
+
+
+def _step_outcome(comps, x, jacobian: bool, num, hot: bool):
+    """maps._step on a fresh compilation of comps, interpreted or, with
+    hot, generated: its values and Jacobian rows as bits, or the type and
+    message of what it raised."""
+    compiled = _fresh_compiled(comps, num, hot)
     try:
         image, rows = maps._step(compiled, x, jacobian, num)
     except Exception as exc:  # the same exception must come from both paths
@@ -812,3 +820,136 @@ def test_generated_steps_are_the_interpreted_steps_bit_for_bit(case):
             for jacobian in (False, True):
                 want = _step_outcome(comps, x, jacobian, num, hot=False)
                 assert _step_outcome(comps, x, jacobian, num, hot=True) == want
+
+
+# The number types of the Newton kernels: floats, and raw mpf values at
+# 30, 64 and 128 digits
+_NEWTON_TYPES = [(15, dynamics._FLOAT), (30, maps._RAW), (64, maps._RAW), (128, maps._RAW)]
+
+
+@st.composite
+def _newton_cases(draw):
+    """(components, point, p): a random self-map of n = 1-3 variables, bare
+    coordinates among its components, a point of floats and p = 1-3."""
+    n = draw(st.integers(1, 3))
+    component = st.one_of(
+        st.integers(0, n - 1),
+        st.tuples(_term_list(n), st.one_of(st.none(), _term_list(n))),
+    )
+    comps = draw(st.lists(component, min_size=n, max_size=n))
+    point = draw(st.lists(st.one_of(st.sampled_from(_COORDINATES), st.floats(0.25, 4)),
+                          min_size=n, max_size=n))
+    return comps, point, draw(st.integers(1, 3))
+
+
+def _system_outcome(comps, x, p: int, jacobian: bool, num, hot: bool):
+    """The Newton system of f^p at x from `dynamics._kernel` on a fresh
+    compilation, the reference (`_power`, `_less_identity`) while cold,
+    the generated code once hot: its difference, residuals and J - I as
+    bits, or the type and message of what it raised."""
+    compiled = _fresh_compiled(comps, num, hot)
+    system, _ = dynamics._kernel(compiled, p, len(x), num)
+    try:
+        diff, res, jac = system(x, jacobian)
+    except Exception as exc:  # the same exception must come from both kernels
+        outcome = type(exc), str(exc)
+    else:
+        outcome = ([_bits(v) for v in diff], [_bits(v) for v in res],
+                   jac and [[_bits(v) for v in row] for row in jac])
+    assert (compiled.generated != [None, None]) == hot
+    return outcome
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_newton_cases())
+# x1 -> (x1^2 - 2)/(x1 - 1) at its pole, and x1 -> 2 x1 at 10^100 (an
+# overflow of 10^100^2 only in the product of p = 3)
+@example(([([(Fraction(1), ((0, 2),)), (Fraction(-2), ())],
+            [(Fraction(1), ((0, 1),)), (Fraction(-1), ())])], [1.0], 1))
+@example(([([(Fraction(1), ((0, 1),))], None)], [1e100], 3))
+def test_generated_newton_systems_are_the_reference_bit_for_bit(case):
+    # f^p(x) - x, its residuals and J(f^p)(x) - I, with and without the
+    # Jacobian, in floats and on raw mpf values: the reference's values
+    # or exception, from the generated kernel of a hot map
+    comps, point, p = case
+    for digits, num in _NEWTON_TYPES:
+        with mp.workdps(digits):
+            x = [num.convert(Fraction(v)) for v in point]
+            if num is maps._RAW:
+                x = maps._raw(x)
+            for jacobian in (False, True):
+                want = _system_outcome(comps, x, p, jacobian, num, hot=False)
+                assert _system_outcome(comps, x, p, jacobian, num, hot=True) == want
+
+
+def _solve_outcome(solve, a, b):
+    """solve(a, b) as bits, or the type and message of what it raised."""
+    try:
+        return [_bits(v) for v in solve(a, b)]
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+def _generated_solve_agrees(a, b, num) -> object:
+    """Assert that the generated solve of a x = b is `_lu_solve`'s, bit for
+    bit, at the working precision; return the outcome."""
+    prec = None if num is dynamics._FLOAT else mp.mp.prec
+    _, solve = dynamics._newton_kernel(len(a), prec)
+    want = _solve_outcome(lambda a, b: dynamics._lu_solve(a, b, num), a, b)
+    assert _solve_outcome(solve, a, b) == want
+    return want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lu_systems())
+def test_generated_solves_are_the_reference_bit_for_bit(system):
+    # random, singular, zero-column and near-singular systems of 1-3
+    # equations, in floats and on raw mpf values at 30, 64 and 128 digits
+    rows, b = system
+    for digits, num in _NEWTON_TYPES:
+        with mp.workdps(digits):
+            convert = float if num is dynamics._FLOAT else lambda v: maps._raw([num.convert(v)])[0]
+            _generated_solve_agrees([[convert(v) for v in row] for row in rows],
+                                    [convert(v) for v in b], num)
+
+
+@pytest.mark.parametrize("digits, num", _NEWTON_TYPES)
+def test_generated_solves_at_the_singularity_tolerance(digits, num):
+    # After one elimination step the pivot of [[1, 1], [1, 1 + d]] is d,
+    # against the tolerance mnorm(a, 1) eps: d at or just below it is
+    # singular, d just above it is not (2^-51 and 2^-50 in floats; 15/16
+    # and 17/16 of 2^-(prec + 8) at prec bits with 10 extra bits); and a
+    # zero column is singular at its pivot
+    with mp.workdps(digits):
+        if num is dynamics._FLOAT:
+            corners = [(1.0 + 2.0**-51, True), (1.0 + 2.0**-50, False)]
+            zero, one, two = 0.0, 1.0, 2.0
+        else:
+            unit = mp.mpf(2) ** -(mp.mp.prec + 8)
+            with mp.workprec(mp.mp.prec + 30):
+                corners = [((1 + unit * k / 16)._mpf_, k == 15) for k in (15, 17)]
+            zero, one, two = (mp.mpf(v)._mpf_ for v in (0, 1, 2))
+        for corner, singular in corners:
+            got = _generated_solve_agrees([[one, one], [one, corner]], [one, two], num)
+            assert (got[0] is ZeroDivisionError) == singular
+        for n in (2, 3):
+            a = [[zero, *[one if i == j else two for j in range(n - 1)]] for i in range(n)]
+            assert _generated_solve_agrees(a, [one] * n, num)[0] is ZeroDivisionError
+
+
+def test_generated_float_sums_fold_left_to_right():
+    # Python 3.12's sum() of floats is compensated: it adds (1e16, 1, -1e16)
+    # to 1.0 where the fold from zero of the reference gives 0.0, and
+    # (1e16, 1, 1) to 1e16 + 2 where the fold gives 1e16.  A kernel that
+    # summed otherwise than its reference would differ from it there.
+    # x -> A x with rows (1e16, 1, -1e16), (1, 1, 1), (1, 1, 1): the entry
+    # (0, 1) of J(f^2) = A A has the terms 1e16, 1 and -1e16
+    rows = [[1e16, 1.0, -1e16], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+    comps = [([(Fraction(c), ((j, 1),)) for j, c in enumerate(row)], None) for row in rows]
+    x = [1.0, 2.0, 3.0]
+    want = _system_outcome(comps, x, 2, True, dynamics._FLOAT, hot=False)
+    assert _system_outcome(comps, x, 2, True, dynamics._FLOAT, hot=True) == want
+    assert want[2][0][1] == (0.0).hex()
+    # the row sums 1e16 + 1 + 1 of the pivot search and the tolerance
+    a = [[1e16, 1.0, 1.0], [1.0, 1e16, 1.0], [1.0, 1.0, 1e16]]
+    _generated_solve_agrees(a, [1e16, 1.0, -1e16], dynamics._FLOAT)

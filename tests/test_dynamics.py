@@ -61,6 +61,18 @@ PSI_2 = BirationalMap.from_strings(
     ["x2", "(x2 + 1)/x1", "(x2^2 + x2)/x3", "x5", "x3*x5^2/(x2*x4)"]
 )
 
+# The Newton step of F = f - id from 3 is exactly -2, onto the pole 1;
+# the fixed point is 2
+POLE_STEP = BirationalMap.from_strings(["(x1^2 - 2)/(x1 - 1)"])
+# a pole at the grid start 3 (grid 4 over [1/2, 3]); the fixed point is 2
+POLE_START = BirationalMap.from_strings(["(x1^2 - 6)/(x1 - 3)"])
+# 1 is a fixed point where f' = 1, so J_F(1) = 0
+TANGENT = BirationalMap.from_strings(["x1^2 - x1 + 1"])
+# f(x) = 2 + 10^-6 (x - 2) / (x - q), q = 2 - 5 10^-7: the fixed point 2
+# has J_F = 1, and its box of half-width 2 10^-6 holds the pole q
+NEAR_POLE = BirationalMap.from_strings(
+    ["(2000001/1000000*x1 - 4000001/1000000)/(x1 - 3999999/2000000)"])
+
 DATA = Path(__file__).parent / "data"
 
 C7_Y = [
@@ -604,15 +616,22 @@ def _all_mpf_search(monkeypatch, f, p: int, **kwargs) -> list:
 
 
 def _singular_floats(monkeypatch):
-    """Make every float Newton system singular, so no float step is taken."""
-    solve = dynamics._lu_solve
+    """Make every float Newton system singular, so no float step is taken:
+    the reference solve of a cold map and the generated one of a hot map."""
+    solve, kernel = dynamics._lu_solve, dynamics._newton_kernel
+
+    def singular(a, b):
+        raise ZeroDivisionError("matrix is numerically singular")
 
     def patched(a, b, num=dynamics._MPF):
-        if num is dynamics._FLOAT:
-            raise ZeroDivisionError("matrix is numerically singular")
-        return solve(a, b, num)
+        return singular(a, b) if num is dynamics._FLOAT else solve(a, b, num)
+
+    def patched_kernel(n, prec):
+        make, generated = kernel(n, prec)
+        return make, singular if prec is None else generated
 
     monkeypatch.setattr(dynamics, "_lu_solve", patched)
+    monkeypatch.setattr(dynamics, "_newton_kernel", patched_kernel)
 
 
 def _newton_runs(monkeypatch, float_steps: int) -> list:
@@ -634,14 +653,51 @@ def _newton_runs(monkeypatch, float_steps: int) -> list:
 
 
 def _float_step(monkeypatch, image):
-    """Make every float step of f return image(f(x)) in place of f(x)."""
-    step = dynamics._step
+    """Make every float step of f return image(f(x)) in place of f(x): the
+    steps `_power` runs on a cold map, and the generated steps that a hot
+    map's Newton kernel runs."""
+    step, hot = dynamics._step, dynamics._hot_steps
 
     def patched(comps, x, jacobian, num=dynamics._MPF):
         value, rows = step(comps, x, jacobian, num)
         return (image(value), rows) if num is dynamics._FLOAT else (value, rows)
 
+    def imaged(run):
+        def run_imaged(x):
+            value, rows = run(x)
+            return image(value), rows
+        return run_imaged
+
+    def patched_hot(comps, n, num):
+        steps = hot(comps, n, num)
+        return [imaged(run) for run in steps] if steps and num is dynamics._FLOAT else steps
+
     monkeypatch.setattr(dynamics, "_step", patched)
+    monkeypatch.setattr(dynamics, "_hot_steps", patched_hot)
+
+
+def _counted_kernels(monkeypatch, system=None, solve=None) -> None:
+    """Call system(num, p, jacobian) before each evaluation of a Newton
+    system and solve() before each Newton solve, on cold and hot maps
+    alike (`dynamics._kernel`)."""
+    kernel = dynamics._kernel
+
+    def counting(comps, p, n, num):
+        run, lu = kernel(comps, p, n, num)
+
+        def counted_run(x, jacobian):
+            if system:
+                system(num, p, jacobian)
+            return run(x, jacobian)
+
+        def counted_lu(a, b):
+            if solve:
+                solve()
+            return lu(a, b)
+
+        return counted_run, counted_lu
+
+    monkeypatch.setattr(dynamics, "_kernel", counting)
 
 
 def _overflow(value):
@@ -696,17 +752,22 @@ class TestMixedPrecisionNewton:
     @pytest.mark.parametrize("name, p", [("lyness", 1), ("somos5:null2", 1), ("psi_1", 2)])
     def test_failed_float_phase_gives_the_all_mpf_search(self, monkeypatch, failure, name, p):
         # a float phase that takes no step leaves the start to the
-        # working precision, from the start itself
-        f = _low_dimensional_maps()[name]
-        expected = _all_mpf_search(monkeypatch, f, p, grid=4)
-        assert expected
-        if failure == "no float root":
-            _singular_floats(monkeypatch)
-        elif failure == "overflow":
-            _float_step(monkeypatch, _overflow)
-        else:
-            _float_step(monkeypatch, lambda value: [float("inf")] * len(value))
-        assert find_periodic_points(f, p, grid=4) == expected
+        # working precision, from the start itself; every run is on the
+        # reference kernel of a cold map, then on the generated one of a
+        # hot map
+        for hot in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(maps, "_HOT_STEPS", 0 if hot else 10**9)
+                f = _fresh(_low_dimensional_maps()[name])
+                expected = _all_mpf_search(m, f, p, grid=4)
+                assert expected
+                if failure == "no float root":
+                    _singular_floats(m)
+                elif failure == "overflow":
+                    _float_step(m, _overflow)
+                else:
+                    _float_step(m, lambda value: [float("inf")] * len(value))
+                assert find_periodic_points(f, p, grid=4) == expected
 
     def test_float_coefficient_overflow_runs_at_full_precision(self, monkeypatch):
         huge = 10**400
@@ -761,24 +822,15 @@ class TestMixedPrecisionNewton:
         # "f" and "m" mark a float and an mpf run, "." each linear solve
         # of a run (Krawczyk's solves are not Newton steps)
         f = _low_dimensional_maps()[name]
-        solve, lu = dynamics._newton_solve, dynamics._lu_solve
-        events, inside = [], []
+        solve = dynamics._newton_solve
+        events = []
 
         def marking(comps, p, start, tol, max_iter, num=dynamics._MPF):
             events.append("f" if num is dynamics._FLOAT else "m")
-            inside.append(True)
-            try:
-                return solve(comps, p, start, tol, max_iter, num)
-            finally:
-                inside.pop()
-
-        def counting(a, b, num=dynamics._MPF):
-            if inside:
-                events.append(".")
-            return lu(a, b, num)
+            return solve(comps, p, start, tol, max_iter, num)
 
         monkeypatch.setattr(dynamics, "_newton_solve", marking)
-        monkeypatch.setattr(dynamics, "_lu_solve", counting)
+        _counted_kernels(monkeypatch, solve=lambda: events.append("."))
         find_periodic_points(f, p, precision=64, grid=4)
         starts = "".join(events).split("f")
         assert starts[0] == "" and len(starts) == 1 + 4**f.dim_in
@@ -791,37 +843,32 @@ class TestMixedPrecisionNewton:
 
     def test_few_full_precision_jacobians_per_start(self, monkeypatch):
         f = _low_dimensional_maps()["somos5:casimir3"]
-        power = dynamics._power
-        full = []
-
-        def counting(comps, x, p, jacobian=False, num=dynamics._MPF):
-            full.append(jacobian and num.key()[0] == "mpf")
-            return power(comps, x, p, jacobian, num)
-
-        monkeypatch.setattr(dynamics, "_power", counting)
+        full, krawczyk = [], dynamics._krawczyk
+        _counted_kernels(monkeypatch, system=lambda num, p, jacobian: full.append(
+            jacobian and num is not dynamics._FLOAT))
+        monkeypatch.setattr(dynamics, "_krawczyk", lambda *args: full.append(True) or krawczyk(*args))
         assert len(find_periodic_points(f, 1, grid=4)) == 1
-        # 4 for the 64 starts: one finish of 3 evaluations, and Krawczyk's
-        # test, which drops the other starts
-        assert sum(full) <= 6
+        # 3 for the 64 starts: one finish, which forms J(f) at its start
+        # and at the iterate before its last, and Krawczyk's test, which
+        # drops the other starts
+        assert sum(full) <= 3
 
     @pytest.mark.parametrize("name", ["somos5:casimir3", "c7-pair:casimir3"])
     def test_creeping_starts_end_early(self, monkeypatch, name):
         # a run creeping towards a coordinate 0 lowers max|f^2(x) - x|
         # but raises the acceptance residual, so its first step finds no
-        # descent: at most the start, the full step and 40 halvings.  With
-        # descent in the absolute residual alone such starts take 58-88
-        # evaluations, and each search 810-892 Jacobian steps
+        # descent: at most the start, the full step and 40 halvings are
+        # evaluated (each point once, by value; J(f^2) is formed apart).
+        # With descent in the absolute residual alone such starts take
+        # 58-88 evaluations, and each search 810-892 Jacobian steps
         f = _low_dimensional_maps()[name]
-        power, step, solve = dynamics._power, dynamics._step, dynamics._newton_solve
+        solve = dynamics._newton_solve
         evaluations, jacobian_steps, failed = [], [], []
 
-        def counting_power(comps, x, p, jacobian=False, num=dynamics._MPF):
-            evaluations.append(num.key()[0] == "mpf")
-            return power(comps, x, p, jacobian, num)
-
-        def counting_step(comps, x, jacobian, num=dynamics._MPF):
-            jacobian_steps.append(jacobian and num.key()[0] == "mpf")
-            return step(comps, x, jacobian, num)
+        def counting(num, p, jacobian):
+            if num is not dynamics._FLOAT:
+                evaluations.append(not jacobian)
+                jacobian_steps.append(p if jacobian else 0)
 
         def recording(comps, p, start, tol, max_iter, num=dynamics._MPF):
             before = sum(evaluations)
@@ -830,12 +877,89 @@ class TestMixedPrecisionNewton:
                 failed.append(sum(evaluations) - before)
             return result
 
-        monkeypatch.setattr(dynamics, "_power", counting_power)
-        monkeypatch.setattr(dynamics, "_step", counting_step)
+        _counted_kernels(monkeypatch, system=counting)
         monkeypatch.setattr(dynamics, "_newton_solve", recording)
         assert len(find_periodic_points(f, 2, precision=64, grid=4)) == 61
         assert failed and max(failed) <= 42
         assert sum(jacobian_steps) <= 450
+
+
+def _raised(monkeypatch) -> list:
+    """Record (point, Jacobian flag, exception type, message) of every
+    evaluation of a Newton system that raises, on cold and hot maps."""
+    kernel = dynamics._kernel
+    raised = []
+
+    def recording(comps, p, n, num):
+        system, solve = kernel(comps, p, n, num)
+
+        def run(x, jacobian):
+            try:
+                return system(x, jacobian)
+            except Exception as exc:
+                raised.append((list(x), jacobian, type(exc), str(exc)))
+                raise
+
+        return run, solve
+
+    monkeypatch.setattr(dynamics, "_kernel", recording)
+    return raised
+
+
+class TestUndefinedPoints:
+    """Newton from a start where f is undefined, and past a damped trial
+    where it is, in floats and in mpf, on a cold map and on a hot one:
+    the generated kernel raises ZeroDivisionError where the reference
+    does, and the runs end alike."""
+
+    @staticmethod
+    def _run(monkeypatch, f, kind: str, hot: bool) -> tuple:
+        """(the run's result as bits, the evaluations that raised) of
+        _newton_solve from 3 for f in kind ("float" or "mpf") at 64
+        digits, on a fresh compilation that is cold or hot throughout."""
+        f = _fresh(f)
+        with monkeypatch.context() as m, mp.workdps(64):
+            m.setattr(maps, "_HOT_STEPS", 0 if hot else 10**9)
+            raised = _raised(m)
+            if kind == "float":
+                num, start, tol = dynamics._FLOAT, [3.0], dynamics._HANDOFF
+            else:
+                num, start, tol = maps._MPF, [mp.mpf(3)], dynamics._residual_tol(64)
+            x, diff, res, steps = dynamics._newton_solve(
+                f._compiled(num), 1, start, tol, dynamics._MAX_ITER, num)
+            assert (f._compiled(num).generated[False] is not None) == hot
+        bits = [v if isinstance(v, float) else v._mpf_ for v in x]
+        return (bits, diff and [float(v) for v in diff], float(res), steps), raised
+
+    @pytest.mark.parametrize("kind", ["float", "mpf"])
+    def test_a_start_on_a_pole_is_returned_unmoved(self, monkeypatch, kind):
+        cold = self._run(monkeypatch, POLE_START, kind, hot=False)
+        assert self._run(monkeypatch, POLE_START, kind, hot=True) == cold
+        result, raised = cold
+        assert result[1:] == (None, float("inf"), 0)
+        # the float start is evaluated with its Jacobian, the mpf one by value
+        ((point, jacobian, error, message),) = raised
+        assert (jacobian, error, message) == (kind == "float", ZeroDivisionError,
+                                              "denominator vanishes at the point")
+
+    @pytest.mark.parametrize("kind", ["float", "mpf"])
+    def test_a_damped_trial_on_a_pole_is_passed_over(self, monkeypatch, kind):
+        cold = self._run(monkeypatch, POLE_STEP, kind, hot=False)
+        assert self._run(monkeypatch, POLE_STEP, kind, hot=True) == cold
+        result, raised = cold
+        # the full step -2 lands on the pole 1; the halved one on 2
+        assert result[1:] == ([0.0], 0.0, 1)
+        assert [(error, float(mp.make_mpf(x[0]) if kind == "mpf" else x[0]))
+                for x, _, error, _ in raised] == [(ZeroDivisionError, 1.0)]
+
+    @pytest.mark.parametrize("hot", [False, True])
+    @pytest.mark.parametrize("f", [POLE_START, POLE_STEP])
+    def test_searches_past_the_poles(self, monkeypatch, f, hot):
+        monkeypatch.setattr(maps, "_HOT_STEPS", 0 if hot else 10**9)
+        raised = _raised(monkeypatch)
+        (fp,) = find_periodic_points(_fresh(f), 1, grid=4)
+        assert abs(fp.point[0] - 2) < mp.mpf(10) ** -40
+        assert ZeroDivisionError in {error for _, _, error, _ in raised}
 
 
 def _uncertified(monkeypatch, f, p: int, **kwargs) -> list:
@@ -909,12 +1033,71 @@ class TestUniquenessBoxes:
         with mp.workdps(64):
             assert not dynamics._krawczyk(f, 1, fp.point, dynamics._candidate_box(fp.point))
 
+    def test_a_curve_search_builds_no_box(self, monkeypatch):
+        # the float iterates of the 64 starts all land far from the
+        # samples found before them, which the float screen proves
+        built, box = [], dynamics._candidate_box
+        monkeypatch.setattr(dynamics, "_candidate_box", lambda point: built.append(point) or box(point))
+        f = _fresh(_low_dimensional_maps()["somos5:casimir3"])
+        assert len(find_periodic_points(f, 2, precision=64, grid=4)) == 61
+        assert built == []
+
+    @pytest.mark.parametrize("precision", [64, 128])
+    @pytest.mark.parametrize("name", REDUCED_MAPS)
+    def test_a_fixed_point_search_tests_one_box(self, monkeypatch, name, precision):
+        calls, krawczyk = [], dynamics._krawczyk
+        monkeypatch.setattr(dynamics, "_krawczyk", lambda *args: calls.append(args) or krawczyk(*args))
+        f = _low_dimensional_maps()[name]
+        assert len(find_periodic_points(f, 1, precision=precision, grid=4)) == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("precision", [30, 64, 128])
+    def test_the_float_screen_passes_over_only_boxes_that_miss(self, precision):
+        # iterates around the edge of each coordinate's box, within and
+        # beyond twice its half-width: the screen must never pass over a
+        # box the mpf endpoints hold the iterate in, and passes over the
+        # far ones
+        samples = json.loads((DATA / "period2-samples.json").read_text())
+        passed = 0
+        with mp.workdps(precision):
+            for point in samples["somos5:casimir3"][::6] + [["1e-3", "0.5", "7e5"]]:
+                y = [mp.mpf(v) for v in point]
+                box, image = dynamics._candidate_box(y), [float(v) for v in y]
+                for i, (lo, hi) in enumerate(box):
+                    for scale in (0.5, 1 - 2**-40, 1, 1 + 2**-40, 1.5, 2, 2.0001, 3, 2**60):
+                        for end in (lo, hi):
+                            rough = list(image)
+                            rough[i] = float(y[i] + scale * (end - y[i]))
+                            inside = all(a <= mp.mpf(v) <= b for v, (a, b) in zip(rough, box))
+                            outside = dynamics._outside(rough, image)
+                            assert not (inside and outside)
+                            passed += outside
+                    rough = list(image)
+                    rough[i] = float("inf")
+                    assert not dynamics._outside(rough, image)
+        assert passed
+
     def test_period_two_curve_sample_is_rejected(self):
         # J(f^2) - I is singular along the curve of period-2 points
         f = _low_dimensional_maps()["somos5:casimir3"]
         point = _period_two_samples("somos5:casimir3")[0].point
         with mp.workdps(64):
             assert not dynamics._krawczyk(f, 2, point, dynamics._candidate_box(point))
+
+    @pytest.mark.parametrize("hot", [False, True])
+    @pytest.mark.parametrize("f, point", [
+        (POLE_STEP, (1,)),       # f is undefined at the point
+        (TANGENT, (1,)),         # J_F(1) = 0: the solve finds it singular
+        (NEAR_POLE, (2,)),       # a pole inside the box: an unbounded enclosure
+    ])
+    def test_boxes_of_points_where_newton_cannot_certify(self, monkeypatch, f, point, hot):
+        # on a cold map, and on one whose steps are generated
+        monkeypatch.setattr(maps, "_HOT_STEPS", 0 if hot else 10**9)
+        f = _fresh(f)
+        with mp.workdps(64):
+            point = tuple(mp.mpf(v) for v in point)
+            assert not dynamics._krawczyk(f, 1, point, dynamics._candidate_box(point))
+            assert (f._compiled(maps._MPF).generated[True] is not None) == hot
 
     @pytest.mark.parametrize("precision", [30, 35, 37, 47])
     @pytest.mark.parametrize("name", REDUCED_MAPS)
@@ -1128,15 +1311,28 @@ def _fresh(f: BirationalMap) -> BirationalMap:
 
 
 def _generated(monkeypatch) -> list:
-    """Record (components, Jacobian flag) of every generated step."""
-    source = maps._source
+    """Record (components, Jacobian flag) of every generated step, and
+    (kind, n, spelling) of every Newton kernel generated, with none
+    cached at the start."""
+    source, system, solve = maps._source, dynamics._system_source, dynamics._solve_source
     made = []
 
     def recording(comps, n, jacobian, spell):
         made.append((id(comps), jacobian))
         return source(comps, n, jacobian, spell)
 
+    def recording_system(n, spell, acceptance):
+        made.append(("system", n, spell))
+        return system(n, spell, acceptance)
+
+    def recording_solve(n, spell):
+        made.append(("solve", n, spell))
+        return solve(n, spell)
+
+    dynamics._newton_kernel.cache_clear()
     monkeypatch.setattr(maps, "_source", recording)
+    monkeypatch.setattr(dynamics, "_system_source", recording_system)
+    monkeypatch.setattr(dynamics, "_solve_source", recording_solve)
     return made
 
 
@@ -1160,11 +1356,21 @@ class TestGeneratedSteps:
         return lists
 
     def test_hot_threshold_changes_no_point(self, monkeypatch):
+        # with every map hot from its second step, the Newton runs go
+        # through the generated kernels, in floats and at the working
+        # precisions, for n = 2 and 3; never hot, through the reference
+        made = _generated(monkeypatch)
         monkeypatch.setattr(maps, "_HOT_STEPS", 1)
         every_step = self._point_lists()
+        kernels = {(kind, n, spell) for kind in ("system", "solve") for n in (2, 3)
+                   for spell in (maps._PYTHON, maps._LIBMPF)}
+        assert kernels <= set(made)
+        made.clear()
+        dynamics._newton_kernel.cache_clear()
         monkeypatch.setattr(maps, "_HOT_STEPS", 10**9)
         assert len(every_step) == 25
         assert self._point_lists() == every_step
+        assert made == []
 
     def test_a_search_generates_each_step_once(self, monkeypatch):
         made = _generated(monkeypatch)
@@ -1173,9 +1379,12 @@ class TestGeneratedSteps:
         assert made and len(made) == len(set(made))
 
     def test_the_pipeline_generates_nothing_on_somos5(self, monkeypatch):
+        # nor on the other six rungs of the ladder: no step and no Newton
+        # kernel is compiled
         made = _generated(monkeypatch)
-        report = run_pipeline(get_fixture("somos5").matrix("B"))
-        assert report.dynamics and not report.errors
+        for b in _ladder_matrices():
+            report = run_pipeline(b)
+            assert report.dynamics and not report.errors
         assert made == []
 
 
