@@ -79,14 +79,12 @@ from .laurent import LaurentPoly, RationalFunction, format_rational, parse_ratio
 from .maps import (
     BirationalMap,
     MonomialMap,
-    positive_point,
     random_positive_point,
     rng_substream,
 )
 from .quiver import (
     CertificateError,
     PeriodicityCertificate,
-    Quiver,
     Seed,
     cluster_map,
     degree_growth,
@@ -121,11 +119,9 @@ __all__ = [
     # birational and monomial maps
     "BirationalMap",
     "MonomialMap",
-    "positive_point",
     "random_positive_point",
     "rng_substream",
     # quiver mutation
-    "Quiver",
     "Seed",
     "PeriodicityCertificate",
     "CertificateError",

@@ -6,12 +6,13 @@ uses arbitrary-precision floats (default 64 significant decimal digits)
 and reports tolerances.
 
 Periodicity, periodic-point scans and exact itinerary periods run on one
-lifted orbit.  A reduced system (phi, pi, psi) is iterated upstairs:
-psi^k(y) = pi(phi^k(y^V)) with V an integer right inverse of pi's
-exponent rows, so the orbit follows the cluster map phi (a few monomials
-per component) instead of psi (expanded binomial powers).  A bare map f
-is the lift (f, identity).  That orbit is followed in two arithmetics,
-and each statement says which one it rests on:
+lifted orbit.  Every orbit of a reduced system (phi, pi, psi) is sampled
+in the space of its source phi: a start x is drawn there, and the
+level's orbit is read as the labels psi^k(pi(x)) = pi(phi^k(x)), so it
+follows the cluster map phi (a few monomials per component) instead of
+psi (expanded binomial powers).  A bare map f is the lift (f,
+identity).  That orbit is followed in two arithmetics, and each
+statement says which one it rests on:
 
 * returns are screened with residues mod a prime (Roberts & Vivaldi,
   PRL 90 (2003) 034102 on orbits over finite fields).  An exact return
@@ -88,7 +89,7 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .geometry import ReducedSystem
 from .intlinalg import IntMatrix, kernel_lattice, right_inverse
-from .laurent import _sparse, _to_mpf
+from .laurent import _to_mpf
 from .maps import BirationalMap, MonomialMap, random_positive_point, rng_substream
 from .maps import (_LIBMPF, _LIBMPF_NAMES, _MPF, _PYTHON, _RAW, _Numbers, _Spelling, _boxed,
                    _hot_steps, _libmpf, _modular_source, _raw, _step)
@@ -196,17 +197,6 @@ def orbit_sequence(orbit: Orbit) -> list:
 SCREEN_PRIMES = (2**61 - 1, 2**89 - 1)
 
 
-def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
-    for i, k in mono:
-        if k == 1:
-            coeff *= x[i]
-        elif k == -1:
-            coeff *= inv[i]
-        else:
-            coeff *= pow(x[i], k, p) if k > 0 else pow(inv[i], -k, p)
-    return coeff % p
-
-
 def _inverses_mod(xs, p: int) -> list[int]:
     """[pow(v, -1, p) for v in xs] with one modular inversion (Montgomery,
     Math. Comp. 48 (1987)): invert the product of all, then peel off one
@@ -249,21 +239,15 @@ def _modular(f, p: int, carry: bool):
     return kernels[carry]
 
 
-def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
-    """(points, inverses): x_k and its coordinatewise inverse mod p for
-    k = 0..steps, or None.
+def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
+    """(points, inverses): x_k = phi^k(x0) and its coordinatewise inverse
+    mod p for k = 0..steps, or None.
 
-    x0 is the rational start; with section (a `MonomialMap` x = y^V) it
-    is a point y0, and the start y0^V is reduced mod p from y0 mod p.
-    None when a coordinate of x0, a coefficient, a component numerator or
-    denominator is not a unit mod p: only while all of them are units
-    are the residues those of the exact orbit.  With a section y0 is
-    tested in place of x0, which gives the same verdict when V is a right
-    inverse of rows U: y0^V is all units when y0 is, and y0 = (y0^V)^U is
-    when y0^V is.  A step is phi's generated step (`_modular`): one
-    inversion, inverses carried along the orbit; the start takes one,
-    and the section point (used once, not generated) takes its inverses
-    from the start's, as (y0^V)^-1 = (y0^-1)^V.
+    None when a coordinate of the rational start x0, a coefficient, a
+    component numerator or denominator is not a unit mod p: only while
+    all of them are units are the residues those of the exact orbit.  A
+    step is phi's generated step (`_modular`): one inversion, inverses
+    carried along the orbit; the start takes one.
     """
     step = _modular(phi, p, True)
     nums = [v.numerator % p for v in x0]
@@ -273,10 +257,6 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
     inv = _inverses_mod(nums + dens, p)
     x = tuple(n * i % p for n, i in zip(nums, inv[len(nums):]))
     inv = [d * i % p for d, i in zip(dens, inv)]
-    if section is not None:
-        rows = [_sparse(row) for row in section.exponents.entries]
-        x, inv = (tuple(_monomial_mod(1, row, x, inv, p) for row in rows),
-                  [_monomial_mod(1, row, inv, x, p) for row in rows])
     points, inverses = [x], [inv]
     for _ in range(steps):
         image = step(x, inv)
@@ -291,49 +271,38 @@ def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, section=None):
 class _LiftedOrbit:
     """x_k = phi^k(x0) for k = 0..steps, each arithmetic computed on first use.
 
-    start is x0, or, with a section V (an integer right inverse of the
-    exponent rows U of the labels pi), the label y0 of x0 = y0^V: then
-    pi(x0) = y0^(UV) = y0 is the start label, and x0 mod p is reduced from
-    y0 mod p, so the exact x0 is computed only with the exact orbit.
-    residues: (p, points, inverses) for the first screen prime that keeps
-    the orbit in units mod p, or None (one inversion for the start and
-    one per step, inverses carried along the orbit); exact(k): the exact
-    rational point, from ``iterate_orbit``.
+    start is x0; the labels of a reduced system's orbit are pi(x_k) =
+    psi^k(pi(x0)).  residues: (p, points, inverses) for the first screen
+    prime that keeps the orbit in units mod p, or None (one inversion for
+    the start and one per step, inverses carried along the orbit);
+    exact(k): the exact rational point, from ``iterate_orbit``.
     """
 
-    def __init__(self, phi: BirationalMap, start, steps: int,
-                 section: MonomialMap | None = None) -> None:
+    def __init__(self, phi: BirationalMap, start, steps: int) -> None:
         self.phi = phi
         self.steps = steps
         self.start = tuple(Fraction(v) for v in start)
-        self.section = section
         self._exact = None
 
     @cached_property
     def residues(self):
         for p in SCREEN_PRIMES:
-            orbit = _residue_orbit(self.phi, self.start, self.steps, p, self.section)
+            orbit = _residue_orbit(self.phi, self.start, self.steps, p)
             if orbit is not None:
                 return (p, *orbit)
         return None
-
-    @cached_property
-    def _x0(self) -> tuple:
-        return self.start if self.section is None else self.section.evaluate(self.start)
 
     def exact(self, k: int) -> tuple:
         """x_k; the first call past x0 computes the whole exact orbit, so an
         orbit that leaves the domain raises DynamicsError there."""
         if k == 0:
-            return self._x0
+            return self.start
         if self._exact is None:
-            self._exact = iterate_orbit(self.phi, self._x0, self.steps, "exact").points
+            self._exact = iterate_orbit(self.phi, self.start, self.steps, "exact").points
         return self._exact[k]
 
     def label(self, pi: MonomialMap | None, k: int) -> tuple:
         """The exact label pi(x_k); pi None is the identity."""
-        if k == 0 and self.section is not None:
-            return self.start
         x = self.exact(k)
         return x if pi is None else pi.evaluate(x)
 
@@ -349,39 +318,34 @@ class _LiftedOrbit:
 
 
 class _Lift:
-    """psi^k(y) = pi(phi^k(y^V)) for a reduced system (phi, pi, psi).
+    """psi^k(pi(x)) = pi(phi^k(x)) for a reduced system (phi, pi, psi).
 
-    V is an integer right inverse of pi's exponent rows (U V = I), so y^V
-    lies on the fiber over y.  A bare map f, a reduced system without its
-    source, or one whose rows have no integer right inverse is the lift
-    (f, identity).
+    The orbits are sampled in phi's space and labelled by pi.  A bare map
+    f, or a reduced system without its source, is the lift (f, identity).
     """
 
     def __init__(self, f) -> None:
         self.psi = f.map if isinstance(f, ReducedSystem) else f
         if self.psi.dim_out != self.psi.dim_in:
             raise DynamicsError("orbits require a self-map")
-        self.phi, self.pi, self.section = self.psi, None, None
+        self.phi, self.pi = self.psi, None
         if isinstance(f, ReducedSystem) and f.source is not None:
-            inverse = right_inverse(f.submersion.map.exponents)
-            if inverse is not None:
-                self.phi, self.pi = f.source, f.submersion.map
-                self.section = MonomialMap(inverse)
-
-    def orbit(self, y0, steps: int) -> _LiftedOrbit:
-        return _LiftedOrbit(self.phi, y0, steps, self.section)
+            self.phi, self.pi = f.source, f.submersion.map
 
     def orbits(self, m: int, samples: int, seed):
-        """The orbits of m steps from the sampled starts y0 of
-        ``rng_substream(seed, i)``, i = 0..samples-1, each made when drawn."""
+        """The orbits of m steps from the sampled starts x0 of
+        ``rng_substream(seed, i)``, i = 0..samples-1, in phi's space, each
+        made when drawn."""
         for i in range(samples):
-            yield self.orbit(random_positive_point(self.psi.dim_in, rng_substream(seed, i)), m)
+            x0 = random_positive_point(self.phi.dim_in, rng_substream(seed, i))
+            yield _LiftedOrbit(self.phi, x0, m)
 
     def first_returns(self, m: int, samples: int, seed):
-        """(y0, least k <= m with psi^k(y0) = y0, or None) for the sampled
-        starts y0 of ``orbits``."""
+        """(orbit, least k <= m with psi^k(y0) = y0, or None) for the
+        orbits of ``orbits``, y0 = pi(x0) their start labels; y0 is
+        computed only to confirm a return mod p."""
         for orbit in self.orbits(m, samples, seed):
-            yield orbit.start, next(_returns(orbit, self.pi, m), None)
+            yield orbit, next(_returns(orbit, self.pi, m), None)
 
 
 def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
@@ -389,13 +353,16 @@ def _returns(orbit: _LiftedOrbit, pi: MonomialMap | None, m: int):
 
     A step whose label does not return mod p cannot return exactly, so it
     is skipped; every step that returns mod p is confirmed on the exact
-    orbit.  Without residues every step is checked on the exact orbit.
+    orbit, against the exact start label, which only such a step computes.
+    Without residues every step is checked on the exact orbit.
     """
     screened = orbit.label_residues(pi)
-    start = orbit.label(pi, 0)
+    start = None
     for k in range(1, m + 1):
         if screened is not None and screened[k] != screened[0]:
             continue
+        if start is None:
+            start = orbit.label(pi, 0)
         if orbit.label(pi, k) == start:
             yield k
 
@@ -435,15 +402,16 @@ def detect_global_periodicity(
 ) -> PeriodReport:
     """Certified minimal global period up to p_max, or a negative report.
 
-    f is a map, or a reduced system whose orbits are lifted through its
-    source map.  The sampled orbits are followed mod p only: the first
-    sample with no return mod p within p_max steps is a sound negative,
-    as an exact return is a return mod p while the orbit stays in units.
-    Otherwise the candidate c is the lcm of the first returns mod p.  It
-    is minimal when, for every proper divisor d of c, some sample's label
-    mod p at step d is not its start, and certified by f^(c) = id in
-    normal form, with f^(c) formed by repeated squaring.  So c is a
-    period and no proper divisor of c is one.
+    f is a map, or a reduced system whose orbits are sampled in the
+    space of its source map and labelled by pi.  The sampled orbits are
+    followed mod p only: the first sample with no return mod p within
+    p_max steps is a sound negative, as an exact return is a return mod
+    p while the orbit stays in units.  Otherwise the candidate c is the
+    lcm of the first returns mod p.  It is minimal when, for every proper
+    divisor d of c, some sample's label mod p at step d is not its
+    start, and certified by f^(c) = id in normal form, with f^(c) formed
+    by repeated squaring.  So c is a period and no proper divisor of c
+    is one.
 
     What the residues cannot decide (a sample with no screen prime, an
     lcm above p_max, a return mod p at every sample's step d, a failed
@@ -623,9 +591,11 @@ def _power(comps, x, p: int, jacobian: bool = False, num: _Numbers = _MPF):
 
 
 def _less_identity(jac, num: _Numbers) -> list:
-    """J - I for a square list of rows J: the Jacobian of F = f^p - id."""
+    """J - I for a square list of rows J: the Jacobian of F = f^p - id.
+    Only the diagonal is subtracted from: v - 0 is v, bit for bit, in
+    every number type."""
     sub = num.arithmetic(0).sub
-    return [[sub(v, num.one if i == j else num.zero) for j, v in enumerate(row)]
+    return [[sub(v, num.one) if i == j else v for j, v in enumerate(row)]
             for i, row in enumerate(jac)]
 
 
@@ -764,8 +734,8 @@ def _system_source(n: int, spell: _Spelling, acceptance: bool) -> str:
         body += _maximum("r", [f"q{i}" for i in idx], gt)
         res = "(m, r)"
     diff = f"[{', '.join(f'd{i}' for i in idx)}]"
-    less = ", ".join(f"[{', '.join(sub(f'j{i}_{k}', 'one' if i == k else 'zero') for k in idx)}]"
-                     for i in idx)
+    less = ", ".join("[" + ", ".join(sub(f"j{i}_{k}", "one") if i == k else f"j{i}_{k}"
+                                     for k in idx) + "]" for i in idx)
     body += ["if not jacobian:", f"    return {diff}, {res}, None",
              f"return {diff}, {res}, [{less}]"]
     return ("def make(steps, p):\n    def system(x, jacobian):\n"
@@ -1232,13 +1202,13 @@ def find_periodic_points_over(
             if result is None or not result[2] < tol:
                 continue
             point, diff, _, _ = result
-            # f^d(point) for each proper divisor d of p, stepping f
+            # f^d(point) for each proper divisor d of p, stepping f; these
+            # steps cannot leave the domain, as they repeat, with the same
+            # bits, the first p - 1 steps of the f^p evaluation that
+            # accepted the point
             minimal, image = True, point
             for d in range(1, p):
-                try:
-                    image, _ = _step(comps, image, False, _MPF)
-                except (ZeroDivisionError, ValueError):
-                    break
+                image, _ = _step(comps, image, False, _MPF)
                 if p % d == 0 and max(abs(image[i] - point[i]) for i in range(n)) < root_tol:
                     minimal = False
                     break
@@ -1379,8 +1349,9 @@ class ScanReport:
 
     period_found is an exact return of a sampled orbit: returns are
     screened mod p (no return mod p is a sound negative) and confirmed
-    on the exact orbit.  There is no growth statement here; see
-    ``quiver.degree_growth``.
+    on the exact orbit.  witness is that orbit's start; of a reduced
+    system, the label pi(x0) of its start x0 in the source's space.
+    There is no growth statement here; see ``quiver.degree_growth``.
     """
 
     period_found: int | None
@@ -1402,16 +1373,18 @@ def no_periodic_points_scan(
 ) -> ScanReport:
     """Scan for periodic points along random orbits.
 
-    f is a map, or a reduced system whose orbits are lifted through its
-    source map.  Each sampled orbit is followed for p_max steps and
-    checked for an exact return to its start (a return reports the
-    period and witness).  samples < 1 raises DynamicsError.
+    f is a map, or a reduced system whose orbits are sampled in the
+    space of its source map and labelled by pi.  Each sampled orbit is
+    followed for p_max steps and checked for an exact return to its
+    start (a return reports the period and the start as witness).
+    samples < 1 raises DynamicsError.
     """
     if samples < 1:
         raise DynamicsError("the scan needs at least one sampled orbit")
-    for x0, k in _Lift(f).first_returns(p_max, samples, seed):
+    lift = _Lift(f)
+    for orbit, k in lift.first_returns(p_max, samples, seed):
         if k is not None:
-            return ScanReport(k, x0, p_max, samples, seed,
+            return ScanReport(k, orbit.label(lift.pi, 0), p_max, samples, seed,
                               note="periodic point found by the scan")
     return ScanReport(None, None, p_max, samples, seed)
 

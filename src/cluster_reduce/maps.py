@@ -62,7 +62,6 @@ from .laurent import _sparse, _terms, _to_mpf
 
 __all__ = [
     "PositivePoint",
-    "positive_point",
     "random_positive_point",
     "rng_substream",
     "BirationalMap",
@@ -71,14 +70,6 @@ __all__ = [
 
 
 PositivePoint = tuple[Fraction, ...]
-
-
-def positive_point(values) -> PositivePoint:
-    """Validate and convert to a tuple of positive exact rationals."""
-    pt = tuple(Fraction(v) for v in values)
-    if any(x <= 0 for x in pt):
-        raise ValueError("point has a non-positive coordinate")
-    return pt
 
 
 def rng_substream(seed, index: int) -> random.Random:

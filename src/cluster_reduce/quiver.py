@@ -22,7 +22,6 @@ from .maps import BirationalMap
 
 __all__ = [
     "CertificateError",
-    "Quiver",
     "Seed",
     "PeriodicityCertificate",
     "mutate_matrix",
@@ -41,21 +40,6 @@ GROWTH_STEPS = 60
 
 class CertificateError(ValueError):
     """A periodicity certificate does not match the matrix it claims."""
-
-
-@dataclass(frozen=True)
-class Quiver:
-    """Skew-symmetric integer exchange matrix with node count."""
-
-    matrix: IntMatrix
-
-    def __post_init__(self) -> None:
-        if not self.matrix.is_skew_symmetric():
-            raise ValueError("exchange matrix must be skew-symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
 
 
 @dataclass(frozen=True)

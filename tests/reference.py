@@ -84,18 +84,15 @@ def _monomial_mod(coeff: int, mono, x, inv, p: int) -> int:
     return coeff % p
 
 
-def residue_orbit(phi, x0, steps: int, p: int, section=None):
+def residue_orbit(phi, x0, steps: int, p: int):
     """`dynamics._residue_orbit` by a loop over phi compiled mod p: each
     point inverted coordinate by coordinate, each denominator by its own
-    pow; section is a `MonomialMap` or None."""
+    pow."""
     num = _residues(p)
     compiled = phi._compiled(num)
     x = [num.convert(v) for v in x0]
     if compiled is None or not all(x):
         return None
-    if section is not None:
-        inv = [pow(v, -1, p) for v in x]
-        x = [_monomial_mod(1, _sparse(row), x, inv, p) for row in section.exponents.entries]
     points, inverses = [tuple(x)], []
     for _ in range(steps):
         inv = [pow(v, -1, p) for v in x]

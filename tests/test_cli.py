@@ -695,8 +695,7 @@ class TestRunPipelineApi:
 
     def test_a_ladder_pass_inverts_once_per_residue_step(self, monkeypatch):
         # the screen carries inverses along each orbit: one modular
-        # inversion per step and one for the start, none for the section
-        # point y0^V, whose inverses are (y0^-1)^V; coefficients are
+        # inversion per step and one for the start; coefficients are
         # converted mod p before the count
         residue_orbit, real_pow = dynamics._residue_orbit, builtins.pow
         inversions, counts = [0], []
@@ -705,14 +704,12 @@ class TestRunPipelineApi:
             inversions[0] += len(args) == 3 and args[1] == -1
             return real_pow(*args)
 
-        def counting_orbit(phi, x0, steps, p, section=None):
-            for f in (phi, section):
-                if f is not None:
-                    f._compiled(dynamics._residues(p))
+        def counting_orbit(phi, x0, steps, p):
+            phi._compiled(dynamics._residues(p))
             inversions[0] = 0
             builtins.pow = counting_pow
             try:
-                result = residue_orbit(phi, x0, steps, p, section)
+                result = residue_orbit(phi, x0, steps, p)
             finally:
                 builtins.pow = real_pow
             assert result is not None
@@ -787,6 +784,46 @@ class TestRunPipelineApi:
             "are searched only up to dimension 3, so only the basis structures were analysed"
         ]
         assert len(report.discovered) == 4
+
+    def test_a_level_that_does_not_reduce_is_recorded(self, monkeypatch):
+        # somos5's null(2) level fails to reduce: its error is recorded and
+        # casimir(3), the next flag level, runs the 64-start grid of
+        # find_periodic_points, as there are no fixed points to search over
+        derive = pipeline.derive_reduced_map
+
+        def failing(phi, sub):
+            if sub.kind == "null":
+                raise geometry.NotReducibleError("psi does not descend")
+            return derive(phi, sub)
+
+        newton = dynamics._periodic_point_newton
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[3]))
+            return newton(*args)
+
+        monkeypatch.setattr(pipeline, "derive_reduced_map", failing)
+        monkeypatch.setattr(dynamics, "_periodic_point_newton", counting)
+        report = run_pipeline(get_fixture("somos5").matrix("B"))
+        assert report.errors == [["reduce", "psi does not descend"]]
+        assert [r["kind"] for r in report.reductions] == ["casimir"]
+        assert [d["kind"] for d in report.dynamics] == ["casimir"]
+        assert report.chained == []
+        assert len(report.dynamics[0]["fixed_points"]) == 1
+        assert calls == [3] * 64
+
+    def test_a_failed_fixed_point_search_is_recorded(self, monkeypatch):
+        # neither somos5 level has fixed points to search over, so both
+        # run find_periodic_points, and each failure is recorded
+        def failing(*args, **kwargs):
+            raise DynamicsError("the search failed")
+
+        monkeypatch.setattr(pipeline, "find_periodic_points", failing)
+        report = run_pipeline(get_fixture("somos5").matrix("B"))
+        assert report.errors == [["fixed-points", "the search failed"]] * 2
+        assert [d["kind"] for d in report.dynamics] == ["null", "casimir"]
+        assert not any("fixed_points" in d for d in report.dynamics)
 
     @pytest.mark.parametrize("stage, name", [
         ("dynamics", "no_periodic_points_scan"),

@@ -239,28 +239,26 @@ def _residue_orbit_reference(phi, x0, steps: int, p: int):
 
 
 def test_residue_orbit_matches_per_coordinate_inverses(ladder_systems):
-    # the lifted orbits of the pipeline: each rung's cluster map, and the
-    # cluster map from the section y^V of each of its reduced systems
+    # the lifted orbits of the pipeline: each rung's cluster map carries
+    # its own orbits and those of each of its reduced systems
     for phi, systems, _ in ladder_systems.values():
         for system in [phi, *systems]:
             lift = dynamics._Lift(system)
-            y0 = random_positive_point(lift.psi.dim_in, rng_substream(0, 0))
-            orbit = lift.orbit(y0, 8)
+            assert lift.phi is phi
+            (orbit,) = lift.orbits(8, 1, 0)
             for p in dynamics.SCREEN_PRIMES:
-                got = dynamics._residue_orbit(lift.phi, orbit.exact(0), 8, p)
-                assert got == _residue_orbit_reference(lift.phi, orbit.exact(0), 8, p)
-            # the lifted orbit reduces its start y0^V mod p from y0 mod p
+                got = dynamics._residue_orbit(phi, orbit.start, 8, p)
+                assert got == _residue_orbit_reference(phi, orbit.start, 8, p)
             p, *got = orbit.residues
-            assert tuple(got) == _residue_orbit_reference(lift.phi, orbit.exact(0), 8, p)
+            assert tuple(got) == _residue_orbit_reference(phi, orbit.start, 8, p)
 
 
 @st.composite
 def _screen_cases(draw):
-    """(phi, x0, steps, p, section, pi): a Laurent map of 1-4 variables,
-    its components coordinates or quotients with exponents -3..3 and
+    """(phi, x0, steps, p, pi): a Laurent map of 1-4 variables, its
+    components coordinates or quotients with exponents -3..3 and
     polynomial denominators, coefficients and start coordinates whose
-    numerator or denominator may be 0 mod p, an optional section and a
-    label projection."""
+    numerator or denominator may be 0 mod p, and a label projection."""
     p = draw(st.sampled_from([5, 7, *dynamics.SCREEN_PRIMES]))
     n = draw(st.integers(1, 4))
     rationals = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1, 10), p]),
@@ -279,12 +277,9 @@ def _screen_cases(draw):
         row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
         return st.lists(row, min_size=count, max_size=count)
 
-    r = draw(st.integers(1, 4))
-    section = draw(st.one_of(st.none(), rows(r, n).map(lambda v: MonomialMap.from_rows(v, r))))
-    dim = n if section is None else r
-    x0 = draw(st.lists(rationals, min_size=dim, max_size=dim))
+    x0 = draw(st.lists(rationals, min_size=n, max_size=n))
     pi = MonomialMap.from_rows(draw(rows(n, draw(st.integers(1, 3)))), n)
-    return phi, x0, draw(st.integers(0, 5)), p, section, pi
+    return phi, x0, draw(st.integers(0, 5)), p, pi
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -293,12 +288,12 @@ def test_residue_kernels_match_the_term_by_term_screen(case):
     # the generated steps, which carry inverses along the orbit with one
     # inversion per step, and the generated label rows give the screen's
     # residues, inverses and labels, and its None, exactly
-    phi, x0, steps, p, section, pi = case
-    want = residue_orbit(phi, x0, steps, p, section)
-    got = dynamics._residue_orbit(phi, x0, steps, p, section)
+    phi, x0, steps, p, pi = case
+    want = residue_orbit(phi, x0, steps, p)
+    got = dynamics._residue_orbit(phi, x0, steps, p)
     assert got == want
     if want is not None:
-        orbit = dynamics._LiftedOrbit(phi, x0, steps, section)
+        orbit = dynamics._LiftedOrbit(phi, x0, steps)
         orbit.residues = (p, *got)
         assert orbit.label_residues(pi) == label_residues(pi, p, *want)
 

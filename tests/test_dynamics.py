@@ -1466,6 +1466,15 @@ class TestItineraries:
         text = itin.summary()
         assert "null-2d" in text and "5" in text
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_summary_of_an_orbit_on_a_single_leaf(self, mode):
+        # every orbit of the identity stays on its leaf: label period 1
+        f = BirationalMap.from_strings(["x1", "x2"])
+        sub = submersion_from_rows([(1, -1)], 2, kind="null")
+        itin = leaf_itinerary(f, [sub], (Fraction(2), Fraction(3)), 4, mode)
+        assert itin.periods == (1,)
+        assert itin.summary() == "null-1d: orbit stays on a single leaf"
+
     def test_custom_names(self):
         phi = _phi("c7-pair")
         subs = [submersion_from_rows(C7_Y[:2], 7, kind="null")]
@@ -1501,13 +1510,37 @@ class TestScans:
         steps = []
         lifted = dynamics._LiftedOrbit
 
-        def recording(phi, x0, n, *section):
+        def recording(phi, x0, n):
             steps.append(n)
-            return lifted(phi, x0, n, *section)
+            return lifted(phi, x0, n)
 
         monkeypatch.setattr(dynamics, "_LiftedOrbit", recording)
         assert no_periodic_points_scan(PSI_2, p_max=7, samples=3).period_found is None
         assert steps == [7, 7, 7]
+
+    def test_reduced_scan_witness_is_the_label_of_its_start(self):
+        # c7-pair's null(2) map has period 5: the first orbit, sampled in
+        # phi's space, closes at 5, and its witness is pi(x0)
+        system = _c7_pair_levels()["null2"]
+        scan = no_periodic_points_scan(system, p_max=5, samples=1)
+        x0 = random_positive_point(system.source.dim_in, rng_substream(0, 0))
+        assert scan.period_found == 5
+        assert scan.witness == system.submersion.map.evaluate(x0)
+        assert iterate_orbit(system.map, scan.witness, 5).points[5] == scan.witness
+
+    def test_no_exact_label_without_a_return_mod_p(self, monkeypatch):
+        # the casimir(5) orbits return mod p at no step: the scan computes
+        # no exact label, not even pi(x0)
+        labels = []
+        label = dynamics._LiftedOrbit.label
+
+        def recording(orbit, pi, k):
+            labels.append(k)
+            return label(orbit, pi, k)
+
+        monkeypatch.setattr(dynamics._LiftedOrbit, "label", recording)
+        scan = no_periodic_points_scan(_c7_pair_levels()["casimir5a"], p_max=20, samples=10)
+        assert scan.period_found is None and labels == []
 
     def test_scan_is_seeded(self):
         a = no_periodic_points_scan(PSI_2, samples=5, seed=3)
@@ -1614,26 +1647,26 @@ class TestLiftedOrbitEngine:
 
     @pytest.mark.parametrize("case, label", [("somos5", "casimir"), ("c7-pair", "casimir2")])
     def test_lifted_orbit_equals_direct_orbit(self, case, label):
+        # pi(phi^k(x0)) = psi^k(pi(x0)) from starts x0 sampled in phi's space
         system = _reduced(case, label)
         lift = dynamics._Lift(system)
-        assert lift.phi is system.source and lift.section is not None
-        for i in range(2):
-            y0 = random_positive_point(system.map.dim_in, rng_substream(0, i))
-            direct = iterate_orbit(system.map, y0, 20).points
-            orbit = lift.orbit(y0, 20)
+        assert lift.phi is system.source and lift.pi is system.submersion.map
+        for i, orbit in enumerate(lift.orbits(20, 2, 0)):
+            assert orbit.start == random_positive_point(system.source.dim_in, rng_substream(0, i))
+            direct = iterate_orbit(system.map, lift.pi.evaluate(orbit.start), 20).points
             assert [orbit.label(lift.pi, k) for k in range(21)] == list(direct)
 
     @pytest.mark.parametrize("label, period", [("null", 5), ("casimir1", 10)])
     def test_residue_returns_are_confirmed_exactly(self, label, period):
         system = _reduced("c7-pair", label)
         lift = dynamics._Lift(system)
-        y0 = random_positive_point(system.map.dim_in, rng_substream(0, 0))
-        orbit = lift.orbit(y0, 12)
+        (orbit,) = lift.orbits(12, 1, 0)
         screened = orbit.label_residues(lift.pi)
         assert screened is not None
         candidates = [k for k in range(1, 13) if screened[k] == screened[0]]
         assert candidates[0] == period
         assert list(dynamics._returns(orbit, lift.pi, 12)) == candidates
+        y0 = lift.pi.evaluate(orbit.start)
         assert iterate_orbit(system.map, y0, period).points[period] == y0
 
     def test_returns_mod_p_without_exact_return_are_rejected(self, monkeypatch):

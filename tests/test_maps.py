@@ -20,7 +20,6 @@ from cluster_reduce import (
     derive_reduced_map,
     detect_period,
     get_fixture,
-    positive_point,
     random_positive_point,
     rng_substream,
 )
@@ -387,12 +386,6 @@ class TestMonomialMap:
 
 
 class TestPoints:
-    def test_positive_point_validation(self):
-        with pytest.raises(ValueError):
-            positive_point((Fraction(0), Fraction(1)))
-        with pytest.raises(ValueError):
-            positive_point((Fraction(-1),))
-
     def test_substream_determinism(self):
         a = random_positive_point(4, rng_substream(5, 0))
         b = random_positive_point(4, rng_substream(5, 0))

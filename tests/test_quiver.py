@@ -9,7 +9,6 @@ from cluster_reduce import (
     CertificateError,
     IntMatrix,
     PeriodicityCertificate,
-    Quiver,
     Seed,
     cluster_map,
     degree_growth,
@@ -85,10 +84,6 @@ class TestMutation:
             mutate_matrix(b, 0)
         with pytest.raises(IndexError):
             mutate_matrix(b, 6)
-
-    def test_quiver_requires_skew(self):
-        with pytest.raises(ValueError):
-            Quiver(IntMatrix.from_rows([[0, 1], [1, 0]]))
 
 
 class TestShift:
