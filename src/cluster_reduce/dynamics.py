@@ -11,8 +11,12 @@ in the space of its source phi: a start x is drawn there, and the
 level's orbit is read as the labels psi^k(pi(x)) = pi(phi^k(x)), so it
 follows the cluster map phi (a few monomials per component) instead of
 psi (expanded binomial powers).  A bare map f is the lift (f,
-identity).  That orbit is followed in two arithmetics, and each
-statement says which one it rests on:
+identity).  A sampled orbit belongs to phi: phi's orbit mod p from
+each start a seed draws is walked once, as far as the longest horizon
+asked, and kept on phi until another seed is asked, so period
+detection and the scan of every level reduced from phi read one walk.
+That orbit is followed in two arithmetics, and each statement says
+which one it rests on:
 
 * returns are screened with residues mod a prime (Roberts & Vivaldi,
   PRL 90 (2003) 034102 on orbits over finite fields).  An exact return
@@ -21,7 +25,9 @@ statement says which one it rests on:
   negative; when a unit test fails, a second prime and then exact
   arithmetic take over for that orbit;
 * a return that a scan or an itinerary reports is confirmed on the
-  exact rational orbit.
+  exact rational orbit, computed only as far as it is read when the
+  residues cover the orbit (its denominators are then units mod p, so
+  not 0).
 
 Global periodicity is certified symbolically, with no exact orbit: the
 first returns mod p propose the candidate period c, a sample that does
@@ -239,33 +245,47 @@ def _modular(f, p: int, carry: bool):
     return kernels[carry]
 
 
-def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int):
+def _residue_orbit(phi: BirationalMap, x0, steps: int, p: int, walks: dict | None = None):
     """(points, inverses): x_k = phi^k(x0) and its coordinatewise inverse
     mod p for k = 0..steps, or None.
 
     None when a coordinate of the rational start x0, a coefficient, a
-    component numerator or denominator is not a unit mod p: only while
-    all of them are units are the residues those of the exact orbit.  A
-    step is phi's generated step (`_modular`): one inversion, inverses
-    carried along the orbit; the start takes one.
+    component numerator or denominator is not a unit mod p by step
+    steps: only while all of them are units are the residues those of
+    the exact orbit.  A step is phi's generated step (`_modular`): one
+    inversion, inverses carried along the orbit; the start takes one.
+
+    walks, when given, keeps the walk from x0 mod p (under p and x0's
+    numerators and denominators), which is only walked on past its last
+    step: the residues up to a horizon are a prefix of those up to any
+    longer one, so every orbit of phi from x0 shares one walk.  The step
+    at which the walk leaves the units holds None, and every horizon
+    from there on is None.
     """
     step = _modular(phi, p, True)
-    nums = [v.numerator % p for v in x0]
-    dens = [v.denominator % p for v in x0]
-    if step is None or not all(nums) or not all(dens):
+    if step is None:
         return None
-    inv = _inverses_mod(nums + dens, p)
-    x = tuple(n * i % p for n, i in zip(nums, inv[len(nums):]))
-    inv = [d * i % p for d, i in zip(dens, inv)]
-    points, inverses = [x], [inv]
-    for _ in range(steps):
-        image = step(x, inv)
-        if image is None:
-            return None
-        x, inv = image
+    walks = {} if walks is None else walks
+    # ints, whose hash takes no modular inverse as a Fraction's does
+    start = tuple((v.numerator, v.denominator) for v in x0)
+    walk = walks.get((p, start))
+    if walk is None:
+        nums = [n % p for n, _ in start]
+        dens = [d % p for _, d in start]
+        walk = [None], [None]  # a start that is not in the units
+        if all(nums) and all(dens):
+            inv = _inverses_mod(nums + dens, p)
+            walk = ([tuple(n * i % p for n, i in zip(nums, inv[len(nums):]))],
+                    [[d * i % p for d, i in zip(dens, inv)]])
+        walks[p, start] = walk
+    points, inverses = walk
+    while len(points) <= steps and points[-1] is not None:
+        x, inv = step(points[-1], inverses[-1]) or (None, None)
         points.append(x)
         inverses.append(inv)
-    return points, inverses
+    if len(points) <= steps or points[steps] is None:
+        return None
+    return points[:steps + 1], inverses[:steps + 1]
 
 
 class _LiftedOrbit:
@@ -273,33 +293,40 @@ class _LiftedOrbit:
 
     start is x0; the labels of a reduced system's orbit are pi(x_k) =
     psi^k(pi(x0)).  residues: (p, points, inverses) for the first screen
-    prime that keeps the orbit in units mod p, or None (one inversion for
-    the start and one per step, inverses carried along the orbit);
-    exact(k): the exact rational point, from ``iterate_orbit``.
+    prime that keeps the orbit in units mod p up to step steps, or None,
+    read off the walk from x0 mod p in walks (`_residue_orbit`), which
+    the orbits of every horizon from x0 share, or off a walk of its own
+    without walks (one inversion for the start and one per step walked,
+    inverses carried along the orbit); exact(k): the exact rational
+    point, from ``iterate_orbit``.
     """
 
-    def __init__(self, phi: BirationalMap, start, steps: int) -> None:
+    def __init__(self, phi: BirationalMap, start, steps: int, walks: dict | None = None) -> None:
         self.phi = phi
         self.steps = steps
         self.start = tuple(Fraction(v) for v in start)
-        self._exact = None
+        self.walks = walks
+        self._exact = [self.start]
 
     @cached_property
     def residues(self):
         for p in SCREEN_PRIMES:
-            orbit = _residue_orbit(self.phi, self.start, self.steps, p)
+            orbit = _residue_orbit(self.phi, self.start, self.steps, p, self.walks)
             if orbit is not None:
                 return (p, *orbit)
         return None
 
     def exact(self, k: int) -> tuple:
-        """x_k; the first call past x0 computes the whole exact orbit, so an
-        orbit that leaves the domain raises DynamicsError there."""
-        if k == 0:
-            return self.start
-        if self._exact is None:
-            self._exact = iterate_orbit(self.phi, self.start, self.steps, "exact").points
-        return self._exact[k]
+        """x_k.  With residues, every numerator and denominator along the
+        orbit is a unit mod p, so not 0: the exact orbit is computed as
+        far as k, and extended on a later call.  Without them the first
+        call past x0 computes the whole exact orbit, so an orbit that
+        leaves the domain raises DynamicsError there."""
+        points = self._exact
+        if k >= len(points):
+            horizon = k if self.residues is not None else self.steps
+            points += iterate_orbit(self.phi, points[-1], horizon + 1 - len(points)).points[1:]
+        return points[k]
 
     def label(self, pi: MonomialMap | None, k: int) -> tuple:
         """The exact label pi(x_k); pi None is the identity."""
@@ -322,6 +349,9 @@ class _Lift:
 
     The orbits are sampled in phi's space and labelled by pi.  A bare map
     f, or a reduced system without its source, is the lift (f, identity).
+    A sampled orbit belongs to phi: its walk mod p is kept on phi for the
+    seed that drew its start, so every level reduced from phi, and period
+    detection and the scan of each, read one set of phi-orbits.
     """
 
     def __init__(self, f) -> None:
@@ -335,10 +365,15 @@ class _Lift:
     def orbits(self, m: int, samples: int, seed):
         """The orbits of m steps from the sampled starts x0 of
         ``rng_substream(seed, i)``, i = 0..samples-1, in phi's space, each
-        made when drawn."""
+        made when drawn.  Their walks mod p are kept on phi for the last
+        seed asked, so that every level of phi and every stage reads one
+        walk from each start, and a new seed drops the walks of the last."""
+        seeded = self.phi._cache.get("walks")
+        if seeded is None or seeded[0] != seed:
+            seeded = self.phi._cache["walks"] = seed, {}
         for i in range(samples):
             x0 = random_positive_point(self.phi.dim_in, rng_substream(seed, i))
-            yield _LiftedOrbit(self.phi, x0, m)
+            yield _LiftedOrbit(self.phi, x0, m, seeded[1])
 
     def first_returns(self, m: int, samples: int, seed):
         """(orbit, least k <= m with psi^k(y0) = y0, or None) for the

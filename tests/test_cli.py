@@ -694,34 +694,48 @@ class TestRunPipelineApi:
         assert sum(forms.values()) == 13
 
     def test_a_ladder_pass_inverts_once_per_residue_step(self, monkeypatch):
-        # the screen carries inverses along each orbit: one modular
-        # inversion per step and one for the start; coefficients are
-        # converted mod p before the count
+        # every (phi, start) of one fresh seed-0 pass is walked mod p once,
+        # as far as its longest horizon: a call inverts once for a start
+        # not walked before and once per step past the last one walked
+        # (coefficients are converted mod p before the count).  The pass
+        # draws 141 starts and walks 1540 steps on 77 starts, the
+        # itinerary's among them; a walk per level and stage would take
+        # 2712 steps
         residue_orbit, real_pow = dynamics._residue_orbit, builtins.pow
-        inversions, counts = [0], []
+        inversions, walked, draws, alive = [0], {}, [0], []
+        draw = dynamics.random_positive_point
 
         def counting_pow(*args):
             inversions[0] += len(args) == 3 and args[1] == -1
             return real_pow(*args)
 
-        def counting_orbit(phi, x0, steps, p):
+        def counting_orbit(phi, x0, steps, p, walks=None):
             phi._compiled(dynamics._residues(p))
+            alive.append((phi, walks))  # keeps every id() of the pass distinct
+            # walks None: the itinerary's orbit, walked once on its own
+            key = id(phi), id(walks), p, tuple(x0)
+            # the last step walked from x0, -1 before its start is inverted
+            before = walked.get(key, -1)
             inversions[0] = 0
             builtins.pow = counting_pow
             try:
-                result = residue_orbit(phi, x0, steps, p)
+                result = residue_orbit(phi, x0, steps, p, walks)
             finally:
                 builtins.pow = real_pow
-            assert result is not None
-            counts.append((inversions[0], steps + 1))
+            assert result is not None and len(result[0]) == steps + 1
+            walked[key] = max(steps, before)
+            assert inversions[0] == walked[key] - before
             return result
 
+        def counting_draw(*args):
+            draws[0] += 1
+            return draw(*args)
+
         monkeypatch.setattr(dynamics, "_residue_orbit", counting_orbit)
+        monkeypatch.setattr(dynamics, "random_positive_point", counting_draw)
         for name in _LADDER:
             assert run_pipeline(_ladder_matrix(name), WorkflowConfig(seed=0)).errors == []
-        made, expected = zip(*counts)
-        assert made == expected
-        assert len(counts) > 100 and sum(made) > 2000
+        assert (draws[0], len(walked), sum(walked.values())) == (141, 77, 1540)
 
     def test_non_periodic_matrix_stops_early(self):
         from cluster_reduce import IntMatrix
@@ -824,6 +838,34 @@ class TestRunPipelineApi:
         assert report.errors == [["fixed-points", "the search failed"]] * 2
         assert [d["kind"] for d in report.dynamics] == ["null", "casimir"]
         assert not any("fixed_points" in d for d in report.dynamics)
+
+    def test_a_failed_discovery_is_recorded_and_rendered(self, monkeypatch):
+        # no cluster map makes the sampled discovery fail (its values at
+        # positive points are positive), so the failure is patched in:
+        # --no-compatible records it and goes on with the null foliation,
+        # and the text report names the stage
+        def failing(*args, **kwargs):
+            raise geometry.GeometryError("could not sample enough well-defined points")
+
+        monkeypatch.setattr(pipeline, "find_invariant_poisson", failing)
+        report = run_pipeline(get_fixture("somos5").matrix("B"),
+                              WorkflowConfig(require_compatible=False))
+        assert report.errors == [["find-poisson", "could not sample enough well-defined points"]]
+        assert report.discovered == []
+        assert [r["kind"] for r in report.reductions] == ["null"]
+        lines = report.render_text().splitlines()
+        assert lines[-1] == "stage find-poisson failed: could not sample enough well-defined points"
+
+    def test_a_period_beyond_p_max_is_found_by_the_scan(self):
+        # with p_max 8, c7-pair's casimir(3) map (period 10) has no global
+        # period up to 8, and the scan, up to 20, closes the first sampled
+        # orbit at 10
+        report = run_pipeline(get_fixture("c7-pair").matrix("B"), WorkflowConfig(p_max=8))
+        entry = report.dynamics[1]
+        assert (entry["kind"], entry["dimension"]) == ("casimir", 3)
+        assert entry["scan"] == {"period_found": 10, "samples": 10, "p_max": 20}
+        assert entry["summary"] == "sampled orbit closed at period 10"
+        assert "dynamics [casimir]: sampled orbit closed at period 10" in report.render_text()
 
     @pytest.mark.parametrize("stage, name", [
         ("dynamics", "no_periodic_points_scan"),

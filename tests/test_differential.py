@@ -45,7 +45,7 @@ sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from cluster_reduce import dynamics, iterate_orbit, random_positive_point  # noqa: E402
+from cluster_reduce import DynamicsError, dynamics, iterate_orbit, random_positive_point  # noqa: E402
 from cluster_reduce import IntMatrix, cluster_map, detect_period, geometry  # noqa: E402
 from cluster_reduce import BirationalMap, MonomialMap, laurent, maps  # noqa: E402
 from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream  # noqa: E402
@@ -296,6 +296,74 @@ def test_residue_kernels_match_the_term_by_term_screen(case):
         orbit = dynamics._LiftedOrbit(phi, x0, steps)
         orbit.residues = (p, *got)
         assert orbit.label_residues(pi) == label_residues(pi, p, *want)
+
+
+# x -> (x1 + a, (x2 + b)/x1) from x1 = -a j, 0 at step j, reaches 0 at
+# step j exactly and leaves the domain at step j + 1; from x1 = P - a j,
+# P the first screen prime, it leaves the units mod P only
+_TRANSLATION = "x1 + {a}", "(x2 + {b})/x1"
+
+
+@st.composite
+def _walk_cases(draw):
+    """(phi, x0, horizons, reads): a map of `_TRANSLATION`, its first
+    coordinate drawn to leave the units at a step j = 0..8, or at no
+    step, with horizons up to 12; or a map of `_screen_cases` and its
+    start, with horizons up to 3, past which exact orbits grow too
+    large.  The horizons are asked in the order drawn, and at each the
+    exact steps of reads up to it, in the order drawn."""
+    if draw(st.booleans()):
+        a, b, j = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 8))
+        phi = BirationalMap.from_strings([form.format(a=a, b=b) for form in _TRANSLATION])
+        x1 = draw(st.sampled_from([-a * j, dynamics.SCREEN_PRIMES[0] - a * j,
+                                   Fraction(j + 1, a + b)]))
+        x0, top = (Fraction(x1), draw(st.fractions(1, 9, max_denominator=9))), 12
+    else:
+        phi, x0, *_ = draw(_screen_cases())
+        x0, top = tuple(x0), 3
+    horizons = draw(st.lists(st.integers(0, top), min_size=1, max_size=5))
+    return phi, x0, horizons, draw(st.lists(st.integers(0, top), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_walk_cases())
+# grow, shrink and grow again across step 5, where the orbit leaves the
+# units mod the first screen prime only: the second prime takes over
+@example((BirationalMap.from_strings([form.format(a=1, b=2) for form in _TRANSLATION]),
+          (Fraction(dynamics.SCREEN_PRIMES[0] - 5), Fraction(3, 4)), [3, 8, 2, 12, 4],
+          [7, 2, 12]))
+def test_shared_residue_walks_are_the_unshared_walks(case):
+    # one walk per prime and start, kept in walks and extended on demand,
+    # gives at every horizon the residues, inverses and None of a walk of
+    # its own, and the orbit of each horizon the first prime that walk
+    # would give; the exact orbit, computed only as far as read where
+    # residues exist, is iterate_orbit's, and where that leaves the
+    # domain no prime keeps the orbit in units
+    phi, x0, horizons, reads = case
+    exact = [x0]  # the exact orbit, as far as it stays in the domain
+    try:
+        while len(exact) <= max(horizons):
+            exact.append(iterate_orbit(phi, exact[-1], 1).points[1])
+    except DynamicsError:
+        pass
+    walks = {}
+    for h in horizons:
+        for p in dynamics.SCREEN_PRIMES:
+            got = dynamics._residue_orbit(phi, list(x0), h, p, walks)
+            assert got == residue_orbit(phi, x0, h, p)
+        assert len(walks) <= len(dynamics.SCREEN_PRIMES)  # none for a coefficient not a unit
+        unshared = ((p, residue_orbit(phi, x0, h, p)) for p in dynamics.SCREEN_PRIMES)
+        orbit = dynamics._LiftedOrbit(phi, x0, h, walks)
+        assert orbit.residues == next(((p, *w) for p, w in unshared if w is not None), None)
+        assert h < len(exact) or orbit.residues is None
+        for k in reads:
+            if k > h:
+                continue
+            if h < len(exact):
+                assert orbit.exact(k) == exact[k]
+            elif k > 0:
+                with pytest.raises(DynamicsError):
+                    orbit.exact(k)
 
 
 def test_no_kernel_outlives_its_map():

@@ -1488,6 +1488,16 @@ class TestItineraries:
         assert itin.periods == (None,)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_label_period_holds_along_the_whole_orbit(self, mode):
+        # x1 is not an invariant foliation of the cyclic shift: its labels
+        # 1, 2, 1, 1, 2, 1, ... return to 1 at step 2 and repeat with
+        # period 3, which both modes report
+        shift = BirationalMap.from_strings(["x2", "x3", "x1"])
+        sub = submersion_from_rows([(1, 0, 0)], 3)
+        start = (Fraction(1), Fraction(2), Fraction(1))
+        assert leaf_itinerary(shift, [sub], start, 8, mode).periods == (3,)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_submersion_of_another_dimension_rejected(self, mode):
         phi = _phi("somos5")
         subs = [submersion_from_rows(C7_Y[:2], 7, kind="null")]
@@ -1496,6 +1506,22 @@ class TestItineraries:
 
 
 class TestScans:
+    def test_a_new_seed_drops_the_walks_of_the_last(self):
+        # a map keeps the walks mod p of its sampled orbits for the last
+        # seed only: a second seed holds the walks a map scanned with it
+        # alone holds, none of the first seed's, and asking it again walks
+        # no new start
+        phi, alone = _phi("somos5"), _phi("somos5")
+        no_periodic_points_scan(phi, seed=0)
+        first = phi._cache["walks"][1]
+        for _ in range(2):
+            no_periodic_points_scan(phi, seed=1)
+            seed, walks = phi._cache["walks"]
+            assert seed == 1 and len(walks) == 25
+        no_periodic_points_scan(alone, seed=1)
+        assert walks.keys() == alone._cache["walks"][1].keys()
+        assert len(first) == 25 and not walks.keys() & first.keys()
+
     def test_lyness_scan_finds_period(self):
         scan = no_periodic_points_scan(LYNESS)
         assert scan.period_found == 5
@@ -1510,9 +1536,9 @@ class TestScans:
         steps = []
         lifted = dynamics._LiftedOrbit
 
-        def recording(phi, x0, n):
+        def recording(phi, x0, n, *walks):
             steps.append(n)
-            return lifted(phi, x0, n)
+            return lifted(phi, x0, n, *walks)
 
         monkeypatch.setattr(dynamics, "_LiftedOrbit", recording)
         assert no_periodic_points_scan(PSI_2, p_max=7, samples=3).period_found is None

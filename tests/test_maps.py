@@ -13,6 +13,7 @@ import pytest
 
 from cluster_reduce import (
     BirationalMap,
+    IntMatrix,
     MonomialMap,
     PoissonStructure,
     casimir_submersion,
@@ -243,6 +244,24 @@ class TestOneKernel:
                 assert all(abs(a - b) < mp.mpf(10) ** -95 for a, b in zip(got, want))
             assert abs(f.evaluate_mp([2, 5])[0] - (mp.mpf(2) / 3 + 5)) < mp.mpf(10) ** -95
 
+    def test_a_zero_component_runs_hot_as_it_runs_cold(self):
+        # a component with no terms is 0: the generated step, exact and as
+        # libmpf calls, writes its total as zero, and its gradient is zero
+        f = BirationalMap.from_strings(["x2", "0"])
+        point = (Fraction(2, 3), Fraction(5, 7))
+        with mp.workdps(64):
+            cold = [f.evaluate(point), f.jacobian(point), f.evaluate_mp(point),
+                    f.jacobian_mp(point)]
+            assert cold[:2] == [(Fraction(5, 7), 0), [[0, 1], [0, 0]]]
+            for _ in range(maps._HOT_STEPS):
+                f.evaluate(point)
+                f.evaluate_mp(point)
+            hot = [f.evaluate(point), f.jacobian(point), f.evaluate_mp(point),
+                   f.jacobian_mp(point)]
+            for num in (maps._EXACT, maps._MPF):
+                assert f._compiled(num).generated != [None, None]
+        assert hot == cold
+
     def test_generated_source_holds_no_coefficient(self):
         # coefficients reach a generated step as a list argument: its
         # source has no string and only the int literals of indices and
@@ -368,6 +387,16 @@ class TestMonomialMap:
         f = BirationalMap.from_strings(LYNESS)
         pulled = m.after(f)
         assert pulled.to_strings() == ["(x2^2 + x2)/x1"]
+
+    def test_after_a_map_with_no_components(self):
+        # with no source coordinates every row is the empty monomial: the
+        # composite is 1 in each of m's components, on f's space
+        m = MonomialMap(IntMatrix.zeros(2, 0))
+        f = BirationalMap(3, [])
+        pulled = m.after(f)
+        assert (pulled.dim_in, pulled.to_strings()) == (3, ["1", "1"])
+        point = (Fraction(2), Fraction(3, 5), Fraction(7))
+        assert pulled.evaluate(point) == m.evaluate(f.evaluate(point)) == (1, 1)
 
     def test_after_monomial_multiplies_exponents(self):
         outer = MonomialMap.from_rows([(1, -1)], 2)
