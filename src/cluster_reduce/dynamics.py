@@ -458,7 +458,7 @@ def detect_global_periodicity(
         raise DynamicsError("periodicity detection needs at least one sampled orbit")
     lift = _Lift(f)
     sampled = lift.orbits(p_max, samples, seed)
-    orbits, screens, candidate, formed = [], [], 1, {}
+    orbits, screens, candidate = [], [], 1
     for orbit in sampled:
         orbits.append(orbit)
         screened = orbit.label_residues(lift.pi)
@@ -474,42 +474,19 @@ def detect_global_periodicity(
     else:
         minimal = all(any(s[d] != s[0] for s in screens)
                       for d in range(1, candidate) if candidate % d == 0)
-        if minimal and _power_by_squaring(lift.psi, candidate, formed).is_identity():
+        if minimal and lift.psi.iterate(candidate).is_identity():
             return PeriodReport("global", candidate, p_max, "symbolic", samples)
-    return _confirmed_period(lift, chain(orbits, sampled), p_max, samples, formed)
+    return _confirmed_period(lift, chain(orbits, sampled), p_max, samples)
 
 
-def _power_by_squaring(psi: BirationalMap, n: int, formed: dict) -> BirationalMap:
-    """psi^n for n >= 1 through ``BirationalMap.compose``: the squares
-    psi^(2^i) for 2^i <= n, and for each binary digit of n from the
-    lowest the power so far composed with that digit's square.  formed
-    maps exponents to the composites formed so far and keeps the new
-    ones, psi itself among them."""
-    formed.setdefault(1, psi)
-    power, exponent, bit = None, 0, 1
-    while True:
-        if n & bit:
-            exponent += bit
-            if exponent not in formed:
-                formed[exponent] = power.compose(formed[bit])
-            power = formed[exponent]
-        if 2 * bit > n:
-            return power
-        if 2 * bit not in formed:
-            formed[2 * bit] = formed[bit].compose(formed[bit])
-        bit *= 2
-
-
-def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int,
-                      formed: dict) -> PeriodReport:
+def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int) -> PeriodReport:
     """The report of exact iteration on the sampled orbits.
 
     The candidate is the lcm of the exact first returns (screened mod p,
     confirmed on the exact orbit), and it is certified by f^(c) = id in
-    normal form, with f^(c) formed by ``_power_by_squaring`` from the
-    composites in formed (exponent -> composite).  Minimality is
-    automatic: any global period is a multiple of every observed
-    first-return time.
+    normal form, with f^(c) formed by repeated squaring
+    (``BirationalMap.iterate``).  Minimality is automatic: any global
+    period is a multiple of every observed first-return time.
     """
     candidate = 1
     try:
@@ -522,7 +499,7 @@ def _confirmed_period(lift: _Lift, orbits, p_max: int, samples: int,
                 return PeriodReport("none", None, p_max, "sampled", samples)
     except DynamicsError:
         return PeriodReport("none", None, p_max, "sampled", samples, "an orbit left the domain")
-    if _power_by_squaring(lift.psi, candidate, formed).is_identity():
+    if lift.psi.iterate(candidate).is_identity():
         return PeriodReport("global", candidate, p_max, "symbolic", samples)
     return PeriodReport(
         "none",
@@ -1328,6 +1305,11 @@ def _exact_label_period(orbit: _LiftedOrbit, pi: MonomialMap, n: int) -> int | N
     return None
 
 
+def _reduces(level, phi: BirationalMap) -> bool:
+    """Whether level is a verified reduced system of phi."""
+    return isinstance(level, ReducedSystem) and level.verified and level.source == phi
+
+
 def leaf_itinerary(
     phi: BirationalMap,
     submersions,
@@ -1339,15 +1321,21 @@ def leaf_itinerary(
 ) -> LeafItinerary:
     """Labels pi(orbit point) per step for each submersion, with cycle lengths.
 
-    In exact mode label equality is exact: label periods are screened mod
-    p on the lifted orbit and confirmed on exact labels.  In float mode
-    two labels are equal when all coordinates agree within
+    Each entry of submersions is a submersion pi, or a reduced system
+    (psi, pi) of phi.  In exact mode label equality is exact: label
+    returns are screened mod p on the lifted orbit and confirmed on
+    exact labels.  The labels of a verified reduced system of phi are
+    the orbit psi^k(pi(x0)), as psi o pi = pi o phi, so its first return
+    is the period; under any other submersion a return is the period
+    only when the labels repeat with it along the whole orbit.  In float
+    mode two labels are equal when all coordinates agree within
     10^-(precision/2).  A submersion whose source dimension is not the
     map's raises DynamicsError.
     """
     if phi.dim_out != phi.dim_in:
         raise DynamicsError("orbits require a self-map")
-    submersions = tuple(submersions)
+    levels = tuple(submersions)
+    submersions = tuple(s.submersion if isinstance(s, ReducedSystem) else s for s in levels)
     for s in submersions:
         if s.dim_in != phi.dim_in:
             raise DynamicsError(
@@ -1361,7 +1349,9 @@ def leaf_itinerary(
     )
     if mode == "exact":
         orbit = _LiftedOrbit(phi, x0, n)
-        periods = [_exact_label_period(orbit, s.map, n) for s in submersions]
+        periods = [next(_returns(orbit, s.map, n), None) if _reduces(level, phi)
+                   else _exact_label_period(orbit, s.map, n)
+                   for level, s in zip(levels, submersions)]
     elif mode == "float":
         with mp.workdps(precision):
             tol = mp.mpf(10) ** (-precision // 2)

@@ -29,17 +29,27 @@ divides over Z, so every exact division (the heuristic's certificate,
 the trial division, the PRS and its cofactors) divides the integer
 primitive parts and scales the quotient by the ratio of the contents.
 
-Sums, derivatives and new fractions take the full normal form.  Every
-composition (an exchange relation, a reduction's pi o phi, an iterate)
-is `RationalFunction.compose`: a monomial is a product of powers of the
-arguments, and any other function takes exactly one normal form, its
-numerator and denominator brought over one common denominator, which
-cancels.  A product cross-cancels its two normal forms (Henrici, J. ACM
-3, 1956) and takes no final gcd: each numerator factor left is coprime
-to each denominator factor left, and
-by Gauss's lemma the product of the two denominator factors, each
-primitive with a positive lead, is primitive with a positive lead too.
-An inverse only rescales by the numerator's content.
+Sums, derivatives and new fractions take the full normal form, on ints:
+`_integer_normal_form` takes out the common monomial factor, then
+reduces by the heuristic gcd's cofactors, and builds `Fraction`
+coefficients only for the result.  Every composition (an exchange
+relation, a reduction's pi o phi, an iterate) is
+`RationalFunction.compose`.  A monomial is a product of powers of the
+arguments: the powers of monomial arguments fold into one coefficient
+and one exponent shift, applied last, and only the others are
+multiplied.  Any other function takes exactly one normal form: its
+numerator and denominator are brought over one common denominator,
+which cancels, as sums of products of the arguments' integer primitive
+parts, each power formed once by repeated squaring.  A product
+cross-cancels its two normal forms (Henrici, J. ACM 3, 1956) and takes
+no final gcd: each numerator factor left is coprime to each
+denominator factor left, and by Gauss's lemma the product of the two
+denominator factors, each primitive with a positive lead, is primitive
+with a positive lead too.  An inverse only rescales by the numerator's
+content.  Products and powers of term dicts, `Fraction` or int, make
+their terms in one order (`_mul_terms`, `_power_terms`), so a result's
+terms, and the float evaluations that sum them, do not depend on the
+arithmetic that formed it.
 The two ``_raw`` constructors store their arguments unchecked:
 ``LaurentPoly._raw`` must be given nonzero `Fraction` coefficients, and
 ``RationalFunction._raw`` a normal form.
@@ -59,7 +69,9 @@ step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 import mpmath as mp
 
@@ -72,13 +84,60 @@ __all__ = [
 ]
 
 
-def _add_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _to_mpf(v):
     """v at the working precision; a Fraction as mpf(numerator) / denominator."""
     return mp.mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mp.mpf(v)
+
+
+def _shifted(terms: dict, exp) -> dict:
+    """The terms {exponents: coefficient} times x^exp, in their order."""
+    if not any(exp):
+        return terms
+    return {tuple(map(add, e, exp)): c for e, c in terms.items()}
+
+
+def _mul_terms(f: dict, g: dict) -> dict:
+    """The product of the terms {exponents: coefficient} f and g, for any
+    nonzero coefficients: a term of g times each term of f in turn, each
+    sum kept where it is nonzero and dropped where it cancels, so the
+    product's terms come in the same order for ints and `Fraction`s."""
+    if len(g) == 1:
+        ((e2, c2),) = g.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in f.items()}
+    if len(f) == 1:
+        ((e1, c1),) = f.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()}
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def _power_terms(squares: list, k: int) -> dict:
+    """p^k for k >= 1 of the terms p = squares[0]: the product of the
+    squares p^(2^i) of k's binary digits, from the lowest.  squares holds
+    p^(2^i) at i and keeps those formed here."""
+    result = None
+    i = 0
+    while True:
+        if k & 1:
+            result = squares[i] if result is None else _mul_terms(result, squares[i])
+        k >>= 1
+        if not k:
+            return result
+        i += 1
+        if i == len(squares):
+            squares.append(_mul_terms(squares[-1], squares[-1]))
 
 
 def _sparse(exponents) -> tuple:
@@ -197,17 +256,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exp(e1, e2)
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly._raw(self.nvars, out)
+        return LaurentPoly._raw(self.nvars, _mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "LaurentPoly":
         c = Fraction(c)
@@ -221,21 +270,17 @@ class LaurentPoly:
                 (e, c), = self.terms.items()
                 return LaurentPoly(self.nvars, {tuple(n * x for x in e): Fraction(1) / c ** (-n)})
             raise ValueError("negative power of a non-monomial Laurent polynomial")
-        result = LaurentPoly.constant(1, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        if n == 0:
+            return LaurentPoly.constant(1, self.nvars)
+        if n == 1:
+            return self
+        scale, primitive = _integer_primitive(self)
+        return _from_integer(_power_terms([primitive], n), self.nvars, scale ** n)
 
     def shift(self, exp) -> "LaurentPoly":
         """Multiply by the monomial x^exp."""
         e0 = tuple(int(x) for x in exp)
-        return LaurentPoly._raw(self.nvars, {_add_exp(e, e0): c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.nvars, _shifted(self.terms, e0))
 
     # -- calculus -----------------------------------------------------
 
@@ -314,13 +359,12 @@ def _exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     n = f.nvars
     if f.is_zero():
         return LaurentPoly(n)
-    used = range(n)
-    cont_f, pf = _integer_primitive(f, used)
-    cont_g, pg = _integer_primitive(g, used)
+    cont_f, pf = _integer_primitive(f)
+    cont_g, pg = _integer_primitive(g)
     quo = _divide(pf, pg)
     if quo is None:
         raise ArithmeticError("polynomial division is not exact")
-    return _from_integer(quo, n, used, cont_f / cont_g)
+    return _from_integer(quo, n, cont_f / cont_g)
 
 
 def _coefficients_in(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
@@ -411,16 +455,16 @@ def _gcd_cofactors(f: LaurentPoly, g: LaurentPoly):
         return LaurentPoly.monomial(common, n), f.shift(back), g.shift(back)
     f1 = f.shift(tuple(-x for x in mf)) if any(mf) else f
     g1 = g.shift(tuple(-x for x in mg)) if any(mg) else g
-    found = _heu_gcd(f1, g1)
+    cont_f, pf = _integer_primitive(f1)
+    cont_g, pg = _integer_primitive(g1)
+    found = _heu_gcd(pf, pg, n)
     if found is None:
-        # the gcd may be the primitive part of the shorter argument itself
-        h = _normalize_primitive(f1 if len(f1.terms) <= len(g1.terms) else g1)
-        try:
-            found = h, _exact_divide(f1, h), _exact_divide(g1, h)
-        except ArithmeticError:
-            h = _poly_gcd_core(f1, g1)
-            found = (h, f1, g1) if h.is_one() else (h, _exact_divide(f1, h), _exact_divide(g1, h))
-    h, cf, cg = found
+        h, cf, cg = _fallback_cofactors(f1, g1)
+    elif len(found[0]) == 1:
+        h, cf, cg = LaurentPoly.constant(1, n), f1, g1
+    else:
+        h, cf, cg = (_from_integer(found[0], n, 1), _from_integer(found[1], n, cont_f),
+                     _from_integer(found[2], n, cont_g))
     if any(mf):
         cf = cf.shift(tuple(a - b for a, b in zip(mf, common)))
     if any(mg):
@@ -439,48 +483,73 @@ _HEU_POINTS = 6
 _HEU_MAX_BITS = 8192
 
 
-def _heu_gcd(f: LaurentPoly, g: LaurentPoly):
-    """`_gcd_cofactors` of two non-constant polynomials with no monomial
-    factor by the heuristic gcd, normalised as `poly_gcd`; None when it
-    gives up."""
-    n = f.nvars
-    top_f = tuple(map(max, zip(*f.terms)))
-    top_g = tuple(map(max, zip(*g.terms)))
-    used = [j for j in range(n) if top_f[j] or top_g[j]]
-    cont_f, pf = _integer_primitive(f, used)
-    cont_g, pg = _integer_primitive(g, used)
+def _heu_gcd(f: dict, g: dict, n: int):
+    """(h, f / h, g / h) for h = gcd(f, g) by the heuristic gcd, or None
+    when it gives up, for integer polynomials {exponent n-tuple: int} of
+    content 1, neither constant nor with a monomial factor.  h has content
+    1 and a positive lead; for coprime f and g it is 1 and the cofactors
+    are f and g themselves.  The variables in neither are dropped for the
+    heuristic."""
+    used = [j for j, top in enumerate(map(max, *f, *g)) if top]
+    pf, pg = f, g
+    if len(used) < n:
+        pf = {tuple(e[j] for j in used): c for e, c in f.items()}
+        pg = {tuple(e[j] for j in used): c for e, c in g.items()}
     found = _heu(pf, pg, len(used))
     if found is None:
         return None
     h, cf, cg = found
     lead = max(h)  # lex order is kept when the unused variables are dropped
     if len(h) == 1 and not any(lead):
-        return LaurentPoly.constant(1, n), f, g
+        return {(0,) * n: 1}, f, g
     sign = 1 if h[lead] > 0 else -1
-    return (_from_integer(h, n, used, sign), _from_integer(cf, n, used, sign * cont_f),
-            _from_integer(cg, n, used, sign * cont_g))
+    return tuple(_embedded(p, n, used, sign) for p in (h, cf, cg))
 
 
-def _integer_primitive(p: LaurentPoly, used) -> tuple[Fraction, dict]:
-    """(c, q) with p = c q, c > 0 and q an integer polynomial of content
-    1 on the variables used, as {exponents: int}."""
-    cont = abs(p.content())
-    num, den = cont.numerator, cont.denominator
-    q = {tuple(e[j] for j in used): c.numerator * (den // c.denominator) // num
-         for e, c in p.terms.items()}
-    return cont, q
-
-
-def _from_integer(p: dict, n: int, used, scale) -> LaurentPoly:
-    """scale * p in n variables, for an integer polynomial p {exponents:
+def _embedded(p: dict, n: int, used: list, sign: int) -> dict:
+    """sign * p in n variables, for an integer polynomial p {exponents:
     int} on the variables used."""
-    terms = {}
+    if len(used) == n:
+        return p if sign > 0 else {e: -c for e, c in p.items()}
+    out = {}
     for e, c in p.items():
         x = [0] * n
         for j, k in zip(used, e):
             x[j] = k
-        terms[tuple(x)] = Fraction(c) * scale
-    return LaurentPoly._raw(n, terms)
+        out[tuple(x)] = sign * c
+    return out
+
+
+def _fallback_cofactors(f: LaurentPoly, g: LaurentPoly):
+    """`_gcd_cofactors` of polynomials with no monomial factor, neither a
+    monomial, when the heuristic gcd gave up: the gcd may be the primitive
+    part of the shorter argument itself, and only when that does not
+    divide the other does the primitive PRS answer."""
+    h = _normalize_primitive(f if len(f.terms) <= len(g.terms) else g)
+    try:
+        return h, _exact_divide(f, h), _exact_divide(g, h)
+    except ArithmeticError:
+        h = _poly_gcd_core(f, g)
+        return (h, f, g) if h.is_one() else (h, _exact_divide(f, h), _exact_divide(g, h))
+
+
+def _integer_primitive(p: LaurentPoly) -> tuple[Fraction, dict]:
+    """(c, q) with p = c q, c > 0 and q an integer polynomial of content
+    1, as {exponents: int}; (1, {}) for p = 0."""
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    if not num:
+        return Fraction(1), {}
+    return Fraction(num, den), {e: c.numerator * (den // c.denominator) // num
+                                for e, c in p.terms.items()}
+
+
+def _from_integer(p: dict, n: int, scale) -> LaurentPoly:
+    """scale * p in n variables, for an integer polynomial p {exponents:
+    int}."""
+    return LaurentPoly._raw(n, {e: Fraction(c) * scale for e, c in p.items()})
 
 
 def _heu(f: dict, g: dict, k: int):
@@ -563,7 +632,7 @@ def _interpolate(image: dict, xi: int) -> dict:
 def _divide(f: dict, g: dict):
     """f / g for integer polynomials {exponents: int}, or None when g does
     not divide f in Z[x]."""
-    top = tuple(a - b for a, b in zip(map(max, zip(*f)), map(max, zip(*g))))
+    top = tuple(map(sub, map(max, zip(*f)), map(max, zip(*g))))
     if min(top, default=0) < 0:
         return None
     lead = max(g)
@@ -574,13 +643,13 @@ def _divide(f: dict, g: dict):
     while rem:
         e = max(rem)
         q, r = divmod(rem.pop(e), lc)
-        d = tuple(a - b for a, b in zip(e, lead))
+        d = tuple(map(sub, e, lead))
         # deg q = deg f - deg g in each variable when the division is exact
         if r or any(x < 0 or x > t for x, t in zip(d, top)):
             return None
         quo[d] = q
         for eg, c in rest:
-            t = tuple(a + b for a, b in zip(eg, d))
+            t = tuple(map(add, eg, d))
             v = rem.get(t, 0) - q * c
             if v:
                 rem[t] = v
@@ -764,6 +833,8 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n == 0:
             return RationalFunction.constant(1, self.nvars)
+        if n == 1:
+            return self
         base = self if n > 0 else self.inverse()
         k = abs(n)
         # numerator and denominator are coprime, so powers stay coprime
@@ -791,14 +862,19 @@ class RationalFunction:
         """Substitute args[i] = n_i / d_i for variable i; args live in their
         own space.
 
-        A monomial c x^a / x^b is the product of c and the powers
-        args[i]^(a_i - b_i), which cross-cancel pairwise: one normal form
-        of the whole would take a gcd blind to those factors.  Otherwise
-        numerator and denominator, polynomials, are brought over the one
-        common denominator prod_i d_i^(h_i), h_i the largest exponent of
-        x_i in either: x^e becomes prod_i n_i^(e_i) d_i^(h_i - e_i).
-        That denominator cancels from the quotient, which takes a single
-        normal form.
+        A monomial c x^a / x^b is c times the product of the powers
+        args[i]^(a_i - b_i).  The powers of monomial arguments fold into
+        one coefficient and one exponent shift; the others multiply as
+        normal forms, which cross-cancel pairwise, and the shift is
+        applied to that product last, less the monomial factor it leaves
+        common to numerator and denominator.  Otherwise numerator and
+        denominator, polynomials, are brought over the one common
+        denominator prod_i d_i^(h_i), h_i the largest exponent of x_i in
+        either: x^e becomes prod_i n_i^(e_i) d_i^(h_i - e_i).  That
+        denominator cancels from the quotient, which takes a single
+        normal form.  Both sums are formed on ints, each n_i as a
+        rational scale times its integer primitive part, and the normal
+        form is `_integer_normal_form`'s.
         """
         if len(args) != self.nvars:
             raise ValueError("wrong number of substitution arguments")
@@ -807,66 +883,154 @@ class RationalFunction:
         m = args[0].nvars
         if any(a.nvars != m for a in args):
             raise ValueError("substitution arguments live in different spaces")
+        if self.is_zero():
+            return RationalFunction.constant(0, m)
         if self.num.is_monomial() and self.den.is_monomial():
-            ((a, c),), (b,) = self.num.terms.items(), self.den.terms
-            result = RationalFunction.constant(c, m)
-            for arg, i, j in zip(args, a, b):
-                if i != j:
-                    result = result * arg ** (i - j)
-            return result
+            return self._compose_monomial(args, m)
+        return self._compose_cleared(args, m)
+
+    def _compose_monomial(self, args, m: int) -> "RationalFunction":
+        ((a, coeff),), (b,) = self.num.terms.items(), self.den.terms
+        shift = [0] * m
+        product = None
+        for arg, k in zip(args, map(sub, a, b)):
+            if not k:
+                continue
+            if len(arg.num.terms) == 1 == len(arg.den.terms):
+                # c x^u / x^v, its denominator's coefficient 1
+                ((u, c),), (v,) = arg.num.terms.items(), arg.den.terms
+                if c != 1:
+                    coeff *= c ** k
+                shift = [s + k * (x - y) for s, x, y in zip(shift, u, v)]
+            else:
+                power = arg ** k
+                product = power if product is None else product * power
+        if product is None:
+            num = den = {(0,) * m: Fraction(1)}
+        elif product.is_zero():
+            return product
+        else:
+            num, den = product.num.terms, product.den.terms
+        # x^shift num / den = num x^up / (den x^down), num and den coprime:
+        # their only common factor is the monomial of the least exponents
+        up = [max(s, 0) for s in shift]
+        down = [max(-s, 0) for s in shift]
+        common = tuple(map(min, map(add, map(min, zip(*num)), up),
+                           map(add, map(min, zip(*den)), down)))
+        num = _shifted(num, tuple(map(sub, up, common)))
+        if coeff != 1:
+            num = {e: c * coeff for e, c in num.items()}
+        return RationalFunction._raw(LaurentPoly._raw(m, num),
+                                     LaurentPoly._raw(m, _shifted(den, tuple(map(sub, down, common)))))
+
+    def _compose_cleared(self, args, m: int) -> "RationalFunction":
         exps = [*self.num.terms, *self.den.terms]
         high = [max(e[i] for e in exps) for i in range(self.nvars)]
-        powers: dict[tuple[int, int], LaurentPoly] = {}
+        # n_i = scales[i] * squares[i, 1][0], where that scale is not 1, and
+        # d_i = squares[i, -1][0], whose coefficients in a normal form are
+        # integers of content 1
+        scales, squares, powers = {}, {}, {}
+        for i, h in enumerate(high):
+            if h:
+                scale, primitive = _integer_primitive(args[i].num)
+                squares[i, 1] = [primitive]
+                squares[i, -1] = [{e: c.numerator for e, c in args[i].den.terms.items()}]
+                if scale != 1:
+                    scales[i] = scale
 
-        def power(i: int, k: int) -> LaurentPoly:
-            # n_i^k for k >= 0, d_i^(-k) for k < 0
+        def power(i: int, k: int) -> dict:
+            # (n_i / scale)^k for k > 0, d_i^(-k) for k < 0
             if (i, k) not in powers:
-                powers[i, k] = args[i].num ** k if k >= 0 else args[i].den ** -k
+                powers[i, k] = _power_terms(squares[i, 1 if k > 0 else -1], abs(k))
             return powers[i, k]
 
-        def cleared(p: LaurentPoly) -> LaurentPoly:
-            total = LaurentPoly(m)
+        def cleared(p: LaurentPoly) -> tuple[int, dict]:
+            # (L, L * p(args) * prod_i d_i^(h_i)) on ints, L the lcm of the
+            # denominators of the terms' scales
+            terms = []
             for e, c in p.terms.items():
-                term = LaurentPoly.constant(c, m)
                 for i, k in enumerate(e):
-                    if k:
-                        term = term * power(i, k)
-                    if high[i] > k:
-                        term = term * power(i, k - high[i])
-                total = total + term
-            return total
+                    if k and i in scales:
+                        c *= scales[i] ** k
+                factors = [power(i, q) for i, k in enumerate(e) for q in (k, k - high[i]) if q]
+                terms.append((reduce(_mul_terms, factors), c))
+            common = lcm(*(c.denominator for _, c in terms))
+            total = {}
+            for term, c in terms:
+                k = c.numerator * (common // c.denominator)
+                for e, v in term.items():
+                    v = total.get(e, 0) + k * v
+                    if v:
+                        total[e] = v
+                    else:
+                        del total[e]
+            return common, total
 
-        return RationalFunction(cleared(self.num), cleared(self.den))
+        lcm_num, num = cleared(self.num)
+        lcm_den, den = cleared(self.den)
+        return RationalFunction._raw(*_integer_normal_form(num, den, m, Fraction(lcm_den, lcm_num)))
 
     def __repr__(self) -> str:
         return f"RationalFunction({format_rational(self)!r})"
 
 
 def _normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The normal form of num / den, den nonzero, by `_integer_normal_form`
+    of their integer primitive parts."""
     n = num.nvars
-    one = LaurentPoly.constant(1, n)
     if num.is_zero():
-        return LaurentPoly(n), one
+        return LaurentPoly(n), LaurentPoly.constant(1, n)
+    cont_num, pn = _integer_primitive(num)
+    cont_den, pd = _integer_primitive(den)
+    return _integer_normal_form(pn, pd, n, cont_num / cont_den)
 
-    # clear negative exponents with one common monomial
-    mins = [0] * n
-    for e in list(num.terms) + list(den.terms):
-        for j, x in enumerate(e):
-            if x < mins[j]:
-                mins[j] = x
-    if any(mins):
-        shift = tuple(-x for x in mins)
-        num = num.shift(shift)
-        den = den.shift(shift)
 
-    _, num, den = _gcd_cofactors(num, den)
+def _integer_normal_form(num: dict, den: dict, n: int, ratio: Fraction):
+    """(numerator, denominator) of the normal form of ratio * num / den
+    for integer Laurent polynomials {exponent n-tuple: int}; a zero den
+    raises ZeroDivisionError.
 
-    cont = den.content()
-    if cont != 1:
-        inv = Fraction(1) / cont
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    Negative exponents are cleared and the common monomial factor taken
+    out with one shift each.  A monomial's divisors are monomials, so
+    with a monomial argument the normal form is reached; otherwise the
+    heuristic gcd's cofactors (`_heu_gcd`) of the two, each divided by
+    its monomial factor, are the reduced fraction, and when it gives up
+    `_fallback_cofactors` gives them.  Only the result's coefficients are
+    `Fraction`s: the denominator's are integers of content 1 with a
+    positive lead, and ratio goes into the numerator's.
+    """
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return LaurentPoly(n), LaurentPoly.constant(1, n)
+    low_num, low_den = tuple(map(min, zip(*num))), tuple(map(min, zip(*den)))
+    common = tuple(map(min, low_num, low_den))
+    if len(num) == 1 or len(den) == 1:
+        back = tuple(map(neg, common))
+        num, den = _shifted(num, back), _shifted(den, back)
+    else:
+        num = _shifted(num, tuple(map(neg, low_num)))
+        den = _shifted(den, tuple(map(neg, low_den)))
+        cont_num, cont_den = gcd(*num.values()), gcd(*den.values())
+        if cont_num != 1 or cont_den != 1:
+            ratio *= Fraction(cont_num, cont_den)
+            num = {e: c // cont_num for e, c in num.items()}
+            den = {e: c // cont_den for e, c in den.items()}
+        found = _heu_gcd(num, den, n)
+        if found is None:
+            _, f, g = _fallback_cofactors(_from_integer(num, n, 1), _from_integer(den, n, 1))
+            (cont_f, num), (cont_g, den) = _integer_primitive(f), _integer_primitive(g)
+            ratio *= cont_f / cont_g
+        else:
+            _, num, den = found
+        num = _shifted(num, tuple(map(sub, low_num, common)))
+        den = _shifted(den, tuple(map(sub, low_den, common)))
+    cont = gcd(*den.values())
+    if den[max(den)] < 0:
+        cont = -cont
+    ratio /= cont
+    return (LaurentPoly._raw(n, {e: c * ratio for e, c in num.items()}),
+            LaurentPoly._raw(n, {e: Fraction(c // cont) for e, c in den.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -626,15 +626,24 @@ class BirationalMap:
         return BirationalMap(inner.dim_in, [c.compose(args) for c in self.components])
 
     def iterate(self, p: int) -> "BirationalMap":
-        """The p-fold composite; stepwise so intermediates stay reduced."""
+        """The p-fold composite, by repeated squaring: the squares
+        f^(2^i) for 2^i <= p, and for each binary digit of p from the
+        lowest the power so far composed with that digit's square, each
+        in normal form; the identity for p = 0."""
         if self.dim_out != self.dim_in:
             raise ValueError("only self-maps can be iterated")
         if p < 0:
             raise ValueError("iteration count must be non-negative")
-        result = BirationalMap.identity(self.dim_in)
-        for _ in range(p):
-            result = self.compose(result)
-        return result
+        if p == 0:
+            return BirationalMap.identity(self.dim_in)
+        power, square = None, self
+        while True:
+            if p & 1:
+                power = square if power is None else power.compose(square)
+            p >>= 1
+            if not p:
+                return power
+            square = square.compose(square)
 
     # -- derivatives --------------------------------------------------
 
@@ -707,7 +716,11 @@ class MonomialMap:
 
     def after(self, inner: BirationalMap) -> BirationalMap:
         """self . inner as a birational map, components prod_j inner_j^(u_ij),
-        by `BirationalMap.compose`; with no source coordinates, constant 1."""
+        by `BirationalMap.compose`: the powers of inner's monomial
+        components fold into one coefficient and exponent shift, and only
+        the others are multiplied, so for a period-1 cluster map each
+        component takes one power of one function; with no source
+        coordinates, constant 1."""
         if inner.dim_out != self.dim_in:
             raise ValueError("composition dimension mismatch")
         if not self.dim_in:

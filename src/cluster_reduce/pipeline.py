@@ -314,13 +314,17 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     # (system, fixed points or None) of the flag level above this one, if
     # it was reduced; its fixed points are the fibers of this level's starts
     above = None
+    # per level its reduced system, or its submersion where it did not reduce
+    levels = []
     for level, sub in enumerate(ordered):
         try:
             system = derive_reduced_map(phi, sub)
         except NotReducibleError as exc:
             report.errors.append(["reduce", str(exc)])
+            levels.append(sub)
             above = None
             continue
+        levels.append(system)
         report.reductions.append(
             {
                 "kind": sub.kind,
@@ -389,7 +393,7 @@ def run_pipeline(matrix: IntMatrix, config: WorkflowConfig = WorkflowConfig()) -
     if ordered:
         x0 = random_positive_point(phi.dim_in, rng_substream(config.seed, 999))
         try:
-            itin = leaf_itinerary(phi, ordered, x0, ITINERARY_STEPS, "exact")
+            itin = leaf_itinerary(phi, levels, x0, ITINERARY_STEPS, "exact")
         except DynamicsError as exc:
             report.errors.append(["itinerary", str(exc)])
         else:

@@ -4,8 +4,9 @@ summed back into its skew form, the pointwise matrices of log-canonical
 structures, the polynomial test of a Laurent polynomial, the residue
 screen's orbit and labels computed term by term, with one inversion per
 coordinate and denominator, a longest chain of submersions found by
-trying every subset, and the digests of a sampled log-Jacobian stream
-and of a pipeline report."""
+trying every subset, the digests of a sampled log-Jacobian stream and
+of a pipeline report, composition of rational functions in `Fraction`
+arithmetic and iterates composed one step at a time."""
 
 import hashlib
 import json
@@ -18,7 +19,7 @@ from cluster_reduce import (BirationalMap, IntMatrix, check_subfoliation, cluste
 from cluster_reduce.cli import WorkflowConfig, run_pipeline
 from cluster_reduce.dynamics import _residues
 from cluster_reduce.geometry import _sample_points
-from cluster_reduce.laurent import _sparse
+from cluster_reduce.laurent import LaurentPoly, RationalFunction, _sparse
 
 
 def as_birational(m) -> BirationalMap:
@@ -165,3 +166,55 @@ def report_digest(matrix, seed: int, require_compatible: bool) -> dict:
     doc = json.dumps(report.to_json_dict(), sort_keys=True)
     return {"json": hashlib.sha256(doc.encode()).hexdigest(),
             "text": hashlib.sha256(report.render_text().encode()).hexdigest()}
+
+
+def compose(f, args):
+    """`RationalFunction.compose(f, args)` in `Fraction` arithmetic: a
+    monomial c x^a / x^b is c times the product of the powers
+    args[i]^(a_i - b_i), multiplied one at a time as normal forms;
+    otherwise numerator and denominator are brought over the common
+    denominator prod_i d_i^(h_i), h_i the largest exponent of x_i in
+    either, and the quotient takes the constructor's normal form."""
+    if len(args) != f.nvars:
+        raise ValueError("wrong number of substitution arguments")
+    if not args:
+        raise ValueError("composition needs at least one argument")
+    m = args[0].nvars
+    if any(a.nvars != m for a in args):
+        raise ValueError("substitution arguments live in different spaces")
+    if f.num.is_monomial() and f.den.is_monomial():
+        ((a, c),), (b,) = f.num.terms.items(), f.den.terms
+        result = RationalFunction.constant(c, m)
+        for arg, i, j in zip(args, a, b):
+            if i != j:
+                result = result * arg ** (i - j)
+        return result
+    exps = [*f.num.terms, *f.den.terms]
+    high = [max(e[i] for e in exps) for i in range(f.nvars)]
+
+    def power(i: int, k: int) -> LaurentPoly:
+        # n_i^k for k >= 0, d_i^(-k) for k < 0
+        return args[i].num ** k if k >= 0 else args[i].den ** -k
+
+    def cleared(p: LaurentPoly) -> LaurentPoly:
+        total = LaurentPoly(m)
+        for e, c in p.terms.items():
+            term = LaurentPoly.constant(c, m)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+                if high[i] > k:
+                    term = term * power(i, k - high[i])
+            total = total + term
+        return total
+
+    return RationalFunction(cleared(f.num), cleared(f.den))
+
+
+def iterate(f, p: int):
+    """The `BirationalMap` f composed with itself p times, f o f^(p-1)
+    one step at a time; the identity for p = 0."""
+    result = BirationalMap.identity(f.dim_in)
+    for _ in range(p):
+        result = f.compose(result)
+    return result

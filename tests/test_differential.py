@@ -51,8 +51,9 @@ from cluster_reduce import BirationalMap, MonomialMap, laurent, maps  # noqa: E4
 from cluster_reduce import find_invariant_poisson, kernel_lattice, rng_substream  # noqa: E402
 from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
-from cluster_reduce.laurent import LaurentPoly, RationalFunction, poly_gcd  # noqa: E402
+from cluster_reduce.laurent import LaurentPoly, RationalFunction, parse_rational, poly_gcd  # noqa: E402
 from reference import as_birational, is_polynomial, label_residues, residue_orbit  # noqa: E402
+from reference import compose as reference_compose  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMBOLS = sympy.symbols("x1:4")
@@ -216,6 +217,85 @@ def test_compose_matches_the_full_normal_form(polys):
     raw_num, raw_den = sympy.fraction(sympy.together(expr))
     full = RationalFunction(_laurent(raw_num, n), _laurent(raw_den, n))
     assert (ours.num.terms, ours.den.terms) == (full.num.terms, full.den.terms)
+
+
+def _monomials(nvars: int):
+    """c x^e with a `Fraction` c != 0 and exponents -2..2, as a normal form."""
+    return st.tuples(st.tuples(*[st.integers(-2, 2)] * nvars),
+                     st.fractions(-5, 5, max_denominator=4).filter(bool)).map(
+        lambda t: RationalFunction(LaurentPoly.monomial(t[0], nvars, t[1])))
+
+
+def _arguments(nvars: int):
+    """Substitution arguments in nvars variables: monomials, constants, zero
+    and quotients of polynomials with `Fraction` coefficients."""
+    return st.one_of(
+        _monomials(nvars),
+        st.fractions(-3, 3, max_denominator=3).map(lambda c: RationalFunction.constant(c, nvars)),
+        st.tuples(_rational_polys(nvars), _rational_polys(nvars)).map(
+            lambda t: RationalFunction(*t)),
+    )
+
+
+@st.composite
+def _compositions(draw, top: int = 3):
+    """(f, args): f a monomial or a quotient of polynomials in n = 1..top
+    variables, args n arguments in m = 1..top variables."""
+    n, m = draw(st.integers(1, top)), draw(st.integers(1, top))
+    f = draw(st.one_of(_monomials(n), st.tuples(_rational_polys(n), _rational_polys(n)).map(
+        lambda t: RationalFunction(*t))))
+    return f, draw(st.lists(_arguments(m), min_size=n, max_size=n))
+
+
+def _terms_in_order(f: RationalFunction) -> tuple:
+    return list(f.num.terms.items()), list(f.den.terms.items())
+
+
+@settings(SETTINGS, max_examples=300)
+@given(_compositions())
+# x1^-1 at 0: a zero argument raised to a negative power, alone and beside
+# a nonzero power of another; (x1 + 1)/(x1 + x2) at (0, 0) clears to 1/0
+@example((RationalFunction.monomial([-1], 1), [RationalFunction.constant(0, 2)]))
+@example((RationalFunction.monomial([2, -1], 2),
+          [parse_rational("x1 + 1", 1), RationalFunction.constant(0, 1)]))
+@example((parse_rational("(x1 + 1)/(x1 + x2)"), [RationalFunction.constant(0, 1)] * 2))
+# zero composed with anything, a zero argument included, is zero
+@example((RationalFunction.constant(0, 2), [RationalFunction.constant(0, 1), parse_rational("x1")]))
+# monomial arguments with rational coefficients and negative exponents
+# shifted against a product that leaves x1 common to both sides
+@example((RationalFunction.monomial([1, 1, -2], 3),
+          [parse_rational("3/2*x1^2/x2", 2), parse_rational("(x2 + 1)/x1", 2),
+           parse_rational("-2*x1/x2^3", 2)]))
+def test_compose_is_the_fraction_reference(case):
+    # the same terms in the same order, as Fractions, or the same error
+    f, args = case
+    try:
+        want = reference_compose(f, args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.compose(args)
+        return
+    got = f.compose(args)
+    assert _terms_in_order(got) == _terms_in_order(want)
+    assert all(type(v) is Fraction for p in (got.num, got.den) for v in p.terms.values())
+
+
+@settings(SETTINGS, max_examples=40)
+@given(_compositions(2), st.sampled_from([("_HEU_POINTS", 0), ("_HEU_MAX_BITS", 8)]))
+def test_compose_without_the_heuristic_is_the_reference(case, setting):
+    # where the heuristic gcd gives up, the normal form of a composition
+    # takes the trial division or the PRS (in at most 2 variables, as the
+    # PRS of the reference takes seconds on some compositions in 3)
+    f, args = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, *setting)
+        try:
+            want = reference_compose(f, args)
+        except ZeroDivisionError:
+            return
+        got = f.compose(args)
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+    assert all(type(v) is Fraction for p in (got.num, got.den) for v in p.terms.values())
 
 
 @SETTINGS
@@ -456,7 +536,7 @@ def test_period_detection_is_the_exact_confirmed_loop(case, primes):
         got = dynamics.detect_global_periodicity(f, p_max, samples, seed)
         lift = dynamics._Lift(f)
         want = dynamics._confirmed_period(lift, lift.orbits(p_max, samples, seed), p_max,
-                                          samples, {})
+                                          samples)
     assert got == want
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -53,6 +54,7 @@ from cluster_reduce.pipeline import (
     _foliations,
     run_pipeline,
 )
+import reference
 
 LYNESS = BirationalMap.from_strings(["x2", "(x2 + 1)/x1"])
 PSI_HAT5 = BirationalMap.from_strings(["x2", "(x2 + 1)/(x1*x2)"])
@@ -145,9 +147,9 @@ def _period_two_samples(name: str) -> list:
 def _symbolic_powers(f: BirationalMap, count: int) -> list:
     """[f, f^2, ..., f^count] in normal form, each composed as f^(p-1) o f.
 
-    These are the composites f.iterate(p) forms as f o f^(p-1);
-    substituting f into the composite is the cheaper order here (about
-    3 times faster for p = 3 on the somos5 Casimir map).
+    Substituting f into the composite is the cheaper order here: for p =
+    3 on the somos5 Casimir map f^2 o f took 4 ms, and f o f^2, which
+    f.iterate(3) forms by squaring, 180 ms (CPython 3.11, 2-vCPU host).
     """
     powers = [f]
     while len(powers) < count:
@@ -276,9 +278,9 @@ class TestResidueCertifiedPeriods:
         calls = []
         confirmed = dynamics._confirmed_period
 
-        def recording(lift, orbits, p_max, samples, formed):
+        def recording(lift, orbits, p_max, samples):
             calls.append(p_max)
-            return confirmed(lift, orbits, p_max, samples, formed)
+            return confirmed(lift, orbits, p_max, samples)
 
         monkeypatch.setattr(dynamics, "_confirmed_period", recording)
         return calls
@@ -374,7 +376,7 @@ class TestResidueCertifiedPeriods:
         assert report == dynamics.PeriodReport("none", None, 12, "sampled", 3, "")
         assert fallbacks == [10, 12]
 
-    def test_the_fallback_reuses_a_formed_composite(self, monkeypatch):
+    def test_each_certificate_forms_its_power_by_squaring(self, monkeypatch):
         compositions = []
         compose = BirationalMap.compose
 
@@ -392,12 +394,12 @@ class TestResidueCertifiedPeriods:
         assert report == dynamics.PeriodReport(
             "none", None, 12, "sampled", 1, "sampled candidate 1 failed the symbolic identity check")
         assert compositions == []
-        # PSI_1 mod 7: the failed candidate 5 forms f^2, f^4 and f^5; the
-        # fallback's f^10 takes f^8 and f^2 o f^8, reusing f^2
+        # PSI_1 mod 7: the failed candidate 5 forms f^2, f^4 and f o f^4;
+        # the fallback's f^10 forms f^2, f^4, f^8 and f^2 o f^8 anew
         monkeypatch.setattr(dynamics, "SCREEN_PRIMES", (7,))
         report = detect_global_periodicity(PSI_1, 10, 1, 0)
         assert report == dynamics.PeriodReport("global", 10, 10, "symbolic", 1, "")
-        assert len(compositions) == 3 + 2
+        assert len(compositions) == 3 + 4
         assert fallbacks == [12, 10]
 
     def test_a_sample_without_screen_prime_falls_back(self, monkeypatch):
@@ -415,12 +417,19 @@ class TestResidueCertifiedPeriods:
         assert fallbacks == [12, 1]
 
     @pytest.mark.parametrize("n", range(1, 25))
-    def test_powers_by_squaring_are_the_iterates(self, n):
-        formed = {1: PSI_1}
-        assert dynamics._power_by_squaring(PSI_1, n, formed) == PSI_1.iterate(n)
-        assert all(power == PSI_1.iterate(k) for k, power in formed.items())
+    def test_powers_by_squaring_are_the_iterates(self, monkeypatch, n):
+        want = reference.iterate(PSI_1, n)
+        compositions = []
+        compose = BirationalMap.compose
+
+        def counting(g, h):
+            compositions.append((g, h))
+            return compose(g, h)
+
+        monkeypatch.setattr(BirationalMap, "compose", counting)
+        assert PSI_1.iterate(n) == want
         # floor(log2 n) squarings and one composite per further binary digit
-        assert len(formed) - 1 == n.bit_length() - 1 + bin(n).count("1") - 1
+        assert len(compositions) == n.bit_length() - 1 + bin(n).count("1") - 1
 
 
 class TestFirstIntegrals:
@@ -1486,6 +1495,31 @@ class TestItineraries:
         subs = [submersion_from_rows([(1, -1, -1, 1, 0), (0, 1, -1, -1, 1)], 5, kind="null")]
         itin = leaf_itinerary(phi, subs, _ones(5), 15)
         assert itin.periods == (None,)
+
+    def test_a_reduced_system_takes_its_first_return(self, monkeypatch):
+        # the labels of a verified reduced system of phi are an orbit of
+        # psi, so its first confirmed return is the period and no window
+        # is checked; a system without its source and an unverified one
+        # are checked as bare submersions are, and every period is the same
+        systems = list(_c7_pair_levels().values())
+        phi = systems[0].source
+        subs = [s.submersion for s in systems]
+        start = random_positive_point(7, rng_substream(0, 999))
+        want = leaf_itinerary(phi, subs, start, 20).periods
+        assert want == (5, 10, None, None)
+        window = dynamics._exact_label_period
+        checked = []
+
+        def recording(orbit, pi, n):
+            checked.append(pi)
+            return window(orbit, pi, n)
+
+        monkeypatch.setattr(dynamics, "_exact_label_period", recording)
+        itin = leaf_itinerary(phi, systems, start, 20)
+        assert (itin.periods, itin.submersions, checked) == (want, tuple(subs), [])
+        unsure = [replace(systems[0], source=None), replace(systems[1], verified=False)]
+        assert leaf_itinerary(phi, unsure, start, 20).periods == want[:2]
+        assert checked == [subs[0].map, subs[1].map]
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_a_label_period_holds_along_the_whole_orbit(self, mode):

@@ -56,6 +56,10 @@ class TestLaurentPoly:
             assert a + LaurentPoly.constant(0, n) == a
             assert a * LaurentPoly.constant(1, n) == a
             assert a - a == LaurentPoly.constant(0, n)
+            assert a ** 0 == LaurentPoly.constant(1, n) and a ** 1 is a
+            cube = a ** 3
+            assert cube == a * a * a
+            assert all(type(v) is Fraction for v in cube.terms.values())
 
     def test_derivative_product_rule(self):
         rng = random.Random(22)
@@ -190,8 +194,8 @@ class TestHeuristicGcd:
         f, g = c * (x - y), c.scale(Fraction(3, 2))
         heu, gave_up = laurent._heu_gcd, []
 
-        def recording(a, b):
-            found = heu(a, b)
+        def recording(a, b, n):
+            found = heu(a, b, n)
             gave_up.append(found is None)
             return found
 

@@ -26,6 +26,7 @@ from cluster_reduce import (
 )
 from cluster_reduce import laurent, maps
 from cluster_reduce.quiver import degree_growth
+import reference
 from reference import as_birational
 
 LYNESS = ["x2", "(x2 + 1)/x1"]
@@ -155,17 +156,19 @@ class TestExactComposition:
         assert list(dens[-1]) == [(6, 6, 2, 2, 1)]
         assert max(sum(e) for den in dens for e in den) == degree_growth(b, cert)[2] == 17
 
-    def test_phi_fourth_of_somos5_2periodic_takes_one_trial_division(self, monkeypatch):
-        # the heuristic gcd gives up on one gcd, of 4650 terms against 15,
-        # where the PRS ran past 120 s; the 15-term argument's primitive
-        # part divides the other, so it is the gcd and no PRS runs
+    def test_phi_fourth_of_somos5_2periodic_takes_two_trial_divisions(self, monkeypatch):
+        # phi^4 = phi^2 o phi^2: the heuristic gcd gives up on two gcds, of
+        # 2182 terms against 7 and of 5452 against 27 (stepwise, phi o
+        # phi^3 gives up on 4650 against 15, where the PRS ran past 120 s);
+        # each time the shorter argument's primitive part divides the
+        # other, so it is the gcd and no PRS runs
         heu, core = laurent._heu_gcd, laurent._poly_gcd_core
         gave_up, fallbacks = [], []
 
-        def recording_heu(f, g):
-            found = heu(f, g)
+        def recording_heu(f, g, n):
+            found = heu(f, g, n)
             if found is None:
-                gave_up.append((len(f.terms), len(g.terms)))
+                gave_up.append((len(f), len(g)))
             return found
 
         def counting_core(f, g):
@@ -177,7 +180,7 @@ class TestExactComposition:
         b = get_fixture("somos5-2periodic").matrix("B")
         phi = cluster_map(b, detect_period(b))
         fourth = phi.iterate(4)
-        assert gave_up == [(4650, 15)]
+        assert gave_up == [(2182, 7), (5452, 27)]
         assert fallbacks == []
         assert [len(c.num.terms) for c in fourth.components] == [12, 74, 131, 1502, 2796]
         assert all(c.den.is_monomial() for c in fourth.components)
@@ -209,6 +212,25 @@ class TestExactComposition:
         f = BirationalMap.from_strings(["(x2^2 + x2)/x1", "(x2*x3 + x3)/x1", "(x2 + 1)/x1"])
         f.iterate(10)
         assert sum(calls) <= 78
+
+    # the ladder's reduced maps of dimension <= 3 and the largest power
+    # checked of each: the somos5 Casimir map has no period, and its
+    # fourth iterate alone takes 3-4.5 s either way, as the heuristic gcd
+    # gives up on its normal forms and the PRS answers
+    SMALL_LEVELS = {"somos5:null0": 6, "somos5:casimir1": 3, "c7-pair:null0": 6,
+                    "c7-pair:casimir1": 6}
+
+    @pytest.mark.parametrize("name", SMALL_LEVELS)
+    def test_iterates_by_squaring_are_the_stepwise_iterates(self, ladder_maps, name):
+        assert {k for k, f in ladder_maps.items() if ":" in k and f.dim_in <= 3} == set(
+            self.SMALL_LEVELS)
+        f = ladder_maps[name]
+        for p in range(self.SMALL_LEVELS[name] + 1):
+            want = reference.iterate(f, p)
+            got = f.iterate(p)
+            assert got == want
+            assert all(type(c) is Fraction for comp in got.components
+                       for poly in (comp.num, comp.den) for c in poly.terms.values())
 
 
 class TestOneKernel:
