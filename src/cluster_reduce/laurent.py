@@ -8,44 +8,45 @@ positive leading coefficient (lexicographic order).  Because the form is
 canonical, equality of values is equality of representations, which is
 what lets the geometry layer certify identities symbolically.
 
-A gcd with a monomial argument is read off the exponents.  Any other
-multivariate gcd is first tried by the heuristic GCDHEU (Char, Geddes &
-Gonnet, J. Symb. Comp. 7, 1989): both arguments are cleared to integer
-primitive parts, one variable at a time is set to a large integer down
-to an integer gcd, and a candidate is rebuilt from the digits of the
-image gcds.  The exact divisions of both arguments by the candidate
-certify it as the gcd, and their quotients are the cofactors that
-normal forms and products use, with no second division.  When the
-heuristic gives up (too many evaluation points or too large integers),
-the primitive part of the argument with fewer terms is tried as a
-divisor of the other, and only when it does not divide does the classic
-primitive polynomial remainder sequence answer: recurse on the contents
-one variable at a time and run a pseudo-division Euclid in the main
-variable.  It is also the reference the heuristic is tested against.
+Every gcd, cofactor and normal form is computed by one routine,
+`_cofactors`, on integer polynomials {exponent tuple: int} of content 1.
+It shifts off the monomial factors, and a gcd with a monomial argument
+is read off the exponents.  Any other gcd is first tried by the
+heuristic GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): one
+variable at a time is set to a large integer down to an integer gcd,
+and a candidate is rebuilt from the digits of the image gcds.  The
+exact divisions of both arguments by the candidate certify it as the
+gcd, and their quotients are the cofactors, with no second division.
+When the heuristic gives up (too many evaluation points or too large
+integers), the argument with fewer terms is tried as a divisor of the
+other, and only when it does not divide does the classic primitive
+polynomial remainder sequence answer, on ints too: recurse on the
+contents one variable at a time and run a pseudo-division Euclid in the
+main variable.
 
 There is one polynomial division, `_divide`, on integer polynomials.
 By Gauss's lemma a primitive divisor divides over Q exactly when it
-divides over Z, so every exact division (the heuristic's certificate,
-the trial division, the PRS and its cofactors) divides the integer
-primitive parts and scales the quotient by the ratio of the contents.
+divides over Z, so the heuristic's certificate, the trial division, the
+PRS's contents and its cofactors all divide integer polynomials, and no
+gcd, content or remainder is taken on `Fraction` coefficients.
 
 Sums, derivatives and new fractions take the full normal form, on ints:
-`_integer_normal_form` takes out the common monomial factor, then
-reduces by the heuristic gcd's cofactors, and builds `Fraction`
-coefficients only for the result.  Every composition (an exchange
-relation, a reduction's pi o phi, an iterate) is
-`RationalFunction.compose`.  A monomial is a product of powers of the
-arguments: the powers of monomial arguments fold into one coefficient
-and one exponent shift, applied last, and only the others are
-multiplied.  Any other function takes exactly one normal form: its
+`_integer_normal_form` divides out the integer contents, reduces by
+`_cofactors`, and builds `Fraction` coefficients only for the result.
+Every composition (an exchange relation, a reduction's pi o phi, an
+iterate) is `RationalFunction.compose`.  A monomial is a product of
+powers of the arguments: the powers of monomial arguments fold into one
+coefficient and one exponent shift, applied last, and only the others
+are multiplied.  Any other function takes exactly one normal form: its
 numerator and denominator are brought over one common denominator,
 which cancels, as sums of products of the arguments' integer primitive
 parts, each power formed once by repeated squaring.  A product
-cross-cancels its two normal forms (Henrici, J. ACM 3, 1956) and takes
-no final gcd: each numerator factor left is coprime to each
-denominator factor left, and by Gauss's lemma the product of the two
-denominator factors, each primitive with a positive lead, is primitive
-with a positive lead too.  An inverse only rescales by the numerator's
+cross-cancels its two normal forms (Henrici, J. ACM 3, 1956), as the
+normal forms of each numerator over the other denominator, and takes no
+final gcd: each numerator factor left is coprime to each denominator
+factor left, and by Gauss's lemma the product of the two denominator
+factors, each primitive with a positive lead, is primitive with a
+positive lead too.  An inverse only rescales by the numerator's
 content.  Products and powers of term dicts, `Fraction` or int, make
 their terms in one order (`_mul_terms`, `_power_terms`), so a result's
 terms, and the float evaluations that sum them, do not depend on the
@@ -120,6 +121,19 @@ def _mul_terms(f: dict, g: dict) -> dict:
                     out[e] = s
                 else:
                     del out[e]
+    return out
+
+
+def _add_terms(f: dict, g: dict) -> dict:
+    """The sum of the terms {exponents: coefficient} f and g: f's terms in
+    their order, then g's new ones, with the sums that cancel dropped."""
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
     return out
 
 
@@ -220,9 +234,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: Fraction(1)}
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -239,14 +250,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly._raw(self.nvars, out)
+        return LaurentPoly._raw(self.nvars, _add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -276,11 +280,6 @@ class LaurentPoly:
             return self
         scale, primitive = _integer_primitive(self)
         return _from_integer(_power_terms([primitive], n), self.nvars, scale ** n)
-
-    def shift(self, exp) -> "LaurentPoly":
-        """Multiply by the monomial x^exp."""
-        e0 = tuple(int(x) for x in exp)
-        return LaurentPoly._raw(self.nvars, _shifted(self.terms, e0))
 
     # -- calculus -----------------------------------------------------
 
@@ -314,11 +313,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no support")
         return tuple(map(min, zip(*self.terms)))
 
-    def degree(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def leading_exponent(self) -> tuple[int, ...]:
         return max(self.terms)  # lexicographic on exponent tuples
 
@@ -344,132 +338,78 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd (heuristic, with the primitive PRS as fallback)
+# Polynomial gcd on integer polynomials (heuristic, with a trial division
+# and the primitive PRS as fallbacks)
 # ---------------------------------------------------------------------------
-
-
-def _exact_divide(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """f / g for polynomials; raises ArithmeticError if not exact.
-
-    By Gauss's lemma the integer primitive part of g divides that of f
-    over Q exactly when it does over Z, so `_divide` divides the two and
-    the quotient is scaled by content(f) / content(g)."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    n = f.nvars
-    if f.is_zero():
-        return LaurentPoly(n)
-    cont_f, pf = _integer_primitive(f)
-    cont_g, pg = _integer_primitive(g)
-    quo = _divide(pf, pg)
-    if quo is None:
-        raise ArithmeticError("polynomial division is not exact")
-    return _from_integer(quo, n, cont_f / cont_g)
-
-
-def _coefficients_in(f: LaurentPoly, var: int) -> dict[int, LaurentPoly]:
-    """Group terms by the exponent of one variable.
-
-    Coefficient polynomials stay in the full variable space with a zero
-    exponent in `var`.
-    """
-    out: dict[int, dict] = {}
-    for e, c in f.terms.items():
-        k = e[var]
-        e2 = tuple(0 if j == var else x for j, x in enumerate(e))
-        out.setdefault(k, {})[e2] = c
-    return {k: LaurentPoly._raw(f.nvars, terms) for k, terms in out.items()}
-
-
-def _normalize_primitive(f: LaurentPoly) -> LaurentPoly:
-    """Divide by the rational content: integer coefficients, gcd 1, lead > 0."""
-    cont = f.content()
-    if cont in (0, 1):
-        return f
-    return f.scale(Fraction(1) / cont)
-
-
-def _poly_content_in(f: LaurentPoly, var: int) -> LaurentPoly:
-    coeffs = _coefficients_in(f, var)
-    it = iter(coeffs.values())
-    acc = next(it)
-    for p in it:
-        if acc.is_constant():
-            break
-        acc = _prs_gcd(acc, p)
-    if acc.is_constant():
-        return LaurentPoly.constant(1, f.nvars)
-    return acc
-
-
-def _pseudo_remainder(f: LaurentPoly, g: LaurentPoly, var: int) -> LaurentPoly:
-    """prem(f, g) in `var`: lc(g)^(df-dg+1) * f reduced modulo g."""
-    df = f.degree(var)
-    dg = g.degree(var)
-    g_coeffs = _coefficients_in(g, var)
-    lc_g = g_coeffs[dg]
-    rem = f
-    for k in range(df, dg - 1, -1):
-        rem_coeffs = _coefficients_in(rem, var)
-        lead = rem_coeffs.get(k)
-        rem = rem * lc_g
-        if lead is None or lead.is_zero():
-            continue
-        shift_exp = tuple(k - dg if j == var else 0 for j in range(f.nvars))
-        rem = rem - (g * lead).shift(shift_exp)
-    return rem
 
 
 def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Primitive gcd of two polynomials (non-negative exponents).
 
     The result has integer coefficients with content 1 and positive
-    leading coefficient; constants collapse to 1.  A monomial argument
-    is answered from the exponents; otherwise the heuristic gcd gives
-    it when it certifies a candidate, and the primitive PRS when it
-    gives up.
+    leading coefficient; constants collapse to 1, and the gcd of 0 and p
+    is p's primitive part.  It is `_cofactors`' gcd of the two integer
+    primitive parts.
     """
-    return _gcd_cofactors(f, g)[0]
-
-
-def _gcd_cofactors(f: LaurentPoly, g: LaurentPoly):
-    """(h, f / h, g / h) for h = poly_gcd(f, g); both quotients exact."""
     n = f.nvars
     if n != g.nvars:
         raise ValueError("variable count mismatch")
-    if f.is_zero() or g.is_zero():
-        h = _normalize_primitive(g if f.is_zero() else f)
-        if h.is_zero():
-            return h, f, g
-        return h, _exact_divide(f, h), _exact_divide(g, h)
-    mf = f.min_exponents()
-    mg = g.min_exponents()
-    if min(mf + mg, default=0) < 0:
+    if any(x < 0 for p in (f, g) for e in p.terms for x in e):
         raise ValueError("gcd requires true polynomials")
-    common = tuple(map(min, mf, mg))
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        # a monomial's divisors are monomials: gcd(c x^a, g) = x^min(a, mg)
-        if not any(common):
-            return LaurentPoly.constant(1, n), f, g
-        back = tuple(-x for x in common)
-        return LaurentPoly.monomial(common, n), f.shift(back), g.shift(back)
-    f1 = f.shift(tuple(-x for x in mf)) if any(mf) else f
-    g1 = g.shift(tuple(-x for x in mg)) if any(mg) else g
-    cont_f, pf = _integer_primitive(f1)
-    cont_g, pg = _integer_primitive(g1)
-    found = _heu_gcd(pf, pg, n)
-    if found is None:
-        h, cf, cg = _fallback_cofactors(f1, g1)
-    elif len(found[0]) == 1:
-        h, cf, cg = LaurentPoly.constant(1, n), f1, g1
+    pf, pg = _integer_primitive(f)[1], _integer_primitive(g)[1]
+    if pf and pg:
+        h = _cofactors(pf, pg, n)[0]
     else:
-        h, cf, cg = (_from_integer(found[0], n, 1), _from_integer(found[1], n, cont_f),
-                     _from_integer(found[2], n, cont_g))
-    if any(mf):
-        cf = cf.shift(tuple(a - b for a, b in zip(mf, common)))
-    if any(mg):
-        cg = cg.shift(tuple(a - b for a, b in zip(mg, common)))
-    return h.shift(common) if any(common) else h, cf, cg
+        h = _primitive(pf or pg) if pf or pg else {}
+    return _from_integer(h, n, 1)
+
+
+def _cofactors(f: dict, g: dict, n: int):
+    """(h, f / h, g / h) for h = gcd(f, g), for nonzero integer Laurent
+    polynomials {exponent n-tuple: int} of content 1: h has content 1, a
+    positive lead and the least exponents common to f and g, and the
+    quotients are exact true polynomials.
+
+    The monomial factors are shifted off first.  A monomial's divisors
+    are monomials, so with a monomial argument h is the common monomial
+    factor.  Otherwise the heuristic gcd answers; when it gives up, the
+    argument with fewer terms is tried as a divisor of the other, and
+    only when it does not divide does the primitive PRS answer.
+    """
+    low_f, low_g = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
+    common = tuple(map(min, low_f, low_g))
+    if len(f) == 1 or len(g) == 1:
+        back = tuple(map(neg, common))
+        return {common: 1}, _shifted(f, back), _shifted(g, back)
+    f = _shifted(f, tuple(map(neg, low_f)))
+    g = _shifted(g, tuple(map(neg, low_g)))
+    found = _heu_gcd(f, g, n)
+    if found is None:
+        found = _quotients(f, g, _primitive(f if len(f) <= len(g) else g))
+    if found is None:
+        h = _prs(f, g)
+        # f and g have no monomial factor, so neither has h
+        found = (h, f, g) if len(h) == 1 else _quotients(f, g, h)
+    h, f, g = found
+    return (_shifted(h, common), _shifted(f, tuple(map(sub, low_f, common))),
+            _shifted(g, tuple(map(sub, low_g, common))))
+
+
+def _quotients(f: dict, g: dict, h: dict):
+    """(h, f / h, g / h) for integer polynomials, or None when h does not
+    divide both."""
+    cf = _divide(f, h)
+    cg = None if cf is None else _divide(g, h)
+    return None if cg is None else (h, cf, cg)
+
+
+def _primitive(p: dict) -> dict:
+    """The nonzero integer polynomial p over its content, with a positive
+    lead."""
+    c = gcd(*p.values())
+    if p[max(p)] < 0:
+        c = -c
+    return p if c == 1 else {e: v // c for e, v in p.items()}
 
 
 # The heuristic gcd tries _HEU_POINTS values of xi and gives up on an
@@ -518,19 +458,6 @@ def _embedded(p: dict, n: int, used: list, sign: int) -> dict:
             x[j] = k
         out[tuple(x)] = sign * c
     return out
-
-
-def _fallback_cofactors(f: LaurentPoly, g: LaurentPoly):
-    """`_gcd_cofactors` of polynomials with no monomial factor, neither a
-    monomial, when the heuristic gcd gave up: the gcd may be the primitive
-    part of the shorter argument itself, and only when that does not
-    divide the other does the primitive PRS answer."""
-    h = _normalize_primitive(f if len(f.terms) <= len(g.terms) else g)
-    try:
-        return h, _exact_divide(f, h), _exact_divide(g, h)
-    except ArithmeticError:
-        h = _poly_gcd_core(f, g)
-        return (h, f, g) if h.is_one() else (h, _exact_divide(f, h), _exact_divide(g, h))
 
 
 def _integer_primitive(p: LaurentPoly) -> tuple[Fraction, dict]:
@@ -658,67 +585,58 @@ def _divide(f: dict, g: dict):
     return quo
 
 
-def _prs_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """`poly_gcd` by the primitive PRS alone: the heuristic's fallback
-    and its reference."""
-    if f.is_zero():
-        return _normalize_primitive(g)
-    if g.is_zero():
-        return _normalize_primitive(f)
-    mf = f.min_exponents()
-    mg = g.min_exponents()
-    common = tuple(min(a, b) for a, b in zip(mf, mg))
-    f1 = f.shift(tuple(-x for x in mf))
-    g1 = g.shift(tuple(-x for x in mg))
-
-    core = _poly_gcd_core(f1, g1)
-    if any(common):
-        core = core.shift(common)
-    return core
-
-
-def _poly_gcd_core(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    n = f.nvars
-    if f.is_constant() or g.is_constant():
-        return LaurentPoly.constant(1, n)
-    var = max(v for v in range(n) if f.degree(v) > 0 or g.degree(v) > 0)
-
-    if f.degree(var) == 0 or g.degree(var) == 0:
-        # one argument is free of the main variable: gcd divides its
-        # content in that variable
-        free = f if f.degree(var) == 0 else g
-        other = g if f.degree(var) == 0 else f
-        return _poly_gcd_core(free, _poly_content_in(other, var))
-
-    cont_f = _poly_content_in(f, var)
-    cont_g = _poly_content_in(g, var)
-    pp_f = _exact_divide(f, cont_f) if not cont_f.is_one() else f
-    pp_g = _exact_divide(g, cont_g) if not cont_g.is_one() else g
-
-    a, b = pp_f, pp_g
-    if a.degree(var) < b.degree(var):
+def _prs(f: dict, g: dict) -> dict:
+    """gcd(f, g) with content 1 and a positive lead, for nonzero integer
+    polynomials {exponents: int}, by the primitive PRS: with the common
+    monomial factor shifted off, the gcd of the contents in the main
+    variable, the last one either depends on, times the last nonzero
+    pseudo-remainder of the primitive parts, each remainder made
+    primitive in that variable.  It is the heuristic gcd's fallback."""
+    low_f, low_g = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
+    common = tuple(map(min, low_f, low_g))
+    if len(f) == 1 or len(g) == 1:
+        return {common: 1}
+    f = _shifted(f, tuple(map(neg, low_f)))
+    g = _shifted(g, tuple(map(neg, low_g)))
+    var = max(j for j, top in enumerate(map(max, zip(*f, *g))) if top)
+    cont_f, cont_g = _content_in(f, var), _content_in(g, var)
+    a, b = _divide(f, cont_f), _divide(g, cont_g)
+    if max(e[var] for e in a) < max(e[var] for e in b):
         a, b = b, a
-    while True:
-        r = _pseudo_remainder(a, b, var)
-        if r.is_zero():
-            # b is pp_f, pp_g or a remainder with its content divided
-            # out, so it is primitive in var already
-            h = b
+    # a remainder free of var leaves b = 1: the primitive parts are coprime
+    while max(e[var] for e in b):
+        r = _prem(a, b, var)
+        if not r:
             break
-        if r.degree(var) == 0:
-            h = None
-            break
-        cont_r = _poly_content_in(r, var)
-        r = _exact_divide(r, cont_r) if not cont_r.is_one() else r
-        a, b = b, _normalize_primitive(r)
+        a, b = b, _primitive(_divide(r, _content_in(r, var)))
+    return _shifted(_mul_terms(_primitive(b), _prs(cont_f, cont_g)), common)
 
-    cont_gcd = _prs_gcd(cont_f, cont_g)
-    if h is None:
-        return _normalize_primitive(cont_gcd)
-    result = _normalize_primitive(h)
-    if not cont_gcd.is_one():
-        result = result * cont_gcd
-    return result
+
+def _content_in(f: dict, var: int) -> dict:
+    """The gcd, with content 1 and a positive lead, of the coefficients of
+    the integer polynomial f in x_var."""
+    coefficients: dict[int, dict] = {}
+    for e, c in f.items():
+        coefficients.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1:]] = c
+    return _primitive(reduce(_prs, coefficients.values()))
+
+
+def _prem(f: dict, g: dict, var: int) -> dict:
+    """prem(f, g) in x_var: lc(g)^(df - dg + 1) f reduced modulo g, for
+    integer polynomials f and g of degrees df >= dg in x_var."""
+    dg = max(e[var] for e in g)
+    down = tuple(-dg if j == var else 0 for j in range(len(next(iter(g)))))
+    lc = {tuple(map(add, e, down)): c for e, c in g.items() if e[var] == dg}
+    tail = {e: c for e, c in g.items() if e[var] < dg}
+    rem = f
+    for k in range(max(e[var] for e in f), dg - 1, -1):
+        # lc rem - lead x_var^(k - dg) g, lead rem's coefficient of x_var^k,
+        # whose x_var^k terms cancel and are not formed
+        lead = {tuple(map(add, e, down)): -c for e, c in rem.items() if e[var] == k}
+        rem = _mul_terms({e: c for e, c in rem.items() if e[var] < k}, lc)
+        if lead:
+            rem = _add_terms(rem, _mul_terms(tail, lead))
+    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +734,9 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        # cross-cancelled normal forms multiply to a normal form
-        _, a, d = _gcd_cofactors(self.num, other.den)
-        _, c, b = _gcd_cofactors(other.num, self.den)
+        # the cross-cancelled normal forms multiply to a normal form
+        a, d = _normal_form(self.num, other.den)
+        c, b = _normal_form(other.num, self.den)
         return RationalFunction._raw(a * c, b * d)
 
     def inverse(self) -> "RationalFunction":
@@ -977,12 +895,9 @@ class RationalFunction:
 def _normal_form(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """The normal form of num / den, den nonzero, by `_integer_normal_form`
     of their integer primitive parts."""
-    n = num.nvars
-    if num.is_zero():
-        return LaurentPoly(n), LaurentPoly.constant(1, n)
     cont_num, pn = _integer_primitive(num)
     cont_den, pd = _integer_primitive(den)
-    return _integer_normal_form(pn, pd, n, cont_num / cont_den)
+    return _integer_normal_form(pn, pd, num.nvars, cont_num / cont_den)
 
 
 def _integer_normal_form(num: dict, den: dict, n: int, ratio: Fraction):
@@ -990,47 +905,26 @@ def _integer_normal_form(num: dict, den: dict, n: int, ratio: Fraction):
     for integer Laurent polynomials {exponent n-tuple: int}; a zero den
     raises ZeroDivisionError.
 
-    Negative exponents are cleared and the common monomial factor taken
-    out with one shift each.  A monomial's divisors are monomials, so
-    with a monomial argument the normal form is reached; otherwise the
-    heuristic gcd's cofactors (`_heu_gcd`) of the two, each divided by
-    its monomial factor, are the reduced fraction, and when it gives up
-    `_fallback_cofactors` gives them.  Only the result's coefficients are
-    `Fraction`s: the denominator's are integers of content 1 with a
-    positive lead, and ratio goes into the numerator's.
+    num and den are divided by their contents, den's taking the sign of
+    its lead, and their `_cofactors` are the reduced fraction.  Only the
+    result's coefficients are `Fraction`s: the denominator's are
+    integers of content 1 with a positive lead, and ratio goes into the
+    numerator's.
     """
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return LaurentPoly(n), LaurentPoly.constant(1, n)
-    low_num, low_den = tuple(map(min, zip(*num))), tuple(map(min, zip(*den)))
-    common = tuple(map(min, low_num, low_den))
-    if len(num) == 1 or len(den) == 1:
-        back = tuple(map(neg, common))
-        num, den = _shifted(num, back), _shifted(den, back)
-    else:
-        num = _shifted(num, tuple(map(neg, low_num)))
-        den = _shifted(den, tuple(map(neg, low_den)))
-        cont_num, cont_den = gcd(*num.values()), gcd(*den.values())
-        if cont_num != 1 or cont_den != 1:
-            ratio *= Fraction(cont_num, cont_den)
-            num = {e: c // cont_num for e, c in num.items()}
-            den = {e: c // cont_den for e, c in den.items()}
-        found = _heu_gcd(num, den, n)
-        if found is None:
-            _, f, g = _fallback_cofactors(_from_integer(num, n, 1), _from_integer(den, n, 1))
-            (cont_f, num), (cont_g, den) = _integer_primitive(f), _integer_primitive(g)
-            ratio *= cont_f / cont_g
-        else:
-            _, num, den = found
-        num = _shifted(num, tuple(map(sub, low_num, common)))
-        den = _shifted(den, tuple(map(sub, low_den, common)))
-    cont = gcd(*den.values())
+    cont_num, cont_den = gcd(*num.values()), gcd(*den.values())
     if den[max(den)] < 0:
-        cont = -cont
-    ratio /= cont
+        cont_den = -cont_den
+    if cont_num != 1 or cont_den != 1:
+        ratio *= Fraction(cont_num, cont_den)
+        num = {e: c // cont_num for e, c in num.items()}
+        den = {e: c // cont_den for e, c in den.items()}
+    _, num, den = _cofactors(num, den, n)
     return (LaurentPoly._raw(n, {e: c * ratio for e, c in num.items()}),
-            LaurentPoly._raw(n, {e: Fraction(c // cont) for e, c in den.items()}))
+            LaurentPoly._raw(n, {e: Fraction(c) for e, c in den.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ screen's orbit and labels computed term by term, with one inversion per
 coordinate and denominator, a longest chain of submersions found by
 trying every subset, the digests of a sampled log-Jacobian stream and
 of a pipeline report, composition of rational functions in `Fraction`
-arithmetic and iterates composed one step at a time."""
+arithmetic, iterates composed one step at a time, and the primitive PRS
+gcd in `Fraction` arithmetic."""
 
 import hashlib
 import json
@@ -218,3 +219,113 @@ def iterate(f, p: int):
     for _ in range(p):
         result = f.compose(result)
     return result
+
+
+def prs_gcd(f, g):
+    """`laurent.poly_gcd(f, g)` by the primitive PRS on `Fraction`
+    coefficients: with the common monomial factor shifted off, recurse on
+    the contents one variable at a time and run a pseudo-division Euclid
+    in the main variable, the last one either depends on."""
+    if f.is_zero():
+        return _primitive_part(g)
+    if g.is_zero():
+        return _primitive_part(f)
+    mf, mg = f.min_exponents(), g.min_exponents()
+    core = _prs_core(_shift(f, [-x for x in mf]), _shift(g, [-x for x in mg]))
+    return _shift(core, [min(a, b) for a, b in zip(mf, mg)])
+
+
+def _prs_core(f, g):
+    n = f.nvars
+    if _is_constant(f) or _is_constant(g):
+        return LaurentPoly.constant(1, n)
+    var = max(v for v in range(n) if _degree(f, v) > 0 or _degree(g, v) > 0)
+    if _degree(f, var) == 0 or _degree(g, var) == 0:
+        # one argument is free of the main variable: the gcd divides its
+        # content in that variable
+        free, other = (f, g) if _degree(f, var) == 0 else (g, f)
+        return _prs_core(free, _content_in(other, var))
+    cont_f, cont_g = _content_in(f, var), _content_in(g, var)
+    a, b = _quotient(f, cont_f), _quotient(g, cont_g)
+    if _degree(a, var) < _degree(b, var):
+        a, b = b, a
+    while True:
+        r = _pseudo_remainder(a, b, var)
+        if r.is_zero():
+            h = b
+            break
+        if _degree(r, var) == 0:
+            h = None
+            break
+        a, b = b, _primitive_part(_quotient(r, _content_in(r, var)))
+    cont_gcd = prs_gcd(cont_f, cont_g)
+    if h is None:
+        return _primitive_part(cont_gcd)
+    return _primitive_part(h) * cont_gcd
+
+
+def _degree(p, var: int) -> int:
+    return max((e[var] for e in p.terms), default=-1)
+
+
+def _is_constant(p) -> bool:
+    return all(not any(e) for e in p.terms)
+
+
+def _shift(p, exp):
+    """p times x^exp."""
+    return LaurentPoly(p.nvars, {tuple(a + b for a, b in zip(e, exp)): c
+                                 for e, c in p.terms.items()})
+
+
+def _primitive_part(p):
+    """p over its rational content: integer coefficients, gcd 1, lead > 0."""
+    return p if p.is_zero() else p.scale(1 / p.content())
+
+
+def _coefficient(p, var: int, k: int):
+    """The coefficient of x_var^k in p, with a zero exponent in x_var."""
+    return LaurentPoly(p.nvars, {tuple(0 if j == var else x for j, x in enumerate(e)): c
+                                 for e, c in p.terms.items() if e[var] == k})
+
+
+def _coefficients_in(p, var: int) -> list:
+    return [_coefficient(p, var, k) for k in dict.fromkeys(e[var] for e in p.terms)]
+
+
+def _content_in(p, var: int):
+    coefficients = _coefficients_in(p, var)
+    acc = coefficients[0]
+    for q in coefficients[1:]:
+        if _is_constant(acc):
+            break
+        acc = prs_gcd(acc, q)
+    return LaurentPoly.constant(1, p.nvars) if _is_constant(acc) else acc
+
+
+def _pseudo_remainder(f, g, var: int):
+    """prem(f, g) in x_var: lc(g)^(df - dg + 1) f reduced modulo g."""
+    dg = _degree(g, var)
+    lc_g = _coefficient(g, var, dg)
+    rem = f
+    for k in range(_degree(f, var), dg - 1, -1):
+        lead = _coefficient(rem, var, k)
+        rem = rem * lc_g
+        if not lead.is_zero():
+            rem = rem - _shift(g * lead, [k - dg if j == var else 0 for j in range(f.nvars)])
+    return rem
+
+
+def _quotient(f, g):
+    """f / g over Q, term by term from the lexicographic leads; raises
+    ArithmeticError when g does not divide f."""
+    lead = max(g.terms)
+    quotient, rem = LaurentPoly(f.nvars), f
+    while not rem.is_zero():
+        e = max(rem.terms)
+        d = tuple(a - b for a, b in zip(e, lead))
+        if min(d, default=0) < 0:
+            raise ArithmeticError("polynomial division is not exact")
+        term = LaurentPoly(f.nvars, {d: rem.terms[e] / g.terms[lead]})
+        quotient, rem = quotient + term, rem - term * g
+    return quotient

@@ -656,7 +656,7 @@ class TestRunPipelineApi:
     def test_a_ladder_pass_takes_no_prs_and_one_hermite_form_per_basis(self, monkeypatch):
         # the heuristic gcd certifies every gcd of the pass, and
         # solve_in_lattice puts each basis it is given in Hermite form once
-        core = laurent._poly_gcd_core
+        core = laurent._prs
         fallbacks = []
 
         def counting_core(f, g):
@@ -680,7 +680,7 @@ class TestRunPipelineApi:
                 forms[key] = forms.get(key, 0) + 1
             return hermite(m)
 
-        monkeypatch.setattr(laurent, "_poly_gcd_core", counting_core)
+        monkeypatch.setattr(laurent, "_prs", counting_core)
         monkeypatch.setattr(intlinalg, "solve_in_lattice", recording_solve)
         monkeypatch.setattr(geometry, "solve_in_lattice", recording_solve)
         monkeypatch.setattr(intlinalg, "hermite_normal_form", counting_hermite)

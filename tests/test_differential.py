@@ -1,10 +1,11 @@
 """The exact core against an independent implementation (sympy).
 
 Small random polynomials in 2-3 variables, drawn by Hypothesis: the
-primitive gcd agrees with ``sympy.gcd`` up to sign and content (and the
-heuristic gcd with its cofactors, in 1-3 variables, with the primitive
-PRS term for term, and exact division undoes a product), and the
-rational-function normal form with
+primitive gcd agrees with ``sympy.gcd`` up to sign and content, with the
+heuristic gcd and with it switched off (and in 1-3 variables the gcd and
+cofactors on integer polynomials, and the integer PRS alone, give the
+`Fraction` PRS of ``reference.prs_gcd`` term for term, and the one
+division undoes a product), and the rational-function normal form with
 ``sympy.cancel`` up to a constant factor shared by numerator and
 denominator.  The operations that skip
 the final gcd (product, quotient, inverse) or take a single normal form
@@ -53,7 +54,7 @@ from cluster_reduce.fixtures import somos5_matrix  # noqa: E402
 from cluster_reduce.intlinalg import _congruent  # noqa: E402
 from cluster_reduce.laurent import LaurentPoly, RationalFunction, parse_rational, poly_gcd  # noqa: E402
 from reference import as_birational, is_polynomial, label_residues, residue_orbit  # noqa: E402
-from reference import compose as reference_compose  # noqa: E402
+from reference import compose as reference_compose, prs_gcd  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMBOLS = sympy.symbols("x1:4")
@@ -90,12 +91,17 @@ def _constant_ratio(a, b):
     return ratio if ratio.is_number and ratio != 0 else None
 
 
+@pytest.mark.parametrize("points", [laurent._HEU_POINTS, 0])
 @SETTINGS
 @given(_triples())
-def test_poly_gcd_matches_sympy(polys):
+def test_poly_gcd_matches_sympy(points, polys):
+    # with no evaluation point the heuristic gives up at once, so the
+    # trial division and the integer PRS answer
     a, b, c = polys
     f, g = a * c, b * c
-    ours = poly_gcd(f, g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laurent, "_HEU_POINTS", points)
+        ours = poly_gcd(f, g)
     assert all(k.denominator == 1 for k in ours.terms.values())
     assert ours.content() == 1
     assert _constant_ratio(_sympy(ours), sympy.gcd(_sympy(f), _sympy(g))) is not None
@@ -111,39 +117,62 @@ def _rational_polys(nvars: int):
     )
 
 
+def _integer(p: LaurentPoly) -> dict:
+    """The integer primitive part of p, as {exponents: int}."""
+    return laurent._integer_primitive(p)[1]
+
+
 @settings(SETTINGS, max_examples=150)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     _rational_polys(n), _rational_polys(n), _rational_polys(n), st.booleans()
 )))
 def test_heuristic_gcd_is_the_prs_gcd(case):
     # with and without a planted common factor c; the cofactors are the
-    # exact quotients, and every coefficient is a Fraction
+    # exact quotients, and every coefficient is an int
     a, b, c, planted = case
     f, g = (a * c, b * c) if planted else (a, b)
-    h, cf, cg = laurent._gcd_cofactors(f, g)
-    want = laurent._prs_gcd(f, g)
-    assert h.terms == want.terms
-    assert h * cf == f and h * cg == g
-    assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
+    pf, pg = _integer(f), _integer(g)
+    h, cf, cg = laurent._cofactors(pf, pg, f.nvars)
+    assert h == prs_gcd(f, g).terms
+    assert laurent._mul_terms(h, cf) == pf and laurent._mul_terms(h, cg) == pg
+    assert all(type(v) is int for p in (h, cf, cg) for v in p.values())
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _polys(n, 0), _polys(n, 0), _polys(n, 0), st.booleans(),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(all),
+    st.tuples(*[st.integers(0, 2)] * n), st.tuples(*[st.integers(0, 2)] * n),
+)))
+def test_integer_prs_is_the_fraction_prs(case):
+    # integer polynomials with any content and sign, monomial factors and,
+    # with planted, a common factor c: the same gcd, term for term
+    a, b, c, planted, (k, m), u, v = case
+    f, g = (a * c, b * c) if planted else (a, b)
+    pf = {tuple(map(sum, zip(e, u))): k * int(x) for e, x in f.terms.items()}
+    pg = {tuple(map(sum, zip(e, v))): m * int(x) for e, x in g.terms.items()}
+    h = laurent._prs(pf, pg)
+    assert h == prs_gcd(LaurentPoly(f.nvars, pf), LaurentPoly(f.nvars, pg)).terms
+    assert all(type(x) is int for x in h.values())
 
 
 @settings(SETTINGS, max_examples=150)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(_rational_polys(n), _rational_polys(n))))
 def test_exact_division_undoes_a_product(case):
-    # (a b) / b is a term for term, in Fractions; a b + 1 is not divisible
-    # by a non-constant b; zero divides nothing and is divided by anything
+    # on integer primitive parts (a b) / b is a term for term, in ints; a b
+    # + 1 is not divisible by a non-constant b; zero is divided by
+    # anything, and a zero denominator raises
     a, b = case
-    n = a.nvars
-    q = laurent._exact_divide(a * b, b)
-    assert q.terms == a.terms
-    assert all(type(v) is Fraction for v in q.terms.values())
-    if not b.is_constant():
-        with pytest.raises(ArithmeticError):
-            laurent._exact_divide(a * b + LaurentPoly.constant(1, n), b)
-    zero = LaurentPoly(n)
+    pa, pb = _integer(a), _integer(b)
+    q = laurent._divide(_integer(a * b), pb)
+    assert q == pa
+    assert all(type(v) is int for v in q.values())
+    if any(map(any, pb)):
+        one = {(0,) * a.nvars: 1}
+        assert laurent._divide(laurent._add_terms(_integer(a * b), one), pb) is None
+    assert laurent._divide({}, pb) == {}
     with pytest.raises(ZeroDivisionError):
-        laurent._exact_divide(a, zero)
-    assert laurent._exact_divide(zero, b) == zero
+        laurent._integer_normal_form(pa, {}, a.nvars, Fraction(1))
 
 
 def _matches_cancel(ours: RationalFunction, expr) -> None:

@@ -94,7 +94,7 @@ class TestLaurentPoly:
         p = LaurentPoly.monomial((2, 0), 2, 3) + LaurentPoly.monomial((0, 1), 2, -1)
         assert p.leading_exponent() == (2, 0)
         assert p.leading_coefficient() == 3
-        assert p.degree(0) == 2
+        assert p.min_exponents() == (0, 0)
 
 
 class TestPolyGcd:
@@ -133,6 +133,14 @@ class TestPolyGcd:
         assert not RationalFunction(d, x + one).num.is_zero()
         assert RationalFunction(d, x + one).den.is_monomial()
 
+    def test_gcd_with_zero_is_the_primitive_part(self):
+        x, y = (LaurentPoly.variable(i, 2) for i in range(2))
+        p = (x * y).scale(Fraction(-3, 2)) + x.scale(6)
+        zero = LaurentPoly(2)
+        want = x * y - x.scale(4)
+        assert poly_gcd(zero, p) == want == poly_gcd(p, zero)
+        assert poly_gcd(zero, zero).is_zero()
+
     def test_prs_multiplies_in_the_gcd_of_the_contents(self):
         # in the main variable x2, f and g have content 2x1 + 2 and x1 + 1
         # and primitive parts (x2 + x1)(x2 + 1) and (x2 + x1)(x2 - 3)
@@ -142,33 +150,42 @@ class TestPolyGcd:
         f = (x1 + one).scale(2) * common * (x2 + one)
         g = (x1 + one) * common * (x2 - one.scale(3))
         want = (x1 + one) * common
-        assert laurent._prs_gcd(f, g) == want == poly_gcd(f, g)
+        assert laurent._prs(_integer(f), _integer(g)) == want.terms
+        assert poly_gcd(f, g) == want
+
+
+def _integer(p: LaurentPoly) -> dict:
+    """The integer primitive part of p, as {exponents: int}."""
+    return laurent._integer_primitive(p)[1]
 
 
 def _counting_prs(monkeypatch) -> list:
-    """Record every call of the PRS core, the heuristic gcd's fallback."""
+    """Record every call of the integer PRS, the heuristic gcd's fallback,
+    its recursive calls included."""
     calls = []
-    core = laurent._poly_gcd_core
+    core = laurent._prs
 
     def counting(f, g):
         calls.append((f, g))
         return core(f, g)
 
-    monkeypatch.setattr(laurent, "_poly_gcd_core", counting)
+    monkeypatch.setattr(laurent, "_prs", counting)
     return calls
 
 
 class TestHeuristicGcd:
-    """The heuristic gcd with its PRS fallback gives the PRS's gcd, and
-    each cofactor is the exact quotient; see test_differential for the
-    property on random polynomials."""
+    """`_cofactors` of integer primitive parts, the heuristic gcd with its
+    trial division and PRS fallbacks, gives the PRS's gcd, and each
+    cofactor is the exact quotient; see test_differential for the property
+    on random polynomials."""
 
     @staticmethod
     def _check(f, g, want):
-        h, cf, cg = laurent._gcd_cofactors(f, g)
-        assert h.terms == want.terms
-        assert h * cf == f and h * cg == g
-        assert all(type(v) is Fraction for p in (h, cf, cg) for v in p.terms.values())
+        pf, pg = _integer(f), _integer(g)
+        h, cf, cg = laurent._cofactors(pf, pg, f.nvars)
+        assert h == want
+        assert laurent._mul_terms(h, cf) == pf and laurent._mul_terms(h, cg) == pg
+        assert all(type(v) is int for p in (h, cf, cg) for v in p.values())
 
     @pytest.mark.parametrize("setting", [("_HEU_POINTS", 0), ("_HEU_MAX_BITS", 8)])
     def test_giving_up_takes_the_prs(self, monkeypatch, setting):
@@ -178,8 +195,8 @@ class TestHeuristicGcd:
         one = LaurentPoly.constant(1, 3)
         c = x * y + z.scale(2) + one
         f, g = c * (x - y), c * c * (x * z + one.scale(3))
-        want = laurent._prs_gcd(f, g)
-        assert want == c
+        want = laurent._prs(_integer(f), _integer(g))
+        assert want == c.terms
         calls = _counting_prs(monkeypatch)
         monkeypatch.setattr(laurent, *setting)
         self._check(f, g, want)
@@ -202,7 +219,7 @@ class TestHeuristicGcd:
         calls = _counting_prs(monkeypatch)
         monkeypatch.setattr(laurent, "_heu_gcd", recording)
         monkeypatch.setattr(laurent, *setting)
-        self._check(f, g, c)
+        self._check(f, g, c.terms)
         assert gave_up == [True] and not calls
 
     @pytest.mark.parametrize("f, g", [
@@ -222,7 +239,7 @@ class TestHeuristicGcd:
             rejected.append(q is None)
             return q
 
-        want = laurent._prs_gcd(f, g)
+        want = laurent._prs(_integer(f), _integer(g))
         calls = _counting_prs(monkeypatch)
         monkeypatch.setattr(laurent, "_divide", recording)
         self._check(f, g, want)
@@ -237,10 +254,11 @@ class TestHeuristicGcd:
     def test_monomial_argument(self):
         f = LaurentPoly(3, {(2, 0, 1): 3})
         g = LaurentPoly(3, {(1, 2, 3): Fraction(1, 2), (4, 1, 0): -2})
-        h, cf, cg = laurent._gcd_cofactors(f, g)
-        assert h == LaurentPoly.monomial((1, 0, 0), 3)
-        assert (h * cf, h * cg) == (f, g)
-        assert poly_gcd(g, f) == h == laurent._prs_gcd(f, g)
+        pf, pg = _integer(f), _integer(g)
+        h, cf, cg = laurent._cofactors(pf, pg, 3)
+        assert h == {(1, 0, 0): 1}
+        assert (laurent._mul_terms(h, cf), laurent._mul_terms(h, cg)) == (pf, pg)
+        assert poly_gcd(g, f).terms == h == laurent._prs(pf, pg)
         assert poly_gcd(LaurentPoly.constant(5, 3), g).is_one()
 
     def test_a_coprime_normal_form_takes_no_prs(self, monkeypatch):
@@ -269,7 +287,7 @@ class TestHeuristicGcd:
             calls.append((a, b))
             raise AssertionError("the heuristic gcd fell through to the PRS")
 
-        monkeypatch.setattr(laurent, "_poly_gcd_core", no_prs)
+        monkeypatch.setattr(laurent, "_prs", no_prs)
         outer = parse_rational("x2^2/x1 + 1", 2)
         g = outer.compose(f)
         assert calls == []

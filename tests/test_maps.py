@@ -162,7 +162,7 @@ class TestExactComposition:
         # phi^3 gives up on 4650 against 15, where the PRS ran past 120 s);
         # each time the shorter argument's primitive part divides the
         # other, so it is the gcd and no PRS runs
-        heu, core = laurent._heu_gcd, laurent._poly_gcd_core
+        heu, core = laurent._heu_gcd, laurent._prs
         gave_up, fallbacks = [], []
 
         def recording_heu(f, g, n):
@@ -176,7 +176,7 @@ class TestExactComposition:
             return core(f, g)
 
         monkeypatch.setattr(laurent, "_heu_gcd", recording_heu)
-        monkeypatch.setattr(laurent, "_poly_gcd_core", counting_core)
+        monkeypatch.setattr(laurent, "_prs", counting_core)
         b = get_fixture("somos5-2periodic").matrix("B")
         phi = cluster_map(b, detect_period(b))
         fourth = phi.iterate(4)
@@ -197,26 +197,33 @@ class TestExactComposition:
         assert f.iterate(3) == f.iterate(2).compose(f)
 
     def test_gcds_of_non_constants_are_bounded(self, monkeypatch):
-        # a gcd with a constant argument is 1 without any work, and the
-        # products and inverses of normal forms need no final gcd: this
-        # composite makes 78 core calls on two non-constants, of 207 in
-        # all (136 of 780 without those shortcuts)
-        core = laurent._poly_gcd_core
-        calls = []
+        # a gcd with a monomial argument is read off the exponents, and the
+        # products and inverses of normal forms need no final gcd: the
+        # tenth iterate of this map, by repeated squaring, takes 13
+        # heuristic gcds, each certified, and no PRS
+        heu, core = laurent._heu_gcd, laurent._prs
+        gave_up, fallbacks = [], []
 
-        def counted(f, g):
-            calls.append(not (f.is_constant() or g.is_constant()))
+        def recording_heu(f, g, n):
+            found = heu(f, g, n)
+            gave_up.append(found is None)
+            return found
+
+        def counting_core(f, g):
+            fallbacks.append((f, g))
             return core(f, g)
 
-        monkeypatch.setattr(laurent, "_poly_gcd_core", counted)
+        monkeypatch.setattr(laurent, "_heu_gcd", recording_heu)
+        monkeypatch.setattr(laurent, "_prs", counting_core)
         f = BirationalMap.from_strings(["(x2^2 + x2)/x1", "(x2*x3 + x3)/x1", "(x2 + 1)/x1"])
         f.iterate(10)
-        assert sum(calls) <= 78
+        assert gave_up == [False] * 13
+        assert fallbacks == []
 
     # the ladder's reduced maps of dimension <= 3 and the largest power
     # checked of each: the somos5 Casimir map has no period, and its
-    # fourth iterate alone takes 3-4.5 s either way, as the heuristic gcd
-    # gives up on its normal forms and the PRS answers
+    # fourth iterate alone takes 2.5-3 s, as the heuristic gcd gives up on
+    # three of its normal forms and the PRS answers
     SMALL_LEVELS = {"somos5:null0": 6, "somos5:casimir1": 3, "c7-pair:null0": 6,
                     "c7-pair:casimir1": 6}
 
