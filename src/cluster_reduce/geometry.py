@@ -265,12 +265,17 @@ class Submersion:
 
 
 def submersion_from_rows(rows, ambient_dim: int | None = None, kind: str = "custom") -> Submersion:
-    """Submersion from explicit exponent rows (validated independent)."""
+    """Submersion from explicit exponent rows (validated independent).
+
+    One Hermite form gives both: `saturation_index` raises on dependent
+    rows, and otherwise returns the saturation.
+    """
     mono = MonomialMap.from_rows(rows, ambient_dim)
     u = mono.exponents
-    if u.rows and u.rank() != u.rows:
-        raise GeometryError("submersion exponent rows must be linearly independent")
-    sat = saturation_index(LatticeBasis(u.cols, u.entries)) if u.rows else 1
+    try:
+        sat = saturation_index(LatticeBasis(u.cols, u.entries))
+    except ValueError:
+        raise GeometryError("submersion exponent rows must be linearly independent") from None
     return Submersion(mono, kind, (), sat)
 
 

@@ -1,13 +1,17 @@
 """Exact integer linear algebra for lattices of monomial exponents.
 
 Everything here runs over the integers, on one core of unimodular row
-and column operations (never rationals or floats): Hermite and Smith
-normal forms with unimodular transforms, saturated kernel/image
-lattices, membership tests, and Darboux-paired bases of skew-symmetric
-forms.  Saturation matters because downstream code rewrites Laurent
-monomials in lattice coordinates, which is only well behaved when a
-basis generates the full intersection of its rational span with the
-integer lattice.
+and column operations (never rationals or floats), and one gcd
+elimination, the row Hermite normal form with its unimodular transform.
+Every other lattice computation is read from Hermite forms: the Smith
+form (alternating Hermite forms of the matrix and its transpose),
+integer right inverses and saturation indices (one Hermite form of the
+transpose each), saturated kernel/image lattices and membership tests.
+The one other elimination is a congruence, which brings a skew form to
+the blocks of its Darboux-paired basis.  Saturation matters because
+downstream code rewrites Laurent monomials in lattice coordinates,
+which is only well behaved when a basis generates the full
+intersection of its rational span with the integer lattice.
 
 Deterministic output is part of the contract: lattice bases are
 normalized by the Hermite form of their stacked rows, so equal lattices
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 __all__ = [
     "IntMatrix",
@@ -218,7 +223,7 @@ class DarbouxBasis:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Hermite normal forms, and the Smith form composed of them
 # ---------------------------------------------------------------------------
 
 
@@ -301,73 +306,42 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return h, uu
 
 
+def _is_diagonal(m: IntMatrix) -> bool:
+    return all(x == 0 for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j)
+
+
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (S, U, V) with U @ m @ V == S.
 
     U and V are unimodular; S is diagonal with non-negative entries
-    satisfying the divisibility chain d_1 | d_2 | ... .
+    satisfying the divisibility chain d_1 | d_2 | ... .  It is composed of
+    Hermite forms (Kannan and Bachem 1979): the column form (the Hermite
+    form of the transpose) and the row form alternate until S is
+    diagonal.  Each form's leading entry divides the last one's, and
+    once they are equal its row and column are clear, so the alternation
+    ends.  Where d_i does not divide a later d_j, row j is added to row
+    i, and the column form then puts gcd(d_i, d_j) at (i, i).  The
+    column form must come first after that repair: the row form would
+    reduce row i by row j and undo it.
     """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
-    by_row, by_col = (a, u), (a, v)
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # locate the smallest nonzero entry of the trailing block
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            _swap(by_row, (), t, pi)
-        if pj != t:
-            _swap((), by_col, t, pj)
-        if a[t][t] < 0:
-            _negate(by_row, t)
-
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t] != 0:
-                _add(by_row, (), i, t, -(a[i][t] // a[t][t]))
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                _add((), by_col, j, t, -(a[t][j] // a[t][t]))
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # a strictly smaller pivot appeared; reselect
-
-        # the pivot now divides everything it cleared; enforce divisibility
-        # of the remaining block before moving on
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add(by_row, (), t, offender, 1)
-            continue
-        t += 1
-
-    s = IntMatrix(nr, nc, tuple(tuple(row) for row in a))
-    uu = IntMatrix(nr, nr, tuple(tuple(row) for row in u))
-    vv = IntMatrix(nc, nc, tuple(tuple(row) for row in v))
-    return s, uu, vv
+    s, u, v = m, IntMatrix.identity(m.rows), IntMatrix.identity(m.cols)
+    while True:
+        h, w = hermite_normal_form(s.transpose())
+        s, v = h.transpose(), v @ w.transpose()
+        if not _is_diagonal(s):
+            s, w = hermite_normal_form(s)
+            u = w @ u
+            if not _is_diagonal(s):
+                continue
+        d = [s[t, t] for t in range(min(s.rows, s.cols))]
+        pair = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                     if d[i] and d[j] % d[i]), None)
+        if pair is None:
+            return s, u, v
+        add = IntMatrix.from_rows(
+            [[int(a == b or (a, b) == pair) for b in range(s.rows)] for a in range(s.rows)]
+        )
+        s, u = add @ s, add @ u
 
 
 # ---------------------------------------------------------------------------
@@ -467,36 +441,31 @@ def sublattice_subset(a: LatticeBasis, b: LatticeBasis) -> bool:
 def saturation_index(basis: LatticeBasis) -> int:
     """Index of the lattice inside (rational span) intersect Z^N.
 
-    Computed as the product of the elementary divisors of the stacked
-    basis rows; 1 means the basis is saturated.
+    With U B^T = H the Hermite form of the transposed basis rows B, the
+    lattice is the image under a unimodular map of the rows of H's top
+    block, so the index is the product of H's pivots; 1 means the basis
+    is saturated.  Raises ValueError when H has fewer pivots than the
+    basis has vectors: the vectors are linearly dependent.
     """
-    if not basis.vectors:
-        return 1
-    s, _, _ = smith_normal_form(basis.matrix())
-    idx = 1
-    for t in range(min(s.rows, s.cols)):
-        d = s.entries[t][t]
-        if d == 0:
-            raise ValueError("basis vectors are linearly dependent")
-        idx *= d
-    return idx
+    h, _ = hermite_normal_form(basis.matrix().transpose())
+    r = basis.dim
+    if sum(1 for row in h.entries if any(row)) < r:
+        raise ValueError("basis vectors are linearly dependent")
+    return prod(h.entries[t][t] for t in range(r))
 
 
 def right_inverse(m: IntMatrix) -> IntMatrix | None:
     """An integer matrix V with m @ V = I, or None when there is none.
 
     It exists exactly when the rows of m are independent and saturated,
-    i.e. when every elementary divisor is 1.  With U m Q = S = [I 0] from
-    the Smith form, V is the first m.rows columns of Q times U.
+    i.e. when the Hermite form U m^T = H has the identity as its top
+    m.rows rows.  Then V is the first m.rows rows of U, transposed.
     """
     r = m.rows
-    if r > m.cols:
+    h, u = hermite_normal_form(m.transpose())
+    if h.entries[:r] != IntMatrix.identity(r).entries:
         return None
-    s, u, q = smith_normal_form(m)
-    if any(s.entries[t][t] != 1 for t in range(r)):
-        return None
-    first = IntMatrix.from_rows([row[:r] for row in q.entries], cols=r)
-    return first @ u
+    return IntMatrix.from_rows(u.entries[:r], cols=m.cols).transpose()
 
 
 # ---------------------------------------------------------------------------

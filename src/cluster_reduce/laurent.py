@@ -1062,8 +1062,15 @@ class _Parser:
 
 
 def parse_rational(text: str, nvars: int | None = None) -> RationalFunction:
-    """Parse a rational function string such as ``(x2*x5 + x3*x4)/x1``."""
-    return _Parser(text).parse(nvars)
+    """Parse a rational function string such as ``(x2*x5 + x3*x4)/x1``.
+
+    Raises ValueError on text that does not parse, also on nesting deeper
+    than the interpreter's recursion limit lets the parser descend.
+    """
+    try:
+        return _Parser(text).parse(nvars)
+    except RecursionError:
+        raise ValueError("expression nested too deeply to parse") from None
 
 
 def _format_term(exp: tuple[int, ...], coeff: Fraction, names: list[str]) -> str:

@@ -56,7 +56,7 @@ from .geometry import (
     maximal_flag,
     null_submersion,
 )
-from .intlinalg import IntMatrix, hermite_normal_form, kernel_lattice
+from .intlinalg import IntMatrix, hermite_normal_form
 from .maps import random_positive_point, rng_substream
 from .quiver import GROWTH_STEPS, cluster_map, degree_growth, detect_period, growth_class
 
@@ -205,10 +205,10 @@ def _foliations(
     small integer combinations stratifies the pencil by rank.  A multiple
     c v of a combination v has v's kernel, so each line through the
     origin is tried once, at its first member in ``product`` order.  Each
-    member is keyed by the Hermite rows of its kernel lattice, which are
-    the exponent rows of its Casimir submersion, so casimir_submersion
-    runs once per distinct lattice; an empty kernel means full rank.  A
-    Casimir lattice equal to the null one is noted and analysed once.
+    member is keyed by the exponent rows of its Casimir submersion, the
+    Hermite rows of its kernel lattice, so each member's kernel is taken
+    once; a full-rank member has no Casimir submersion.  A Casimir
+    lattice equal to the null one is noted and analysed once.
     """
     subs = [null] if null else []
     null_key = hermite_normal_form(null.map.exponents)[0].entries if null else None
@@ -239,8 +239,13 @@ def _foliations(
         )
     seen = set()
     for m in candidates:
-        key = kernel_lattice(m).vectors
-        if not key or key in seen:
+        structure = PoissonStructure(m)
+        try:
+            sub = casimir_submersion(structure)
+        except GeometryError:
+            continue  # full rank: no Casimirs
+        key = sub.map.exponents.entries
+        if key in seen:
             continue
         seen.add(key)
         if key == null_key:
@@ -249,7 +254,7 @@ def _foliations(
                 "the same exponent lattice and were analysed once"
             )
             continue
-        subs.append(casimir_submersion(PoissonStructure(m)))
+        subs.append(sub)
     return subs
 
 

@@ -6,8 +6,9 @@ screen's orbit and labels computed term by term, with one inversion per
 coordinate and denominator, a longest chain of submersions found by
 trying every subset, the digests of a sampled log-Jacobian stream and
 of a pipeline report, composition of rational functions in `Fraction`
-arithmetic, iterates composed one step at a time, and the primitive PRS
-gcd in `Fraction` arithmetic."""
+arithmetic, iterates composed one step at a time, the primitive PRS
+gcd in `Fraction` arithmetic, and the Smith form by its own elimination
+with the right inverses and saturation indices read from it."""
 
 import hashlib
 import json
@@ -15,8 +16,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from cluster_reduce import (BirationalMap, IntMatrix, check_subfoliation, cluster_map,
-                            detect_period, fordy_marsh, get_fixture)
+from cluster_reduce import (BirationalMap, IntMatrix, LatticeBasis, check_subfoliation,
+                            cluster_map, detect_period, fordy_marsh, get_fixture)
 from cluster_reduce.cli import WorkflowConfig, run_pipeline
 from cluster_reduce.dynamics import _residues
 from cluster_reduce.geometry import _sample_points
@@ -329,3 +330,83 @@ def _quotient(f, g):
         term = LaurentPoly(f.nvars, {d: rem.terms[e] / g.terms[lead]})
         quotient, rem = quotient + term, rem - term * g
     return quotient
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(S, U, V) with U @ m @ V == S, U and V unimodular and S diagonal with
+    d_1 | d_2 | ..., by a pivot search over the trailing block: the smallest
+    nonzero entry clears its row and column, and where it does not divide
+    the rest of the block, the offending row is added to the pivot's."""
+    nr, nc = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def add_row(i, j, q):
+        for mat in (a, u):
+            mat[i] = [x + q * y for x, y in zip(mat[i], mat[j])]
+
+    def add_col(i, j, q):
+        for mat in (a, v):
+            for row in mat:
+                row[i] += q * row[j]
+
+    t = 0
+    while t < min(nr, nc):
+        block = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not block:
+            break
+        _, pi, pj = min(block, key=lambda e: e[0])
+        for mat in (a, u):
+            mat[t], mat[pi] = mat[pi], mat[t]
+        for mat in (a, v):
+            for row in mat:
+                row[t], row[pj] = row[pj], row[t]
+        if a[t][t] < 0:
+            for mat in (a, u):
+                mat[t] = [-x for x in mat[t]]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t]:
+                add_row(i, t, -(a[i][t] // a[t][t]))
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, nc):
+            if a[t][j]:
+                add_col(j, t, -(a[t][j] // a[t][t]))
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        offender = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                         if a[i][j] % a[t][t]), None)
+        if offender is not None:
+            add_row(t, offender, 1)
+            continue
+        t += 1
+    return (IntMatrix(nr, nc, tuple(map(tuple, a))), IntMatrix(nr, nr, tuple(map(tuple, u))),
+            IntMatrix(nc, nc, tuple(map(tuple, v))))
+
+
+def right_inverse(m: IntMatrix) -> IntMatrix | None:
+    """An integer V with m @ V = I, or None: with U m Q = S = [I 0] from the
+    Smith form, V is the first m.rows columns of Q times U."""
+    r = m.rows
+    if r > m.cols:
+        return None
+    s, u, q = smith_normal_form(m)
+    if any(s[t, t] != 1 for t in range(r)):
+        return None
+    return IntMatrix.from_rows([row[:r] for row in q.entries], cols=r) @ u
+
+
+def saturation_index(basis: LatticeBasis) -> int:
+    """The product of the Smith diagonal of the stacked basis rows; raises
+    ValueError on a zero on that diagonal."""
+    if not basis.vectors:
+        return 1
+    s, _, _ = smith_normal_form(basis.matrix())
+    index = 1
+    for t in range(min(s.rows, s.cols)):
+        if s[t, t] == 0:
+            raise ValueError("basis vectors are linearly dependent")
+        index *= s[t, t]
+    return index

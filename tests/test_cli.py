@@ -448,6 +448,15 @@ class TestOrbit:
         )
         assert code == 3
 
+    def test_deeply_nested_map_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"schema": "v1", "dim_in": 2,
+                                    "components": ["(" * 400 + "x1" + ")" * 400, "x2"]}))
+        code = main(["orbit", "--map", str(path), "--start", "1,1", "--steps", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "input error" in captured.err and "nested too deeply" in captured.err
+
 
 class TestSubmersionFiles:
     """A submersion document is checked as a row matrix is."""

@@ -46,6 +46,7 @@ from cluster_reduce import (
     verify_closed_form,
 )
 from cluster_reduce import dynamics, maps
+from cluster_reduce.geometry import maximal_flag
 from cluster_reduce.intlinalg import right_inverse
 from cluster_reduce.pipeline import (
     AnalysisReport,
@@ -1688,17 +1689,27 @@ class TestSpecialValues:
 
 class TestLiftedOrbitEngine:
     def test_right_inverse_of_every_ladder_submersion(self):
-        count = 0
+        # the Hermite-form right inverse is the Smith-form one of the
+        # reference on every submersion and flag projection of the ladder,
+        # so no section, and no Newton start over a flag level, moves
+        count = projections = 0
         for b in _ladder_matrices():
             form = PresymplecticForm(b)
-            subs = [null_submersion(form)] if 0 < form.rank < form.dim else []
+            null = null_submersion(form) if 0 < form.rank < form.dim else None
             basis = find_invariant_poisson(cluster_map(b, detect_period(b)), b)
+            subs = [null] if null else []
             subs += _foliations(basis, None, AnalysisReport(b, WorkflowConfig()))
             for sub in subs:
                 u = sub.map.exponents
-                assert u @ right_inverse(u) == IntMatrix.identity(u.rows)
+                v = right_inverse(u)
+                assert u @ v == IntMatrix.identity(u.rows)
+                assert v == reference.right_inverse(u)
                 count += 1
-        assert count == 15
+            flag, _ = maximal_flag(_foliations(basis, null, AnalysisReport(b, WorkflowConfig())))
+            for p in flag.projections:
+                assert right_inverse(p.exponents) == reference.right_inverse(p.exponents)
+                projections += 1
+        assert (count, projections) == (15, 5)
 
     def test_right_inverse_needs_saturated_rows(self):
         assert right_inverse(IntMatrix.from_rows([[2, 0, 0]])) is None

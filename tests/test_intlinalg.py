@@ -20,6 +20,7 @@ from cluster_reduce import (
     sublattice_subset,
 )
 from cluster_reduce import intlinalg
+import reference
 from reference import reconstruct
 
 
@@ -265,6 +266,12 @@ class TestLattices:
             saturation_index(LatticeBasis(3, ((2, 0, 0), (0, 3, 0))))
             == 6
         )
+        assert saturation_index(LatticeBasis(3, ())) == 1
+        # dependent: a zero pivot, and more vectors than dimensions
+        with pytest.raises(ValueError):
+            saturation_index(LatticeBasis(3, ((1, 0, 0), (2, 0, 0))))
+        with pytest.raises(ValueError):
+            saturation_index(LatticeBasis(2, ((1, 0), (0, 1), (1, 1))))
 
 
 # zeros, units and non-units
@@ -306,6 +313,60 @@ class TestNarrowedKernel:
         k = kernel_lattice(IntMatrix.from_rows(e1, cols=cols))
         stacked = kernel_lattice(IntMatrix.from_rows(e1 + e2, cols=cols))
         assert intlinalg._narrowed_kernel(k, e2) == stacked
+
+
+@st.composite
+def _matrices(draw):
+    """Integer matrices of 0-4 rows and 0-5 columns: zeros, units, small
+    non-units and larger entries."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entry = st.one_of(_ENTRIES, st.integers(-40, 40))
+    return IntMatrix(rows, cols, tuple(tuple(draw(entry) for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+_REFERENCE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestAgainstReference:
+    """The Smith form, right inverses and saturation indices read from
+    Hermite forms agree with the reference's own Smith elimination."""
+
+    @_REFERENCE_SETTINGS
+    @given(_matrices())
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix(2, 0, ((), ())))
+    @example(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    @example(IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 9]]))
+    def test_smith_form_is_the_reference(self, m):
+        s, u, v = smith_normal_form(m)
+        assert s == reference.smith_normal_form(m)[0]
+        assert u @ m @ v == s
+        assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+
+    @_REFERENCE_SETTINGS
+    @given(_matrices())
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix(2, 0, ((), ())))
+    @example(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+    @example(IntMatrix.from_rows([[2, 3, 0]]))
+    def test_right_inverse_exists_exactly_as_in_the_reference(self, m):
+        v = intlinalg.right_inverse(m)
+        assert (v is None) == (reference.right_inverse(m) is None)
+        if v is not None:
+            assert m @ v == IntMatrix.identity(m.rows)
+
+    @_REFERENCE_SETTINGS
+    @given(_matrices())
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+    def test_saturation_index_is_the_reference(self, m):
+        basis = LatticeBasis(m.cols, m.entries)
+        if m.rank() < m.rows:
+            with pytest.raises(ValueError):
+                saturation_index(basis)
+        else:
+            assert saturation_index(basis) == reference.saturation_index(basis)
 
 
 class TestDarboux:

@@ -400,6 +400,11 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_rational("q7", 1)
 
+    def test_parse_rejects_nesting_too_deep(self):
+        assert parse_rational("(" * 20 + "x1" + ")" * 20) == parse_rational("x1")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_rational("(" * 400 + "x1" + ")" * 400)
+
     def test_explicit_nvars_widens(self):
         f = parse_rational("x1", 4)
         assert f.nvars == 4

@@ -80,6 +80,19 @@ class Tracer:
         return local
 
 
+class _Rearm:
+    """pytest plugin that installs the trace again after a test that lost
+    it: CPython unsets a trace function that raises, as it does when a
+    test exhausts the stack (a parse of too deeply nested input)."""
+
+    def __init__(self, tracer: Tracer) -> None:
+        self.tracer = tracer
+
+    def pytest_runtest_teardown(self, item) -> None:
+        if sys.gettrace() is None:
+            sys.settrace(self.tracer)
+
+
 class _Clock:
     """The work clock of the benchmark's passes, as plain wall time."""
 
@@ -119,7 +132,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"], plugins=[_Rearm(tracer)])
         workload_passes()
     finally:
         sys.settrace(None)
